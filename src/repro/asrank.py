@@ -101,6 +101,7 @@ class ASRank:
         """
         from repro.mrt.reader import MrtReader, RibRecord, UpdateRecord
         from repro.mrt.updates import rib_from_updates
+        from repro.stream.corpus import prefixes_from_rows
 
         snapshot_rows: List[RibRecord] = []
         updates: List[UpdateRecord] = []
@@ -111,21 +112,11 @@ class ASRank:
                 elif isinstance(record, UpdateRecord):
                     updates.append(record)
         rib_rows = rib_from_updates(updates, base=snapshot_rows)
-
-        prefixes_by_asn: Dict[int, Set[Prefix]] = {}
-        for row in rib_rows:
-            if row.as_path:
-                prefixes_by_asn.setdefault(row.as_path[-1], set()).add(
-                    row.prefix
-                )
         return cls.from_paths(
             (row.as_path for row in rib_rows),
             ixp_asns=ixp_asns,
             config=config,
-            prefixes_by_asn={
-                asn: sorted(prefixes)
-                for asn, prefixes in prefixes_by_asn.items()
-            },
+            prefixes_by_asn=prefixes_from_rows(rib_rows),
         )
 
     # ------------------------------------------------------------------

@@ -14,10 +14,19 @@ hierarchy and infers it from the path data itself:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.paths import PathSet
+
+try:  # optional: vectorized triple index (pure-Python fallback below)
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is in the standard image
+    _np = None
+
+#: ``mid -> [(left, right, multiplicity), ...]`` over the corpus's hops
+TripleIndex = Dict[int, List[Tuple[int, int, int]]]
 
 
 @dataclass
@@ -66,25 +75,64 @@ def bron_kerbosch(
     return cliques
 
 
-def _index_triples(
-    triples: Iterable[Tuple[int, int, int]],
-) -> Dict[int, List[Tuple[int, int, int]]]:
-    """Index path triples by their middle AS.
+def _index_triples(paths: PathSet, mids: Iterable[int]) -> TripleIndex:
+    """Index the corpus's ``(left, mid, right)`` hops by middle AS.
 
-    Every evidence query below filters on ``mid in clique``, so a scan
-    of the full triple multiset — quadratic once the rank walk repeats
-    it per candidate, and brutal on internet-scale corpora — collapses
-    to a lookup of the handful of clique members' own triples.
+    Every evidence query below filters on ``mid in clique``, and the
+    clique only ever holds ASes from the head of the ranking, so only
+    triples whose middle AS is in ``mids`` are indexed.  Repeated
+    triples collapse to one entry carrying their multiplicity.
     """
-    by_mid: Dict[int, List[Tuple[int, int, int]]] = {}
-    for triple in triples:
-        by_mid.setdefault(triple[1], []).append(triple)
+    wanted = set(mids)
+    view = paths.numpy_view()
+    if view is not None and len(view[0]) >= 3 and wanted:
+        flat, _plen, off = view
+        # window i is (flat[i], flat[i + 1], flat[i + 2]); drop the ones
+        # whose middle is in ``wanted`` but which straddle two paths
+        valid = _np.isin(
+            flat[1:-1],
+            _np.fromiter(wanted, dtype=_np.int64, count=len(wanted)),
+        )
+        bounds = off[1:-1]
+        valid[bounds - 1] = False
+        valid[_np.maximum(bounds - 2, 0)] = False
+        starts = _np.flatnonzero(valid)
+        mid = flat[starts + 1]
+        # ASNs fit 32 bits: one uint64 per (left, right) pair
+        pair = (flat[starts].astype(_np.uint64) << _np.uint64(32)) | flat[
+            starts + 2
+        ].astype(_np.uint64)
+        order = _np.lexsort((pair, mid))
+        mid, pair = mid[order], pair[order]
+        first = _np.ones(len(order), dtype=bool)
+        first[1:] = (mid[1:] != mid[:-1]) | (pair[1:] != pair[:-1])
+        runs = _np.flatnonzero(first)
+        counts = _np.diff(_np.append(runs, len(order)))
+        pair = pair[runs]
+        triples: Iterable[Tuple[int, int, int, int]] = zip(
+            mid[runs].tolist(),
+            (pair >> _np.uint64(32)).tolist(),
+            (pair & _np.uint64(0xFFFFFFFF)).tolist(),
+            counts.tolist(),
+        )
+    else:
+        windows_counter = Counter(
+            window
+            for path in paths.paths
+            for window in zip(path, path[1:], path[2:])
+            if window[1] in wanted
+        )
+        triples = (
+            (mid, left, right, n)
+            for (left, mid, right), n in windows_counter.items()
+        )
+    by_mid: TripleIndex = {}
+    for mid, left, right, n in triples:
+        by_mid.setdefault(mid, []).append((left, right, n))
     return by_mid
 
 
-def _customer_evidence(
-    by_mid: Dict[int, List[Tuple[int, int, int]]], clique: Set[int]
-) -> Dict[int, int]:
+def _customer_evidence(by_mid: TripleIndex, clique: Set[int]) -> Dict[int, int]:
     """Count, per AS, path evidence that it is a *customer* of a clique
     member rather than a peer.
 
@@ -100,17 +148,15 @@ def _customer_evidence(
     """
     evidence: Dict[int, int] = {}
     for mid in clique:
-        for left, _, right in by_mid.get(mid, ()):
+        for left, right, n in by_mid.get(mid, ()):
             if left in clique and right not in clique:
-                evidence[right] = evidence.get(right, 0) + 1
+                evidence[right] = evidence.get(right, 0) + n
             elif right in clique and left not in clique:
-                evidence[left] = evidence.get(left, 0) + 1
+                evidence[left] = evidence.get(left, 0) + n
     return evidence
 
 
-def _prune_customers(
-    clique: Set[int], by_mid: Dict[int, List[Tuple[int, int, int]]]
-) -> Set[int]:
+def _prune_customers(clique: Set[int], by_mid: TripleIndex) -> Set[int]:
     """Iteratively drop clique members that the path data shows buying
     transit from other members (multihomed-to-the-whole-clique transit
     networks survive Bron–Kerbosch but fail this test)."""
@@ -152,7 +198,8 @@ def infer_clique(
             tuple(sorted(members)),
         )
 
-    by_mid = _index_triples(paths.triples())
+    # the walk below considers at most ``max_walk`` ASes past the seeds
+    by_mid = _index_triples(paths, ranking[: seed_size + max_walk])
     best = max(cliques, key=clique_weight)
     clique: Set[int] = _prune_customers(set(best), by_mid)
 

@@ -17,6 +17,7 @@ the algorithm ranks ASes by:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import (
@@ -25,6 +26,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -49,12 +51,17 @@ _RESERVED_RANGES: Tuple[Tuple[int, int], ...] = (
 )
 
 
+#: the ranges' bounds as one sorted sequence ``low, high + 1, ...``:
+#: an ASN inside a range has an odd number of bounds at or below it
+_RESERVED_BOUNDS: Tuple[int, ...] = tuple(
+    chain.from_iterable((low, high + 1) for low, high in _RESERVED_RANGES)
+)
+
+
 def is_reserved_asn(asn: int) -> bool:
     """True for ASNs that must never appear in a clean public path."""
-    for low, high in _RESERVED_RANGES:
-        if low <= asn <= high:
-            return True
-    return False
+    return bisect_right(_RESERVED_BOUNDS, asn) % 2 == 1
+
 
 
 @dataclass
@@ -82,6 +89,31 @@ class SanitizeStats:
             ("kept (unique)", self.kept),
         ]
 
+    def record(self, cleaned: "CleanedPath", times: int = 1) -> None:
+        """Count ``times`` input paths that cleaned to ``cleaned``
+        (a negative ``times`` takes them back out).  ``kept`` and
+        ``duplicates_merged`` depend on the whole corpus, so the caller
+        sets them."""
+        _, prepending, reserved, ixp_removed, loop, short = cleaned
+        self.input_paths += times
+        self.prepending_compressed += prepending * times
+        self.discarded_reserved_asn += reserved * times
+        self.ixp_hops_removed += ixp_removed * times
+        self.discarded_loops += loop * times
+        self.discarded_short += short * times
+
+
+class CleanedPath(NamedTuple):
+    """One raw path through stage 1: the cleaned path (``None`` when
+    discarded) and a 0/1 increment per :class:`SanitizeStats` counter."""
+
+    path: Optional[Tuple[int, ...]]
+    prepending_compressed: int = 0
+    discarded_reserved_asn: int = 0
+    ixp_hops_removed: int = 0
+    discarded_loops: int = 0
+    discarded_short: int = 0
+
 
 def compress_prepending(path: Sequence[int]) -> Tuple[int, ...]:
     """Collapse runs of the same ASN into a single hop."""
@@ -95,6 +127,43 @@ def compress_prepending(path: Sequence[int]) -> Tuple[int, ...]:
 def has_loop(path: Sequence[int]) -> bool:
     """True when any ASN appears more than once (after compression)."""
     return len(set(path)) != len(path)
+
+
+def clean_path(
+    raw: Sequence[int], ixp_asns: FrozenSet[int] = frozenset()
+) -> CleanedPath:
+    """The paper's stage-1 cleaning of one raw observed path.
+
+    Compress prepending, discard paths with reserved ASNs, splice out
+    IXP route-server hops, then discard loops and paths shorter than
+    two hops.  The outcome depends only on ``raw`` and ``ixp_asns``, so
+    callers may memoize it per distinct raw path.
+    """
+    raw = tuple(raw)
+    if not raw:
+        return CleanedPath(None, discarded_short=1)
+    # most paths repeat no ASN: nothing to compress, no loop possible
+    # (splicing hops out below cannot create a repeat either)
+    repeats = len(set(raw)) != len(raw)
+    path = compress_prepending(raw) if repeats else raw
+    prepending = int(len(path) != len(raw))
+    if any(map(is_reserved_asn, path)):
+        return CleanedPath(None, prepending, discarded_reserved_asn=1)
+    ixp_removed = 0
+    if ixp_asns and not ixp_asns.isdisjoint(path):
+        path = compress_prepending(
+            asn for asn in path if asn not in ixp_asns
+        )
+        ixp_removed = 1
+    if repeats and has_loop(path):
+        return CleanedPath(
+            None, prepending, 0, ixp_removed, discarded_loops=1
+        )
+    if len(path) < 2:
+        return CleanedPath(
+            None, prepending, 0, ixp_removed, discarded_short=1
+        )
+    return CleanedPath(path, prepending, 0, ixp_removed)
 
 
 class PathSet:
@@ -140,27 +209,10 @@ class PathSet:
         kept: List[Tuple[int, ...]] = []
         counts: Dict[Tuple[int, ...], int] = {}
         for raw in raw_paths:
-            stats.input_paths += 1
-            path = tuple(raw)
-            if not path:
-                stats.discarded_short += 1
-                continue
-            compressed = compress_prepending(path)
-            if len(compressed) != len(path):
-                stats.prepending_compressed += 1
-            path = compressed
-            if any(is_reserved_asn(asn) for asn in path):
-                stats.discarded_reserved_asn += 1
-                continue
-            if ixp_asns and any(asn in ixp_asns for asn in path):
-                path = tuple(asn for asn in path if asn not in ixp_asns)
-                stats.ixp_hops_removed += 1
-                path = compress_prepending(path)
-            if has_loop(path):
-                stats.discarded_loops += 1
-                continue
-            if len(path) < 2:
-                stats.discarded_short += 1
+            cleaned = clean_path(raw, ixp_asns)
+            stats.record(cleaned)
+            path = cleaned[0]
+            if path is None:
                 continue
             if path in counts:
                 counts[path] += 1

@@ -5,8 +5,11 @@ route table that :func:`repro.mrt.updates.rib_from_updates` reconstructs
 offline: the last announcement for a key wins, a withdrawal removes the
 key, and withdrawals inside an UPDATE are applied before its
 announcements (RFC 4271 ordering).  :class:`LiveCorpus` keeps that table
-resident and additionally tracks which keys changed since the last
-publish so the ingestor can estimate the dirty fraction cheaply.
+resident, tracks which keys changed since the last publish so the
+ingestor can estimate the dirty fraction cheaply, and maintains the two
+derived views a publish feeds to inference — the sanitized corpus and
+the origin → prefixes map — row by row, so a publish pays for the rows
+a batch changed rather than for the whole table.
 
 :func:`asrank_from_rib_rows` is the single shared definition of "batch
 recompute over a set of RIB rows" — the stream's full publishes, the QA
@@ -17,22 +20,26 @@ streamed-vs-batch bit-identity contract trivially well-defined.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from collections import Counter
+from dataclasses import replace
+from itertools import islice
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.paths import (
-    PathSet,
-    SanitizeStats,
-    compress_prepending,
-    has_loop,
-    is_reserved_asn,
-)
+from repro.core.paths import CleanedPath, PathSet, SanitizeStats, clean_path
 from repro.mrt.reader import RibRecord, UpdateRecord
 
 TableKey = Tuple[object, int]  # (Prefix, peer_asn)
+PathT = Tuple[int, ...]
 
 
 def prefixes_from_rows(rows: Iterable[RibRecord]) -> Dict[int, List]:
-    """Origin-ASN → sorted prefixes, exactly as ``ASRank.from_mrt`` derives it."""
+    """Origin-ASN → sorted prefixes of the rows it originates.
+
+    The one derivation of the prefix map from RIB rows:
+    ``ASRank.from_mrt`` calls it, and :meth:`LiveCorpus.prefixes_by_asn`
+    maintains its result incrementally.
+    """
     by_asn: Dict[int, Set] = {}
     for row in rows:
         if row.as_path:
@@ -58,19 +65,87 @@ class LiveCorpus:
     The final table after any sequence of :meth:`apply` calls equals
     ``rib_from_updates(all_updates, base=base_rows)`` — the unit tests
     pin that equivalence against randomized sequences.
+
+    Two views of the table are maintained incrementally and equal their
+    batch definitions at every point (the property tests pin both):
+
+    * :meth:`sanitized` is ``PathSet.sanitize(row.as_path for row in
+      rows(), ixp_asns)`` — same paths in the same first-seen order,
+      same multiplicities, same :class:`SanitizeStats`.  First-seen
+      order over :meth:`rows` is the order of the smallest table key
+      carrying each cleaned path, which is what is kept.
+    * :meth:`prefixes_by_asn` is ``prefixes_from_rows(rows())``, from
+      per-origin prefix refcounts.
+
+    Stage-1 cleaning is memoized per distinct raw path (withdrawn paths
+    keep their entries, so a re-announcement stays a cache hit); the
+    views re-derive nothing else but the rows changed since they were
+    last read.  A changed key's previous contribution is recovered from
+    the row it displaced and the memo, so no per-key state is kept.
     """
 
-    def __init__(self, base: Optional[Iterable[RibRecord]] = None) -> None:
+    def __init__(
+        self,
+        base: Optional[Iterable[RibRecord]] = None,
+        ixp_asns: FrozenSet[int] = frozenset(),
+    ) -> None:
         self.table: Dict[TableKey, RibRecord] = {}
         for row in base or ():
             self.table[(row.prefix, row.peer_asn)] = row
+        ordered = sorted(self.table.items(), key=itemgetter(0))
         # keys kept sorted incrementally, so a publish over a
         # barely-changed table doesn't pay an O(n log n) re-sort
-        self._sorted_keys: List[TableKey] = sorted(self.table)
+        self._sorted_keys: List[TableKey] = [key for key, _ in ordered]
         #: keys touched since the last ``clear_dirty`` (i.e. last publish)
         self.dirty_keys: Set[TableKey] = set()
         self.announced = 0
         self.withdrawn = 0
+
+        self.ixp_asns = frozenset(ixp_asns)
+        # changed key -> the row it held when the views were last
+        # brought up to date (None: the key was absent)
+        self._displaced: Dict[TableKey, Optional[RibRecord]] = {}
+        self._cleaned: Dict[PathT, CleanedPath] = {}
+        # per-counter totals; ``kept``/``duplicates_merged`` are derived
+        self._stats = SanitizeStats()
+        self._counts: Dict[PathT, int] = {}  # kept path -> rows
+        self._kept_rows = 0
+        self._first: Dict[PathT, TableKey] = {}  # kept path -> min key
+        # kept paths ordered by first key, with those keys (parallel)
+        self._order_paths: List[PathT] = []
+        self._order_keys: List[TableKey] = []
+        # origin -> prefix -> rows announcing it from that origin
+        self._prefix_refs: Dict[int, Counter] = {}
+        self._prefix_lists: Dict[int, List] = {}
+        self._stale_origins: Set[int] = set()
+
+        # one pass in key order over the base table: rows per raw path
+        # (each raw path cleaned at its first row, which is where a
+        # kept path first shows up) and per-origin prefix lists
+        raw_rows: Dict[PathT, int] = {}
+        origin_prefixes: Dict[int, List] = {}
+        for key, row in ordered:
+            raw = row.as_path
+            n = raw_rows.get(raw)
+            if n is None:
+                raw_rows[raw] = 1
+                path = self._clean(raw).path
+                if path is not None and path not in self._first:
+                    self._first[path] = key
+                    self._order_paths.append(path)
+                    self._order_keys.append(key)
+            else:
+                raw_rows[raw] = n + 1
+            if raw:
+                prefixes = origin_prefixes.get(raw[-1])
+                if prefixes is None:
+                    prefixes = origin_prefixes[raw[-1]] = []
+                prefixes.append(row.prefix)
+        for raw, n in raw_rows.items():
+            self._count_cleaned(self._cleaned[raw], n)
+        for origin, prefixes in origin_prefixes.items():
+            self._prefix_refs[origin] = Counter(prefixes)
+        self._stale_origins.update(self._prefix_refs)
 
     def __len__(self) -> int:
         return len(self.table)
@@ -84,13 +159,16 @@ class LiveCorpus:
         announced = withdrawn = 0
         table = self.table
         dirty = self.dirty_keys
+        displaced = self._displaced
         keys = self._sorted_keys
         for update in updates:
             for prefix in update.withdrawn:
                 key = (prefix, update.peer_asn)
-                if table.pop(key, None) is not None:
+                old = table.pop(key, None)
+                if old is not None:
                     withdrawn += 1
                     dirty.add(key)
+                    displaced.setdefault(key, old)
                     del keys[bisect_left(keys, key)]
             for prefix in update.announced:
                 key = (prefix, update.peer_asn)
@@ -100,10 +178,12 @@ class LiveCorpus:
                     as_path=update.as_path,
                     communities=update.communities,
                 )
-                if key not in table:
+                old = table.get(key)
+                if old is None:
                     insort(keys, key)
-                if table.get(key) != row:
+                if old != row:
                     dirty.add(key)
+                    displaced.setdefault(key, old)
                 table[key] = row
                 announced += 1
         self.announced += announced
@@ -122,82 +202,134 @@ class LiveCorpus:
         table = self.table
         return [table[key] for key in self._sorted_keys]
 
+    # ------------------------------------------------------------------
+    # maintained views
+    # ------------------------------------------------------------------
 
-class CachedSanitizer:
-    """Memoized :meth:`PathSet.sanitize` for a slowly-churning corpus.
+    def sanitized(self) -> PathSet:
+        """A fresh ``PathSet.sanitize(row.as_path for row in rows(),
+        ixp_asns)``, from the maintained state."""
+        self._refresh()
+        kept = len(self._counts)
+        stats = replace(
+            self._stats, kept=kept, duplicates_merged=self._kept_rows - kept
+        )
+        return PathSet(self._order_paths, dict(self._counts), stats)
 
-    Per-path cleaning (prepending compression, reserved-ASN and loop
-    discards, IXP splice-out) depends only on the raw path and the IXP
-    set, so it is memoized per distinct raw path: a publish over a
-    table where only a handful of rows changed costs one dict lookup
-    per row instead of re-cleaning every hop.  The output — paths,
-    multiplicity counts and the full :class:`SanitizeStats` — is
-    bit-identical to ``PathSet.sanitize`` on the same input order (the
-    unit tests pin the equivalence), so swapping it into the stream's
-    publish path cannot perturb snapshot versions.
-
-    The memo grows with the number of *distinct* raw paths ever seen,
-    not with the table size; withdrawn paths keep their entries so a
-    re-announcement stays a cache hit.
-    """
-
-    def __init__(self, ixp_asns=frozenset()) -> None:
-        self.ixp_asns = frozenset(ixp_asns)
-        # raw path -> (cleaned path or None, prepending, reserved,
-        #              ixp_removed, loop, short) counter deltas
-        self._memo: Dict[
-            Tuple[int, ...], Tuple[Optional[Tuple[int, ...]], int, int, int, int, int]
-        ] = {}
-
-    def _clean(
-        self, path: Tuple[int, ...]
-    ) -> Tuple[Optional[Tuple[int, ...]], int, int, int, int, int]:
-        """One path through the stage-1 pipeline, stats as deltas."""
-        if not path:
-            return None, 0, 0, 0, 0, 1
-        prepending = 0
-        compressed = compress_prepending(path)
-        if len(compressed) != len(path):
-            prepending = 1
-        path = compressed
-        if any(is_reserved_asn(asn) for asn in path):
-            return None, prepending, 1, 0, 0, 0
-        ixp_removed = 0
-        if self.ixp_asns and any(asn in self.ixp_asns for asn in path):
-            path = tuple(asn for asn in path if asn not in self.ixp_asns)
-            ixp_removed = 1
-            path = compress_prepending(path)
-        if has_loop(path):
-            return None, prepending, 0, ixp_removed, 1, 0
-        if len(path) < 2:
-            return None, prepending, 0, ixp_removed, 0, 1
-        return path, prepending, 0, ixp_removed, 0, 0
-
-    def sanitize(self, raw_paths: Iterable[Sequence[int]]) -> PathSet:
-        """Drop-in for ``PathSet.sanitize(raw_paths, self.ixp_asns)``."""
-        memo = self._memo
-        stats = SanitizeStats()
-        kept: List[Tuple[int, ...]] = []
-        counts: Dict[Tuple[int, ...], int] = {}
-        for raw in raw_paths:
-            stats.input_paths += 1
-            entry = memo.get(raw if type(raw) is tuple else tuple(raw))
-            if entry is None:
-                key = tuple(raw)
-                entry = memo[key] = self._clean(key)
-            path, prepending, reserved, ixp_removed, loop, short = entry
-            stats.prepending_compressed += prepending
-            stats.discarded_reserved_asn += reserved
-            stats.ixp_hops_removed += ixp_removed
-            stats.discarded_loops += loop
-            stats.discarded_short += short
-            if path is None:
-                continue
-            if path in counts:
-                counts[path] += 1
-                stats.duplicates_merged += 1
+    def prefixes_by_asn(self) -> Dict[int, List]:
+        """A fresh dict equal to ``prefixes_from_rows(rows())``; only
+        origins whose prefixes changed get their lists re-sorted."""
+        self._refresh()
+        lists = self._prefix_lists
+        for origin in self._stale_origins:
+            refs = self._prefix_refs.get(origin)
+            if refs:
+                lists[origin] = sorted(refs)
             else:
-                counts[path] = 1
-                kept.append(path)
-        stats.kept = len(kept)
-        return PathSet(kept, counts, stats)
+                lists.pop(origin, None)
+        self._stale_origins.clear()
+        return dict(lists)
+
+    def _clean(self, raw: PathT) -> CleanedPath:
+        cleaned = self._cleaned.get(raw)
+        if cleaned is None:
+            cleaned = self._cleaned[raw] = clean_path(raw, self.ixp_asns)
+        return cleaned
+
+    def _count_cleaned(self, cleaned: CleanedPath, times: int) -> None:
+        self._stats.record(cleaned, times)
+        path = cleaned.path
+        if path is not None:
+            n = self._counts.get(path, 0) + times
+            if n:
+                self._counts[path] = n
+            else:
+                del self._counts[path]
+            self._kept_rows += times
+
+    def _count(self, row: RibRecord, sign: int) -> Optional[PathT]:
+        """Add (``sign`` 1) or take out (-1) one row's contribution to
+        both views; returns its cleaned path, ``None`` if discarded."""
+        raw = row.as_path
+        cleaned = self._clean(raw)
+        self._count_cleaned(cleaned, sign)
+        if raw:
+            origin = raw[-1]
+            refs = self._prefix_refs.get(origin)
+            if refs is None:
+                refs = self._prefix_refs[origin] = Counter()
+            refs[row.prefix] += sign
+            if not refs[row.prefix]:
+                del refs[row.prefix]
+            self._stale_origins.add(origin)
+        return cleaned.path
+
+    def _refresh(self) -> None:
+        """Fold the rows changed since the last call into the views."""
+        if not self._displaced:
+            return
+        table = self.table
+        first = self._first
+        lost: Set[PathT] = set()  # kept paths whose first key left them
+        gained: Dict[PathT, TableKey] = {}  # kept path -> min new key
+        for key, old in self._displaced.items():
+            new = table.get(key)
+            if old is None and new is None:
+                continue
+            if old is not None and new is not None:
+                if old.as_path == new.as_path:
+                    continue  # communities changed: neither view did
+            if old is not None:
+                path = self._count(old, -1)
+                if path is not None and first[path] == key:
+                    lost.add(path)
+            if new is not None:
+                path = self._count(new, 1)
+                if path is not None and (
+                    path not in gained or key < gained[path]
+                ):
+                    gained[path] = key
+        self._displaced.clear()
+
+        # new first key per touched path (None: no row carries it now)
+        moves: Dict[PathT, Optional[TableKey]] = {}
+        for path in lost.union(gained):
+            old_first = first.get(path)
+            if path not in self._counts:
+                new_first = None
+            elif path not in lost:
+                new_first = gained[path]
+                if old_first is not None and old_first < new_first:
+                    new_first = old_first
+            else:
+                # no key below the lost one carried the path before, so
+                # its first key is a gained key below it, or else the
+                # first carrier at or after it
+                new_first = gained.get(path)
+                if new_first is None or not new_first < old_first:
+                    new_first = self._first_carrier(path, old_first)
+            if new_first != old_first:
+                moves[path] = new_first
+
+        # take every moved entry out before putting any back, so two
+        # entries never share a key while the lists are bisected
+        order_keys, order_paths = self._order_keys, self._order_paths
+        for path in moves:
+            old_first = first.pop(path, None)
+            if old_first is not None:
+                at = bisect_left(order_keys, old_first)
+                del order_keys[at], order_paths[at]
+        for path, new_first in moves.items():
+            if new_first is not None:
+                first[path] = new_first
+                at = bisect_left(order_keys, new_first)
+                order_keys.insert(at, new_first)
+                order_paths.insert(at, path)
+
+    def _first_carrier(self, path: PathT, start: TableKey) -> TableKey:
+        """The smallest key ``>= start`` whose row cleans to ``path``."""
+        keys, table, cleaned = self._sorted_keys, self.table, self._cleaned
+        for key in islice(keys, bisect_left(keys, start), None):
+            if cleaned[table[key].as_path].path == path:
+                return key
+        raise AssertionError(f"no row carries counted path {path}")

@@ -109,6 +109,24 @@ def _partial_vps(paths: PathSet, coverage: float) -> Set[int]:
     return {vp for vp, origins in by_vp.items() if len(origins) < threshold}
 
 
+def _subsequence_refusal(
+    old: List[PathT], new: List[PathT]
+) -> Optional[str]:
+    """Why ``old`` is not an order-preserving subsequence of ``new``
+    ("paths-removed" or "paths-reordered"), or ``None`` if it is."""
+    walker = iter(new)
+    for path in old:
+        for candidate in walker:
+            if candidate == path:
+                break
+        else:
+            present = set(new)
+            if all(path in present for path in old):
+                return "paths-reordered"
+            return "paths-removed"
+    return None
+
+
 def try_delta(
     live: LiveState,
     sanitized_new: PathSet,
@@ -132,6 +150,17 @@ def try_delta(
         # narrow keeps the argument auditable
         return None, "known-siblings"
 
+    # the surviving old paths must appear in their original order (the
+    # engine's votes are order-sensitive).  The poison filter only drops
+    # paths, so the filtered corpus is an order-preserving subsequence
+    # of the sanitized one: checking against ``sanitized_new`` refuses
+    # every batch the same check on ``filtered_new`` would, before
+    # paying for the clique and the filter
+    old = live.filtered
+    reason = _subsequence_refusal(old.paths, sanitized_new.paths)
+    if reason is not None:
+        return None, reason
+
     # clique runs on the raw sanitized corpus, before the poison filter
     clique = infer_clique(
         sanitized_new,
@@ -147,20 +176,11 @@ def try_delta(
     else:
         filtered_new, discarded = sanitized_new, 0
 
-    old = live.filtered
+    # with the clique unchanged, the filter keeps every old path (each
+    # passed it against the same members), so the subsequence property
+    # checked above carries over to ``filtered_new``
     old_set = set(old.paths)
     new_paths = [p for p in filtered_new.paths if p not in old_set]
-    if len(filtered_new.paths) - len(new_paths) != len(old.paths):
-        return None, "paths-removed"
-    # the surviving old paths must appear in their original order (the
-    # engine's votes are order-sensitive)
-    walker = iter(filtered_new.paths)
-    for p in old.paths:
-        for q in walker:
-            if q == p:
-                break
-        else:
-            return None, "paths-reordered"
 
     if filtered_new.asns() != old.asns():
         return None, "asns-changed"

@@ -29,7 +29,7 @@ from repro.core.cone import ConeDefinition
 from repro.core.inference import InferenceConfig
 from repro.core.paths import PathSet
 from repro.mrt.reader import RibRecord, UpdateRecord
-from repro.stream.corpus import CachedSanitizer, LiveCorpus, prefixes_from_rows
+from repro.stream.corpus import LiveCorpus
 from repro.stream.delta import LiveState, try_delta
 
 
@@ -120,8 +120,7 @@ class StreamIngestor:
         self.ixp_asns = frozenset(ixp_asns)
         self.config = config or InferenceConfig()
         self.source = source
-        self.corpus = LiveCorpus(base_rows)
-        self._sanitizer = CachedSanitizer(self.ixp_asns)
+        self.corpus = LiveCorpus(base_rows, ixp_asns=self.ixp_asns)
         self.full_threshold = full_threshold
         self.publisher = publisher
         self.live: Optional[LiveState] = None
@@ -149,11 +148,11 @@ class StreamIngestor:
         bit-identical to a batch recompute over ``self.corpus.rows()``.
         """
         start = time.perf_counter()
-        rows = self.corpus.rows()
         dirty = self.corpus.dirty_fraction()
         self.corpus.clear_dirty()
-        sanitized = self._sanitizer.sanitize(row.as_path for row in rows)
-        prefixes = prefixes_from_rows(rows)
+        # both views pay only for the rows changed since the last publish
+        sanitized = self.corpus.sanitized()
+        prefixes = self.corpus.prefixes_by_asn()
 
         mode, reason, state = "full", None, None
         if self.live is not None:

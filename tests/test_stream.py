@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp.collector import Collector, CollectorConfig
+from repro.core.paths import PathSet
 from repro.mrt.reader import RibRecord, UpdateRecord
 from repro.mrt.updates import (
     COLLECTOR_ASN,
@@ -136,11 +139,23 @@ class TestLiveCorpus:
             assert prefixes == sorted(prefixes)
 
 
-class TestCachedSanitizer:
-    def test_bit_identical_to_pathset_sanitize(self):
-        from repro.core.paths import PathSet
-        from repro.stream.corpus import CachedSanitizer
+def _assert_views_match_batch(corpus, ixp_asns):
+    """The maintained views equal their batch definitions over rows()."""
+    rows = corpus.rows()
+    reference = PathSet.sanitize(
+        (row.as_path for row in rows), ixp_asns=ixp_asns
+    )
+    maintained = corpus.sanitized()
+    assert maintained.paths == reference.paths
+    assert maintained.counts == reference.counts
+    assert maintained.stats == reference.stats
+    assert corpus.prefixes_by_asn() == prefixes_from_rows(rows)
 
+
+class TestCachedSanitizer:
+    """The live corpus's maintained, memoized stage-1 cleaning."""
+
+    def test_bit_identical_to_pathset_sanitize(self):
         ixp = frozenset({500})
         raw = [
             (),  # empty: discarded short
@@ -155,30 +170,128 @@ class TestCachedSanitizer:
             (500, 2),  # IXP removal leaves a short path
             (1, 1, 64500, 2),  # prepending AND reserved: both counted
         ] * 2
-        sanitizer = CachedSanitizer(ixp)
-        # twice through the same sanitizer: the second pass is all
-        # cache hits and must still match the uncached reference
-        for _ in range(2):
-            cached = sanitizer.sanitize(iter(raw))
-            reference = PathSet.sanitize(raw, ixp_asns=ixp)
-            assert cached.paths == reference.paths
-            assert cached.counts == reference.counts
-            assert cached.stats == reference.stats
+        rows = [
+            RibRecord(
+                prefix=Prefix.parse(f"10.0.{i}.0/24"),
+                peer_asn=1,
+                as_path=path,
+                communities=(),
+            )
+            for i, path in enumerate(raw)
+        ]
+        corpus = LiveCorpus(rows, ixp_asns=ixp)
+        _assert_views_match_batch(corpus, ixp)
+        # withdraw everything, then re-announce it: the second fill is
+        # all memo hits and must still match the uncached reference
+        corpus.apply([_withdraw(row) for row in rows])
+        _assert_views_match_batch(corpus, ixp)
+        assert len(corpus.sanitized()) == 0
+        corpus.apply([_announce(row) for row in rows])
+        _assert_views_match_batch(corpus, ixp)
 
     def test_real_corpus_equivalence(self):
-        from repro.core.paths import PathSet
-        from repro.stream.corpus import CachedSanitizer
-
         graph, rows = _world()
         ixp = graph.ixp_asns()
-        sanitizer = CachedSanitizer(ixp)
-        cached = sanitizer.sanitize(row.as_path for row in rows)
-        reference = PathSet.sanitize(
-            (row.as_path for row in rows), ixp_asns=ixp
+        _assert_views_match_batch(LiveCorpus(rows, ixp_asns=ixp), ixp)
+
+
+#: raw paths covering every stage-1 outcome; several clean to the same
+#: path, so one kept path is carried by different raw paths and keys
+_RAW_POOL = (
+    (1, 2, 3),
+    (1, 1, 2, 3),  # prepending -> (1, 2, 3)
+    (1, 500, 2, 3),  # IXP hop -> (1, 2, 3)
+    (1, 500, 1, 2),  # IXP splice exposes prepending -> (1, 2)
+    (1, 2),
+    (2, 64512, 3),  # reserved ASN
+    (1, 2, 1),  # loop
+    (7,),  # short
+    (),  # empty: short, and no origin for the prefix map
+    (3, 2, 4),
+    (4, 3, 2, 1),
+    (2, 3),
+)
+_POOL_IXP = frozenset({500})
+_POOL_PREFIXES = tuple(Prefix.parse(f"10.0.{i}.0/24") for i in range(5))
+_POOL_PEERS = (1, 2, 3)
+
+
+def _pool_row(prefix_i, peer_i, path_i):
+    return RibRecord(
+        prefix=_POOL_PREFIXES[prefix_i],
+        peer_asn=_POOL_PEERS[peer_i],
+        as_path=_RAW_POOL[path_i],
+        communities=(),
+    )
+
+
+_pool_key = st.tuples(
+    st.integers(0, len(_POOL_PREFIXES) - 1),
+    st.integers(0, len(_POOL_PEERS) - 1),
+)
+_pool_path = st.integers(0, len(_RAW_POOL) - 1)
+_pool_op = st.one_of(
+    st.tuples(st.just("announce"), _pool_key, _pool_path),
+    st.tuples(st.just("withdraw"), _pool_key, st.just(0)),
+    # withdraw, then re-announce the same key in the same batch
+    st.tuples(st.just("flap"), _pool_key, _pool_path),
+    # withdraw + announce of one prefix inside a single UPDATE
+    st.tuples(st.just("replace"), _pool_key, _pool_path),
+    # withdraw the smallest key carrying a raw path
+    st.tuples(st.just("withdraw-first"), st.just((0, 0)), _pool_path),
+)
+
+
+class TestMaintainedViews:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=st.lists(st.tuples(_pool_key, _pool_path), max_size=15),
+        batches=st.lists(
+            st.tuples(st.lists(_pool_op, max_size=8), st.booleans()),
+            max_size=6,
+        ),
+    )
+    def test_views_equal_batch_definitions(self, base, batches):
+        corpus = LiveCorpus(
+            [_pool_row(*key, path) for key, path in base],
+            ixp_asns=_POOL_IXP,
         )
-        assert cached.paths == reference.paths
-        assert cached.counts == reference.counts
-        assert cached.stats == reference.stats
+        _assert_views_match_batch(corpus, _POOL_IXP)
+        for ops, publish in batches:
+            updates = []
+            for kind, key, path_i in ops:
+                row = _pool_row(*key, path_i)
+                if kind == "withdraw-first":
+                    carriers = [
+                        r
+                        for r in corpus.rows()
+                        if r.as_path == _RAW_POOL[path_i]
+                    ]
+                    if carriers:
+                        updates.append(_withdraw(carriers[0]))
+                elif kind == "withdraw":
+                    updates.append(_withdraw(row))
+                elif kind == "announce":
+                    updates.append(_announce(row))
+                elif kind == "flap":
+                    updates += [_withdraw(row), _announce(row)]
+                else:
+                    updates.append(
+                        UpdateRecord(
+                            peer_asn=row.peer_asn,
+                            local_asn=COLLECTOR_ASN,
+                            as_path=row.as_path,
+                            announced=(row.prefix,),
+                            communities=(),
+                            withdrawn=(row.prefix,),
+                        )
+                    )
+            corpus.apply(updates)
+            # views read only at "publishes": changes from several
+            # batches may fold in at once
+            if publish:
+                _assert_views_match_batch(corpus, _POOL_IXP)
+        _assert_views_match_batch(corpus, _POOL_IXP)
 
 
 class TestUpdateBatches:
@@ -373,8 +486,72 @@ class TestIngestLevels:
             ingestor.apply_batch(batch)
             snapshot = ingestor.publish()
             assert snapshot.version == _oracle_version(ingestor, ixp)
+            rows = ingestor.corpus.rows()
+            reference = PathSet.sanitize(
+                (row.as_path for row in rows), ixp_asns=ixp
+            )
+            assert ingestor.live.sanitized.paths == reference.paths
+            assert ingestor.live.sanitized.counts == reference.counts
+            assert ingestor.live.sanitized.stats == reference.stats
+            assert ingestor.live.prefixes_by_asn == prefixes_from_rows(rows)
         assert ingestor.stats.publishes == 4
         assert ingestor.stats.batches == 3
+        # the publish levels this sequence takes are pinned: a cheaper
+        # refusal must not change which level a publish lands on
+        assert ingestor.stats.noop_publishes == 0
+        assert ingestor.stats.delta_publishes == 0
+        assert ingestor.stats.full_publishes == 4
+
+    @pytest.fixture
+    def clique_forbidden(self, monkeypatch):
+        """Make any clique inference inside the delta path fail loudly."""
+        import repro.stream.delta as delta
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("infer_clique called by a cheap refusal")
+
+        monkeypatch.setattr(delta, "infer_clique", forbidden)
+
+    def test_withdrawal_refused_before_clique(self, clique_forbidden):
+        graph, rows = _world()
+        ixp = graph.ixp_asns()
+        ingestor = StreamIngestor(ixp_asns=ixp, base_rows=rows)
+        ingestor.publish()
+        # withdraw every row of one path that survived the poison filter
+        victim = ingestor.live.filtered.paths[0]
+        ingestor.apply_batch(
+            [
+                _withdraw(row)
+                for row in rows
+                if PathSet.sanitize([row.as_path], ixp_asns=ixp).paths
+                == [victim]
+            ]
+        )
+        snapshot = ingestor.publish()
+        assert ingestor.stats.last_publish_mode == "full"
+        assert ingestor.stats.fallbacks.get("paths-removed") == 1
+        assert snapshot.version == _oracle_version(ingestor, ixp)
+
+    def test_reordering_refused_before_clique(self, clique_forbidden):
+        graph, rows = _world()
+        ixp = graph.ixp_asns()
+        ingestor = StreamIngestor(ixp_asns=ixp, base_rows=rows)
+        ingestor.publish()
+        # re-announce the last path under a key below every other key:
+        # the corpus keeps its paths, but that one moves to the front
+        mover = next(
+            row
+            for row in reversed(ingestor.corpus.rows())
+            if PathSet.sanitize([row.as_path], ixp_asns=ixp).paths
+            == [ingestor.live.filtered.paths[-1]]
+        )
+        front = Prefix.parse("0.0.0.0/32")
+        assert (front, mover.peer_asn) < min(ingestor.corpus.table)
+        ingestor.apply_batch([_announce(mover, prefix=front)])
+        snapshot = ingestor.publish()
+        assert ingestor.stats.last_publish_mode == "full"
+        assert ingestor.stats.fallbacks.get("paths-reordered") == 1
+        assert snapshot.version == _oracle_version(ingestor, ixp)
 
     def test_stats_counters(self, seeded):
         _graph, _rows, ingestor = seeded
