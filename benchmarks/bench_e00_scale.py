@@ -22,6 +22,7 @@ from repro.bgp.propagation import PropagationConfig
 from repro.core.cone import ConeDefinition, compute_cones
 from repro.core.inference import infer_relationships
 from repro.core.paths import PathSet
+from repro.qa.oracles import ReferenceCollector
 from repro.scenarios import get_scenario
 from repro.topology.generator import (
     GeneratorConfig,
@@ -94,7 +95,7 @@ def _profile(n_ases: int, measure_reference: bool = False):
     """One full pipeline run at ``n_ases``, profiled stage by stage.
 
     With ``measure_reference`` the collection is re-run through the
-    per-origin reference sweeps (``PropagationConfig(batched=False)``)
+    per-origin reference sweeps (``repro.qa.oracles.ReferenceCollector``)
     to get a same-machine, same-run speedup denominator for the
     batched engine.
     """
@@ -111,10 +112,8 @@ def _profile(n_ases: int, measure_reference: bool = False):
 
     reference_collect = None
     if measure_reference:
-        from dataclasses import replace
-        slow = replace(config, propagation=PropagationConfig(batched=False))
         start = time.perf_counter()
-        Collector(graph, slow).run()
+        ReferenceCollector(graph, config).run()
         reference_collect = time.perf_counter() - start
 
     flat = recorder.flat()

@@ -59,10 +59,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 from repro.bgp.collector import Collector, CollectorConfig
-from repro.bgp.propagation import PropagationConfig
+from repro.qa.oracles import ReferenceCollector
 from repro.topology.generator import GeneratorConfig, generate_topology
 
 N_ASES = 300
@@ -91,12 +90,12 @@ TIMELINE_LIVE_EPSILON_MS = 0.25  # sub-ms samples need an absolute floor
 STREAM_MIN_SPEEDUP = 3.0  # delta apply vs full apply, small dirty region
 
 
-def _collect_seconds(graph, config) -> float:
+def _collect_seconds(graph, config, collector=Collector) -> float:
     """Min-of-N wall time of one collection run."""
     best = float("inf")
     for _ in range(ROUNDS):
         start = time.perf_counter()
-        Collector(graph, config).run()
+        collector(graph, config).run()
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -377,7 +376,7 @@ def check_stream() -> int:
 
     Re-measured live on the ``small`` scenario, so no cross-machine
     calibration is needed: a seeded ingestor streams delta-eligible
-    batches (the committed ``BENCH_stream.json`` construction) and the
+    batches (built by ``bench_stream.delta_eligible_batches``) and the
     mean incremental apply time — sanitize, delta checks and commit,
     snapshot encode excluded — must undercut a cold full recompute
     over the same final table by ``STREAM_MIN_SPEEDUP``x.  Guards the
@@ -585,10 +584,7 @@ def main() -> int:
     # report and this runner via the reference engine's cost
     factor = 1.0
     if committed_reference:
-        reference = _collect_seconds(
-            graph,
-            replace(config, propagation=PropagationConfig(batched=False)),
-        )
+        reference = _collect_seconds(graph, config, ReferenceCollector)
         factor = reference / committed_reference
     allowed = committed * factor * (1.0 + TOLERANCE)
 

@@ -15,7 +15,6 @@ from repro.bgp.propagation import (
     PropagationConfig,
     RouteState,
     propagate_batch,
-    propagate_origin,
 )
 from repro.bgp.collector import (
     Collector,
@@ -34,7 +33,6 @@ __all__ = [
     "PropagationConfig",
     "RouteState",
     "propagate_batch",
-    "propagate_origin",
     "Collector",
     "CollectorConfig",
     "PathCorpus",

@@ -20,8 +20,8 @@ kernel over the collector's own :class:`GraphIndex`; parallel runs
 ship a small :class:`_ChunkSpec` to pool workers which rebuild the
 kernel over a :class:`~repro.graph.shm.SharedGraphIndex` mapped
 zero-copy from a :class:`~repro.graph.shm.SharedRelGraph` segment
-(falling back to pickling the whole collector when shared memory or
-numpy is unavailable).  Kernel code is identical on every path, so
+(falling back to pickling the whole collector when shared memory is
+unavailable).  Kernel code is identical on every path, so
 worker count and transport never change a single emitted path.
 """
 
@@ -46,7 +46,6 @@ from repro.bgp.propagation import (
     PropagationConfig,
     RouteState,
     propagate_batch,
-    propagate_origin,
 )
 from repro.graph import shm
 from repro.net.prefix import Prefix
@@ -170,8 +169,8 @@ class CollectorConfig:
     # from a process-wide persistent pool reused across runs.
     workers: int = 0
     # how the graph reaches those workers: None (auto) maps the frozen
-    # graph into a shared-memory segment when numpy and
-    # multiprocessing.shared_memory are available, pickling only a
+    # graph into a shared-memory segment when
+    # multiprocessing.shared_memory is available, pickling only a
     # small spec per chunk; False forces the legacy
     # pickle-the-collector transport; True requests shared memory and
     # degrades to the pickle transport when unavailable.  The kernel
@@ -257,9 +256,10 @@ class CollectionKernel:
         One batched propagation per block, then per-origin
         materialization in three phases (path walk, noise, RIB) whose
         time lands on the ``collect/propagate|paths|noise|rib``
-        substages.  Phase order per origin matches the reference
-        per-VP loop, so the per-origin noise RNG is consumed in the
-        same sequence and the corpus is bit-identical.
+        substages.  Phase order per origin matches the per-VP loop of
+        the single-origin oracle (:mod:`repro.qa.oracles`), so the
+        per-origin noise RNG is consumed in the same sequence and the
+        corpus is bit-identical.
         """
         pcfg = self.config.propagation
         build_rib = self.config.build_rib
@@ -302,30 +302,6 @@ class CollectionKernel:
             perf.add_seconds("noise", t_noise)
             perf.add_seconds("rib", t_rib)
         return results
-
-    def collect_origin(
-        self,
-        origin_asn: int,
-        prefixes: List[Prefix],
-        noiser: PathNoiser,
-    ) -> Tuple[List[Tuple[int, ...]], List[RibEntry]]:
-        """Propagate one origin and materialize what every VP exports.
-
-        The one-origin composition of the phase helpers — the reference
-        path the batched :meth:`collect_block` is checked against.
-        """
-        state = propagate_origin(
-            self.index, origin_asn,
-            leakers=self._leakers_for_origin(origin_asn),
-        )
-        observed = [
-            (vp_asn, vp_idx, noiser.apply(path))
-            for vp_asn, vp_idx, path in self._exported_paths(state)
-        ]
-        rib_rows: List[RibEntry] = []
-        if self.config.build_rib:
-            rib_rows = self._rib_rows(state, observed, prefixes)
-        return [path for _, _, path in observed], rib_rows
 
     def _exported_paths(
         self, state: RouteState
@@ -596,7 +572,7 @@ class Collector:
         if self.config.shared_memory is False:
             return False
         # auto and forced alike degrade to the pickle transport when
-        # the codec cannot run (no numpy, no shared_memory module)
+        # the codec cannot run (no shared_memory module)
         return shm.HAS_SHARED_MEMORY
 
     def _chunk_spec(self) -> _ChunkSpec:

@@ -23,24 +23,18 @@ The implementation is three deterministic sweeps:
 Results are flat arrays indexed by a dense AS index, so a full
 propagation is O(V + E) per origin with small constants.
 
-Two engines implement those sweeps:
+:func:`propagate_batch` implements those sweeps for K origins at
+once, over ``(K, n)`` numpy route-class / path-length / next-hop
+matrices and a CSR adjacency built once per :class:`GraphIndex`.  Each
+sweep level processes every origin's frontier in one set of vectorized
+scatter/gather passes, and AS paths are reconstructed lazily (only at
+the rows a caller walks, e.g. vantage points) instead of for every AS.
 
-* :func:`propagate_origin` — the reference pure-Python sweep, one
-  origin at a time;
-* :func:`propagate_batch` — the batched engine: K origins propagate
-  simultaneously over ``(K, n)`` numpy route-class / path-length /
-  next-hop matrices and a CSR adjacency built once per
-  :class:`GraphIndex`.  Each sweep level processes every origin's
-  frontier in one set of vectorized scatter/gather passes, and AS
-  paths are reconstructed lazily (only at the rows a caller walks,
-  e.g. vantage points) instead of for every AS.
-
-The batched engine is bit-for-bit equivalent to the reference — same
+The engine is bit-for-bit equivalent to the one-origin-at-a-time
+pure-Python sweeps kept as an oracle in :mod:`repro.qa.oracles` — same
 classes, next hops, path lengths and therefore same reconstructed
 paths — which the equivalence tests and the QA ``propagation/*``
 invariant family assert on every generated world shape.
-``PropagationConfig(batched=False)`` (or a missing numpy) falls back
-to the reference sweeps.
 """
 
 from __future__ import annotations
@@ -48,15 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as _np
+
 from repro.graph.csr import MAX_INT32, Csr, CsrOverflowError
 from repro.graph.relgraph import RelGraph
 from repro.relationships import RelClass
 from repro.topology.model import ASGraph
-
-try:  # numpy backs the batched engine; the pure-Python sweeps are the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the standard image
-    _np = None
 
 # route classes as small ints for the flat arrays
 NO_ROUTE = 0
@@ -77,10 +68,8 @@ _CLASS_TO_RELCLASS = {
 class PropagationConfig:
     """How per-origin route state is computed.
 
-    ``batched=True`` (the default) propagates origins in blocks of
-    ``batch_size`` through the numpy engine; ``batched=False`` keeps
-    the reference one-origin-at-a-time sweeps.  Both produce identical
-    route state, so the flag only trades speed for simplicity.
+    Origins propagate in blocks of ``batch_size``; block size never
+    changes results.
 
     ``max_block_cells`` caps the cell-array footprint of one block
     (``origins × stride``): at internet scale a full ``batch_size``
@@ -93,7 +82,6 @@ class PropagationConfig:
     the profile.  Both row forms hold identical values.
     """
 
-    batched: bool = True
     batch_size: int = 128
     # 2^23 cells ≈ 32 MB of int32 state per array: big enough that a
     # 100k-AS stride still gets 64-origin blocks (the measured sweet
@@ -145,10 +133,8 @@ class GraphIndex:
     def __len__(self) -> int:
         return len(self.asns)
 
-    def csr(self) -> Optional[Csr]:
-        """The flat-array adjacency view (built once, ``None`` sans numpy)."""
-        if _np is None:
-            return None
+    def csr(self) -> Csr:
+        """The flat-array adjacency view (built once)."""
         return self.rel.csr()
 
 
@@ -186,38 +172,6 @@ class RouteState:
         return tuple(hops)
 
 
-def propagate_origin(
-    index: GraphIndex,
-    origin_asn: int,
-    leakers: Optional[Set[int]] = None,
-) -> RouteState:
-    """Compute every AS's selected route toward ``origin_asn``.
-
-    ``leakers`` (ASNs) violate export policy: they re-announce their
-    selected route to their providers even when it was learned from a
-    peer or provider — the classic *route leak*.  Because leaked routes
-    arrive at the provider looking like customer routes, they are
-    highly preferred and can hijack selection far beyond the leaker;
-    the resulting observed paths contain valleys, which is exactly the
-    artifact the inference pipeline must survive.
-    """
-    n = len(index)
-    origin = index.index[origin_asn]
-    cls = [NO_ROUTE] * n
-    nexthop = [-1] * n
-    pathlen = [0] * n
-
-    _sweep_up(index, origin, cls, nexthop, pathlen)
-    _sweep_peers(index, cls, nexthop, pathlen)
-    _sweep_down(index, cls, nexthop, pathlen)
-    if leakers:
-        leak_indexes = {
-            index.index[asn] for asn in leakers if asn in index.index
-        }
-        _leak_pass(index, leak_indexes, cls, nexthop, pathlen)
-    return RouteState(origin=origin, cls=cls, nexthop=nexthop, pathlen=pathlen)
-
-
 def propagate_batch(
     index: GraphIndex,
     origin_asns: Sequence[int],
@@ -226,24 +180,27 @@ def propagate_batch(
 ) -> List[RouteState]:
     """Route state for a block of origins, one :class:`RouteState` each.
 
-    With the batched engine enabled (and numpy importable) all origins
-    propagate simultaneously over ``(K, n)`` arrays; the returned
-    states are row views into those arrays, so paths are materialized
-    only where a caller walks them.  Origins with active ``leakers``
-    get the reference :func:`_leak_pass` applied to their row after
-    the shared sweeps — the leak perturbation is rare and inherently
-    sequential, and running it per row keeps it bit-identical.
+    All origins propagate simultaneously over ``(K, n)`` arrays; the
+    returned states are row views into those arrays, so paths are
+    materialized only where a caller walks them.
 
-    Falls back to :func:`propagate_origin` per origin when batching is
-    off or numpy is missing; either way the results are identical.
+    ``leakers_by_origin`` maps an origin to the ASNs that leak its
+    routes: they violate export policy by re-announcing their selected
+    route to their providers even when it was learned from a peer or
+    provider — the classic *route leak*.  Because leaked routes arrive
+    at the provider looking like customer routes, they are highly
+    preferred and can hijack selection far beyond the leaker; the
+    resulting observed paths contain valleys, which is exactly the
+    artifact the inference pipeline must survive.  Origins with active
+    leakers get the sequential :func:`_leak_pass` applied to their row
+    after the shared sweeps — the leak perturbation is rare and
+    inherently sequential, and running it per row keeps it
+    bit-identical to the single-origin oracle.
     """
     config = config or PropagationConfig()
     leakers_by_origin = leakers_by_origin or {}
-    if not config.batched or _np is None or not origin_asns:
-        return [
-            propagate_origin(index, asn, leakers=leakers_by_origin.get(asn))
-            for asn in origin_asns
-        ]
+    if not origin_asns:
+        return []
 
     # cap the per-block cell footprint: a 100k-AS world at the default
     # batch size would allocate origins × stride ≈ 1.7e7 cells per
@@ -282,7 +239,6 @@ def _propagate_block(
     sort keys pay for 8.
     """
     csr = index.csr()
-    assert csr is not None
     n = len(index)
     K = len(origin_asns)
     stride = 1 << max(1, (n - 1).bit_length())
@@ -324,8 +280,7 @@ def _propagate_block(
                 pathlen=pathlen2[k, :n].copy(),
             )
         else:
-            # plain-list rows: identical types to the reference state,
-            # and the lazy path walks run at list speed
+            # plain-list rows: the lazy path walks run at list speed
             state = RouteState(
                 origin=int(origins[k]),
                 cls=cls2[k, :n].tolist(),
@@ -532,77 +487,6 @@ def _batch_sweep_down(
         )
 
 
-def _sweep_up(
-    index: GraphIndex,
-    origin: int,
-    cls: List[int],
-    nexthop: List[int],
-    pathlen: List[int],
-) -> None:
-    """Phase 1: customer routes climb provider edges, BFS by level.
-
-    At each level every newly reached provider picks, among its
-    customers reached at the previous level, the one with the lowest
-    ASN — the deterministic tie-break.
-    """
-    cls[origin] = CLS_ORIGIN
-    frontier = [origin]
-    depth = 0
-    while frontier:
-        depth += 1
-        candidates: Dict[int, int] = {}  # provider index -> best customer index
-        for node in frontier:
-            node_asn = index.asns[node]
-            for provider in index.providers[node]:
-                if cls[provider] != NO_ROUTE:
-                    continue
-                best = candidates.get(provider)
-                if best is None or node_asn < index.asns[best]:
-                    candidates[provider] = node
-        next_frontier: List[int] = []
-        for provider, via in candidates.items():
-            cls[provider] = CLS_CUSTOMER
-            nexthop[provider] = via
-            pathlen[provider] = depth
-            next_frontier.append(provider)
-        frontier = next_frontier
-
-
-def _sweep_peers(
-    index: GraphIndex, cls: List[int], nexthop: List[int], pathlen: List[int]
-) -> None:
-    """Phase 2: one peering hop off every AS holding a customer route.
-
-    Peer-learned routes are not re-exported to peers or providers, so a
-    single relaxation suffices.  An AS prefers the peer route with the
-    shortest path, then the lowest peer ASN.
-    """
-    n = len(index)
-    best: Dict[int, Tuple[int, int]] = {}  # node -> (pathlen, peer index)
-    for node in range(n):
-        if cls[node] not in (CLS_ORIGIN, CLS_CUSTOMER):
-            continue
-        offer = (pathlen[node] + 1, node)
-        for peer in index.peers[node]:
-            if cls[peer] in (CLS_ORIGIN, CLS_CUSTOMER):
-                continue  # peer prefers its customer route
-            current = best.get(peer)
-            if current is None or _offer_beats(index, offer, current):
-                best[peer] = offer
-    for node, (length, via) in best.items():
-        cls[node] = CLS_PEER
-        nexthop[node] = via
-        pathlen[node] = length
-
-
-def _offer_beats(
-    index: GraphIndex, offer: Tuple[int, int], current: Tuple[int, int]
-) -> bool:
-    if offer[0] != current[0]:
-        return offer[0] < current[0]
-    return index.asns[offer[1]] < index.asns[current[1]]
-
-
 def _better(
     index: GraphIndex,
     offer_cls: int,
@@ -723,47 +607,3 @@ def _leak_pass(
                     pathlen[customer] = offer_len
                     next_frontier.append(customer)
         frontier = sorted(set(next_frontier), key=lambda i: index.asns[i])
-
-
-def _sweep_down(
-    index: GraphIndex, cls: List[int], nexthop: List[int], pathlen: List[int]
-) -> None:
-    """Phase 3: selected routes descend customer edges.
-
-    Every AS holding a route (customer, peer, or — recursively —
-    provider class) exports it to its customers; a customer adopts a
-    provider route only when it has nothing better.  Routes descend in
-    order of path length (a bucket queue), so each AS settles on its
-    shortest provider route, ties broken by lowest provider ASN.
-    """
-    n = len(index)
-    buckets: List[List[int]] = []
-
-    def put(length: int, node: int) -> None:
-        while len(buckets) <= length:
-            buckets.append([])
-        buckets[length].append(node)
-
-    for node in range(n):
-        if cls[node] != NO_ROUTE:
-            put(pathlen[node], node)
-
-    depth = 0
-    while depth < len(buckets):
-        candidates: Dict[int, int] = {}  # customer -> best provider index
-        for node in buckets[depth]:
-            if pathlen[node] != depth:
-                continue  # stale entry
-            node_asn = index.asns[node]
-            for customer in index.customers[node]:
-                if cls[customer] != NO_ROUTE:
-                    continue
-                best = candidates.get(customer)
-                if best is None or node_asn < index.asns[best]:
-                    candidates[customer] = node
-        for customer, via in candidates.items():
-            cls[customer] = CLS_PROVIDER
-            nexthop[customer] = via
-            pathlen[customer] = depth + 1
-            put(depth + 1, customer)
-        depth += 1

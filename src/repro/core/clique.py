@@ -14,16 +14,12 @@ hierarchy and infers it from the path data itself:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.paths import PathSet
+import numpy as _np
 
-try:  # optional: vectorized triple index (pure-Python fallback below)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the standard image
-    _np = None
+from repro.core.paths import PathSet
 
 #: ``mid -> [(left, right, multiplicity), ...]`` over the corpus's hops
 TripleIndex = Dict[int, List[Tuple[int, int, int]]]
@@ -84,49 +80,38 @@ def _index_triples(paths: PathSet, mids: Iterable[int]) -> TripleIndex:
     triples collapse to one entry carrying their multiplicity.
     """
     wanted = set(mids)
-    view = paths.numpy_view()
-    if view is not None and len(view[0]) >= 3 and wanted:
-        flat, _plen, off = view
-        # window i is (flat[i], flat[i + 1], flat[i + 2]); drop the ones
-        # whose middle is in ``wanted`` but which straddle two paths
-        valid = _np.isin(
-            flat[1:-1],
-            _np.fromiter(wanted, dtype=_np.int64, count=len(wanted)),
-        )
-        bounds = off[1:-1]
-        valid[bounds - 1] = False
-        valid[_np.maximum(bounds - 2, 0)] = False
-        starts = _np.flatnonzero(valid)
-        mid = flat[starts + 1]
-        # ASNs fit 32 bits: one uint64 per (left, right) pair
-        pair = (flat[starts].astype(_np.uint64) << _np.uint64(32)) | flat[
-            starts + 2
-        ].astype(_np.uint64)
-        order = _np.lexsort((pair, mid))
-        mid, pair = mid[order], pair[order]
-        first = _np.ones(len(order), dtype=bool)
-        first[1:] = (mid[1:] != mid[:-1]) | (pair[1:] != pair[:-1])
-        runs = _np.flatnonzero(first)
-        counts = _np.diff(_np.append(runs, len(order)))
-        pair = pair[runs]
-        triples: Iterable[Tuple[int, int, int, int]] = zip(
-            mid[runs].tolist(),
-            (pair >> _np.uint64(32)).tolist(),
-            (pair & _np.uint64(0xFFFFFFFF)).tolist(),
-            counts.tolist(),
-        )
-    else:
-        windows_counter = Counter(
-            window
-            for path in paths.paths
-            for window in zip(path, path[1:], path[2:])
-            if window[1] in wanted
-        )
-        triples = (
-            (mid, left, right, n)
-            for (left, mid, right), n in windows_counter.items()
-        )
+    flat, _plen, off = paths.numpy_view()
     by_mid: TripleIndex = {}
+    if len(flat) < 3 or not wanted:
+        return by_mid
+    # window i is (flat[i], flat[i + 1], flat[i + 2]); drop the ones
+    # whose middle is in ``wanted`` but which straddle two paths
+    valid = _np.isin(
+        flat[1:-1],
+        _np.fromiter(wanted, dtype=_np.int64, count=len(wanted)),
+    )
+    bounds = off[1:-1]
+    valid[bounds - 1] = False
+    valid[_np.maximum(bounds - 2, 0)] = False
+    starts = _np.flatnonzero(valid)
+    mid = flat[starts + 1]
+    # ASNs fit 32 bits: one uint64 per (left, right) pair
+    pair = (flat[starts].astype(_np.uint64) << _np.uint64(32)) | flat[
+        starts + 2
+    ].astype(_np.uint64)
+    order = _np.lexsort((pair, mid))
+    mid, pair = mid[order], pair[order]
+    first = _np.ones(len(order), dtype=bool)
+    first[1:] = (mid[1:] != mid[:-1]) | (pair[1:] != pair[:-1])
+    runs = _np.flatnonzero(first)
+    counts = _np.diff(_np.append(runs, len(order)))
+    pair = pair[runs]
+    triples = zip(
+        mid[runs].tolist(),
+        (pair >> _np.uint64(32)).tolist(),
+        (pair & _np.uint64(0xFFFFFFFF)).tolist(),
+        counts.tolist(),
+    )
     for mid, left, right, n in triples:
         by_mid.setdefault(mid, []).append((left, right, n))
     return by_mid

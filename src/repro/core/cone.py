@@ -19,7 +19,7 @@ paper contrasts three ways of computing it:
 All cones include the AS itself, matching CAIDA's convention.  Cones
 can be sized in ASes, announced prefixes, or IPv4 addresses.
 
-Fast-path cones are bitsets over the shared columnar core
+Cones are bitsets over the shared columnar core
 (:mod:`repro.graph`): :meth:`CustomerCones.compute` takes a
 :class:`~repro.graph.relgraph.RelGraph` (or an
 :class:`~repro.core.inference.InferenceResult`, which compiles to its
@@ -31,14 +31,13 @@ adopt the bitsets without ever expanding them.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import perf
 from repro.core.inference import InferenceResult
 from repro.graph.bitset import decode_bits
 from repro.graph.relgraph import RelGraph
 from repro.net.prefix import Prefix, summarize_address_space
-from repro.relationships import Relationship
 
 
 class ConeDefinition(enum.Enum):
@@ -48,9 +47,9 @@ class ConeDefinition(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# fast paths: cone membership as Python-int bitsets over the shared
-# dense index (repro.graph); converted back to sets only at the API
-# boundary, so every caller sees identical results
+# cone membership as Python-int bitsets over the shared dense index
+# (repro.graph); converted back to sets only at the API boundary.  The
+# set-based oracles these are checked against live in repro.qa.oracles
 # ---------------------------------------------------------------------------
 
 
@@ -93,17 +92,10 @@ def _ppdc_bits(result: InferenceResult) -> List[int]:
     return cone_bits
 
 
-def _fast_bits(
+def _cone_bits(
     result: InferenceResult, definition: ConeDefinition
-) -> Optional[List[int]]:
-    """Per-dense-id cone bitsets when the fast path applies, else None.
-
-    The fast path needs the engine-built corpus index (``_lstate``);
-    hand-assembled results and ``InferenceConfig(fast=False)`` runs
-    fall back to the set-based reference implementations.
-    """
-    if not (result.config.fast and result._lstate is not None):
-        return None
+) -> List[int]:
+    """Per-dense-id cone bitsets over the engine-built corpus index."""
     if definition is ConeDefinition.RECURSIVE:
         # the one transitive closure of the system, cached on the graph
         return RelGraph.of(result).closure()
@@ -119,129 +111,6 @@ def _bits_to_cones(bits: List[int], id_asns: List[int]) -> Dict[int, Set[int]]:
     }
 
 
-# ---------------------------------------------------------------------------
-# set-based fallbacks: used when a result lacks the fast index (e.g.
-# hand-assembled results or ``InferenceConfig(fast=False)`` runs)
-# ---------------------------------------------------------------------------
-
-
-def _recursive_cones(result: InferenceResult) -> Dict[int, Set[int]]:
-    """Transitive closure over the inferred p2c DAG, memoized bottom-up."""
-    return reference_recursive_cones(result)
-
-
-def _bgp_observed_cones(result: InferenceResult) -> Dict[int, Set[int]]:
-    cones: Dict[int, Set[int]] = {asn: {asn} for asn in result.paths.asns()}
-    provider_of = result.provider_of
-    for path in result.paths:
-        # single right-to-left pass over maximal descending runs instead
-        # of the O(L^2) per-start restart loop
-        suffix: Set[int] = set()
-        for j in range(len(path) - 2, -1, -1):
-            if provider_of(path[j], path[j + 1]) == path[j]:
-                suffix.add(path[j + 1])
-                cones[path[j]].update(suffix)
-            else:
-                suffix = set()
-    return cones
-
-
-def _ppdc_cones(result: InferenceResult) -> Dict[int, Set[int]]:
-    return reference_ppdc_cones(result)
-
-
-def _fallback_cones(
-    result: InferenceResult, definition: ConeDefinition
-) -> Dict[int, Set[int]]:
-    if definition is ConeDefinition.RECURSIVE:
-        return _recursive_cones(result)
-    if definition is ConeDefinition.BGP_OBSERVED:
-        return _bgp_observed_cones(result)
-    return _ppdc_cones(result)
-
-
-# ---------------------------------------------------------------------------
-# reference implementations (the seed code, verbatim): the equivalence
-# tests check every fast/fallback path against these oracles
-# ---------------------------------------------------------------------------
-
-
-def reference_recursive_cones(result: InferenceResult) -> Dict[int, Set[int]]:
-    """Transitive closure over the inferred p2c DAG, memoized bottom-up."""
-    customers = result.customers
-    asns = result.paths.asns()
-    cones: Dict[int, Set[int]] = {}
-    # iterative post-order over the DAG
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: Dict[int, int] = {}
-    for root in asns:
-        if color.get(root, WHITE) is not WHITE:
-            continue
-        stack: List[Tuple[int, bool]] = [(root, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                cone = {node}
-                for child in customers.get(node, ()):
-                    cone |= cones[child]
-                cones[node] = cone
-                color[node] = BLACK
-                continue
-            if color.get(node, WHITE) is not WHITE:
-                continue
-            color[node] = GRAY
-            stack.append((node, True))
-            for child in customers.get(node, ()):
-                if color.get(child, WHITE) is WHITE:
-                    stack.append((child, False))
-    for asn in asns:
-        cones.setdefault(asn, {asn})
-    return cones
-
-
-def _descending_runs(
-    result: InferenceResult, path: Tuple[int, ...]
-) -> List[int]:
-    """For each link index j, 1 if the link is inferred p2c descending
-    toward the origin (left endpoint is the provider), else 0."""
-    flags: List[int] = []
-    for j in range(len(path) - 1):
-        provider = result.provider_of(path[j], path[j + 1])
-        flags.append(1 if provider == path[j] else 0)
-    return flags
-
-
-def reference_bgp_observed_cones(
-    result: InferenceResult,
-) -> Dict[int, Set[int]]:
-    cones: Dict[int, Set[int]] = {asn: {asn} for asn in result.paths.asns()}
-    for path in result.paths:
-        descending = _descending_runs(result, path)
-        # for each start, extend while links keep descending
-        for i in range(len(path) - 1):
-            j = i
-            while j < len(descending) and descending[j]:
-                cones[path[i]].add(path[j + 1])
-                j += 1
-    return cones
-
-
-def reference_ppdc_cones(result: InferenceResult) -> Dict[int, Set[int]]:
-    cones: Dict[int, Set[int]] = {asn: {asn} for asn in result.paths.asns()}
-    for path in result.paths:
-        for i in range(1, len(path) - 1):
-            upstream, here = path[i - 1], path[i]
-            rel = result.relationship(upstream, here)
-            if rel is Relationship.P2P or (
-                rel is Relationship.P2C
-                and result.provider_of(upstream, here) == upstream
-            ):
-                # the route entered `here` from above: the whole suffix
-                # is an observed customer chain
-                cones[here].update(path[i + 1:])
-    return cones
-
-
 def compute_cones(
     result: InferenceResult, definition: ConeDefinition
 ) -> Dict[int, Set[int]]:
@@ -250,19 +119,17 @@ def compute_cones(
         raise ValueError(f"unknown cone definition {definition!r}")
     with perf.stage("cones"):
         with perf.stage(definition.value):
-            bits = _fast_bits(result, definition)
-            if bits is not None:
-                return _bits_to_cones(bits, result.index.asns)
-            return _fallback_cones(result, definition)
+            bits = _cone_bits(result, definition)
+            return _bits_to_cones(bits, result.index.asns)
 
 
 class CustomerCones:
     """Cones under one definition, sizable in ASes/prefixes/addresses.
 
     Backed either by per-dense-id bitsets over a shared
-    :class:`~repro.graph.relgraph.RelGraph` (the fast path — what the
-    snapshot store adopts zero-copy) or by plain ASN-set mappings (the
-    fallback and the hand-construction path used in tests).  Whichever
+    :class:`~repro.graph.relgraph.RelGraph` (what :meth:`compute`
+    builds and the snapshot store adopts zero-copy) or by plain ASN-set
+    mappings (the hand-construction path used in tests).  Whichever
     representation is absent materializes lazily from the other, so
     both views answer identically.
     """
@@ -306,15 +173,9 @@ class CustomerCones:
             )
         with perf.stage("cones"):
             with perf.stage(definition.value):
-                bits = _fast_bits(result, definition)
-                cones = (
-                    _fallback_cones(result, definition)
-                    if bits is None
-                    else None
-                )
+                bits = _cone_bits(result, definition)
         return cls(
             definition,
-            cones=cones,
             prefixes_by_asn=prefixes_by_asn,
             graph=graph,
             bits=bits,

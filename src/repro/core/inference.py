@@ -37,15 +37,11 @@ from __future__ import annotations
 
 import enum
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-try:  # optional: vectorized corpus passes (pure-Python fallbacks below)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the standard image
-    _np = None
+import numpy as _np
 
 from repro import perf
 from repro.core.clique import CliqueResult, infer_clique
@@ -53,6 +49,10 @@ from repro.core.paths import PathSet
 from repro.graph.bitset import ClosureBitsets
 from repro.graph.index import DenseIndex
 from repro.relationships import Relationship, canonical_pair
+
+#: link state of a corpus link no step has labeled yet; the other states
+#: are -1 (peer), -2 (sibling) and the provider's ASN (never negative)
+LINK_UNKNOWN = -3
 
 
 class Step(enum.Enum):
@@ -97,11 +97,6 @@ class InferenceConfig:
     # itself small in absolute terms.
     gap_factor: float = 8.0
     gap_small_max: int = 12
-    # fast-path engine: incremental (bitset) cycle detection and the
-    # dirty-path fold.  Produces identical links/steps to the reference
-    # implementations (see tests/test_fast_equivalence.py); False runs
-    # the seed per-vote BFS + full-rescan fold for equivalence checks.
-    fast: bool = True
 
 
 @dataclass(frozen=True)
@@ -155,7 +150,7 @@ class InferenceResult:
         self.providers: Dict[int, Set[int]] = {}
         self.peers: Dict[int, Set[int]] = {}
         self.siblings: Dict[int, Set[int]] = {}
-        # --- fast-path state ---------------------------------------------
+        # --- corpus index state ------------------------------------------
         # the shared dense ASN index (repro.graph) used by the cycle
         # bitsets, the fold link-state array, and the cone bitsets;
         # grown on demand so hand-built results (no _init_fast) work
@@ -163,8 +158,9 @@ class InferenceResult:
         # incremental transitive closure of the p2c DAG (cycle refusal)
         self._closure = ClosureBitsets()
         # corpus link index: canonical (a<<32|b) key -> link id, link
-        # state per id (0 unknown, -1 peer, -2 sibling, >0 provider ASN),
-        # and which paths each link appears on (built by _init_fast)
+        # state per id (LINK_UNKNOWN, -1 peer, -2 sibling, else the
+        # provider's ASN, which is never negative), and which paths each
+        # link appears on (built by _init_fast)
         self._key_lid: Optional[Dict[int, int]] = None
         self._lstate: Optional[List[int]] = None
         self._lpaths: List[List[int]] = []
@@ -181,7 +177,7 @@ class InferenceResult:
         self._fold_primed = False
 
     # ------------------------------------------------------------------
-    # fast-path index
+    # corpus index
     # ------------------------------------------------------------------
 
     def _asn_id(self, asn: int) -> int:
@@ -191,80 +187,19 @@ class InferenceResult:
         return idx
 
     def _init_fast(self, paths: PathSet) -> None:
-        """Index the corpus for the fast fold and cone passes.
+        """Index the corpus for the fold and cone passes.
 
         Assigns dense ids to every AS (sorted, for determinism), interns
         every corpus link behind an integer key, and records which paths
         each link appears on so the fold can reprocess only paths whose
         link states changed.
         """
-        view = paths.numpy_view()
-        if view is not None and self._init_fast_np(paths, view):
-            return
-        self.index = DenseIndex(paths.asns())
-        self._closure.ensure(len(self.index))
-        if 0 in self.index:
-            # ASN 0 would collide with the "unknown" link-state encoding;
-            # it never survives sanitization, so just skip the link index
-            # (the reference fold/cone paths handle the corpus instead)
-            return
-        key_lid: Dict[int, int] = {}
-        key_lid_item = key_lid.__getitem__
-        key_lid_get = key_lid.get
-        lpaths: List[List[int]] = []
-        path_nodes: List[Tuple[int, ...]] = []
-        path_lids: List[List[int]] = []
-        path_pids: List[List[int]] = []
-        ids_item = self.index.ids.__getitem__
-        for pi, path in enumerate(paths):
-            keys = [
-                (a << 32) | b if a <= b else (b << 32) | a
-                for a, b in zip(path, path[1:])
-            ]
-            try:
-                # the hot case once every corpus link has an id: pure
-                # C-level lookups
-                lids = list(map(key_lid_item, keys))
-            except KeyError:
-                lids = []
-                for key in keys:
-                    lid = key_lid_get(key)
-                    if lid is None:
-                        lid = len(lpaths)
-                        key_lid[key] = lid
-                        lpaths.append([])
-                    lids.append(lid)
-            # a sanitized path has no repeated node, hence no repeated
-            # link, so every lid gets this path exactly once
-            for lid in lids:
-                lpaths[lid].append(pi)
-            path_nodes.append(path)
-            path_lids.append(lids)
-            path_pids.append(list(map(ids_item, path)))
-        self._key_lid = key_lid
-        self._lstate = [0] * len(lpaths)
-        self._lpaths = lpaths
-        self._path_nodes = path_nodes
-        self._path_lids = path_lids
-        self._path_pids = path_pids
-
-    def _init_fast_np(self, paths: PathSet, view) -> bool:
-        """Vectorized :meth:`_init_fast`.  Returns False to request the
-        pure-Python fallback (ASNs outside the packable 32-bit range)."""
-        flat, plen, off = view
-        lo_asn, hi_asn = int(flat.min()), int(flat.max())
-        if lo_asn < 0 or hi_asn >= 1 << 32:
-            return False
+        flat, plen, off = paths.numpy_view()
         uasn, pid_flat = _np.unique(flat, return_inverse=True)
         self.index = DenseIndex.from_sorted(uasn.tolist())
         self._closure.ensure(len(self.index))
-        if lo_asn == 0:
-            # ASN 0 would collide with the "unknown" link-state encoding;
-            # it never survives sanitization, so just skip the link index
-            # (the reference fold/cone paths handle the corpus instead)
-            return True
         a, b = flat[:-1], flat[1:]
-        valid = _np.ones(len(flat) - 1, dtype=bool)
+        valid = _np.ones(len(a), dtype=bool)
         valid[off[1:-1] - 1] = False
         lo = _np.minimum(a, b)[valid].astype(_np.uint64)
         hi = _np.maximum(a, b)[valid].astype(_np.uint64)
@@ -272,7 +207,7 @@ class InferenceResult:
         ukeys, lid_hop = _np.unique(keys, return_inverse=True)
         n_links = len(ukeys)
         self._key_lid = {k: i for i, k in enumerate(ukeys.tolist())}
-        self._lstate = [0] * n_links
+        self._lstate = [LINK_UNKNOWN] * n_links
         # per-path slices of the flat lid / pid streams
         link_off = _np.empty(len(plen) + 1, dtype=_np.int64)
         link_off[0] = 0
@@ -309,7 +244,6 @@ class InferenceResult:
             pos = _np.arange(len(lid_hop), dtype=_np.int64)
             pos -= _np.repeat(link_off[:-1], plen - 1)
             self._np_fold = (lid_hop, a[valid], b[valid], pos, link_off)
-        return True
 
     def _mark_link(self, a: int, b: int, state: int) -> None:
         """Record a link's new fold state and flag it dirty."""
@@ -337,28 +271,9 @@ class InferenceResult:
         """Would ``provider→customer`` close a loop in the p2c DAG?"""
         if provider == customer:
             return True
-        if self.config.fast:
-            pid = self._asn_id(provider)
-            cid = self._asn_id(customer)
-            return self._closure.descends(cid, pid)
-        return self._would_cycle_bfs(provider, customer)
-
-    def _would_cycle_bfs(self, provider: int, customer: int) -> bool:
-        """Reference per-vote BFS over the customer adjacency (the seed
-        implementation; kept for the fast-path equivalence tests)."""
-        if provider == customer:
-            return True
-        queue = deque([customer])
-        seen = {customer}
-        while queue:
-            node = queue.popleft()
-            for nxt in self.customers.get(node, ()):
-                if nxt == provider:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return False
+        pid = self._asn_id(provider)
+        cid = self._asn_id(customer)
+        return self._closure.descends(cid, pid)
 
     def set_p2c(self, provider: int, customer: int, step: Step) -> bool:
         """Record ``provider→customer``; False if refused or conflicting.
@@ -517,16 +432,30 @@ class InferenceResult:
         return set(self.peers.get(asn, ()))
 
 
-# link direction codes used while folding along a path
-_UNKNOWN, _UP, _DOWN, _PEERLINK, _SIBLINK = 0, 1, 2, 3, 4
-
-
 class _Engine:
-    """Runs the pipeline; kept separate so the result object stays lean."""
+    """Runs the pipeline; kept separate so the result object stays lean.
+
+    The result type and the index/top-down/fold steps are overridable
+    methods so that the reference oracle in :mod:`repro.qa.oracles` can
+    run the same step order with the seed's step bodies.
+    """
+
+    result_type = InferenceResult
 
     def __init__(self, paths: PathSet, config: InferenceConfig):
         self.config = config
         self.raw_paths = paths
+
+    def _index(self, result: InferenceResult, paths: PathSet) -> None:
+        result._init_fast(paths)
+
+    def _topdown(
+        self, result: InferenceResult, paths: PathSet, rank: Dict[int, int]
+    ) -> None:
+        _step_topdown(result, paths, rank)
+
+    def _fold(self, result: InferenceResult, paths: PathSet) -> None:
+        _step_fold_fast(result)
 
     def run(self) -> InferenceResult:
         config = self.config
@@ -547,11 +476,10 @@ class _Engine:
             with perf.stage("filter-poisoned"):
                 paths, discarded = _discard_poisoned(paths, clique.member_set)
 
-        result = InferenceResult(paths=paths, clique=clique, config=config)
+        result = self.result_type(paths=paths, clique=clique, config=config)
         result.discarded_poisoned = discarded
-        if config.fast:
-            with perf.stage("index"):
-                result._init_fast(paths)
+        with perf.stage("index"):
+            self._index(result, paths)
 
         with perf.stage("rank"):
             # position in transit-degree order, not a graph id space
@@ -569,28 +497,28 @@ class _Engine:
                 _step_partial_vp(result, paths, config)
         if config.enable_topdown:
             with perf.stage("topdown"):
-                _step_topdown(result, paths, rank)
+                self._topdown(result, paths, rank)
         if config.enable_fold:
             with perf.stage("fold"):
-                _step_fold(result, paths)
+                self._fold(result, paths)
         if config.enable_stub:
             with perf.stage("stub"):
                 _step_stub(result, paths)
             if config.enable_fold:
                 with perf.stage("fold"):
-                    _step_fold(result, paths)
+                    self._fold(result, paths)
         if config.enable_degree_gap:
             with perf.stage("degree-gap"):
                 _step_degree_gap(result, paths, config)
             if config.enable_fold:
                 with perf.stage("fold"):
-                    _step_fold(result, paths)
+                    self._fold(result, paths)
         if config.enable_providerless:
             with perf.stage("providerless"):
                 _step_providerless(result, paths, rank)
             if config.enable_fold:
                 with perf.stage("fold"):
-                    _step_fold(result, paths)
+                    self._fold(result, paths)
         with perf.stage("remaining-p2p"):
             _step_remaining_p2p(result, paths)
         perf.counter("links", len(result))
@@ -619,57 +547,35 @@ def _discard_poisoned(
     once, so clique members must appear as one contiguous run of length
     ≤ 2.  Anything else is a poisoned announcement or a route leak.
     """
-    view = paths.numpy_view()
-    if view is not None:
-        flat, plen, off = view
-        member = _np.isin(flat, _np.fromiter(clique, dtype=_np.int64,
-                                             count=len(clique)))
-        counts = _np.add.reduceat(member, off[:-1])
-        bad = counts > 2
-        twos = _np.flatnonzero(counts == 2)
-        if len(twos):
-            # the two clique hops must be adjacent; compare the flat
-            # positions of each such path's first and second member hop
-            member_idx = _np.flatnonzero(member)
-            member_path = _np.searchsorted(off[1:], member_idx,
-                                           side="right")
-            starts = _np.searchsorted(member_path, twos)
-            gap = member_idx[starts + 1] - member_idx[starts]
-            bad[twos[gap != 1]] = True
-        discarded = int(bad.sum())
-        if not discarded:
-            return paths, 0  # keep the original object (and its caches)
-        keep = ~bad
-        kept = list(compress(paths.paths, keep.tolist()))
-        out = paths.filtered(kept)
-        # seed the filtered corpus's flat view from the parent's by
-        # masking, sparing the index stage a full rebuild
-        new_plen = plen[keep]
-        new_off = _np.empty(len(new_plen) + 1, dtype=_np.int64)
-        new_off[0] = 0
-        _np.cumsum(new_plen, out=new_off[1:])
-        out._np_view = (flat[_np.repeat(keep, plen)], new_plen, new_off)
-        return out, discarded
-
-    kept: List[Tuple[int, ...]] = []
-    kept_append = kept.append
-    isdisjoint = clique.isdisjoint
-    discarded = 0
-    for path in paths:
-        if isdisjoint(path):
-            kept_append(path)
-            continue
-        positions = [i for i, asn in enumerate(path) if asn in clique]
-        if len(positions) > 2:
-            discarded += 1
-            continue
-        if len(positions) == 2 and positions[1] - positions[0] != 1:
-            discarded += 1
-            continue
-        kept_append(path)
+    flat, plen, off = paths.numpy_view()
+    member = _np.isin(flat, _np.fromiter(clique, dtype=_np.int64,
+                                         count=len(clique)))
+    counts = _np.add.reduceat(member, off[:-1])
+    bad = counts > 2
+    twos = _np.flatnonzero(counts == 2)
+    if len(twos):
+        # the two clique hops must be adjacent; compare the flat
+        # positions of each such path's first and second member hop
+        member_idx = _np.flatnonzero(member)
+        member_path = _np.searchsorted(off[1:], member_idx,
+                                       side="right")
+        starts = _np.searchsorted(member_path, twos)
+        gap = member_idx[starts + 1] - member_idx[starts]
+        bad[twos[gap != 1]] = True
+    discarded = int(bad.sum())
     if not discarded:
         return paths, 0  # keep the original object (and its caches)
-    return paths.filtered(kept), discarded
+    keep = ~bad
+    kept = list(compress(paths.paths, keep.tolist()))
+    out = paths.filtered(kept)
+    # seed the filtered corpus's flat view from the parent's by
+    # masking, sparing the index stage a full rebuild
+    new_plen = plen[keep]
+    new_off = _np.empty(len(new_plen) + 1, dtype=_np.int64)
+    new_off[0] = 0
+    _np.cumsum(new_plen, out=new_off[1:])
+    out._np_view = (flat[_np.repeat(keep, plen)], new_plen, new_off)
+    return out, discarded
 
 
 def _step_siblings(
@@ -731,110 +637,66 @@ def _step_topdown(
 ) -> None:
     """S5: peak-relative sweep, highest peaks first."""
     big = 1 << 30
+    unknown = LINK_UNKNOWN
     lstate = result._lstate
     path_lids = result._path_lids
 
-    order: List[Tuple[int, Tuple[int, ...], int, int]] = []
-    if result._np_pid_flat is not None and lstate is not None:
-        # vectorized peak scan: pack (rank, position) so a single
-        # segmented minimum yields both the peak rank and its first
-        # index per path (first minimum wins, like the reference scan)
-        flat, plen, off = paths.numpy_view()
-        rank_arr = _np.full(len(result.index), big, dtype=_np.int64)
-        for asn, idx in result.index.ids.items():
-            rank_arr[idx] = rank.get(asn, big)
-        pos = _np.arange(len(flat), dtype=_np.int64)
-        pos -= _np.repeat(off[:-1], plen)
-        packed = (rank_arr[result._np_pid_flat] << 20) | pos
-        mins = _np.minimum.reduceat(packed, off[:-1])
-        order = list(
-            zip(
-                (mins >> 20).tolist(),
-                paths.paths,
-                (mins & ((1 << 20) - 1)).tolist(),
-                range(len(plen)),
-            )
+    # vectorized peak scan: pack (rank, position) so a single segmented
+    # minimum yields both the peak rank and its first index per path
+    # (first minimum wins, like a left-to-right scan)
+    flat, plen, off = paths.numpy_view()
+    rank_arr = _np.full(len(result.index), big, dtype=_np.int64)
+    for asn, idx in result.index.ids.items():
+        rank_arr[idx] = rank.get(asn, big)
+    pos = _np.arange(len(flat), dtype=_np.int64)
+    pos -= _np.repeat(off[:-1], plen)
+    packed = (rank_arr[result._np_pid_flat] << 20) | pos
+    mins = _np.minimum.reduceat(packed, off[:-1])
+    order = list(
+        zip(
+            (mins >> 20).tolist(),
+            paths.paths,
+            (mins & ((1 << 20) - 1)).tolist(),
+            range(len(plen)),
         )
-    else:
-        order_append = order.append
-        if lstate is not None:
-            # dense-id rank array: the peak scan runs in C via
-            # map/min/index (first minimum wins, like the reference)
-            rank_arr_list = [big] * len(result.index)
-            for asn, idx in result.index.ids.items():
-                rank_arr_list[idx] = rank.get(asn, big)
-            rank_item = rank_arr_list.__getitem__
-            for pi, path in enumerate(paths):
-                ranks = list(map(rank_item, result._path_pids[pi]))
-                best_rank = min(ranks)
-                order_append((best_rank, path, ranks.index(best_rank), pi))
-        else:
-            rank_get = rank.get
-            for pi, path in enumerate(paths):
-                best, best_rank = 0, rank_get(path[0], big)
-                for i, asn in enumerate(path):
-                    r = rank_get(asn, big)
-                    if r < best_rank:
-                        best, best_rank = i, r
-                order_append((best_rank, path, best, pi))
+    )
     order.sort()
     set_p2c = result.set_p2c
     for _, path, i, pi in order:
         # a link already labeled with the vote's provider is an agreeing
         # vote (a guaranteed no-op), any other label is a refusal: both
         # are readable straight off the link-state array
-        lids = path_lids[pi] if lstate is not None else None
+        lids = path_lids[pi]
         # descend right of the peak: path[j] provides for path[j+1];
         # stop at the first contradiction — the path's shape no longer
         # matches our peak assumption beyond that point
         for j in range(i + 1, len(path) - 1):
-            if lids is not None:
-                s = lstate[lids[j]]
-                if s == path[j]:
-                    continue
-                if s != 0:
-                    break
+            s = lstate[lids[j]]
+            if s == path[j]:
+                continue
+            if s != unknown:
+                break
             if not set_p2c(path[j], path[j + 1], Step.S5_TOPDOWN):
                 break
         # descend left of the peak: path[j+1] provides for path[j]
         for j in range(i - 2, -1, -1):
-            if lids is not None:
-                s = lstate[lids[j]]
-                if s == path[j + 1]:
-                    continue
-                if s != 0:
-                    break
+            s = lstate[lids[j]]
+            if s == path[j + 1]:
+                continue
+            if s != unknown:
+                break
             if not set_p2c(path[j + 1], path[j], Step.S5_TOPDOWN):
                 break
 
 
-def _link_state(result: InferenceResult, left: int, right: int) -> int:
-    rel = result.relationship(left, right)
-    if rel is None:
-        return _UNKNOWN
-    if rel is Relationship.P2P:
-        return _PEERLINK
-    if rel is Relationship.S2S:
-        return _SIBLINK
-    provider = result.provider_of(left, right)
-    return _DOWN if provider == left else _UP
-
-
-def _step_fold(result: InferenceResult, paths: PathSet) -> None:
+def _step_fold_fast(result: InferenceResult) -> None:
     """S6: valley-free constraint propagation to fixpoint.
 
     In collector order a clean path ascends, crosses at most one peer
     link, then descends.  So any link after a DOWN/PEER link must be
     DOWN, and any link before an UP/PEER link must be UP.
-    """
-    if result.config.fast and result._lstate is not None:
-        _step_fold_fast(result)
-    else:
-        _step_fold_reference(result, paths)
 
-
-def _step_fold_fast(result: InferenceResult) -> None:
-    """Dirty-path fold: reprocess only paths whose link states changed.
+    Dirty-path fold: reprocess only paths whose link states changed.
 
     A path whose link states are unchanged since its last fold pass is a
     guaranteed no-op: every vote it would cast was already cast and
@@ -846,8 +708,8 @@ def _step_fold_fast(result: InferenceResult) -> None:
 
     Within a round, paths run in corpus order, and a vote cast at path
     ``i`` re-queues any dirtied path ``j > i`` into the *same* round —
-    exactly when the reference full scan would reach ``j`` and see the
-    new state.  Paths ``j <= i`` go to the next round, as they would be
+    exactly when a full rescan (the QA oracle) would reach ``j`` and see
+    the new state.  Paths ``j <= i`` go to the next round, as they would be
     rescanned then.
     """
     lstate = result._lstate
@@ -869,7 +731,7 @@ def _step_fold_fast(result: InferenceResult) -> None:
             # lies before an UP/PEER hop — everything else is a no-op
             lid_hop, left, right, hop_pos, link_off = nfold
             s = _np.array(lstate, dtype=_np.int64)[lid_hop]
-            unknown = s == 0
+            unknown = s == LINK_UNKNOWN
             pending = set()
             if unknown.any():
                 far = 1 << 40
@@ -896,7 +758,7 @@ def _step_fold_fast(result: InferenceResult) -> None:
             # vote (scans vote on unknown states alone)
             pending = set()
             for lid, state in enumerate(lstate):
-                if state == 0:
+                if state == LINK_UNKNOWN:
                     pending.update(lpaths[lid])
         result._fold_primed = True
         result._fold_cursor = len(dirty)
@@ -906,6 +768,8 @@ def _step_fold_fast(result: InferenceResult) -> None:
             pending.update(lpaths[dirty[cursor]])
             cursor += 1
         result._fold_cursor = cursor
+
+    unknown = LINK_UNKNOWN
 
     def scan(i: int) -> None:
         """One forward+backward constraint pass over path ``i``."""
@@ -918,7 +782,7 @@ def _step_fold_fast(result: InferenceResult) -> None:
             if s == -2:
                 seen_descent = False
                 continue
-            if s == 0:
+            if s == unknown:
                 if seen_descent and set_p2c(
                     nodes[j], nodes[j + 1], Step.S6_FOLD
                 ):
@@ -933,7 +797,7 @@ def _step_fold_fast(result: InferenceResult) -> None:
             if s == -2:
                 seen_ascent = False
                 continue
-            if s == 0:
+            if s == unknown:
                 if seen_ascent and set_p2c(
                     nodes[j + 1], nodes[j], Step.S6_FOLD
                 ):
@@ -981,46 +845,6 @@ def _step_fold_fast(result: InferenceResult) -> None:
         pending = next_pending
         result._fold_cursor = len(dirty)
     result._fold_pending = pending
-
-
-def _step_fold_reference(result: InferenceResult, paths: PathSet) -> None:
-    """Full-rescan fold (the seed implementation, kept for equivalence)."""
-    for _ in range(result.config.max_fold_rounds):
-        changed = False
-        for path in paths:
-            states = [
-                _link_state(result, path[j], path[j + 1])
-                for j in range(len(path) - 1)
-            ]
-            # forward: after the first DOWN or PEER everything descends —
-            # but a sibling link is a wildcard that resets the constraint
-            # (siblings re-export anything in any direction)
-            seen_descent = False
-            for j, state in enumerate(states):
-                if state == _SIBLINK:
-                    seen_descent = False
-                    continue
-                if seen_descent and state == _UNKNOWN:
-                    if result.set_p2c(path[j], path[j + 1], Step.S6_FOLD):
-                        states[j] = _DOWN
-                        changed = True
-                if state in (_DOWN, _PEERLINK):
-                    seen_descent = True
-            # backward: before the last UP or PEER everything ascends
-            seen_ascent = False
-            for j in range(len(states) - 1, -1, -1):
-                state = states[j]
-                if state == _SIBLINK:
-                    seen_ascent = False
-                    continue
-                if seen_ascent and state == _UNKNOWN:
-                    if result.set_p2c(path[j + 1], path[j], Step.S6_FOLD):
-                        states[j] = _UP
-                        changed = True
-                if state in (_UP, _PEERLINK):
-                    seen_ascent = True
-        if not changed:
-            return
 
 
 def _step_stub(result: InferenceResult, paths: PathSet) -> None:

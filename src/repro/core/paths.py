@@ -33,10 +33,9 @@ from typing import (
     Tuple,
 )
 
-try:  # optional: vectorized corpus passes (pure-Python fallbacks below)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the standard image
-    _np = None
+import numpy as _np
+
+from repro.graph.index import MAX_ASN
 
 # Reserved / private ASN space (RFC 6996, RFC 5398, AS_TRANS, 32-bit
 # private).  Paths carrying these are measurement artifacts.
@@ -51,17 +50,29 @@ _RESERVED_RANGES: Tuple[Tuple[int, int], ...] = (
 )
 
 
-#: the ranges' bounds as one sorted sequence ``low, high + 1, ...``:
-#: an ASN inside a range has an odd number of bounds at or below it
-_RESERVED_BOUNDS: Tuple[int, ...] = tuple(
-    chain.from_iterable((low, high + 1) for low, high in _RESERVED_RANGES)
-)
+def _public_bounds() -> Tuple[int, ...]:
+    """The public ASN ranges (the 32-bit ASN space minus the reserved
+    ranges) as one sorted sequence ``low, high + 1, ...``."""
+    bounds: List[int] = []
+    start = 0
+    for low, high in _RESERVED_RANGES:
+        if start < low:
+            bounds += (start, low)
+        start = high + 1
+    if start <= MAX_ASN:
+        bounds += (start, MAX_ASN + 1)
+    return tuple(bounds)
+
+
+#: a public ASN has an odd number of these bounds at or below it;
+#: reserved ASNs and values outside ``[0, MAX_ASN]`` have an even number
+_PUBLIC_BOUNDS = _public_bounds()
 
 
 def is_reserved_asn(asn: int) -> bool:
-    """True for ASNs that must never appear in a clean public path."""
-    return bisect_right(_RESERVED_BOUNDS, asn) % 2 == 1
-
+    """True for ASNs that must never appear in a clean public path,
+    including values outside the 32-bit ASN space."""
+    return bisect_right(_PUBLIC_BOUNDS, asn) % 2 == 0
 
 
 @dataclass
@@ -246,11 +257,9 @@ class PathSet:
         ``flat`` concatenates every path, ``plen`` holds each path's
         length and ``off`` the start offset of each path (with a final
         sentinel), so a vectorized pass can address any hop or window.
-        Returns ``None`` when numpy is unavailable or the corpus is
-        empty.  Built once and cached (the corpus is immutable).
+        An empty corpus gives empty arrays (``off`` is ``[0]``).  Built
+        once and cached (the corpus is immutable).
         """
-        if _np is None or not self.paths:
-            return None
         if self._np_view is None:
             plen = _np.fromiter(
                 (len(p) for p in self.paths),
@@ -274,7 +283,7 @@ class PathSet:
         (False where the "hop" would span two different paths)."""
         flat, plen, off = self.numpy_view()
         a, b = flat[:-1], flat[1:]
-        valid = _np.ones(len(flat) - 1, dtype=bool)
+        valid = _np.ones(len(a), dtype=bool)
         valid[off[1:-1] - 1] = False
         lo = _np.minimum(a, b).astype(_np.uint64)
         hi = _np.maximum(a, b).astype(_np.uint64)
@@ -282,34 +291,18 @@ class PathSet:
 
     def asns(self) -> Set[int]:
         if self._asns is None:
-            if self.numpy_view() is not None:
-                flat = self.numpy_view()[0]
-                self._asns = set(map(int, _np.unique(flat).tolist()))
-            else:
-                self._asns = (
-                    set().union(*self.paths) if self.paths else set()
-                )
+            flat = self.numpy_view()[0]
+            self._asns = set(_np.unique(flat).tolist())
         return self._asns
 
     def links(self) -> Set[Tuple[int, int]]:
         """Unordered adjacencies across the corpus."""
         if self._links is None:
-            if self.numpy_view() is not None:
-                keys, valid = self._hop_keys()
-                uniq = _np.unique(keys[valid])
-                self._links = {
-                    (int(k >> 32), int(k & 0xFFFFFFFF))
-                    for k in uniq.tolist()
-                }
-            else:
-                # collect the (few thousand) distinct ordered hops at C
-                # speed first, canonicalize the small set afterwards
-                hops = set(
-                    chain.from_iterable(zip(p, p[1:]) for p in self.paths)
-                )
-                self._links = {
-                    (a, b) if a < b else (b, a) for a, b in hops
-                }
+            keys, valid = self._hop_keys()
+            self._links = {
+                (k >> 32, k & 0xFFFFFFFF)
+                for k in _np.unique(keys[valid]).tolist()
+            }
         return self._links
 
     def triples(self) -> Iterator[Tuple[int, int, int]]:
@@ -324,9 +317,8 @@ class PathSet:
 
     def _transit_pairs(self) -> Iterable[Tuple[int, int]]:
         """Distinct ``(mid, neighbor)`` pairs over all interior hops."""
-        view = self.numpy_view()
-        if view is not None and len(view[0]) >= 3:
-            flat, plen, off = view
+        flat, plen, off = self.numpy_view()
+        if len(flat) >= 3:
             mid = flat[1:-1].astype(_np.uint64)
             left = flat[:-2].astype(_np.uint64)
             right = flat[2:].astype(_np.uint64)
@@ -343,15 +335,6 @@ class PathSet:
             )
             for k in _np.unique(keys).tolist():
                 yield k >> 32, k & 0xFFFFFFFF
-            return
-        # fallback: dedupe (left, mid, right) windows at C speed, then
-        # expand the small distinct-triple set
-        windows = set(
-            chain.from_iterable(zip(p, p[1:], p[2:]) for p in self.paths)
-        )
-        for left, mid, right in windows:
-            yield mid, left
-            yield mid, right
 
     def _build_degrees(self) -> None:
         # node adjacency straight from the (much smaller) link set

@@ -10,7 +10,7 @@ reproduction used to hand-roll separately:
   :func:`~repro.graph.bitset.closure_bits` — Python-int bitsets over
   dense ids and the system's only transitive-closure implementations;
 * :class:`~repro.graph.csr.Csr` — relationship-typed CSR adjacency
-  (numpy-backed with a pure-Python fallback);
+  over numpy arrays;
 * :class:`~repro.graph.relgraph.RelGraph` — the frozen graph object
   built once per world and consumed by inference, cones, propagation
   and the snapshot store;
@@ -27,7 +27,7 @@ from repro.graph.bitset import (
     closure_bits,
     decode_bits,
 )
-from repro.graph.csr import HAS_NUMPY, MAX_INT32, Csr, CsrOverflowError, csr_arrays
+from repro.graph.csr import MAX_INT32, Csr, CsrOverflowError, csr_arrays
 from repro.graph.index import MAX_ASN, DenseIndex
 from repro.graph.relgraph import RelGraph
 from repro.graph.shm import (
@@ -43,7 +43,6 @@ __all__ = [
     "Csr",
     "CsrOverflowError",
     "DenseIndex",
-    "HAS_NUMPY",
     "HAS_SHARED_MEMORY",
     "MAX_ASN",
     "MAX_INT32",

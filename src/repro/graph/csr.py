@@ -4,10 +4,7 @@ The flat ``(indptr, indices)`` form every vectorized sweep wants: row
 ``i``'s neighbors are ``indices[indptr[i]:indptr[i+1]]``.  One
 :class:`Csr` bundles the three relationship-typed views (providers,
 customers, peers) that route propagation and any future traversal
-consume.  Arrays are numpy when available; otherwise plain Python
-lists with the same slicing contract, so pure-Python consumers (and
-the no-numpy CI leg) keep working — only the numpy-vectorized engines
-need to check :data:`HAS_NUMPY` before fancy-indexing.
+consume.  Arrays are numpy.
 
 Dtype policy: ``indices`` is always int32 (dense ids are bounded by
 the row count, which :data:`MAX_INT32` caps); ``indptr`` is int32
@@ -22,14 +19,9 @@ a concatenation, with no hashing or ordering freedom anywhere.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-try:  # optional: list-backed fallback below
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the standard image
-    _np = None
-
-HAS_NUMPY = _np is not None
+import numpy as _np
 
 #: largest value an int32 cell can hold; the row-count ceiling for any
 #: columnar structure addressed by dense int32 ids
@@ -41,7 +33,7 @@ class CsrOverflowError(OverflowError):
 
 
 def csr_arrays(adjacency: Sequence[Sequence[int]]) -> Tuple[object, object]:
-    """``(indptr, indices)`` for one adjacency; numpy or list-backed.
+    """``(indptr, indices)`` numpy arrays for one adjacency.
 
     ``indices`` is int32 — dense ids, bounded by the row count, which
     must itself fit int32 (:class:`CsrOverflowError` otherwise).
@@ -51,23 +43,16 @@ def csr_arrays(adjacency: Sequence[Sequence[int]]) -> Tuple[object, object]:
         raise CsrOverflowError(
             f"{len(adjacency)} rows cannot be addressed by int32 dense ids"
         )
-    if _np is not None:
-        counts = [len(row) for row in adjacency]
-        total = sum(counts)
-        ptr_dtype = _np.int32 if total <= MAX_INT32 else _np.int64
-        indptr = _np.zeros(len(adjacency) + 1, dtype=ptr_dtype)
-        _np.cumsum(counts, out=indptr[1:])
-        indices = _np.fromiter(
-            (neighbor for row in adjacency for neighbor in row),
-            dtype=_np.int32,
-            count=total,
-        )
-        return indptr, indices
-    indptr: List[int] = [0]
-    indices: List[int] = []
-    for row in adjacency:
-        indices.extend(row)
-        indptr.append(len(indices))
+    counts = [len(row) for row in adjacency]
+    total = sum(counts)
+    ptr_dtype = _np.int32 if total <= MAX_INT32 else _np.int64
+    indptr = _np.zeros(len(adjacency) + 1, dtype=ptr_dtype)
+    _np.cumsum(counts, out=indptr[1:])
+    indices = _np.fromiter(
+        (neighbor for row in adjacency for neighbor in row),
+        dtype=_np.int32,
+        count=total,
+    )
     return indptr, indices
 
 
@@ -106,6 +91,6 @@ class Csr:
         return csr
 
     def neighbors(self, view: Tuple[object, object], i: int):
-        """Row ``i`` of a view — works on numpy and list backing alike."""
+        """Row ``i`` of a view."""
         indptr, indices = view
         return indices[indptr[i]:indptr[i + 1]]

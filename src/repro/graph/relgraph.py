@@ -93,7 +93,7 @@ class RelGraph:
 
         The id space is the sorted corpus AS set plus any hand-voted
         ASes outside it.  When the engine's own index already equals
-        that (every fast-path run), it is adopted as-is — the zero-copy
+        that (every engine run), it is adopted as-is — the zero-copy
         case the snapshot build relies on.
         """
         cached = getattr(result, "_rel_graph", None)
@@ -195,7 +195,7 @@ class RelGraph:
         return len(self.index)
 
     def csr(self) -> Csr:
-        """The CSR adjacency (built once; numpy or list-backed)."""
+        """The CSR adjacency (built once)."""
         if self._csr is None:
             self._csr = Csr(self.providers, self.customers, self.peers)
         return self._csr

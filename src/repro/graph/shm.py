@@ -50,12 +50,9 @@ import struct
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.graph.csr import Csr
+import numpy as _np
 
-try:  # pragma: no cover - numpy is in the standard image
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from repro.graph.csr import Csr
 
 try:
     from multiprocessing import resource_tracker as _resource_tracker
@@ -65,7 +62,7 @@ except ImportError:  # pragma: no cover - all supported platforms have it
     _resource_tracker = None
 
 #: True when the zero-copy worker path can run at all
-HAS_SHARED_MEMORY = _np is not None and _shm is not None
+HAS_SHARED_MEMORY = _shm is not None
 
 _MAGIC = b"RGSHM01\n"
 _ALIGN = 8
@@ -87,8 +84,7 @@ class SharedMemoryUnavailable(RuntimeError):
 def _require_available() -> None:
     if not HAS_SHARED_MEMORY:
         raise SharedMemoryUnavailable(
-            "shared-memory graph codec needs numpy and "
-            "multiprocessing.shared_memory"
+            "shared-memory graph codec needs multiprocessing.shared_memory"
         )
 
 

@@ -6,8 +6,9 @@ own correctness harness: :func:`run_qa` sweeps randomized worlds
 shapes like prepend-heavy and single-VP corpora) and asserts six
 invariant families over each one:
 
-1. **differential** — the fast engine and ``InferenceConfig(fast=False)``
-   produce bit-identical links, steps, providers and cones;
+1. **differential** — the production engine and the pure-Python
+   reference oracles of :mod:`repro.qa.oracles` produce bit-identical
+   links, steps, providers and cones;
 2. **hierarchy** — the inferred p2c graph is acyclic and clique members
    are mutually transit-free;
 3. **cones** — every cone definition matches its reference oracle,
@@ -18,8 +19,9 @@ invariant families over each one:
 5. **collection** — serial and parallel collector runs agree for every
    worker count;
 6. **propagation** — the batched multi-origin propagation engine and
-   the per-origin reference sweeps emit bit-identical corpora (default
-   and odd batch sizes, v4 and the restricted v6 plane).
+   the per-origin reference sweeps of :mod:`repro.qa.oracles` emit
+   bit-identical corpora (default and odd batch sizes, v4 and the
+   restricted v6 plane).
 
 On failure the harness shrinks the corpus to a minimal repro, writes it
 under ``benchmarks/repros/`` and prints a one-line replay command.

@@ -19,13 +19,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from repro.core.cone import (
-    ConeDefinition,
-    compute_cones,
-    reference_bgp_observed_cones,
-    reference_ppdc_cones,
-    reference_recursive_cones,
-)
+from repro.core.cone import ConeDefinition, compute_cones
 from repro.core.inference import (
     InferenceConfig,
     InferenceResult,
@@ -39,6 +33,12 @@ from repro.datasets.serialization import (
     save_as_rel,
     save_paths,
     save_ppdc_ases,
+)
+from repro.qa.oracles import (
+    REFERENCE_CONES,
+    ReferenceCollector,
+    propagate_origin,
+    reference_infer_relationships,
 )
 from repro.relationships import Relationship
 
@@ -72,8 +72,17 @@ def _cone_sets(result: InferenceResult) -> Dict[str, Dict[int, Set[int]]]:
     }
 
 
+def _reference_cone_sets(
+    result: InferenceResult,
+) -> Dict[str, Dict[int, Set[int]]]:
+    return {
+        definition.value: oracle(result)
+        for definition, oracle in REFERENCE_CONES.items()
+    }
+
+
 # ---------------------------------------------------------------------------
-# family 1: fast vs reference differential
+# family 1: production engine vs reference oracle differential
 # ---------------------------------------------------------------------------
 
 
@@ -83,15 +92,17 @@ def check_differential(
     world: str,
     config: InferenceConfig = InferenceConfig(),
 ) -> Tuple[List[Violation], InferenceResult]:
-    """Fast and reference engines must agree bit for bit.
+    """The production engine and the reference oracle
+    (:func:`~repro.qa.oracles.reference_infer_relationships`, cones by
+    the ``reference_*_cones`` oracles) must agree bit for bit.
 
-    Returns the violations plus the fast result so downstream families
-    can reuse it without re-running inference.
+    Returns the violations plus the production result so downstream
+    families can reuse it without re-running inference.
     """
     violations: List[Violation] = []
     paths = PathSet.sanitize(raw_paths, ixp_asns=ixp_asns)
-    fast = infer_relationships(paths, replace(config, fast=True))
-    ref = infer_relationships(paths, replace(config, fast=False))
+    fast = infer_relationships(paths, config)
+    ref = reference_infer_relationships(paths, config)
 
     if fast.clique.members != ref.clique.members:
         violations.append(
@@ -128,7 +139,7 @@ def check_differential(
                 f"{only_ref}, relabeled {mismatched}",
             )
         )
-    fast_cones, ref_cones = _cone_sets(fast), _cone_sets(ref)
+    fast_cones, ref_cones = _cone_sets(fast), _reference_cone_sets(ref)
     for name in fast_cones:
         if fast_cones[name] != ref_cones[name]:
             diff = [
@@ -227,9 +238,8 @@ def check_cones(result: InferenceResult, world: str) -> List[Violation]:
         ),
     }
     oracles = {
-        ConeDefinition.RECURSIVE: reference_recursive_cones(result),
-        ConeDefinition.BGP_OBSERVED: reference_bgp_observed_cones(result),
-        ConeDefinition.PROVIDER_PEER_OBSERVED: reference_ppdc_cones(result),
+        definition: oracle(result)
+        for definition, oracle in REFERENCE_CONES.items()
     }
     for definition, computed in cones.items():
         oracle = oracles[definition]
@@ -485,9 +495,9 @@ def check_collection(
 def check_propagation(world) -> List[Violation]:
     """The batched engine must reproduce the reference corpus bit for bit.
 
-    ``world.corpus`` is collected with the default (batched) engine;
-    this family re-collects with ``PropagationConfig(batched=False)``
-    (the pure-Python one-origin-at-a-time sweeps) and with a deliberately
+    ``world.corpus`` is collected with the batched engine; this family
+    re-collects with :class:`~repro.qa.oracles.ReferenceCollector` (the
+    pure-Python one-origin-at-a-time sweeps) and with a deliberately
     awkward batch size, on both address planes.  Leaky world shapes
     exercise the per-row leak pass, and the v6 plane exercises the
     restricted :class:`~repro.bgp.propagation.GraphIndex`.
@@ -498,14 +508,15 @@ def check_propagation(world) -> List[Violation]:
     violations: List[Violation] = []
     label = world.spec.label
     batched_key = _corpus_key(world.corpus)
-    variants = (
-        ("reference", PropagationConfig(batched=False)),
-        ("odd-batch", PropagationConfig(batched=True, batch_size=17)),
+    odd_batch = replace(
+        world.spec.collector, propagation=PropagationConfig(batch_size=17)
     )
-    for name, propagation in variants:
-        config = replace(world.spec.collector, propagation=propagation)
-        corpus = Collector(world.graph, config).run()
-        if _corpus_key(corpus) != batched_key:
+    variants = (
+        ("reference", ReferenceCollector(world.graph, world.spec.collector)),
+        ("odd-batch", Collector(world.graph, odd_batch)),
+    )
+    for name, collector in variants:
+        if _corpus_key(collector.run()) != batched_key:
             violations.append(
                 Violation(
                     f"propagation/{name}",
@@ -516,13 +527,8 @@ def check_propagation(world) -> List[Violation]:
 
     # restricted (IPv6) plane: batched vs reference
     v6_batched = Collector(world.graph, world.spec.collector, plane="v6").run()
-    v6_reference = Collector(
-        world.graph,
-        replace(
-            world.spec.collector,
-            propagation=PropagationConfig(batched=False),
-        ),
-        plane="v6",
+    v6_reference = ReferenceCollector(
+        world.graph, world.spec.collector, plane="v6"
     ).run()
     if _corpus_key(v6_batched) != _corpus_key(v6_reference):
         violations.append(
@@ -565,8 +571,7 @@ def check_serving(
     snapshot_file = os.path.join(directory, "qa.snapshot")
     save_snapshot(Snapshot.build(facade), snapshot_file)
     # mmap mode: the zero-copy load path must be bit-identical to the
-    # facade too (it falls back to lazy copies where mmap/numpy are
-    # unavailable, so this also covers the fallback on the no-numpy leg)
+    # facade too (it falls back to lazy copies where mmap is unavailable)
     served = load_snapshot(snapshot_file, mode="mmap")
 
     # relationships + providers: every inferred link, bit for bit
@@ -697,11 +702,7 @@ def check_path_serving(
       single-origin engine.
     """
     from repro.asrank import ASRank
-    from repro.bgp.propagation import (
-        GraphIndex,
-        propagate_batch,
-        propagate_origin,
-    )
+    from repro.bgp.propagation import GraphIndex, propagate_batch
     from repro.graph.relgraph import RelGraph
     from repro.serve.handlers import Api
     from repro.serve.prediction import best_origin

@@ -1,0 +1,506 @@
+"""Pure-Python reference implementations: the oracles QA checks against.
+
+Every hot algorithm of the pipeline has exactly one production
+implementation.  The seed's pure-Python versions live on here, and only
+here, as independent oracles: QA family 1 (:func:`check_differential`)
+compares inference and cones against them, QA family 6
+(:func:`check_propagation`) compares collection, and the equivalence
+tests and the benchmark calibration run use them too.  Nothing in the
+production pipeline imports this module, and no config field, function
+parameter or environment variable selects it.
+
+* :func:`reference_infer_relationships` — the ASRank pipeline with the
+  per-vote BFS cycle check, the scalar top-down peak scan and the
+  full-rescan fold, and no corpus link index;
+* ``reference_*_cones`` — the three cone definitions over plain ASN
+  sets;
+* :func:`propagate_origin` — the one-origin-at-a-time Gao–Rexford
+  sweeps;
+* :class:`ReferenceCollector` — serial collection that propagates
+  every origin through :func:`propagate_origin`.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import replace
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+from repro.bgp.collector import (
+    CollectionKernel,
+    Collector,
+    CollectorConfig,
+    RibEntry,
+    VantagePoint,
+)
+from repro.bgp.noise import PathNoiser
+from repro.bgp.propagation import (
+    CLS_CUSTOMER,
+    CLS_ORIGIN,
+    CLS_PEER,
+    CLS_PROVIDER,
+    NO_ROUTE,
+    GraphIndex,
+    RouteState,
+    _leak_pass,
+)
+from repro.core.cone import ConeDefinition
+from repro.core.inference import (
+    InferenceConfig,
+    InferenceResult,
+    Step,
+    _Engine,
+)
+from repro.core.paths import PathSet
+from repro.net.prefix import Prefix
+from repro.relationships import Relationship
+from repro.topology.model import ASGraph
+
+
+# ---------------------------------------------------------------------------
+# inference
+# ---------------------------------------------------------------------------
+
+
+class ReferenceInferenceResult(InferenceResult):
+    """An inference result whose cycle check walks the customer
+    adjacency per vote instead of consulting the closure bitsets."""
+
+    def _would_cycle(self, provider: int, customer: int) -> bool:
+        """Per-vote BFS over the customer adjacency (the seed check)."""
+        if provider == customer:
+            return True
+        queue = deque([customer])
+        seen = {customer}
+        while queue:
+            node = queue.popleft()
+            for nxt in self.customers.get(node, ()):
+                if nxt == provider:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        return False
+
+
+class _ReferenceEngine(_Engine):
+    """The seed pipeline: same step order, reference step bodies."""
+
+    result_type = ReferenceInferenceResult
+
+    def _index(self, result: InferenceResult, paths: PathSet) -> None:
+        """No corpus link index: labels live in the result's dicts only."""
+
+    def _topdown(
+        self, result: InferenceResult, paths: PathSet, rank: Dict[int, int]
+    ) -> None:
+        _step_topdown_reference(result, paths, rank)
+
+    def _fold(self, result: InferenceResult, paths: PathSet) -> None:
+        _step_fold_reference(result, paths)
+
+
+def reference_infer_relationships(
+    paths: PathSet, config: Optional[InferenceConfig] = None
+) -> InferenceResult:
+    """Run the reference ASRank pipeline over a sanitized corpus."""
+    return _ReferenceEngine(paths, config or InferenceConfig()).run()
+
+
+def _step_topdown_reference(
+    result: InferenceResult, paths: PathSet, rank: Dict[int, int]
+) -> None:
+    """S5 with a scalar peak scan and no link-state shortcuts."""
+    big = 1 << 30
+    order: List[Tuple[int, Tuple[int, ...], int, int]] = []
+    rank_get = rank.get
+    for pi, path in enumerate(paths):
+        best, best_rank = 0, rank_get(path[0], big)
+        for i, asn in enumerate(path):
+            r = rank_get(asn, big)
+            if r < best_rank:
+                best, best_rank = i, r
+        order.append((best_rank, path, best, pi))
+    order.sort()
+    set_p2c = result.set_p2c
+    for _, path, i, _pi in order:
+        for j in range(i + 1, len(path) - 1):
+            if not set_p2c(path[j], path[j + 1], Step.S5_TOPDOWN):
+                break
+        for j in range(i - 2, -1, -1):
+            if not set_p2c(path[j + 1], path[j], Step.S5_TOPDOWN):
+                break
+
+
+# link direction codes used while folding along a path
+_UNKNOWN, _UP, _DOWN, _PEERLINK, _SIBLINK = 0, 1, 2, 3, 4
+
+
+def _link_state(result: InferenceResult, left: int, right: int) -> int:
+    rel = result.relationship(left, right)
+    if rel is None:
+        return _UNKNOWN
+    if rel is Relationship.P2P:
+        return _PEERLINK
+    if rel is Relationship.S2S:
+        return _SIBLINK
+    provider = result.provider_of(left, right)
+    return _DOWN if provider == left else _UP
+
+
+def _step_fold_reference(result: InferenceResult, paths: PathSet) -> None:
+    """S6 as a full rescan of every path per round (the seed fold)."""
+    for _ in range(result.config.max_fold_rounds):
+        changed = False
+        for path in paths:
+            states = [
+                _link_state(result, path[j], path[j + 1])
+                for j in range(len(path) - 1)
+            ]
+            # forward: after the first DOWN or PEER everything descends —
+            # but a sibling link is a wildcard that resets the constraint
+            # (siblings re-export anything in any direction)
+            seen_descent = False
+            for j, state in enumerate(states):
+                if state == _SIBLINK:
+                    seen_descent = False
+                    continue
+                if seen_descent and state == _UNKNOWN:
+                    if result.set_p2c(path[j], path[j + 1], Step.S6_FOLD):
+                        states[j] = _DOWN
+                        changed = True
+                if state in (_DOWN, _PEERLINK):
+                    seen_descent = True
+            # backward: before the last UP or PEER everything ascends
+            seen_ascent = False
+            for j in range(len(states) - 1, -1, -1):
+                state = states[j]
+                if state == _SIBLINK:
+                    seen_ascent = False
+                    continue
+                if seen_ascent and state == _UNKNOWN:
+                    if result.set_p2c(path[j + 1], path[j], Step.S6_FOLD):
+                        states[j] = _UP
+                        changed = True
+                if state in (_UP, _PEERLINK):
+                    seen_ascent = True
+        if not changed:
+            return
+
+
+# ---------------------------------------------------------------------------
+# cones
+# ---------------------------------------------------------------------------
+
+
+def reference_recursive_cones(result: InferenceResult) -> Dict[int, Set[int]]:
+    """Transitive closure over the inferred p2c DAG, memoized bottom-up."""
+    customers = result.customers
+    asns = result.paths.asns()
+    cones: Dict[int, Set[int]] = {}
+    # iterative post-order over the DAG
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color: Dict[int, int] = {}
+    for root in asns:
+        if color.get(root, WHITE) is not WHITE:
+            continue
+        stack: List[Tuple[int, bool]] = [(root, False)]
+        while stack:
+            node, processed = stack.pop()
+            if processed:
+                cone = {node}
+                for child in customers.get(node, ()):
+                    cone |= cones[child]
+                cones[node] = cone
+                color[node] = BLACK
+                continue
+            if color.get(node, WHITE) is not WHITE:
+                continue
+            color[node] = GRAY
+            stack.append((node, True))
+            for child in customers.get(node, ()):
+                if color.get(child, WHITE) is WHITE:
+                    stack.append((child, False))
+    for asn in asns:
+        cones.setdefault(asn, {asn})
+    return cones
+
+
+def _descending_runs(
+    result: InferenceResult, path: Tuple[int, ...]
+) -> List[int]:
+    """For each link index j, 1 if the link is inferred p2c descending
+    toward the origin (left endpoint is the provider), else 0."""
+    flags: List[int] = []
+    for j in range(len(path) - 1):
+        provider = result.provider_of(path[j], path[j + 1])
+        flags.append(1 if provider == path[j] else 0)
+    return flags
+
+
+def reference_bgp_observed_cones(
+    result: InferenceResult,
+) -> Dict[int, Set[int]]:
+    cones: Dict[int, Set[int]] = {asn: {asn} for asn in result.paths.asns()}
+    for path in result.paths:
+        descending = _descending_runs(result, path)
+        # for each start, extend while links keep descending
+        for i in range(len(path) - 1):
+            j = i
+            while j < len(descending) and descending[j]:
+                cones[path[i]].add(path[j + 1])
+                j += 1
+    return cones
+
+
+def reference_ppdc_cones(result: InferenceResult) -> Dict[int, Set[int]]:
+    cones: Dict[int, Set[int]] = {asn: {asn} for asn in result.paths.asns()}
+    for path in result.paths:
+        for i in range(1, len(path) - 1):
+            upstream, here = path[i - 1], path[i]
+            rel = result.relationship(upstream, here)
+            if rel is Relationship.P2P or (
+                rel is Relationship.P2C
+                and result.provider_of(upstream, here) == upstream
+            ):
+                # the route entered `here` from above: the whole suffix
+                # is an observed customer chain
+                cones[here].update(path[i + 1:])
+    return cones
+
+
+REFERENCE_CONES: Dict[
+    ConeDefinition, Callable[[InferenceResult], Dict[int, Set[int]]]
+] = {
+    ConeDefinition.RECURSIVE: reference_recursive_cones,
+    ConeDefinition.BGP_OBSERVED: reference_bgp_observed_cones,
+    ConeDefinition.PROVIDER_PEER_OBSERVED: reference_ppdc_cones,
+}
+
+
+# ---------------------------------------------------------------------------
+# propagation
+# ---------------------------------------------------------------------------
+
+
+def propagate_origin(
+    index: GraphIndex,
+    origin_asn: int,
+    leakers: Optional[Set[int]] = None,
+) -> RouteState:
+    """Compute every AS's selected route toward ``origin_asn``.
+
+    ``leakers`` (ASNs) violate export policy: they re-announce their
+    selected route to their providers even when it was learned from a
+    peer or provider — the classic *route leak*.  Because leaked routes
+    arrive at the provider looking like customer routes, they are
+    highly preferred and can hijack selection far beyond the leaker;
+    the resulting observed paths contain valleys, which is exactly the
+    artifact the inference pipeline must survive.
+    """
+    n = len(index)
+    origin = index.index[origin_asn]
+    cls = [NO_ROUTE] * n
+    nexthop = [-1] * n
+    pathlen = [0] * n
+
+    _sweep_up(index, origin, cls, nexthop, pathlen)
+    _sweep_peers(index, cls, nexthop, pathlen)
+    _sweep_down(index, cls, nexthop, pathlen)
+    if leakers:
+        leak_indexes = {
+            index.index[asn] for asn in leakers if asn in index.index
+        }
+        _leak_pass(index, leak_indexes, cls, nexthop, pathlen)
+    return RouteState(origin=origin, cls=cls, nexthop=nexthop, pathlen=pathlen)
+
+
+def _sweep_up(
+    index: GraphIndex,
+    origin: int,
+    cls: List[int],
+    nexthop: List[int],
+    pathlen: List[int],
+) -> None:
+    """Phase 1: customer routes climb provider edges, BFS by level.
+
+    At each level every newly reached provider picks, among its
+    customers reached at the previous level, the one with the lowest
+    ASN — the deterministic tie-break.
+    """
+    cls[origin] = CLS_ORIGIN
+    frontier = [origin]
+    depth = 0
+    while frontier:
+        depth += 1
+        candidates: Dict[int, int] = {}  # provider index -> best customer index
+        for node in frontier:
+            node_asn = index.asns[node]
+            for provider in index.providers[node]:
+                if cls[provider] != NO_ROUTE:
+                    continue
+                best = candidates.get(provider)
+                if best is None or node_asn < index.asns[best]:
+                    candidates[provider] = node
+        next_frontier: List[int] = []
+        for provider, via in candidates.items():
+            cls[provider] = CLS_CUSTOMER
+            nexthop[provider] = via
+            pathlen[provider] = depth
+            next_frontier.append(provider)
+        frontier = next_frontier
+
+
+def _sweep_peers(
+    index: GraphIndex, cls: List[int], nexthop: List[int], pathlen: List[int]
+) -> None:
+    """Phase 2: one peering hop off every AS holding a customer route.
+
+    Peer-learned routes are not re-exported to peers or providers, so a
+    single relaxation suffices.  An AS prefers the peer route with the
+    shortest path, then the lowest peer ASN.
+    """
+    n = len(index)
+    best: Dict[int, Tuple[int, int]] = {}  # node -> (pathlen, peer index)
+    for node in range(n):
+        if cls[node] not in (CLS_ORIGIN, CLS_CUSTOMER):
+            continue
+        offer = (pathlen[node] + 1, node)
+        for peer in index.peers[node]:
+            if cls[peer] in (CLS_ORIGIN, CLS_CUSTOMER):
+                continue  # peer prefers its customer route
+            current = best.get(peer)
+            if current is None or _offer_beats(index, offer, current):
+                best[peer] = offer
+    for node, (length, via) in best.items():
+        cls[node] = CLS_PEER
+        nexthop[node] = via
+        pathlen[node] = length
+
+
+def _offer_beats(
+    index: GraphIndex, offer: Tuple[int, int], current: Tuple[int, int]
+) -> bool:
+    if offer[0] != current[0]:
+        return offer[0] < current[0]
+    return index.asns[offer[1]] < index.asns[current[1]]
+
+
+def _sweep_down(
+    index: GraphIndex, cls: List[int], nexthop: List[int], pathlen: List[int]
+) -> None:
+    """Phase 3: selected routes descend customer edges.
+
+    Every AS holding a route (customer, peer, or — recursively —
+    provider class) exports it to its customers; a customer adopts a
+    provider route only when it has nothing better.  Routes descend in
+    order of path length (a bucket queue), so each AS settles on its
+    shortest provider route, ties broken by lowest provider ASN.
+    """
+    n = len(index)
+    buckets: List[List[int]] = []
+
+    def put(length: int, node: int) -> None:
+        while len(buckets) <= length:
+            buckets.append([])
+        buckets[length].append(node)
+
+    for node in range(n):
+        if cls[node] != NO_ROUTE:
+            put(pathlen[node], node)
+
+    depth = 0
+    while depth < len(buckets):
+        candidates: Dict[int, int] = {}  # customer -> best provider index
+        for node in buckets[depth]:
+            if pathlen[node] != depth:
+                continue  # stale entry
+            node_asn = index.asns[node]
+            for customer in index.customers[node]:
+                if cls[customer] != NO_ROUTE:
+                    continue
+                best = candidates.get(customer)
+                if best is None or node_asn < index.asns[best]:
+                    candidates[customer] = node
+        for customer, via in candidates.items():
+            cls[customer] = CLS_PROVIDER
+            nexthop[customer] = via
+            pathlen[customer] = depth + 1
+            put(depth + 1, customer)
+        depth += 1
+
+
+# ---------------------------------------------------------------------------
+# collection
+# ---------------------------------------------------------------------------
+
+
+class ReferenceCollectionKernel(CollectionKernel):
+    """A collection kernel that propagates one origin at a time
+    through :func:`propagate_origin`."""
+
+    def collect_block(
+        self,
+        origin_list: Sequence[int],
+        by_origin: Dict[int, List[Prefix]],
+    ) -> List[Tuple[List[Tuple[int, ...]], List[RibEntry]]]:
+        return [
+            self.collect_origin(
+                asn, by_origin[asn], self._origin_noiser(asn)
+            )
+            for asn in origin_list
+        ]
+
+    def collect_origin(
+        self,
+        origin_asn: int,
+        prefixes: List[Prefix],
+        noiser: PathNoiser,
+    ) -> Tuple[List[Tuple[int, ...]], List[RibEntry]]:
+        """Propagate one origin and materialize what every VP exports.
+
+        The one-origin composition of the phase helpers — the reference
+        path the batched :meth:`collect_block` is checked against.
+        """
+        state = propagate_origin(
+            self.index, origin_asn,
+            leakers=self._leakers_for_origin(origin_asn),
+        )
+        observed = [
+            (vp_asn, vp_idx, noiser.apply(path))
+            for vp_asn, vp_idx, path in self._exported_paths(state)
+        ]
+        rib_rows: List[RibEntry] = []
+        if self.config.build_rib:
+            rib_rows = self._rib_rows(state, observed, prefixes)
+        return [path for _, _, path in observed], rib_rows
+
+
+class ReferenceCollector(Collector):
+    """Serial collection through the per-origin reference sweeps.
+
+    Chooses vantage points, taggers and leakers exactly like
+    :class:`~repro.bgp.collector.Collector` over the same graph and
+    config, so its corpus must equal the production one bit for bit.
+    """
+
+    def __init__(
+        self,
+        graph: ASGraph,
+        config: Optional[CollectorConfig] = None,
+        preset_vps: Optional[Sequence[VantagePoint]] = None,
+        plane: str = "v4",
+    ):
+        config = replace(config or CollectorConfig(), workers=0)
+        super().__init__(graph, config, preset_vps, plane)
+        kernel = self.kernel
+        self.kernel = ReferenceCollectionKernel(
+            config=kernel.config,
+            index=kernel.index,
+            vps=kernel.vps,
+            tagger_nodes=kernel.tagger_nodes,
+            sibling_nodes=kernel.sibling_nodes,
+            leakers=kernel.leakers,
+            clique=kernel.clique,
+            via_ixp=kernel.via_ixp,
+        )

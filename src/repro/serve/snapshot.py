@@ -35,16 +35,13 @@ import json
 import struct
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
+import numpy as _np
+
 from repro.core.cone import ConeDefinition
 from repro.core.rank import ASRankEntry
 from repro.datasets.serialization import DatasetFormatError
 from repro.graph import DenseIndex, closure_bits, decode_bits
 from repro.relationships import Relationship
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
 
 class SnapshotFormatError(DatasetFormatError):
@@ -64,31 +61,28 @@ _LINK_STRUCT = struct.Struct("<IIbB")
 _RANK_STRUCT = struct.Struct("<IQIqqIIIII")
 _NO_PROVIDER, _PROVIDER_A, _PROVIDER_B = 0, 1, 2
 
-if _np is not None:
-    #: structured views over the packed sections — field layout must
-    #: mirror the struct codecs exactly so an mmap'd file decodes to
-    #: the same rows the pure-Python path produces
-    LINK_DTYPE = _np.dtype(
-        [("a", "<u4"), ("b", "<u4"), ("rel", "<i1"), ("flag", "<u1")]
-    )
-    RANK_DTYPE = _np.dtype(
-        [
-            ("rank", "<u4"),
-            ("asn", "<u8"),
-            ("cone_ases", "<u4"),
-            ("cone_prefixes", "<i8"),
-            ("cone_addresses", "<i8"),
-            ("transit_degree", "<u4"),
-            ("node_degree", "<u4"),
-            ("num_customers", "<u4"),
-            ("num_peers", "<u4"),
-            ("num_providers", "<u4"),
-        ]
-    )
-    assert LINK_DTYPE.itemsize == _LINK_STRUCT.size
-    assert RANK_DTYPE.itemsize == _RANK_STRUCT.size
-else:  # pragma: no cover - exercised by the no-numpy CI leg
-    LINK_DTYPE = RANK_DTYPE = None
+#: structured views over the packed sections — field layout must
+#: mirror the struct codecs exactly so an mmap'd file decodes to
+#: the same rows an eager load's struct decoding produces
+LINK_DTYPE = _np.dtype(
+    [("a", "<u4"), ("b", "<u4"), ("rel", "<i1"), ("flag", "<u1")]
+)
+RANK_DTYPE = _np.dtype(
+    [
+        ("rank", "<u4"),
+        ("asn", "<u8"),
+        ("cone_ases", "<u4"),
+        ("cone_prefixes", "<i8"),
+        ("cone_addresses", "<i8"),
+        ("transit_degree", "<u4"),
+        ("node_degree", "<u4"),
+        ("num_customers", "<u4"),
+        ("num_peers", "<u4"),
+        ("num_providers", "<u4"),
+    ]
+)
+assert LINK_DTYPE.itemsize == _LINK_STRUCT.size
+assert RANK_DTYPE.itemsize == _RANK_STRUCT.size
 
 
 class LazyConeBits:
@@ -394,7 +388,7 @@ class Snapshot:
 
     def _attach_links(self, rows) -> None:
         self._link_rows = rows
-        if _np is not None and isinstance(rows, _np.ndarray):
+        if isinstance(rows, _np.ndarray):
             # one vectorized key computation; .tolist() hands back
             # Python ints for the dict keys
             keys = (
@@ -409,7 +403,7 @@ class Snapshot:
 
     def _attach_ranks(self, rows) -> None:
         self._rank_rows = rows
-        if _np is not None and isinstance(rows, _np.ndarray):
+        if isinstance(rows, _np.ndarray):
             self._rank_of = {
                 asn: i for i, asn in enumerate(rows["asn"].tolist())
             }
@@ -419,7 +413,7 @@ class Snapshot:
     def _links(self):
         if self._link_rows is None:
             blob = self._load_section("links")
-            if self._mapped and _np is not None:
+            if self._mapped:
                 self._attach_links(_links_view(blob))
             else:
                 self._attach_links(_decode_links(bytes(blob)))
@@ -428,7 +422,7 @@ class Snapshot:
     def _ranks(self):
         if self._rank_rows is None:
             blob = self._load_section("ranks")
-            if self._mapped and _np is not None:
+            if self._mapped:
                 self._attach_ranks(_ranks_view(blob))
             else:
                 self._attach_ranks(_decode_ranks(bytes(blob)))
@@ -437,13 +431,13 @@ class Snapshot:
     def _links_as_tuples(self) -> List[Tuple[int, int, int, int]]:
         """Link rows as plain-int tuples (for iteration-heavy callers)."""
         rows = self._links()
-        if _np is not None and isinstance(rows, _np.ndarray):
+        if isinstance(rows, _np.ndarray):
             return rows.tolist()
         return rows
 
     def _ranks_as_tuples(self) -> List[Tuple[int, ...]]:
         rows = self._ranks()
-        if _np is not None and isinstance(rows, _np.ndarray):
+        if isinstance(rows, _np.ndarray):
             return rows.tolist()
         return rows
 

@@ -34,8 +34,8 @@ Three load modes (``load_snapshot(path, mode=...)``):
   views over the mapped pages and cones stay packed with per-AS lazy
   access, so N worker processes mapping the same file share one
   physical copy of the payload.  Falls back to ``lazy`` when the
-  platform cannot map the file, and to pure-Python tuple decoding when
-  numpy is absent — results are bit-identical in every mode.
+  platform cannot map the file — results are bit-identical in every
+  mode.
 
 :class:`SnapshotStore` is what the server holds: the current
 :class:`~repro.serve.snapshot.Snapshot` behind one attribute, swapped

@@ -15,7 +15,7 @@ oracle (:func:`repro.stream.corpus.asrank_from_rib_rows`).
 
 The envelope the delta accepts (all conditions required):
 
-* the pipeline runs with the default step set and the fast link index;
+* the pipeline runs with the default step set and the link index;
 * the old filtered corpus is an order-preserving subsequence of the new
   one, with identical AS set, identical link set (zero new links),
   identical per-AS transit degrees, identical clique members, and an
@@ -140,7 +140,7 @@ def try_delta(
     run a full recompute.  ``live`` is never mutated on failure.
     """
     result = live.result
-    if not config.fast or result._key_lid is None or result._lstate is None:
+    if result._key_lid is None or result._lstate is None:
         return None, "no-fast-index"
     if not all(getattr(config, flag) for flag in _REQUIRED_ENABLES):
         return None, "non-default-pipeline"

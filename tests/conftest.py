@@ -32,3 +32,27 @@ def small_run() -> ScenarioRun:
 def clean_run() -> ScenarioRun:
     """Noise-free medium run: every artifact off, full feeds only."""
     return ScenarioRun("clean")
+
+
+#: prepended to a ``python -c`` script, makes ``import numpy`` fail in
+#: that interpreter even though numpy is installed
+_MASK_NUMPY = """\
+import sys
+
+
+class _NumpyBlocker:
+    def find_spec(self, fullname, path=None, target=None):
+        if fullname.split(".", 1)[0] == "numpy":
+            raise ImportError(f"{fullname} is masked")
+        return None
+
+
+sys.meta_path.insert(0, _NumpyBlocker())
+"""
+
+
+@pytest.fixture(scope="session")
+def mask_numpy() -> str:
+    """Script prelude that hides numpy from a child interpreter, for
+    checking that a stdlib-only module never imports it."""
+    return _MASK_NUMPY

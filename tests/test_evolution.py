@@ -138,7 +138,7 @@ class TestDeterminism:
             generate_series(b)
         )
 
-    def test_output_identical_without_numpy(self):
+    def test_output_identical_without_numpy(self, mask_numpy):
         """The growth model is pure stdlib: masking numpy changes nothing."""
         repo = Path(__file__).resolve().parent.parent
         script = (
@@ -151,16 +151,14 @@ class TestDeterminism:
             "print(_series_digest(generate_series(config)))\n"
             % (repo / "tests")
         )
+        env = {"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"}
         digests = {}
-        for label, pythonpath in (
-            ("numpy", f"{repo / 'src'}"),
-            ("no-numpy", f"{repo / 'ci' / 'no-numpy'}:{repo / 'src'}"),
-        ):
+        for label, prelude in (("numpy", ""), ("no-numpy", mask_numpy)):
             out = subprocess.run(
-                [sys.executable, "-c", script],
+                [sys.executable, "-c", prelude + script],
                 capture_output=True,
                 text=True,
-                env={"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin"},
+                env=env,
                 check=True,
             )
             digests[label] = out.stdout.strip()

@@ -1,31 +1,20 @@
-"""The fast engine must be bit-for-bit equivalent to the seed code.
+"""The production engine must be bit-for-bit equivalent to the seed code.
 
-The fast paths (dense index, link-state fold, bitset cones) are pure
-performance work: every observable output — relationship labels, the
-inference step that set them, provider orientation, adjacency views,
-and all three cone definitions — must match the reference
-implementations exactly.  These tests pin that contract on the `tiny`
-and `small` scenarios.
+The production paths (dense index, link-state fold, bitset cones) are
+pure performance work: every observable output — relationship labels,
+the inference step that set them, provider orientation, adjacency
+views, and all three cone definitions — must match the reference
+oracles in :mod:`repro.qa.oracles` exactly.  These tests pin that
+contract on the `tiny` and `small` scenarios.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.cone import (
-    ConeDefinition,
-    compute_cones,
-    reference_bgp_observed_cones,
-    reference_ppdc_cones,
-    reference_recursive_cones,
-)
-from repro.core.inference import InferenceConfig, infer_relationships
-
-_REFERENCE = {
-    ConeDefinition.RECURSIVE: reference_recursive_cones,
-    ConeDefinition.BGP_OBSERVED: reference_bgp_observed_cones,
-    ConeDefinition.PROVIDER_PEER_OBSERVED: reference_ppdc_cones,
-}
+from repro.core.cone import ConeDefinition, compute_cones
+from repro.core.inference import infer_relationships
+from repro.qa.oracles import REFERENCE_CONES, reference_infer_relationships
 
 
 def _snapshot(result):
@@ -45,17 +34,14 @@ def _snapshot(result):
 
 @pytest.fixture(scope="module", params=["tiny", "small"])
 def pair(request, tiny_run, small_run):
-    """(fast result, reference result) over the same corpus."""
+    """(production result, reference result) over the same corpus."""
     run = {"tiny": tiny_run, "small": small_run}[request.param]
-    fast = infer_relationships(run.paths, InferenceConfig(fast=True))
-    reference = infer_relationships(run.paths, InferenceConfig(fast=False))
+    fast = infer_relationships(run.paths)
+    reference = reference_infer_relationships(run.paths)
     return fast, reference
 
 
 class TestInferenceEquivalence:
-    def test_fast_flag_defaults_on(self):
-        assert InferenceConfig().fast is True
-
     def test_identical_links_steps_and_adjacency(self, pair):
         fast, reference = pair
         assert _snapshot(fast) == _snapshot(reference)
@@ -71,14 +57,6 @@ class TestConeEquivalence:
     @pytest.mark.parametrize("definition", list(ConeDefinition))
     def test_fast_cones_match_reference(self, pair, definition):
         fast, reference = pair
-        assert compute_cones(fast, definition) == _REFERENCE[definition](
-            reference
-        )
-
-    @pytest.mark.parametrize("definition", list(ConeDefinition))
-    def test_fallback_cones_match_reference(self, pair, definition):
-        # a fast=False result exercises the set-based fallback cones
-        _, reference = pair
-        assert compute_cones(reference, definition) == _REFERENCE[
+        assert compute_cones(fast, definition) == REFERENCE_CONES[
             definition
         ](reference)

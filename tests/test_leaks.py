@@ -4,17 +4,14 @@ import pytest
 
 from repro.bgp.collector import Collector, CollectorConfig
 from repro.bgp.noise import NoiseConfig
-from repro.bgp.propagation import (
-    CLS_CUSTOMER,
-    GraphIndex,
-    propagate_origin,
-)
+from repro.bgp.propagation import CLS_CUSTOMER, GraphIndex
 from repro.core.inference import infer_relationships
 from repro.core.paths import PathSet
 from repro.relationships import Relationship
 from repro.topology.generator import GeneratorConfig, generate_topology
 from repro.topology.model import AS, ASGraph, ASType
 from repro.validation.validator import validate_against_truth
+from tests.engines import propagate
 
 
 def make_graph(p2c=(), p2p=()):
@@ -36,11 +33,11 @@ class TestLeakPass:
         graph = make_graph(p2c=[(1, 3), (2, 3), (2, 9)])
         index = GraphIndex(graph)
 
-        clean = propagate_origin(index, 9)
+        clean = propagate(index, 9)
         # without the leak, p1 reaches 9 via... nothing (1 has no route)
         assert clean.cls[index.index[1]] == 0
 
-        leaked = propagate_origin(index, 9, leakers={3})
+        leaked = propagate(index, 9, leakers={3})
         i1 = index.index[1]
         assert leaked.cls[i1] == CLS_CUSTOMER  # the leak looks like one
         assert leaked.path_from(index, i1) == (1, 3, 2, 9)
@@ -48,7 +45,7 @@ class TestLeakPass:
     def test_leaked_path_contains_valley(self):
         graph = make_graph(p2c=[(1, 3), (2, 3), (2, 9), (1, 5)])
         index = GraphIndex(graph)
-        leaked = propagate_origin(index, 9, leakers={3})
+        leaked = propagate(index, 9, leakers={3})
         path = leaked.path_from(index, index.index[5])
         assert path == (5, 1, 3, 2, 9)
         # 3 is a customer of both 1 and 2: the path goes down into 3
@@ -59,7 +56,7 @@ class TestLeakPass:
     def test_leaker_keeps_its_own_route(self):
         graph = make_graph(p2c=[(1, 3), (2, 3), (2, 9)])
         index = GraphIndex(graph)
-        leaked = propagate_origin(index, 9, leakers={3})
+        leaked = propagate(index, 9, leakers={3})
         i3 = index.index[3]
         assert leaked.path_from(index, i3) == (3, 2, 9)
 
@@ -68,8 +65,8 @@ class TestLeakPass:
         # it upward is legitimate, so nothing changes
         graph = make_graph(p2c=[(1, 3), (2, 3), (3, 9)])
         index = GraphIndex(graph)
-        clean = propagate_origin(index, 9)
-        leaked = propagate_origin(index, 9, leakers={3})
+        clean = propagate(index, 9)
+        leaked = propagate(index, 9, leakers={3})
         assert clean.cls == leaked.cls
         assert clean.nexthop == leaked.nexthop
 
@@ -81,7 +78,7 @@ class TestLeakPass:
         ][:5]
         origins = [a.asn for a in graph.ases() if a.prefixes][:40]
         for origin in origins:
-            state = propagate_origin(index, origin, leakers=set(multihomed))
+            state = propagate(index, origin, leakers=set(multihomed))
             for i in range(len(index)):
                 path = state.path_from(index, i)
                 if path:
@@ -90,8 +87,8 @@ class TestLeakPass:
     def test_deterministic(self):
         graph = make_graph(p2c=[(1, 3), (2, 3), (2, 9), (1, 5)])
         index = GraphIndex(graph)
-        a = propagate_origin(index, 9, leakers={3})
-        b = propagate_origin(index, 9, leakers={3})
+        a = propagate(index, 9, leakers={3})
+        b = propagate(index, 9, leakers={3})
         assert a.cls == b.cls and a.nexthop == b.nexthop
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as _np
 import pytest
 
 from repro.asrank import ASRank
@@ -24,11 +25,6 @@ from repro.serve.store import (
     read_snapshot_header,
     save_snapshot,
 )
-
-try:
-    import numpy as _np
-except ImportError:
-    _np = None
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +98,6 @@ class TestParity:
         assert type(entry.asn) is int and type(entry.rank) is int
         mapped.close()
 
-    @pytest.mark.skipif(_np is None, reason="needs numpy")
     def test_links_and_ranks_are_views(self, snapshot_file):
         mapped = load_snapshot(snapshot_file, mode="mmap")
         links = mapped._links()
@@ -114,23 +109,6 @@ class TestParity:
         assert not links.flags.owndata and not ranks.flags.owndata
         bits = mapped._cone_bits(mapped.definitions[0])
         assert isinstance(bits, LazyConeBits)
-        mapped.close()
-
-    def test_no_numpy_fallback_parity(self, snapshot_file, monkeypatch):
-        """With numpy masked the mmap mode still answers identically."""
-        from repro.serve import snapshot as snapshot_module
-
-        eager = load_snapshot(snapshot_file)
-        monkeypatch.setattr(snapshot_module, "_np", None)
-        mapped = load_snapshot(snapshot_file, mode="mmap")
-        assert mapped._mapped
-        assert isinstance(mapped._links(), list)
-        assert mapped.encode_sections() == eager.encode_sections()
-        assert mapped.asns == eager.asns
-        a, b = eager.asns[0], eager.asns[1]
-        assert mapped.relationship(a, b) == eager.relationship(a, b)
-        for definition in eager.definitions:
-            assert mapped.cone(a, definition) == eager.cone(a, definition)
         mapped.close()
 
     def test_lazy_cone_bits_test_matches_materialized(self, snapshot_file):

@@ -14,7 +14,7 @@ from repro.core.paths import (
 class TestReservedAsns:
     @pytest.mark.parametrize(
         "asn", [0, 23456, 64496, 64511, 64512, 65000, 65534, 65535,
-                65536, 65551, 4200000000, 4294967295]
+                65536, 65551, 4200000000, 4294967295, 2**32, -5]
     )
     def test_reserved(self, asn):
         assert is_reserved_asn(asn)
@@ -70,6 +70,13 @@ class TestSanitize:
     def test_reserved_asn_discarded(self):
         ps = PathSet.sanitize([(1, 64512, 3)])
         assert len(ps) == 0
+        assert ps.stats.discarded_reserved_asn == 1
+
+    def test_asn_beyond_32_bits_discarded(self):
+        # packed 32-bit link keys would wrap 2**33+5 to 5
+        ps = PathSet.sanitize([(10, 2**33 + 5, 20)])
+        assert len(ps) == 0
+        assert ps.links() == set()
         assert ps.stats.discarded_reserved_asn == 1
 
     def test_ixp_hop_spliced(self):

@@ -129,7 +129,8 @@ class TestBatchedRefactorIdentity:
     def _serial_report(inference, observations, max_origins=None):
         # the pre-refactor implementation: mutable ASGraph + one
         # reference sweep per origin
-        from repro.bgp.propagation import GraphIndex, propagate_origin
+        from repro.bgp.propagation import GraphIndex
+        from repro.qa.oracles import propagate_origin
 
         index = GraphIndex(graph_from_inference(inference))
         by_origin = {}

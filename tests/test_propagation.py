@@ -1,4 +1,8 @@
-"""Unit and property tests for Gao–Rexford route propagation."""
+"""Unit and property tests for Gao–Rexford route propagation.
+
+Every hand-checked route runs through the production (batched) engine
+and the single-origin oracle alike (:func:`tests.engines.propagate`).
+"""
 
 import random
 
@@ -12,10 +16,10 @@ from repro.bgp.propagation import (
     CLS_PROVIDER,
     NO_ROUTE,
     GraphIndex,
-    propagate_origin,
 )
 from repro.relationships import Relationship
 from repro.topology.model import AS, ASGraph, ASType
+from tests.engines import propagate
 
 
 def make_graph(p2c=(), p2p=()):
@@ -32,7 +36,7 @@ def make_graph(p2c=(), p2p=()):
 
 def path_of(graph, origin, at):
     index = GraphIndex(graph)
-    state = propagate_origin(index, origin)
+    state = propagate(index, origin)
     return state.path_from(index, index.index[at])
 
 
@@ -102,7 +106,7 @@ class TestRouteClasses:
     def test_classes_assigned(self):
         graph = make_graph(p2c=[(1, 2), (3, 4)], p2p=[(1, 3)])
         index = GraphIndex(graph)
-        state = propagate_origin(index, 4)
+        state = propagate(index, 4)
         assert state.cls[index.index[4]] == CLS_ORIGIN
         assert state.cls[index.index[3]] == CLS_CUSTOMER
         assert state.cls[index.index[1]] == CLS_PEER
@@ -111,7 +115,7 @@ class TestRouteClasses:
     def test_no_route_class(self):
         graph = make_graph(p2c=[(1, 2)], p2p=[(2, 3)])
         index = GraphIndex(graph)
-        state = propagate_origin(index, 3)
+        state = propagate(index, 3)
         assert state.cls[index.index[1]] == NO_ROUTE
         assert state.path_from(index, index.index[1]) is None
 
@@ -164,7 +168,7 @@ class TestValleyFreedom:
                     graph.add_p2p(a, b)
             index = GraphIndex(graph)
             for origin in range(1, n + 1):
-                state = propagate_origin(index, origin)
+                state = propagate(index, origin)
                 for i in range(len(index)):
                     path = state.path_from(index, i)
                     if path is not None and len(path) > 1:
@@ -187,7 +191,7 @@ class TestValleyFreedom:
                 graph.add_p2p(a, b)
         index = GraphIndex(graph)
         for origin in (1, 7, 15, n):
-            state = propagate_origin(index, origin)
+            state = propagate(index, origin)
             for i in range(len(index)):
                 path = state.path_from(index, i)
                 if path:
@@ -205,7 +209,7 @@ class TestValleyFreedom:
             graph.add_p2c(rng.randint(1, asn - 1), asn)
         index = GraphIndex(graph)
         for origin in range(1, n + 1):
-            state = propagate_origin(index, origin)
+            state = propagate(index, origin)
             for i in range(len(index)):
                 assert state.cls[i] != NO_ROUTE
 
@@ -217,8 +221,8 @@ class TestDeterminism:
             p2p=[(4, 5)],
         )
         index = GraphIndex(graph)
-        a = propagate_origin(index, 5)
-        b = propagate_origin(index, 5)
+        a = propagate(index, 5)
+        b = propagate(index, 5)
         assert a.cls == b.cls
         assert a.nexthop == b.nexthop
         assert a.pathlen == b.pathlen

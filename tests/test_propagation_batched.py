@@ -1,7 +1,7 @@
 """Batched propagation engine vs the reference sweeps — bit identity.
 
-The batched engine (``propagate_batch`` with the default
-``PropagationConfig``) must reproduce ``propagate_origin`` exactly —
+The batched engine (``propagate_batch``) must reproduce the
+single-origin oracle ``repro.qa.oracles.propagate_origin`` exactly —
 same route classes, next hops, path lengths and therefore identical
 reconstructed paths — on every graph shape, including the leak pass
 and the restricted (IPv6) routing plane.
@@ -13,12 +13,8 @@ import random
 
 import pytest
 
-from repro.bgp.propagation import (
-    GraphIndex,
-    PropagationConfig,
-    propagate_batch,
-    propagate_origin,
-)
+from repro.bgp.propagation import GraphIndex, PropagationConfig, propagate_batch
+from repro.qa.oracles import propagate_origin
 from repro.topology.generator import GeneratorConfig, generate_topology
 from repro.topology.model import AS, ASGraph, ASType
 
@@ -52,7 +48,7 @@ def assert_equivalent(index, origins, leakers_by_origin=None, batch_size=128):
         index,
         origins,
         leakers_by_origin,
-        PropagationConfig(batched=True, batch_size=batch_size),
+        PropagationConfig(batch_size=batch_size),
     )
     assert len(batched) == len(origins)
     for asn, state in zip(origins, batched):
@@ -136,17 +132,6 @@ class TestEdgeShapes:
 
 
 class TestFallback:
-    def test_batched_false_uses_reference_sweeps(self):
-        graph = random_graph(8, n=25)
-        index = GraphIndex(graph)
-        states = propagate_batch(
-            index, index.asns, config=PropagationConfig(batched=False)
-        )
-        for asn, state in zip(index.asns, states):
-            reference = propagate_origin(index, asn)
-            assert list(state.cls) == list(reference.cls)
-            assert list(state.nexthop) == list(reference.nexthop)
-
     def test_batched_rows_are_plain_python(self):
         """Row extraction yields plain ints, same types as the reference."""
         index = GraphIndex(random_graph(9, n=25))

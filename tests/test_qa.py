@@ -102,6 +102,50 @@ class TestMutationSmoke:
             text = open(repro_file).read()
             assert "reproduce with: repro-asrank qa --replay" in text
 
+    @pytest.fixture
+    def broken_cycle_check(self, monkeypatch):
+        import repro.core.inference as inf
+
+        monkeypatch.setattr(
+            inf.InferenceResult,
+            "_would_cycle",
+            lambda self, provider, customer: False,
+        )
+
+    @pytest.fixture
+    def broken_peer_sweep(self, monkeypatch):
+        import repro.bgp.propagation as propagation
+
+        monkeypatch.setattr(
+            propagation, "_batch_sweep_peers", lambda *args: None
+        )
+
+    def test_broken_cycle_check_is_caught(self, tmp_path, broken_cycle_check):
+        # seed 178 is a leaky world whose corpus casts cycle-closing
+        # votes; the reference result keeps its own per-vote BFS check
+        config = QaConfig(
+            seeds=1, base_seed=178, repro_dir=str(tmp_path),
+            collection_every=0, shrink=False,
+        )
+        report = run_qa(config)
+        invariants = {v.invariant for v in report.violations}
+        assert "hierarchy/p2c-cycle" in invariants
+        assert "differential/links" in invariants
+
+    def test_broken_batched_sweep_is_caught(
+        self, tmp_path, broken_peer_sweep
+    ):
+        # world index 1 runs family 6: the reference collector sweeps
+        # peers itself, so its corpus must differ from the broken one
+        config = QaConfig(
+            seeds=2, repro_dir=str(tmp_path), collection_every=1,
+            shrink=False,
+        )
+        report = run_qa(config)
+        invariants = {v.invariant for v in report.violations}
+        assert "propagation/reference" in invariants
+        assert "propagation/v6-plane" in invariants
+
     def test_shrunken_repro_replays_red_under_the_bug(
         self, tmp_path, broken_fold
     ):

@@ -1,14 +1,11 @@
 """Tests for the longitudinal analysis pipeline (analysis/timeseries).
 
 Covers the per-era metrics the evolution figures plot, seeded
-determinism of the whole collect→infer→cone pipeline, vantage-point
-persistence across eras, and a no-numpy parity leg.
+determinism of the whole collect→infer→cone pipeline, and
+vantage-point persistence across eras.
 """
 
 import hashlib
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -122,34 +119,3 @@ class TestDeterminism:
         assert sorted(alone.inferred_clique) == sorted(
             metrics[0].inferred_clique
         )
-
-    def test_output_identical_without_numpy(self):
-        """Collection + inference + cones: numpy off changes nothing."""
-        repo = Path(__file__).resolve().parent.parent
-        script = (
-            "from repro.analysis.timeseries import series_metrics\n"
-            "from repro.topology.evolution import ("
-            "Era, EvolutionConfig, generate_series)\n"
-            "from repro.topology.generator import GeneratorConfig\n"
-            "import sys; sys.path.insert(0, r'%s')\n"
-            "from test_timeseries import _metrics_digest\n"
-            "config = EvolutionConfig("
-            "base=GeneratorConfig(n_ases=60, seed=6, clique_size=4),"
-            "eras=[Era(label='e1', new_ases=15, peering_boost=0.02)])\n"
-            "print(_metrics_digest(series_metrics(generate_series(config))))\n"
-            % (repo / "tests")
-        )
-        digests = {}
-        for label, pythonpath in (
-            ("numpy", f"{repo / 'src'}"),
-            ("no-numpy", f"{repo / 'ci' / 'no-numpy'}:{repo / 'src'}"),
-        ):
-            out = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                env={"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin"},
-                check=True,
-            )
-            digests[label] = out.stdout.strip()
-        assert digests["numpy"] == digests["no-numpy"]
