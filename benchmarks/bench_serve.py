@@ -221,9 +221,6 @@ def main() -> int:
     load_snapshot(path)
     load_eager_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    load_snapshot(path, lazy=True)
-    load_lazy_seconds = time.perf_counter() - start
-    start = time.perf_counter()
     load_snapshot(path, mode="mmap")
     load_mmap_seconds = time.perf_counter() - start
 
@@ -260,7 +257,6 @@ def main() -> int:
             "build_seconds": round(build_seconds, 4),
             "save_seconds": round(save_seconds, 4),
             "load_eager_seconds": round(load_eager_seconds, 4),
-            "load_lazy_seconds": round(load_lazy_seconds, 4),
             "load_mmap_seconds": round(load_mmap_seconds, 4),
         },
         "load": {
@@ -288,7 +284,7 @@ def main() -> int:
         f"snapshot {snapshot.version}: {len(snapshot)} ASes, "
         f"{size_bytes} bytes, build {build_seconds:.3f}s, "
         f"save {save_seconds:.3f}s, load {load_eager_seconds:.3f}s "
-        f"(lazy {load_lazy_seconds:.3f}s, mmap {load_mmap_seconds:.3f}s)"
+        f"(mmap {load_mmap_seconds:.3f}s)"
     )
     print(
         f"load: {report.requests} requests / {report.connections} conns "

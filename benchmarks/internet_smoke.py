@@ -6,8 +6,7 @@ gate for the three internet-scale pieces working together:
 
 * the linear-time power-law generator produces a valid world;
 * the zero-copy shared-memory transport yields a corpus bit-identical
-  to serial collection (and to the pickle transport when shared
-  memory is unavailable);
+  to serial collection;
 * every shared segment is unlinked afterwards — no ``/dev/shm`` leaks.
 
 Usage (what CI runs)::
@@ -25,7 +24,6 @@ from dataclasses import replace
 
 from repro.bgp.collector import Collector, CollectorConfig, shutdown_pool
 from repro.bgp.propagation import PropagationConfig
-from repro.graph import HAS_SHARED_MEMORY
 from repro.topology.generator import (
     InternetScaleConfig,
     generate_internet_topology,
@@ -85,14 +83,9 @@ def main() -> int:
     parallel_config = replace(config, workers=WORKERS)
     collector = Collector(graph, parallel_config)
     parallel = collector.run(origins=origins)
-    transport = (
-        "shared-memory"
-        if collector._shared_segment is not None
-        else "pickle (shared memory unavailable)"
-    )
-    print(f"parallel collection via {transport}, workers={WORKERS}")
-    if HAS_SHARED_MEMORY and collector._shared_segment is None:
-        print("FAIL: shared memory available but the pool did not use it")
+    print(f"parallel collection via shared memory, workers={WORKERS}")
+    if collector._shared_segment is None:
+        print("FAIL: the collector packed no shared-memory segment")
         return 1
 
     if _corpus_key(parallel) != _corpus_key(serial):

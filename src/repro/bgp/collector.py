@@ -19,10 +19,9 @@ choices, the clique and the IXP link map.  Serial runs drive one
 kernel over the collector's own :class:`GraphIndex`; parallel runs
 ship a small :class:`_ChunkSpec` to pool workers which rebuild the
 kernel over a :class:`~repro.graph.shm.SharedGraphIndex` mapped
-zero-copy from a :class:`~repro.graph.shm.SharedRelGraph` segment
-(falling back to pickling the whole collector when shared memory is
-unavailable).  Kernel code is identical on every path, so
-worker count and transport never change a single emitted path.
+zero-copy from a :class:`~repro.graph.shm.SharedRelGraph` segment.
+Kernel code is identical on both paths, so the worker count never
+changes a single emitted path.
 """
 
 from __future__ import annotations
@@ -166,16 +165,10 @@ class CollectorConfig:
     # order) and per-path noise is drawn from per-origin RNGs in serial
     # and parallel runs alike, so every worker count (including 0/1,
     # i.e. serial) yields the same corpus bit for bit.  Workers come
-    # from a process-wide persistent pool reused across runs.
+    # from a process-wide persistent pool reused across runs; the
+    # frozen graph reaches them as one shared-memory segment, and each
+    # chunk pickles only a small spec.
     workers: int = 0
-    # how the graph reaches those workers: None (auto) maps the frozen
-    # graph into a shared-memory segment when
-    # multiprocessing.shared_memory is available, pickling only a
-    # small spec per chunk; False forces the legacy
-    # pickle-the-collector transport; True requests shared memory and
-    # degrades to the pickle transport when unavailable.  The kernel
-    # code is shared, so the transport never changes the corpus.
-    shared_memory: Optional[bool] = None
     # which propagation engine computes per-origin route state
     propagation: PropagationConfig = field(default_factory=PropagationConfig)
 
@@ -187,9 +180,9 @@ class CollectionKernel:
     the config, a :class:`GraphIndex`-shaped adjacency (real or
     attached from shared memory), the VP set, tagger/sibling node ids,
     the leaker list, the clique, and the IXP link map — plus the
-    process-local noise caches.  Every execution path (serial, pickle
-    workers, shared-memory workers) runs this same code, which is what
-    makes the corpus transport-invariant.
+    process-local noise caches.  Serial runs and shared-memory workers
+    both run this same code, which is what makes the corpus
+    worker-count-invariant.
     """
 
     def __init__(
@@ -567,14 +560,6 @@ class Collector:
             perf.counter("paths", len(corpus))
             return corpus
 
-    def _use_shared_memory(self) -> bool:
-        """Auto/forced/disabled transport choice, with graceful fallback."""
-        if self.config.shared_memory is False:
-            return False
-        # auto and forced alike degrade to the pickle transport when
-        # the codec cannot run (no shared_memory module)
-        return shm.HAS_SHARED_MEMORY
-
     def _chunk_spec(self) -> _ChunkSpec:
         """The worker spec, packing the graph segment on first use."""
         if self._shared_segment is None:
@@ -609,25 +594,18 @@ class Collector:
         worker order and are re-interleaved the same way, which is
         exactly origin order.
 
-        With the shared-memory transport, the graph crosses the
-        process boundary once as a named segment; each task pickles
-        only a :class:`_ChunkSpec` and its origin slice.
+        The graph crosses the process boundary once as a named
+        shared-memory segment; each task pickles only a
+        :class:`_ChunkSpec` and its origin slice.
         """
         workers = min(workers, len(origin_list))
         pool = _worker_pool(workers)
-        if self._use_shared_memory():
-            spec = self._chunk_spec()
-            payloads = [
-                (spec, [(o, by_origin[o]) for o in origin_list[w::workers]])
-                for w in range(workers)
-            ]
-            chunk_results = pool.map(_pool_collect_shared, payloads)
-        else:
-            payloads = [
-                (self, [(o, by_origin[o]) for o in origin_list[w::workers]])
-                for w in range(workers)
-            ]
-            chunk_results = pool.map(_pool_collect_chunk, payloads)
+        spec = self._chunk_spec()
+        payloads = [
+            (spec, [(o, by_origin[o]) for o in origin_list[w::workers]])
+            for w in range(workers)
+        ]
+        chunk_results = pool.map(_pool_collect_shared, payloads)
         results: List[Tuple[List[Tuple[int, ...]], List[RibEntry]]] = (
             [None] * len(origin_list)  # type: ignore[list-item]
         )
@@ -647,9 +625,8 @@ class Collector:
 # multiprocessing plumbing: one persistent worker pool per process,
 # reused across every Collector.run() (each era of a timeseries, each
 # plane of a congruence run) instead of forking a fresh pool per call.
-# With the shared-memory transport each task ships a small spec and the
-# workers map the one packed graph segment; the legacy transport rides
-# the collector along in each payload instead.
+# Each task ships a small spec and the workers map the one packed graph
+# segment.
 # ---------------------------------------------------------------------------
 
 _WORKER_POOL: Optional[multiprocessing.pool.Pool] = None
@@ -716,21 +693,6 @@ def _pool_collect_shared(
     )
     by_origin = dict(items)
     return kernel.collect_block([o for o, _ in items], by_origin)
-
-
-def _pool_collect_chunk(
-    payload: Tuple[Collector, List[Tuple[int, List[Prefix]]]],
-) -> List[Tuple[List[Tuple[int, ...]], List[RibEntry]]]:
-    """Legacy transport: the whole collector rides in the payload.
-
-    Runs the same kernel as every other path, so transport changes
-    neither the engine nor any emitted path; the substage timers land
-    on the worker's process-local recorder by design (the parent's
-    profile shows fan-out wall clock).
-    """
-    collector, items = payload
-    by_origin = dict(items)
-    return collector.kernel.collect_block([o for o, _ in items], by_origin)
 
 
 def collect(

@@ -227,7 +227,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     # info
     from repro.serve.store import read_snapshot_header
 
-    snapshot = load_snapshot(args.file, lazy=True)
+    snapshot = load_snapshot(args.file, mode="mmap")
     header, payload_offset = read_snapshot_header(args.file)
     alignment = int(header.get("alignment", 1))
     print(f"snapshot {snapshot.version} ({args.file})")
@@ -308,11 +308,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.server import SnapshotServer
     from repro.serve.store import SnapshotStore, save_snapshot
 
-    mode = args.mode or ("lazy" if args.lazy else None)
     if args.workers > 1:
-        return _serve_fleet(args, mode)
+        return _serve_fleet(args, args.mode)
     if args.snapshot:
-        store = SnapshotStore(path=args.snapshot, mode=mode)
+        store = SnapshotStore(path=args.snapshot, mode=args.mode)
     else:
         snapshot = _build_snapshot(args)
         path = None
@@ -477,7 +476,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     from repro.serve.store import SnapshotStore, load_snapshot
 
     if args.snapshot:
-        snapshot = load_snapshot(args.snapshot, lazy=True)
+        snapshot = load_snapshot(args.snapshot, mode="mmap")
         store = SnapshotStore(snapshot=snapshot, path=args.snapshot)
     else:
         store = SnapshotStore(snapshot=_build_snapshot(args))
@@ -611,15 +610,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument("--cache-size", type=int, default=4096,
                        help="response-cache entries (default: 4096)")
-    serve.add_argument("--lazy", action="store_true",
-                       help="load snapshot sections on demand "
-                            "(shorthand for --mode lazy)")
-    serve.add_argument("--mode", choices=["eager", "lazy", "mmap"],
+    serve.add_argument("--mode", choices=["eager", "mmap"],
                        help="snapshot load mode: eager copies and "
-                            "verifies everything up front, lazy reads "
-                            "sections on demand, mmap serves zero-copy "
-                            "views of the mapped file (default: eager; "
-                            "fleets default to mmap)")
+                            "verifies everything up front, mmap serves "
+                            "zero-copy views of the mapped file and "
+                            "verifies each section on first touch "
+                            "(default: eager; fleets default to mmap)")
     serve.add_argument("--workers", type=int, default=1,
                        help="pre-fork worker processes sharing the port "
                             "via SO_REUSEPORT and the snapshot via mmap; "

@@ -305,12 +305,6 @@ class PathSet:
             }
         return self._links
 
-    def triples(self) -> Iterator[Tuple[int, int, int]]:
-        """All consecutive (left, middle, right) hops across the corpus."""
-        for path in self.paths:
-            for i in range(1, len(path) - 1):
-                yield path[i - 1], path[i], path[i + 1]
-
     # ------------------------------------------------------------------
     # degrees
     # ------------------------------------------------------------------

@@ -30,12 +30,7 @@ from repro.graph.bitset import (
 from repro.graph.csr import MAX_INT32, Csr, CsrOverflowError, csr_arrays
 from repro.graph.index import MAX_ASN, DenseIndex
 from repro.graph.relgraph import RelGraph
-from repro.graph.shm import (
-    HAS_SHARED_MEMORY,
-    SharedGraphIndex,
-    SharedMemoryUnavailable,
-    SharedRelGraph,
-)
+from repro.graph.shm import SharedGraphIndex, SharedRelGraph
 
 __all__ = [
     "BitsetFamily",
@@ -43,12 +38,10 @@ __all__ = [
     "Csr",
     "CsrOverflowError",
     "DenseIndex",
-    "HAS_SHARED_MEMORY",
     "MAX_ASN",
     "MAX_INT32",
     "RelGraph",
     "SharedGraphIndex",
-    "SharedMemoryUnavailable",
     "SharedRelGraph",
     "closure_bits",
     "csr_arrays",

@@ -54,15 +54,8 @@ import numpy as _np
 
 from repro.graph.csr import Csr
 
-try:
-    from multiprocessing import resource_tracker as _resource_tracker
-    from multiprocessing import shared_memory as _shm
-except ImportError:  # pragma: no cover - all supported platforms have it
-    _shm = None
-    _resource_tracker = None
-
-#: True when the zero-copy worker path can run at all
-HAS_SHARED_MEMORY = _shm is not None
+from multiprocessing import resource_tracker as _resource_tracker
+from multiprocessing import shared_memory as _shm
 
 _MAGIC = b"RGSHM01\n"
 _ALIGN = 8
@@ -75,17 +68,6 @@ _OWNED: Dict[str, "SharedRelGraph"] = {}
 _ATTACHED: Dict[str, "SharedGraphIndex"] = {}
 _LOCK = threading.Lock()
 _NAME_COUNTER = 0
-
-
-class SharedMemoryUnavailable(RuntimeError):
-    """Raised when packing is requested but the codec cannot run."""
-
-
-def _require_available() -> None:
-    if not HAS_SHARED_MEMORY:
-        raise SharedMemoryUnavailable(
-            "shared-memory graph codec needs multiprocessing.shared_memory"
-        )
 
 
 def _next_name() -> str:
@@ -139,7 +121,6 @@ class SharedRelGraph:
         bitsets.  Returns the owning handle, registered for ``atexit``
         unlink.
         """
-        _require_available()
         csr = rel.csr()
         arrays: List[Tuple[str, "_np.ndarray"]] = [
             ("asns", _column(rel.index.asns))
@@ -221,7 +202,6 @@ class SharedRelGraph:
     @classmethod
     def attach(cls, name: str) -> "SharedRelGraph":
         """Map an existing segment read-only (never unlinks it)."""
-        _require_available()
         # CPython < 3.13 registers every attach with the resource
         # tracker as if it owned the segment (bpo-39959); with a
         # fork-shared tracker that later collides with the owner's own
@@ -229,14 +209,12 @@ class SharedRelGraph:
         # would be unlinked when this worker exits.  Suppress the
         # registration for the duration of the attach instead.
         with _LOCK:
-            if _resource_tracker is not None:
-                saved = _resource_tracker.register
-                _resource_tracker.register = lambda *a, **k: None
+            saved = _resource_tracker.register
+            _resource_tracker.register = lambda *a, **k: None
             try:
                 shm_obj = _shm.SharedMemory(name=name)
             finally:
-                if _resource_tracker is not None:
-                    _resource_tracker.register = saved
+                _resource_tracker.register = saved
         buf = shm_obj.buf
         if bytes(buf[: len(_MAGIC)]) != _MAGIC:
             shm_obj.close()

@@ -571,7 +571,7 @@ def check_serving(
     snapshot_file = os.path.join(directory, "qa.snapshot")
     save_snapshot(Snapshot.build(facade), snapshot_file)
     # mmap mode: the zero-copy load path must be bit-identical to the
-    # facade too (it falls back to lazy copies where mmap is unavailable)
+    # facade too (it reads a copy of the file where mmap is unavailable)
     served = load_snapshot(snapshot_file, mode="mmap")
 
     # relationships + providers: every inferred link, bit for bit

@@ -20,7 +20,7 @@ or from CAIDA-format ``as-rel``/``ppdc-ases`` files
 (:meth:`Snapshot.from_files` — only the definitions derivable from
 those files are available).  ``encode_sections``/``decode_sections``
 turn a snapshot into named byte sections and back; the file container
-(checksums, lazy loading) lives in :mod:`repro.serve.store`.
+(checksums, eager and mmap loads) lives in :mod:`repro.serve.store`.
 
 The *version* is content-derived — the first 12 hex digits of the
 sha256 over the canonically encoded sections — so the same world
@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as _np
 
@@ -658,13 +658,13 @@ class Snapshot:
         asns_blob: bytes,
         version: str,
         loader: Callable[[str], bytes],
-        eager_sections: Optional[Mapping[str, bytes]] = None,
+        eager: bool = False,
         mapped: bool = False,
     ) -> "Snapshot":
         """Rebuild from decoded header sections + a section loader.
 
-        ``eager_sections`` (the store passes it for non-lazy loads)
-        decodes everything up front; otherwise links/cones/ranks
+        ``eager=True`` (the store's eager loads) decodes every section
+        through ``loader`` up front; otherwise links/cones/ranks
         materialize on first query via ``loader``.  ``mapped=True``
         (the store's mmap path) decodes links/ranks as read-only numpy
         views over the loader's buffers and cones as
@@ -681,21 +681,17 @@ class Snapshot:
         snapshot = cls(asns=asns, meta=meta, stats=stats, version=version)
         snapshot._section_loader = loader
         snapshot._mapped = mapped
-        if eager_sections is not None:
-            snapshot._attach_links(
-                _decode_links(eager_sections["links"])
-            )
-            snapshot._attach_ranks(
-                _decode_ranks(eager_sections["ranks"])
-            )
+        if eager:
+            snapshot._attach_links(_decode_links(loader("links")))
+            snapshot._attach_ranks(_decode_ranks(loader("ranks")))
             for definition in snapshot.definitions:
                 snapshot._cones[definition.value] = _decode_cones(
-                    eager_sections[_cone_section(definition)], len(asns)
+                    loader(_cone_section(definition)), len(asns)
                 )
         return snapshot
 
     def close(self) -> None:
-        """Release the store's section reader (file handle or mapping).
+        """Release the store's section reader (the file mapping).
 
         Safe to call on eagerly loaded snapshots (no-op) and
         idempotent; an mmap-backed snapshot's mapping is released

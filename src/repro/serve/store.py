@@ -18,24 +18,24 @@ load unchanged: readers only ever trust the header's offset table.
 
 Integrity is two-level: the header carries a sha256 over the whole
 payload (verified on eager loads) and one per section (verified on
-first access in lazy and mmap loads), so a flipped byte is rejected on
-either path.  ``save_snapshot`` writes to a temp file in the target
-directory and ``os.replace``s it into place, so a concurrently
-reloading server never observes a half-written file.
+first access in mmap loads), so a flipped byte is rejected on either
+path.  The section table itself is checked before any payload byte is
+read: every entry must name a non-overlapping, in-file span and a
+sha256, else the load fails with a typed format error.
+``save_snapshot`` writes to a temp file in the target directory and
+``os.replace``s it into place, so a concurrently reloading server
+never observes a half-written file.
 
-Three load modes (``load_snapshot(path, mode=...)``):
+Two load modes (``load_snapshot(path, mode=...)``):
 
 * ``eager`` — read + checksum the whole payload, decode every section.
-* ``lazy`` — decode ``meta``/``stats``/``asns``; other sections come
-  off one long-lived file handle (and are checksum-verified) on first
-  query.
 * ``mmap`` — map the file read-only and hand sections out as
   zero-copy views of the mapping; numpy decodes links/ranks as array
   views over the mapped pages and cones stay packed with per-AS lazy
   access, so N worker processes mapping the same file share one
-  physical copy of the payload.  Falls back to ``lazy`` when the
-  platform cannot map the file — results are bit-identical in every
-  mode.
+  physical copy of the payload.  Where the platform cannot map the
+  file, the same reader runs over a copy of its bytes — results are
+  bit-identical in both modes.
 
 :class:`SnapshotStore` is what the server holds: the current
 :class:`~repro.serve.snapshot.Snapshot` behind one attribute, swapped
@@ -49,10 +49,11 @@ import hashlib
 import json
 import mmap as _mmap_module
 import os
+import re
 import struct
 import tempfile
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Type
 
 from repro import perf
 from repro.serve.snapshot import Snapshot, SnapshotFormatError
@@ -67,7 +68,8 @@ MINOR_VERSION = 1
 SECTION_ALIGNMENT = 64
 _FIXED = struct.Struct("<8sII")
 
-LOAD_MODES = ("eager", "lazy", "mmap")
+LOAD_MODES = ("eager", "mmap")
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 
 class TimelineLookupError(ValueError):
@@ -140,26 +142,82 @@ def save_snapshot(snapshot: Snapshot, path: str) -> str:
     return version
 
 
-def _read_header(stream) -> Dict[str, object]:
+def _check_section_table(
+    sections: object,
+    payload_size: int,
+    error: Type[SnapshotFormatError],
+) -> None:
+    """Raise ``error`` unless the section table can be trusted for
+    slicing: every entry an object with non-negative int
+    ``offset``/``length`` and a 64-hex-digit ``sha256``, lying inside
+    the ``payload_size`` bytes after the header and sharing no byte
+    with any other section."""
+    if not isinstance(sections, dict):
+        raise error("section table is not a JSON object")
+    spans = []
+    for name, entry in sections.items():
+        if not isinstance(entry, dict):
+            raise error(f"section {name!r} entry is not an object")
+        offset, length = entry.get("offset"), entry.get("length")
+        if not all(type(v) is int and v >= 0 for v in (offset, length)):
+            raise error(
+                f"section {name!r} offset/length are not non-negative ints"
+            )
+        digest = entry.get("sha256")
+        if not (isinstance(digest, str) and _SHA256_HEX.fullmatch(digest)):
+            raise error(f"section {name!r} sha256 is not 64 hex digits")
+        if offset + length > payload_size:
+            raise error(
+                f"section {name!r} truncated: runs past the end of the file"
+            )
+        if length:
+            spans.append((offset, offset + length, name))
+    spans.sort()
+    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+        if start < end:
+            raise error(f"sections {first!r} and {second!r} overlap")
+
+
+def read_container_header(
+    stream,
+    magic: bytes,
+    required: Tuple[str, ...],
+    error: Type[SnapshotFormatError],
+) -> Dict[str, object]:
+    """Parse the fixed + JSON header of either container (REPROSNP,
+    REPROTLN) off ``stream``, left at the payload offset; the header
+    must be an object carrying the ``required`` keys and a sound
+    section table."""
     fixed = stream.read(_FIXED.size)
     if len(fixed) < _FIXED.size:
-        raise SnapshotFormatError("file too short for a snapshot header")
-    magic, fmt, header_len = _FIXED.unpack(fixed)
-    if magic != MAGIC:
-        raise SnapshotFormatError(f"bad magic {magic!r}")
+        raise error("file too short for a header")
+    found, fmt, header_len = _FIXED.unpack(fixed)
+    if found != magic:
+        raise error(f"bad magic {found!r}")
     if fmt != FORMAT_VERSION:
-        raise SnapshotFormatError(f"unsupported container format {fmt}")
+        raise error(f"unsupported container format {fmt}")
     header_blob = stream.read(header_len)
     if len(header_blob) < header_len:
-        raise SnapshotFormatError("truncated snapshot header")
+        raise error("truncated header")
     try:
         header = json.loads(header_blob)
     except ValueError as exc:
-        raise SnapshotFormatError(f"bad header JSON: {exc}") from None
-    for key in ("version", "payload_sha256", "sections"):
+        raise error(f"bad header JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise error("header is not a JSON object")
+    for key in required:
         if key not in header:
-            raise SnapshotFormatError(f"header missing {key!r}")
+            raise error(f"header missing {key!r}")
+    payload_size = os.fstat(stream.fileno()).st_size - stream.tell()
+    _check_section_table(header["sections"], payload_size, error)
     return header
+
+
+def _read_header(stream) -> Dict[str, object]:
+    return read_container_header(
+        stream, MAGIC, ("version", "payload_sha256", "sections"),
+        SnapshotFormatError,
+    )
 
 
 def read_snapshot_header(path: str) -> Tuple[Dict[str, object], int]:
@@ -173,60 +231,6 @@ def read_snapshot_header(path: str) -> Tuple[Dict[str, object], int]:
         return header, stream.tell()
 
 
-class _SectionReader:
-    """Seek-and-read section access with per-section checksum checks.
-
-    Holds one file handle for its whole lifetime (the handle pins the
-    inode, so a concurrent ``os.replace`` of the path never changes
-    what this reader serves) and remembers which sections already
-    passed their checksum, so each is verified exactly once — on first
-    touch.  ``close()`` releases the handle deterministically.
-    """
-
-    def __init__(self, path: str, header: Dict[str, object],
-                 payload_offset: int, stream):
-        self._path = path
-        self._sections: Dict[str, Dict[str, object]] = header["sections"]
-        self._payload_offset = payload_offset
-        self._stream = stream
-        self._verified: set = set()
-        self._lock = threading.Lock()
-
-    def __call__(self, name: str) -> bytes:
-        entry = self._sections.get(name)
-        if entry is None:
-            raise SnapshotFormatError(f"section {name!r} missing")
-        with self._lock:
-            if self._stream is None:
-                raise SnapshotFormatError(
-                    f"section {name!r} requested after the reader for "
-                    f"{self._path} was closed"
-                )
-            self._stream.seek(self._payload_offset + int(entry["offset"]))
-            blob = self._stream.read(int(entry["length"]))
-        if len(blob) != int(entry["length"]):
-            raise SnapshotFormatError(f"section {name!r} truncated")
-        if name not in self._verified:
-            if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
-                raise SnapshotFormatError(
-                    f"section {name!r} checksum mismatch "
-                    f"(corrupted snapshot)"
-                )
-            self._verified.add(name)
-        return blob
-
-    def verify_all(self) -> None:
-        """Force every section through its first-touch checksum."""
-        for name in self._sections:
-            self(name)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._stream is not None:
-                self._stream.close()
-                self._stream = None
-
-
 class MappedSectionReader:
     """Zero-copy section access over one read-only ``mmap``.
 
@@ -237,6 +241,10 @@ class MappedSectionReader:
     in place).  Where the platform supports it the mapping is advised
     ``MADV_WILLNEED`` so first-touch latency is a readahead, not a
     page-fault-per-4k walk.
+
+    ``mapping`` may also be plain ``bytes`` (the copy
+    :func:`open_sections` falls back to where the platform cannot map
+    the file); everything above holds unchanged over it.
 
     ``close()`` is best-effort: the mapping can only be released once
     every exported view (numpy arrays included) is gone, so an
@@ -294,9 +302,10 @@ class MappedSectionReader:
         if self._view is not None:
             self._view.release()
             self._view = None
-        if self._map is not None:
+        close = getattr(self._map, "close", None)
+        if close is not None:
             try:
-                self._map.close()
+                close()
             except BufferError:
                 # numpy views over the mapping are still alive; the
                 # mapping is freed when the last of them is collected
@@ -304,9 +313,32 @@ class MappedSectionReader:
             self._map = None
 
 
-def _resolve_mode(lazy: bool, mode: Optional[str]) -> str:
-    if mode is None:
-        return "lazy" if lazy else "eager"
+def open_sections(
+    path: str,
+    read_header: Callable[..., Dict[str, object]],
+) -> Tuple[Dict[str, object], MappedSectionReader]:
+    """Parse ``path``'s header and map the file behind one reader.
+
+    The mapping pins the inode, so a concurrent ``os.replace`` of the
+    path never changes what the reader serves.  Where the platform
+    cannot map the file, the same reader runs over a copy of its
+    bytes.
+    """
+    with open(path, "rb") as stream:
+        header = read_header(stream)
+        payload_offset = stream.tell()
+        try:
+            mapping = _mmap_module.mmap(
+                stream.fileno(), 0, access=_mmap_module.ACCESS_READ
+            )
+        except (OSError, ValueError, OverflowError):
+            stream.seek(0)
+            mapping = stream.read()
+    return header, MappedSectionReader(path, header, payload_offset, mapping)
+
+
+def _check_mode(mode: Optional[str]) -> str:
+    mode = mode or "eager"
     if mode not in LOAD_MODES:
         raise ValueError(
             f"unknown snapshot load mode {mode!r}; one of {LOAD_MODES}"
@@ -316,84 +348,49 @@ def _resolve_mode(lazy: bool, mode: Optional[str]) -> str:
 
 def load_snapshot(
     path: str,
-    lazy: bool = False,
     mode: Optional[str] = None,
     verify: bool = False,
 ) -> Snapshot:
     """Load a snapshot file.
 
-    ``mode`` picks the load path (``eager``/``lazy``/``mmap``, see the
-    module docstring); the legacy ``lazy`` flag is shorthand for
-    ``mode="lazy"``.  ``verify=True`` forces every section through its
-    checksum up front even in the lazy/mmap modes — what a pre-fork
+    ``mode`` picks the load path (``eager``, the default, or ``mmap``;
+    see the module docstring).  ``verify=True`` forces every section
+    through its checksum up front even in mmap mode — what a pre-fork
     worker does before *committing* to a new snapshot, so a corrupt
     section can never surface mid-request after a hot reload.
     """
-    mode = _resolve_mode(lazy, mode)
+    mode = _check_mode(mode)
     with perf.stage("snapshot-load"):
-        stream = open(path, "rb")
-        try:
-            header = _read_header(stream)
-            payload_offset = stream.tell()
-        except BaseException:
-            stream.close()
-            raise
-
         if mode == "mmap":
-            mapping = None
-            try:
-                mapping = _mmap_module.mmap(
-                    stream.fileno(), 0, access=_mmap_module.ACCESS_READ
-                )
-            except (OSError, ValueError, OverflowError):
-                mode = "lazy"  # platform can't map this file: copy path
-            if mapping is not None:
-                # the mapping outlives the handle; drop the fd now
-                stream.close()
-                reader = MappedSectionReader(
-                    path, header, payload_offset, mapping
-                )
-                if verify:
-                    reader.verify_all()
-                snapshot = Snapshot.from_sections(
-                    meta_blob=bytes(reader("meta")),
-                    stats_blob=bytes(reader("stats")),
-                    asns_blob=reader("asns"),
-                    version=str(header["version"]),
-                    loader=reader,
-                    mapped=True,
-                )
-                snapshot._section_reader = reader
-                return snapshot
-
-        if mode == "lazy":
-            reader = _SectionReader(path, header, payload_offset, stream)
+            header, reader = open_sections(path, _read_header)
             if verify:
                 reader.verify_all()
             snapshot = Snapshot.from_sections(
-                meta_blob=reader("meta"),
-                stats_blob=reader("stats"),
+                meta_blob=bytes(reader("meta")),
+                stats_blob=bytes(reader("stats")),
                 asns_blob=reader("asns"),
                 version=str(header["version"]),
                 loader=reader,
+                mapped=True,
             )
             snapshot._section_reader = reader
             return snapshot
 
         # eager: one read, whole-payload checksum, decode everything
-        with stream:
+        with open(path, "rb") as stream:
+            header = _read_header(stream)
             payload = stream.read()
         if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
             raise SnapshotFormatError(
                 f"{path}: payload checksum mismatch (corrupted snapshot)"
             )
-        eager: Dict[str, bytes] = {}
+        blobs: Dict[str, bytes] = {}
         for name, entry in header["sections"].items():
-            start = int(entry["offset"])
-            eager[name] = payload[start:start + int(entry["length"])]
+            start = entry["offset"]
+            blobs[name] = payload[start:start + entry["length"]]
 
         def section(name: str) -> bytes:
-            blob = eager.get(name)
+            blob = blobs.get(name)
             if blob is None:
                 raise SnapshotFormatError(f"section {name!r} missing")
             return blob
@@ -404,7 +401,7 @@ def load_snapshot(
             asns_blob=section("asns"),
             version=str(header["version"]),
             loader=section,
-            eager_sections=eager,
+            eager=True,
         )
 
 
@@ -460,7 +457,6 @@ class SnapshotStore:
         self,
         snapshot: Optional[Snapshot] = None,
         path: Optional[str] = None,
-        lazy: bool = False,
         mode: Optional[str] = None,
         timeline=None,
     ):
@@ -469,8 +465,7 @@ class SnapshotStore:
                 "SnapshotStore needs a snapshot, a timeline or a path"
             )
         self.path = path
-        self.mode = _resolve_mode(lazy, mode)
-        self.lazy = self.mode != "eager"
+        self.mode = _check_mode(mode)
         self._reload_lock = threading.Lock()
         self.reloads = 0
         self.timeline = None

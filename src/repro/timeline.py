@@ -43,10 +43,11 @@ under its own magic, with section names prefixed ``era{i}:``.  The
 timeline version is content-derived over every section, so any byte
 of any era changing changes the version — the serving cache key.
 
-Materialization is lazy: ``snapshot(era)`` reconstructs eras on
-demand by walking deltas forward from the nearest cached ancestor and
-keeps a small LRU of reconstructed snapshots, so historical reads pay
-the delta walk once.
+A loaded timeline reads its file through the same mapped,
+checksum-on-first-touch section reader as an ``mmap`` snapshot load.
+``snapshot(era)`` materializes eras on demand by walking deltas
+forward from the nearest cached ancestor and keeps a small LRU of
+reconstructed snapshots, so historical reads pay the delta walk once.
 """
 
 from __future__ import annotations
@@ -84,8 +85,10 @@ from repro.serve.store import (
     FORMAT_VERSION,
     SECTION_ALIGNMENT,
     TimelineLookupError,
-    _SectionReader,
+    _FIXED,
     _align,
+    open_sections,
+    read_container_header,
 )
 
 __all__ = [
@@ -103,7 +106,6 @@ __all__ = [
 ]
 
 TIMELINE_MAGIC = b"REPROTLN"
-_FIXED = struct.Struct("<8sII")
 _PAIR_STRUCT = struct.Struct("<II")
 
 #: the paper's observation window starts here; era i defaults to
@@ -234,8 +236,9 @@ class Timeline:
 
     ``loader`` maps era-prefixed section names (``era0:links``,
     ``era2:asns+``) to bytes — an in-memory dict right after
-    :func:`build_timeline`, a checksumming :class:`_SectionReader`
-    after :func:`load_timeline`.
+    :func:`build_timeline`, copies out of a checksumming
+    :class:`~repro.serve.store.MappedSectionReader` after
+    :func:`load_timeline`.
     """
 
     #: reconstructed-snapshot LRU size; 2 is the working minimum (a
@@ -764,25 +767,10 @@ def save_timeline(timeline: Timeline, path: str) -> str:
 
 
 def _read_timeline_header(stream) -> Dict[str, object]:
-    fixed = stream.read(_FIXED.size)
-    if len(fixed) < _FIXED.size:
-        raise TimelineFormatError("file too short for a timeline header")
-    magic, fmt, header_len = _FIXED.unpack(fixed)
-    if magic != TIMELINE_MAGIC:
-        raise TimelineFormatError(f"bad magic {magic!r}")
-    if fmt != FORMAT_VERSION:
-        raise TimelineFormatError(f"unsupported timeline format {fmt}")
-    header_blob = stream.read(header_len)
-    if len(header_blob) < header_len:
-        raise TimelineFormatError("truncated timeline header")
-    try:
-        header = json.loads(header_blob)
-    except ValueError as exc:
-        raise TimelineFormatError(f"bad header JSON: {exc}") from None
-    for key in ("version", "eras", "sections"):
-        if key not in header:
-            raise TimelineFormatError(f"header missing {key!r}")
-    return header
+    return read_container_header(
+        stream, TIMELINE_MAGIC, ("version", "eras", "sections"),
+        TimelineFormatError,
+    )
 
 
 def read_timeline_header(path: str) -> Tuple[Dict[str, object], int]:
@@ -794,6 +782,8 @@ def read_timeline_header(path: str) -> Tuple[Dict[str, object], int]:
 
 
 def _eras_from_header(header: Dict[str, object]) -> List[EraInfo]:
+    if not isinstance(header["eras"], list):
+        raise TimelineFormatError("era table is not a JSON list")
     eras: List[EraInfo] = []
     for i, entry in enumerate(header["eras"]):
         try:
@@ -825,25 +815,20 @@ def load_timeline(
 ) -> Timeline:
     """Open a timeline file behind a checksumming section reader.
 
-    Sections are read (and sha256-verified, first touch) on demand off
-    one pinned file handle — ``os.replace`` of the path never changes
-    what an open timeline serves.  ``verify=True`` forces every
-    section through its checksum up front, the same contract a
-    pre-fork worker relies on before committing a reload.
+    The file is mapped once (:func:`~repro.serve.store.open_sections`)
+    and each section is sha256-verified on first touch, then copied out
+    of the mapping for the bytes-based era decode — ``os.replace`` of
+    the path never changes what an open timeline serves.
+    ``verify=True`` forces every section through its checksum up
+    front, the same contract a pre-fork worker relies on before
+    committing a reload.
     """
-    stream = open(path, "rb")
-    try:
-        header = _read_timeline_header(stream)
-        payload_offset = stream.tell()
-    except BaseException:
-        stream.close()
-        raise
-    reader = _SectionReader(path, header, payload_offset, stream)
+    header, reader = open_sections(path, _read_timeline_header)
     if verify:
         reader.verify_all()
     return Timeline(
         eras=_eras_from_header(header),
-        loader=reader,
+        loader=lambda name: bytes(reader(name)),
         version=str(header["version"]),
         section_names=sorted(header["sections"]),
         path=path,

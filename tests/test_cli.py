@@ -180,6 +180,26 @@ class TestErrorExits:
         junk.write_bytes(b"not a snapshot")
         self._assert_exit_2(capsys, ["serve", "--snapshot", str(junk)])
 
+    def test_snapshot_info_corrupt_section_table(self, capsys, tmp_path):
+        import json
+        import struct
+
+        out = str(tmp_path / "tiny.snap")
+        assert main(["snapshot", "build", "--scenario", "tiny",
+                     "--out", out]) == 0
+        capsys.readouterr()
+        fixed = struct.Struct("<8sII")
+        blob = open(out, "rb").read()
+        magic, fmt, header_len = fixed.unpack_from(blob)
+        header = json.loads(blob[fixed.size:fixed.size + header_len])
+        entry = header["sections"]["links"]
+        entry["offset_"] = entry.pop("offset")
+        text = json.dumps(header).encode()
+        with open(out, "wb") as stream:
+            stream.write(fixed.pack(magic, fmt, len(text)) + text
+                         + blob[fixed.size + header_len:])
+        self._assert_exit_2(capsys, ["snapshot", "info", out])
+
 
 class TestSnapshotCommand:
     def test_build_then_info(self, tmp_path, capsys):

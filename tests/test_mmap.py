@@ -10,6 +10,7 @@ numpy crash or a silent wrong answer.
 
 from __future__ import annotations
 
+import mmap
 import os
 
 import numpy as _np
@@ -25,6 +26,7 @@ from repro.serve.store import (
     read_snapshot_header,
     save_snapshot,
 )
+from repro.timeline import build_timeline, load_timeline, save_timeline
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +41,13 @@ def built():
 def snapshot_file(built, tmp_path):
     path = str(tmp_path / "world.snapshot")
     save_snapshot(built, path)
+    return path
+
+
+@pytest.fixture()
+def timeline_file(built, tmp_path):
+    path = str(tmp_path / "world.tln")
+    save_timeline(build_timeline([("era-0", built)]), path)
     return path
 
 
@@ -212,30 +221,32 @@ class TestFailurePaths:
 
 
 class TestSectionReader:
-    def test_lazy_reader_holds_one_handle(self, snapshot_file):
-        """The reader pins the inode: replacing the file mid-life does
-        not change what an open lazy snapshot serves."""
-        lazy = load_snapshot(snapshot_file, lazy=True)
+    """The timeline reads through the same mapped reader as an mmap
+    snapshot load."""
+
+    def test_lazy_reader_holds_one_handle(self, built, timeline_file):
+        """The mapping pins the inode: replacing the file mid-life does
+        not change what an open timeline serves, and a read after
+        ``close()`` raises."""
+        tln = load_timeline(timeline_file)
         _graph, _corpus, paths, result = get_scenario("tiny").run()
         facade = ASRank(paths)
         facade._result = result
-        replacement = snapshot_file + ".new"
-        save_snapshot(facade.snapshot(), replacement)
-        os.replace(replacement, snapshot_file)
-        eager_equivalent = None
+        replacement = timeline_file + ".new"
+        save_timeline(
+            build_timeline([("other", facade.snapshot())]), replacement
+        )
+        os.replace(replacement, timeline_file)
         # sections decode fine from the original (replaced) inode
-        assert len(lazy._links()) > 0
-        assert lazy.ranks(0, 5)
-        lazy.close()
+        assert tln.snapshot(0).encode_sections() == built.encode_sections()
+        tln.close()
         with pytest.raises(SnapshotFormatError, match="closed"):
-            lazy._load_section("cones:recursive")
-        assert eager_equivalent is None
+            tln._load("era0:cones:recursive")
 
-    def test_lazy_section_verified_once(self, snapshot_file, monkeypatch):
+    def test_lazy_section_verified_once(self, timeline_file, monkeypatch):
         import hashlib
 
-        lazy = load_snapshot(snapshot_file, lazy=True)
-        reader = lazy._section_reader
+        tln = load_timeline(timeline_file)
         calls = []
         real = hashlib.sha256
 
@@ -246,12 +257,51 @@ class TestSectionReader:
         monkeypatch.setattr(
             store_module.hashlib, "sha256", counting_sha256
         )
-        reader("links")
+        tln._load("era0:links")
         first = len(calls)
         assert first == 1
-        reader("links")
+        tln._load("era0:links")
         assert len(calls) == first  # memoized, not re-hashed
-        lazy.close()
+        tln.close()
+
+
+class TestMmapFailure:
+    """Where ``mmap.mmap`` raises, the same reader runs over a copy of
+    the file's bytes and answers exactly as the mapped/eager paths."""
+
+    @pytest.fixture()
+    def no_mmap(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise OSError("mmap unavailable")
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+
+    def test_snapshot_answers_like_eager(self, snapshot_file, no_mmap):
+        eager = load_snapshot(snapshot_file)
+        copied = load_snapshot(snapshot_file, mode="mmap")
+        assert isinstance(copied._section_reader._map, bytes)
+        assert copied.asns == eager.asns
+        assert copied.ranks() == eager.ranks()
+        for definition in ConeDefinition:
+            for asn in eager.asns[:40]:
+                assert copied.cone(asn, definition) == (
+                    eager.cone(asn, definition)
+                )
+        for row in eager._links_as_tuples()[:200]:
+            pair = (eager.asns[row[0]], eager.asns[row[1]])
+            assert copied.provider_of(*pair) == eager.provider_of(*pair)
+        copied.close()
+        copied.close()  # a bytes buffer has no close(); still idempotent
+        with pytest.raises(SnapshotFormatError, match="closed"):
+            copied._load_section("ranks")
+
+    def test_corruption_still_detected(self, snapshot_file, no_mmap):
+        _flip_section_byte(snapshot_file, "ranks")
+        copied = load_snapshot(snapshot_file, mode="mmap")
+        with pytest.raises(SnapshotFormatError, match="checksum"):
+            copied.ranks()
+        with pytest.raises(SnapshotFormatError, match="checksum"):
+            load_snapshot(snapshot_file, mode="mmap", verify=True)
 
 
 class TestAlignment:
@@ -298,7 +348,7 @@ class TestStoreModes:
         from repro.serve.store import SnapshotStore
 
         store = SnapshotStore(path=snapshot_file, mode="mmap")
-        assert store.mode == "mmap" and store.lazy
+        assert store.mode == "mmap"
         assert store.current._mapped
         first = store.current
         store.reload()

@@ -146,11 +146,6 @@ class TestDegrees:
         assert (10, 20) in ps.links()
         assert (10, 60) in ps.links()
 
-    def test_triples(self, ps):
-        triples = list(ps.triples())
-        assert (10, 20, 30) in triples
-        assert len(triples) == 3
-
     def test_filtered_shares_stats(self, ps):
         sub = ps.filtered([(10, 20, 30)])
         assert len(sub) == 1

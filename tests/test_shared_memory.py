@@ -13,18 +13,8 @@ import repro.graph.shm as shm_module
 from repro.bgp.collector import Collector, CollectorConfig, shutdown_pool
 from repro.bgp.noise import NoiseConfig
 from repro.bgp.propagation import GraphIndex
-from repro.graph import (
-    HAS_SHARED_MEMORY,
-    SharedGraphIndex,
-    SharedMemoryUnavailable,
-    SharedRelGraph,
-)
+from repro.graph import SharedGraphIndex, SharedRelGraph
 from repro.topology.generator import GeneratorConfig, generate_topology
-
-pytestmark = pytest.mark.skipif(
-    not HAS_SHARED_MEMORY,
-    reason="needs numpy and multiprocessing.shared_memory",
-)
 
 
 @pytest.fixture(scope="module")
@@ -134,26 +124,8 @@ class TestSharedMemoryCollection:
     def test_noise_free_shared_matches_serial(self, graph):
         base = CollectorConfig(n_vps=8, seed=3, noise=NoiseConfig.none())
         serial = Collector(graph, base).run()
-        parallel = Collector(
-            graph, replace(base, workers=2, shared_memory=True)
-        ).run()
+        parallel = Collector(graph, replace(base, workers=2)).run()
         assert _corpus_key(parallel) == _corpus_key(serial)
-
-    def test_transport_choice_never_changes_corpus(self, graph):
-        base = CollectorConfig(n_vps=8, seed=11, workers=2)
-        via_shm = Collector(graph, replace(base, shared_memory=True)).run()
-        via_pickle = Collector(
-            graph, replace(base, shared_memory=False)
-        ).run()
-        assert _corpus_key(via_shm) == _corpus_key(via_pickle)
-
-    def test_pickle_transport_packs_no_segment(self, graph):
-        col = Collector(
-            graph,
-            CollectorConfig(n_vps=8, seed=11, workers=2, shared_memory=False),
-        )
-        col.run()
-        assert col._shared_segment is None
 
     def test_segment_reused_across_runs(self, graph):
         col = Collector(graph, CollectorConfig(n_vps=8, seed=11, workers=2))
@@ -168,8 +140,11 @@ class TestSharedMemoryCollection:
         col.run()
         name = col._shared_segment
         assert name in _shm_entries()
+        # the segment finalizer must not keep the collector alive
+        ref = weakref.ref(col)
         del col
         gc.collect()
+        assert ref() is None
         assert name not in _shm_entries()
 
     def test_release_shared_is_explicit_and_idempotent(self, graph):
@@ -190,27 +165,12 @@ class TestSharedMemoryCollection:
 
 
 class TestGracefulFallback:
-    def test_pack_raises_without_shared_memory(self, index, monkeypatch):
-        monkeypatch.setattr(shm_module, "HAS_SHARED_MEMORY", False)
-        with pytest.raises(SharedMemoryUnavailable):
-            SharedRelGraph.pack(index.rel)
-
-    def test_collector_falls_back_to_pickle_transport(self, graph, monkeypatch):
-        monkeypatch.setattr(shm_module, "HAS_SHARED_MEMORY", False)
-        base = CollectorConfig(n_vps=8, seed=11)
-        serial = Collector(graph, base).run()
-        # auto and even forced-on shared memory degrade to pickling
-        for forced in (None, True):
-            col = Collector(
-                graph, replace(base, workers=2, shared_memory=forced)
-            )
-            assert _corpus_key(col.run()) == _corpus_key(serial)
-            assert col._shared_segment is None
-
-    def test_weakref_finalizer_survives_fallback(self, graph, monkeypatch):
-        monkeypatch.setattr(shm_module, "HAS_SHARED_MEMORY", False)
-        col = Collector(graph, CollectorConfig(n_vps=8, seed=11, workers=2))
+    def test_weakref_finalizer_survives_fallback(self, graph):
+        # workers=1 falls back to in-process collection: no segment is
+        # packed, and the collector must still be collectable
+        col = Collector(graph, CollectorConfig(n_vps=8, seed=11, workers=1))
         col.run()
+        assert col._shared_segment is None
         ref = weakref.ref(col)
         del col
         gc.collect()

@@ -29,29 +29,30 @@ def _unsanitized_facade(paths):
 
 
 class TestRoundTrip:
-    def test_eager_and_lazy_agree(self, tmp_path, tiny_run):
+    def test_eager_and_mmap_agree(self, tmp_path, tiny_run):
         facade = ASRank(tiny_run.paths)
         facade._result = tiny_run.result
         snapshot = facade.snapshot()
         path = str(tmp_path / "tiny.snap")
         version = save_snapshot(snapshot, path)
         eager = load_snapshot(path)
-        lazy = load_snapshot(path, lazy=True)
-        assert eager.version == lazy.version == version == snapshot.version
-        assert eager.asns == lazy.asns == snapshot.asns
-        assert eager.ranks() == lazy.ranks() == snapshot.ranks()
+        mapped = load_snapshot(path, mode="mmap")
+        assert eager.version == mapped.version == version == snapshot.version
+        assert eager.asns == mapped.asns == snapshot.asns
+        assert eager.ranks() == mapped.ranks() == snapshot.ranks()
         for definition in ConeDefinition:
             for asn in snapshot.asns[:20]:
                 expected = snapshot.cone(asn, definition)
                 assert eager.cone(asn, definition) == expected
-                assert lazy.cone(asn, definition) == expected
+                assert mapped.cone(asn, definition) == expected
         for a, b in list(tiny_run.result.links())[:50]:
             assert eager.relationship(a, b) is (
                 tiny_run.result.relationship(a, b)
             )
-            assert lazy.provider_of(a, b) == (
+            assert mapped.provider_of(a, b) == (
                 tiny_run.result.provider_of(a, b)
             )
+        mapped.close()
 
     def test_version_is_content_derived(self, tmp_path):
         facade = _facade([(10, 1, 2), (20, 2, 1)])
@@ -137,24 +138,25 @@ class TestCorruption:
         with pytest.raises(SnapshotFormatError, match="checksum"):
             load_snapshot(path)
 
-    def test_flipped_payload_byte_rejected_lazy(self, tmp_path):
+    def test_flipped_payload_byte_rejected_mmap(self, tmp_path):
         import json
         import struct
 
         path = self._snapshot_file(tmp_path)
         blob = bytearray(open(path, "rb").read())
         # corrupt one byte inside the *ranks* section specifically, so
-        # the lazy open (meta/stats/asns) succeeds and the first rank
+        # the mmap open (meta/stats/asns) succeeds and the first rank
         # query trips the per-section checksum
         _magic, _fmt, header_len = struct.unpack_from("<8sII", blob, 0)
         header = json.loads(bytes(blob[16:16 + header_len]))
         entry = header["sections"]["ranks"]
         blob[16 + header_len + int(entry["offset"])] ^= 0xFF
         open(path, "wb").write(bytes(blob))
-        lazy = load_snapshot(path, lazy=True)  # header still parses
-        assert lazy.asns  # untouched sections stay readable
+        mapped = load_snapshot(path, mode="mmap")  # header still parses
+        assert mapped.asns  # untouched sections stay readable
         with pytest.raises(SnapshotFormatError, match="checksum"):
-            lazy.ranks()
+            mapped.ranks()
+        mapped.close()
 
     def test_truncated_file_rejected(self, tmp_path):
         path = self._snapshot_file(tmp_path)

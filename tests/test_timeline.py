@@ -196,6 +196,31 @@ class TestCorruption:
             load_timeline(path)
 
 
+class TestMmapFailure:
+    def test_copy_answers_like_mapped_load(self, loaded, monkeypatch):
+        """Where ``mmap.mmap`` raises, the timeline reads through the
+        same reader over a copy of the file's bytes."""
+        import mmap
+
+        mapped, path = loaded
+
+        def refuse(*_args, **_kwargs):
+            raise OSError("mmap unavailable")
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        copied = load_timeline(path, verify=True)
+        assert isinstance(copied._reader._map, bytes)
+        assert copied.version == mapped.version
+        for index in range(len(mapped)):
+            assert copied.snapshot(index).encode_sections() == (
+                mapped.snapshot(index).encode_sections()
+            ), index
+        copied.close()
+        copied.close()
+        with pytest.raises(SnapshotFormatError, match="closed"):
+            copied._load("era0:meta")
+
+
 class TestDiffAndHistory:
     def test_diff_matches_hand_count(self, loaded):
         tln, _path = loaded
