@@ -98,26 +98,22 @@ class ASRank:
         (re-announced snapshot routes are not double-counted) and
         withdrawals delete them.  Prefix origins found in the dump feed
         the prefix/address cone metrics automatically.
-        """
-        from repro.mrt.reader import MrtReader, RibRecord, UpdateRecord
-        from repro.mrt.updates import rib_from_updates
-        from repro.stream.corpus import prefixes_from_rows
 
-        snapshot_rows: List[RibRecord] = []
-        updates: List[UpdateRecord] = []
-        with open(path, "rb") as stream:
-            for record in MrtReader(stream):
-                if isinstance(record, RibRecord):
-                    snapshot_rows.append(record)
-                elif isinstance(record, UpdateRecord):
-                    updates.append(record)
-        rib_rows = rib_from_updates(updates, base=snapshot_rows)
-        return cls.from_paths(
-            (row.as_path for row in rib_rows),
-            ixp_asns=ixp_asns,
-            config=config,
-            prefixes_by_asn=prefixes_from_rows(rib_rows),
-        )
+        The file is decoded into columns and sanitized in one vectorized
+        pass; stage timings land under ``asrank/ingest/{decode, table,
+        sanitize, prefixes}``.
+        """
+        from repro.mrt.reader import read_rib_table
+
+        with perf.stage("asrank"), perf.stage("ingest"):
+            table = read_rib_table(path)
+            with perf.stage("sanitize"):
+                paths = PathSet.sanitize_columns(
+                    table.flat, table.offsets, ixp_asns=ixp_asns
+                )
+            with perf.stage("prefixes"):
+                prefixes = table.prefixes_by_origin()
+        return cls(paths, config=config, prefixes_by_asn=prefixes)
 
     # ------------------------------------------------------------------
     # cached stages

@@ -5,6 +5,13 @@ prepending, discard paths with loops or reserved/private ASNs, and
 splice out IXP route-server ASNs.  Every action is counted so the
 sanitization table (experiment E11) can be regenerated.
 
+Stage 1 has one implementation, a numpy kernel over raw paths given as
+columns (int64 ``flat`` hops plus row ``offsets``):
+:meth:`PathSet.sanitize_columns`.  :meth:`PathSet.sanitize` flattens
+tuples into it, and :func:`clean_paths` returns its per-path outcomes
+for the stream layer's memo.  The scalar ``clean_path`` it replaced is
+the QA oracle in :mod:`repro.qa.oracles`.
+
 The sanitized :class:`PathSet` also precomputes the two degree notions
 the algorithm ranks ASes by:
 
@@ -35,6 +42,7 @@ from typing import (
 
 import numpy as _np
 
+from repro.graph.csr import gather_rows
 from repro.graph.index import MAX_ASN
 
 # Reserved / private ASN space (RFC 6996, RFC 5398, AS_TRANS, 32-bit
@@ -126,55 +134,212 @@ class CleanedPath(NamedTuple):
     discarded_short: int = 0
 
 
-def compress_prepending(path: Sequence[int]) -> Tuple[int, ...]:
-    """Collapse runs of the same ASN into a single hop."""
-    out: List[int] = []
-    for asn in path:
-        if not out or out[-1] != asn:
-            out.append(asn)
-    return tuple(out)
+#: ``_PUBLIC_BOUNDS`` as an array, for ``np.searchsorted``
+_PUBLIC_BOUNDS_ARRAY = _np.array(_PUBLIC_BOUNDS, dtype=_np.int64)
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-def has_loop(path: Sequence[int]) -> bool:
-    """True when any ASN appears more than once (after compression)."""
-    return len(set(path)) != len(path)
+def take_rows(flat, offsets, rows):
+    """Gather ``rows`` of the ragged array ``(flat, offsets)``, in the
+    order ``rows`` lists them; returns ``(flat, lengths, offsets)``."""
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    out_flat, out_offsets = gather_rows(flat, starts, lengths)
+    return out_flat, lengths, out_offsets
 
 
-def clean_path(
-    raw: Sequence[int], ixp_asns: FrozenSet[int] = frozenset()
-) -> CleanedPath:
-    """The paper's stage-1 cleaning of one raw observed path.
+def _flatten(raw_paths: Iterable[Sequence[int]]):
+    """Raw paths as one int64 ``flat`` array plus row ``offsets``."""
+    paths = raw_paths if isinstance(raw_paths, list) else list(raw_paths)
+    offsets = _np.zeros(len(paths) + 1, dtype=_np.int64)
+    _np.cumsum(
+        _np.fromiter(map(len, paths), dtype=_np.int64, count=len(paths)),
+        out=offsets[1:],
+    )
+    try:
+        flat = _np.fromiter(
+            chain.from_iterable(paths), dtype=_np.int64, count=int(offsets[-1])
+        )
+    except OverflowError:
+        flat = _np.fromiter(
+            chain.from_iterable(map(_int64_stand_in, paths)),
+            dtype=_np.int64,
+            count=int(offsets[-1]),
+        )
+    return flat, offsets
 
-    Compress prepending, discard paths with reserved ASNs, splice out
-    IXP route-server hops, then discard loops and paths shorter than
-    two hops.  The outcome depends only on ``raw`` and ``ixp_asns``, so
-    callers may memoize it per distinct raw path.
+
+def _int64_stand_in(path: Sequence[int]) -> Sequence[int]:
+    """``path`` itself when every hop fits int64; else negative codes,
+    one per run of equal hops.
+
+    Such a path is discarded as reserved, and stage 1 reports nothing
+    else about it but whether it had prepending, which equal adjacent
+    codes preserve.
     """
-    raw = tuple(raw)
-    if not raw:
-        return CleanedPath(None, discarded_short=1)
-    # most paths repeat no ASN: nothing to compress, no loop possible
-    # (splicing hops out below cannot create a repeat either)
-    repeats = len(set(raw)) != len(raw)
-    path = compress_prepending(raw) if repeats else raw
-    prepending = int(len(path) != len(raw))
-    if any(map(is_reserved_asn, path)):
-        return CleanedPath(None, prepending, discarded_reserved_asn=1)
-    ixp_removed = 0
-    if ixp_asns and not ixp_asns.isdisjoint(path):
-        path = compress_prepending(
-            asn for asn in path if asn not in ixp_asns
+    if all(_INT64_MIN <= asn <= _INT64_MAX for asn in path):
+        return path
+    codes: List[int] = []
+    for i, asn in enumerate(path):
+        codes.append(-1 - len(codes) if i == 0 or asn != path[i - 1]
+                     else codes[-1])
+    return codes
+
+
+def _any_per_row(mask, rows, n: int):
+    """Per row: does ``mask`` hold for any of its elements?"""
+    return _np.bincount(rows[mask], minlength=n) > 0
+
+
+def _run_starts(flat, rows):
+    """Mask of the first hop of every run of equal hops within a row."""
+    keep = _np.ones(len(flat), dtype=bool)
+    _np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    keep[1:] |= rows[1:] != rows[:-1]
+    return keep
+
+
+class _Stage1(NamedTuple):
+    """Stage 1 over a batch of raw paths, one entry per row.
+
+    ``(flat, offsets)`` holds each row's cleaned path (meaningless for
+    discarded rows); the flags are the :class:`SanitizeStats` counter
+    increments, and ``kept`` marks the rows that survive.
+    """
+
+    flat: object
+    offsets: object
+    kept: object
+    prepending: object
+    reserved: object
+    ixp: object
+    loop: object
+    short: object
+
+
+def _stage1(flat, offsets, ixp_asns: FrozenSet[int]) -> _Stage1:
+    """The paper's stage-1 cleaning of every row of ``(flat, offsets)``.
+
+    Per row, in this order: compress prepending; discard a row with a
+    reserved ASN; splice out IXP route-server hops (and compress the
+    runs that exposes); discard loops, then paths shorter than two hops.
+    """
+    flat = _np.asarray(flat, dtype=_np.int64)
+    offsets = _np.asarray(offsets, dtype=_np.int64)
+    n = len(offsets) - 1
+    rows = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(offsets))
+    keep = _run_starts(flat, rows)
+    prepending = _any_per_row(~keep, rows, n)
+    flat, rows = flat[keep], rows[keep]
+    public = _np.searchsorted(_PUBLIC_BOUNDS_ARRAY, flat, side="right") % 2
+    reserved = _any_per_row(public == 0, rows, n)
+    ixp = _np.zeros(n, dtype=bool)
+    ixp_list = [asn for asn in ixp_asns if 0 <= asn <= MAX_ASN]
+    if ixp_list:
+        hit = _np.isin(flat, _np.array(ixp_list, dtype=_np.int64))
+        ixp = _any_per_row(hit, rows, n) & ~reserved
+        flat, rows = flat[~hit], rows[~hit]
+        keep = _run_starts(flat, rows)
+        flat, rows = flat[keep], rows[keep]
+    # a hop repeated within a row of public ASNs: pack (row, asn) into
+    # one int64 key (ASNs fit 32 bits there) and look for equal keys
+    clean = ~reserved[rows]
+    keys = _np.sort((rows[clean] << 32) | flat[clean])
+    repeated = keys[1:][keys[1:] == keys[:-1]] >> 32
+    loop = _np.zeros(n, dtype=bool)
+    loop[repeated] = True
+    lengths = _np.bincount(rows, minlength=n)
+    short = (lengths < 2) & ~reserved & ~loop
+    out = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(lengths, out=out[1:])
+    return _Stage1(
+        flat, out, ~(reserved | loop | short),
+        prepending, reserved, ixp, loop, short,
+    )
+
+
+def clean_paths(
+    raw_paths: Sequence[Sequence[int]], ixp_asns: FrozenSet[int] = frozenset()
+) -> List["CleanedPath"]:
+    """Stage 1 for each of ``raw_paths``, in one kernel call.
+
+    The outcome for a raw path depends only on it and ``ixp_asns``, so
+    callers may memoize it per distinct raw path.  A call has a fixed
+    cost, so batch the paths rather than clean them one at a time.
+    """
+    s = _stage1(*_flatten(raw_paths), ixp_asns)
+    hops = s.flat.tolist()
+    bounds = s.offsets.tolist()
+    return [
+        CleanedPath(
+            tuple(hops[bounds[i]:bounds[i + 1]]) if kept else None,
+            *flags,
         )
-        ixp_removed = 1
-    if repeats and has_loop(path):
-        return CleanedPath(
-            None, prepending, 0, ixp_removed, discarded_loops=1
-        )
-    if len(path) < 2:
-        return CleanedPath(
-            None, prepending, 0, ixp_removed, discarded_short=1
-        )
-    return CleanedPath(path, prepending, 0, ixp_removed)
+        for i, (kept, *flags) in enumerate(zip(
+            s.kept.tolist(), s.prepending.tolist(), s.reserved.tolist(),
+            s.ixp.tolist(), s.loop.tolist(), s.short.tolist(),
+        ))
+    ]
+
+
+def _hash_multipliers(n: int):
+    """``n`` fixed pseudo-random odd uint64 multipliers."""
+    rng = _np.random.Generator(_np.random.PCG64(0x5EED))
+    return rng.integers(0, 2**64, size=n, dtype=_np.uint64) | _np.uint64(1)
+
+
+def _first_seen_unique(flat, offsets, rows):
+    """Distinct paths among ``rows`` (non-empty rows of ``(flat,
+    offsets)``): the first row carrying each, in row order, and how many
+    of ``rows`` carry it.
+
+    Rows are grouped by a 64-bit hash of their hops, and every later
+    row of a group is then compared hop by hop with its first; on a hash
+    collision the rows are grouped exactly, one tuple at a time.
+    """
+    if not len(rows):
+        return rows, rows
+    hops, lengths, bounds = take_rows(flat, offsets, rows)
+    position = _np.arange(len(hops), dtype=_np.int64) - _np.repeat(
+        bounds[:-1], lengths
+    )
+    multipliers = _hash_multipliers(int(lengths.max()) + 1)
+    with _np.errstate(over="ignore"):
+        keys = _np.add.reduceat(
+            hops.astype(_np.uint64) * multipliers[position + 1], bounds[:-1]
+        ) + lengths.astype(_np.uint64) * multipliers[0]
+    order = _np.argsort(keys)
+    sorted_keys = keys[order]
+    new_group = _np.ones(len(keys), dtype=bool)
+    _np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:])
+    starts = _np.flatnonzero(new_group)
+    first = _np.minimum.reduceat(order, starts)
+    counts = _np.diff(_np.append(starts, len(keys)))
+    group = _np.empty(len(keys), dtype=_np.int64)
+    group[order] = _np.cumsum(new_group) - 1
+    later = _np.flatnonzero(first[group] != _np.arange(len(keys)))
+    rep = first[group[later]]
+    exact = bool((lengths[rep] == lengths[later]).all()) and bool(
+        (take_rows(hops, bounds, rep)[0] == take_rows(hops, bounds, later)[0])
+        .all()
+    )
+    if not exact:
+        groups: Dict[Tuple[int, ...], int] = {}
+        first_list: List[int] = []
+        count_list: List[int] = []
+        flat_hops, cuts = hops.tolist(), bounds.tolist()
+        for i in range(len(rows)):
+            j = groups.setdefault(
+                tuple(flat_hops[cuts[i]:cuts[i + 1]]), len(groups)
+            )
+            if j == len(first_list):
+                first_list.append(i)
+                count_list.append(0)
+            count_list[j] += 1
+        return rows[first_list], _np.array(count_list, dtype=_np.int64)
+    order = _np.argsort(first)
+    return rows[first[order]], counts[order]
 
 
 class PathSet:
@@ -216,23 +381,45 @@ class PathSet:
         ixp_asns: FrozenSet[int] = frozenset(),
     ) -> "PathSet":
         """Apply the paper's stage-1 cleaning to raw observed paths."""
-        stats = SanitizeStats()
-        kept: List[Tuple[int, ...]] = []
-        counts: Dict[Tuple[int, ...], int] = {}
-        for raw in raw_paths:
-            cleaned = clean_path(raw, ixp_asns)
-            stats.record(cleaned)
-            path = cleaned[0]
-            if path is None:
-                continue
-            if path in counts:
-                counts[path] += 1
-                stats.duplicates_merged += 1
-            else:
-                counts[path] = 1
-                kept.append(path)
-        stats.kept = len(kept)
-        return cls(kept, counts, stats)
+        return cls.sanitize_columns(*_flatten(raw_paths), ixp_asns=ixp_asns)
+
+    @classmethod
+    def sanitize_columns(
+        cls,
+        flat,
+        offsets,
+        ixp_asns: FrozenSet[int] = frozenset(),
+    ) -> "PathSet":
+        """Stage 1 over raw paths given as columns: row ``i`` is
+        ``flat[offsets[i]:offsets[i + 1]]`` (int64 ASNs).
+
+        Kept paths are deduplicated in first-seen order, every action
+        is counted in :class:`SanitizeStats`, and the result comes with
+        its :meth:`numpy_view` already built.
+        """
+        s = _stage1(flat, offsets, ixp_asns)
+        firsts, counts = _first_seen_unique(
+            s.flat, s.offsets, _np.flatnonzero(s.kept)
+        )
+        kept_flat, plen, off = take_rows(s.flat, s.offsets, firsts)
+        hops = kept_flat.tolist()
+        bounds = off.tolist()
+        paths = [
+            tuple(hops[bounds[i]:bounds[i + 1]]) for i in range(len(firsts))
+        ]
+        stats = SanitizeStats(
+            input_paths=len(offsets) - 1,
+            prepending_compressed=int(s.prepending.sum()),
+            discarded_loops=int(s.loop.sum()),
+            discarded_reserved_asn=int(s.reserved.sum()),
+            discarded_short=int(s.short.sum()),
+            ixp_hops_removed=int(s.ixp.sum()),
+            duplicates_merged=int(s.kept.sum()) - len(paths),
+            kept=len(paths),
+        )
+        out = cls(paths, dict(zip(paths, counts.tolist())), stats)
+        out._np_view = (kept_flat, plen, off)
+        return out
 
     def filtered(self, keep: Iterable[Tuple[int, ...]]) -> "PathSet":
         """A new PathSet restricted to ``keep`` (shares the stats object)."""

@@ -56,6 +56,20 @@ def csr_arrays(adjacency: Sequence[Sequence[int]]) -> Tuple[object, object]:
     return indptr, indices
 
 
+def gather_rows(flat, starts, lengths):
+    """Concatenate the slices ``flat[starts[i]:starts[i] + lengths[i]]``.
+
+    Returns ``(flat, offsets)`` of the gathered ragged array (int64
+    offsets, with a final sentinel).
+    """
+    offsets = _np.zeros(len(lengths) + 1, dtype=_np.int64)
+    _np.cumsum(lengths, out=offsets[1:])
+    index = _np.arange(offsets[-1], dtype=_np.int64) + _np.repeat(
+        starts - offsets[:-1], lengths
+    )
+    return flat[index], offsets
+
+
 class Csr:
     """The three relationship-typed CSR views of one graph."""
 

@@ -39,6 +39,7 @@ from repro.qa.oracles import (
     ReferenceCollector,
     propagate_origin,
     reference_infer_relationships,
+    reference_sanitize,
 )
 from repro.relationships import Relationship
 
@@ -81,6 +82,32 @@ def _reference_cone_sets(
     }
 
 
+def _pathset_violations(
+    got: PathSet, want: PathSet, invariant: str, world: str
+) -> List[Violation]:
+    """``got`` and ``want`` must hold the same paths in the same order,
+    the same multiplicities and the same :class:`SanitizeStats`."""
+    differ = [
+        name
+        for name, a, b in (
+            ("paths", got.paths, want.paths),
+            ("counts", got.counts, want.counts),
+            ("stats", got.stats, want.stats),
+        )
+        if a != b
+    ]
+    if not differ:
+        return []
+    return [
+        Violation(
+            invariant,
+            world,
+            f"{', '.join(differ)} differ ({len(got)} vs {len(want)} paths; "
+            f"stats {got.stats} vs {want.stats})",
+        )
+    ]
+
+
 # ---------------------------------------------------------------------------
 # family 1: production engine vs reference oracle differential
 # ---------------------------------------------------------------------------
@@ -94,13 +121,24 @@ def check_differential(
 ) -> Tuple[List[Violation], InferenceResult]:
     """The production engine and the reference oracle
     (:func:`~repro.qa.oracles.reference_infer_relationships`, cones by
-    the ``reference_*_cones`` oracles) must agree bit for bit.
+    the ``reference_*_cones`` oracles, stage 1 by
+    :func:`~repro.qa.oracles.reference_sanitize`) must agree bit for
+    bit.
 
     Returns the violations plus the production result so downstream
     families can reuse it without re-running inference.
     """
     violations: List[Violation] = []
+    raw_paths = list(raw_paths)
     paths = PathSet.sanitize(raw_paths, ixp_asns=ixp_asns)
+    violations.extend(
+        _pathset_violations(
+            paths,
+            reference_sanitize(raw_paths, ixp_asns=ixp_asns),
+            "differential/sanitize",
+            world,
+        )
+    )
     fast = infer_relationships(paths, config)
     ref = reference_infer_relationships(paths, config)
 
@@ -312,8 +350,11 @@ def check_round_trips(
     corpus,
     directory: str,
     world: str,
+    ixp_asns: FrozenSet[int] = frozenset(),
 ) -> List[Violation]:
-    """``save_*``/``load_*`` and the MRT codecs must invert exactly."""
+    """``save_*``/``load_*`` and the MRT codecs must invert exactly, and
+    ``ASRank.from_mrt`` (the columnar reader and the sanitize kernel)
+    must build from every MRT file what the scalar chain builds."""
     from repro.mrt.reader import read_rib_dump
     from repro.mrt.updates import (
         read_update_dump,
@@ -369,9 +410,10 @@ def check_round_trips(
         (entry.prefix, entry.vp): (tuple(entry.path), tuple(entry.communities))
         for entry in corpus.rib
     }
+    rib_rows = read_rib_dump(rib_file)
     rebuilt = {
         (row.prefix, row.peer_asn): (row.as_path, row.communities)
-        for row in read_rib_dump(rib_file)
+        for row in rib_rows
     }
     if rebuilt != original:
         violations.append(
@@ -385,9 +427,10 @@ def check_round_trips(
     # MRT update stream (announce-only burst)
     updates_file = os.path.join(directory, "qa.updates.mrt")
     write_update_dump(updates_file, corpus.rib)
+    update_rows = rib_from_updates(read_update_dump(updates_file))
     rebuilt = {
         (row.prefix, row.peer_asn): (row.as_path, row.communities)
-        for row in rib_from_updates(read_update_dump(updates_file))
+        for row in update_rows
     }
     if rebuilt != original:
         violations.append(
@@ -436,9 +479,10 @@ def check_round_trips(
                     announced=(entry.prefix,),
                 )
                 expected[(entry.prefix, entry.vp)] = (new_path, ())
+    withdrawn_rows = rib_from_updates(read_update_dump(withdrawn_file))
     rebuilt = {
         (row.prefix, row.peer_asn): (row.as_path, row.communities)
-        for row in rib_from_updates(read_update_dump(withdrawn_file))
+        for row in withdrawn_rows
     }
     if rebuilt != expected:
         violations.append(
@@ -447,6 +491,43 @@ def check_round_trips(
                 world,
                 f"{len(set(rebuilt) ^ set(expected))} key mismatches after "
                 "withdraw/re-announce",
+            )
+        )
+
+    for mrt_file, rows in (
+        (rib_file, rib_from_updates((), base=rib_rows)),
+        (updates_file, update_rows),
+        (withdrawn_file, withdrawn_rows),
+    ):
+        violations.extend(
+            _from_mrt_violations(mrt_file, rows, ixp_asns, world)
+        )
+    return violations
+
+
+def _from_mrt_violations(
+    path: str, table, ixp_asns: FrozenSet[int], world: str
+) -> List[Violation]:
+    """``ASRank.from_mrt(path)`` against ``table``, the file's rows as
+    ``MrtReader`` + ``rib_from_updates`` rebuild them, through
+    :func:`reference_sanitize` and ``prefixes_from_rows``."""
+    from repro.asrank import ASRank
+    from repro.stream.corpus import prefixes_from_rows
+
+    facade = ASRank.from_mrt(path, ixp_asns=ixp_asns)
+    name = os.path.basename(path)
+    violations = _pathset_violations(
+        facade.paths,
+        reference_sanitize((row.as_path for row in table), ixp_asns),
+        f"round-trip/from-mrt-paths/{name}",
+        world,
+    )
+    if facade.prefixes_by_asn != prefixes_from_rows(table):
+        violations.append(
+            Violation(
+                f"round-trip/from-mrt-prefixes/{name}",
+                world,
+                "prefix map differs from prefixes_from_rows",
             )
         )
     return violations

@@ -9,6 +9,9 @@ tests and the benchmark calibration run use them too.  Nothing in the
 production pipeline imports this module, and no config field, function
 parameter or environment variable selects it.
 
+* :func:`clean_path` and :func:`reference_sanitize` — stage 1 one raw
+  path at a time (QA family 1 and the sanitize tests compare
+  ``PathSet.sanitize`` against it);
 * :func:`reference_infer_relationships` — the ASRank pipeline with the
   per-vote BFS cycle check, the scalar top-down peak scan and the
   full-rescan fold, and no corpus link index;
@@ -24,7 +27,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.bgp.collector import (
     CollectionKernel,
@@ -51,10 +64,95 @@ from repro.core.inference import (
     Step,
     _Engine,
 )
-from repro.core.paths import PathSet
+from repro.core.paths import (
+    CleanedPath,
+    PathSet,
+    SanitizeStats,
+    is_reserved_asn,
+)
 from repro.net.prefix import Prefix
 from repro.relationships import Relationship
 from repro.topology.model import ASGraph
+
+
+# ---------------------------------------------------------------------------
+# sanitization (stage 1)
+# ---------------------------------------------------------------------------
+
+
+def compress_prepending(path: Sequence[int]) -> Tuple[int, ...]:
+    """Collapse runs of the same ASN into a single hop."""
+    out: List[int] = []
+    for asn in path:
+        if not out or out[-1] != asn:
+            out.append(asn)
+    return tuple(out)
+
+
+def has_loop(path: Sequence[int]) -> bool:
+    """True when any ASN appears more than once (after compression)."""
+    return len(set(path)) != len(path)
+
+
+def clean_path(
+    raw: Sequence[int], ixp_asns: FrozenSet[int] = frozenset()
+) -> CleanedPath:
+    """The paper's stage-1 cleaning of one raw observed path.
+
+    Compress prepending, discard paths with reserved ASNs, splice out
+    IXP route-server hops, then discard loops and paths shorter than
+    two hops.
+    """
+    raw = tuple(raw)
+    if not raw:
+        return CleanedPath(None, discarded_short=1)
+    # most paths repeat no ASN: nothing to compress, no loop possible
+    # (splicing hops out below cannot create a repeat either)
+    repeats = len(set(raw)) != len(raw)
+    path = compress_prepending(raw) if repeats else raw
+    prepending = int(len(path) != len(raw))
+    if any(map(is_reserved_asn, path)):
+        return CleanedPath(None, prepending, discarded_reserved_asn=1)
+    ixp_removed = 0
+    if ixp_asns and not ixp_asns.isdisjoint(path):
+        path = compress_prepending(
+            asn for asn in path if asn not in ixp_asns
+        )
+        ixp_removed = 1
+    if repeats and has_loop(path):
+        return CleanedPath(
+            None, prepending, 0, ixp_removed, discarded_loops=1
+        )
+    if len(path) < 2:
+        return CleanedPath(
+            None, prepending, 0, ixp_removed, discarded_short=1
+        )
+    return CleanedPath(path, prepending, 0, ixp_removed)
+
+
+def reference_sanitize(
+    raw_paths: Iterable[Sequence[int]],
+    ixp_asns: FrozenSet[int] = frozenset(),
+) -> PathSet:
+    """``PathSet.sanitize`` one raw path at a time through
+    :func:`clean_path`."""
+    stats = SanitizeStats()
+    kept: List[Tuple[int, ...]] = []
+    counts: Dict[Tuple[int, ...], int] = {}
+    for raw in raw_paths:
+        cleaned = clean_path(raw, ixp_asns)
+        stats.record(cleaned)
+        path = cleaned.path
+        if path is None:
+            continue
+        if path in counts:
+            counts[path] += 1
+            stats.duplicates_merged += 1
+        else:
+            counts[path] = 1
+            kept.append(path)
+    stats.kept = len(kept)
+    return PathSet(kept, counts, stats)
 
 
 # ---------------------------------------------------------------------------

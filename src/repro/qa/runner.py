@@ -196,6 +196,7 @@ def run_qa(
                                 world.corpus,
                                 os.path.join(scratch, f"world{seed}"),
                                 label,
+                                world.graph.ixp_asns(),
                             )
                         )
                     report.checks += 1

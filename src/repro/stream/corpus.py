@@ -9,7 +9,10 @@ resident, tracks which keys changed since the last publish so the
 ingestor can estimate the dirty fraction cheaply, and maintains the two
 derived views a publish feeds to inference — the sanitized corpus and
 the origin → prefixes map — row by row, so a publish pays for the rows
-a batch changed rather than for the whole table.
+a batch changed rather than for the whole table.  Stage 1 is memoized
+per distinct raw path and filled in batches: every raw path of the
+base table in one :func:`~repro.core.paths.clean_paths` call, then per
+refresh only the changed rows' raw paths the memo has not seen.
 
 :func:`asrank_from_rib_rows` is the single shared definition of "batch
 recompute over a set of RIB rows" — the stream's full publishes, the QA
@@ -26,7 +29,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.paths import CleanedPath, PathSet, SanitizeStats, clean_path
+from repro.core.paths import CleanedPath, PathSet, SanitizeStats, clean_paths
 from repro.mrt.reader import RibRecord, UpdateRecord
 
 TableKey = Tuple[object, int]  # (Prefix, peer_asn)
@@ -119,21 +122,18 @@ class LiveCorpus:
         self._prefix_lists: Dict[int, List] = {}
         self._stale_origins: Set[int] = set()
 
-        # one pass in key order over the base table: rows per raw path
-        # (each raw path cleaned at its first row, which is where a
-        # kept path first shows up) and per-origin prefix lists
+        # one pass in key order over the base table: rows and first key
+        # per raw path (a kept path first shows up at the first key of
+        # the first raw path cleaning to it) and per-origin prefix lists
         raw_rows: Dict[PathT, int] = {}
+        raw_first: Dict[PathT, TableKey] = {}
         origin_prefixes: Dict[int, List] = {}
         for key, row in ordered:
             raw = row.as_path
             n = raw_rows.get(raw)
             if n is None:
                 raw_rows[raw] = 1
-                path = self._clean(raw).path
-                if path is not None and path not in self._first:
-                    self._first[path] = key
-                    self._order_paths.append(path)
-                    self._order_keys.append(key)
+                raw_first[raw] = key
             else:
                 raw_rows[raw] = n + 1
             if raw:
@@ -141,8 +141,15 @@ class LiveCorpus:
                 if prefixes is None:
                     prefixes = origin_prefixes[raw[-1]] = []
                 prefixes.append(row.prefix)
+        self._clean(raw_rows)
         for raw, n in raw_rows.items():
-            self._count_cleaned(self._cleaned[raw], n)
+            cleaned = self._cleaned[raw]
+            path = cleaned.path
+            if path is not None and path not in self._first:
+                self._first[path] = raw_first[raw]
+                self._order_paths.append(path)
+                self._order_keys.append(raw_first[raw])
+            self._count_cleaned(cleaned, n)
         for origin, prefixes in origin_prefixes.items():
             self._prefix_refs[origin] = Counter(prefixes)
         self._stale_origins.update(self._prefix_refs)
@@ -230,11 +237,13 @@ class LiveCorpus:
         self._stale_origins.clear()
         return dict(lists)
 
-    def _clean(self, raw: PathT) -> CleanedPath:
-        cleaned = self._cleaned.get(raw)
-        if cleaned is None:
-            cleaned = self._cleaned[raw] = clean_path(raw, self.ixp_asns)
-        return cleaned
+    def _clean(self, raws: Iterable[PathT]) -> None:
+        """Memoize stage 1 for the raw paths not yet cleaned, in one
+        kernel call (none when every raw path is a memo hit)."""
+        cleaned = self._cleaned
+        fresh = [raw for raw in dict.fromkeys(raws) if raw not in cleaned]
+        if fresh:
+            cleaned.update(zip(fresh, clean_paths(fresh, self.ixp_asns)))
 
     def _count_cleaned(self, cleaned: CleanedPath, times: int) -> None:
         self._stats.record(cleaned, times)
@@ -251,7 +260,7 @@ class LiveCorpus:
         """Add (``sign`` 1) or take out (-1) one row's contribution to
         both views; returns its cleaned path, ``None`` if discarded."""
         raw = row.as_path
-        cleaned = self._clean(raw)
+        cleaned = self._cleaned[raw]
         self._count_cleaned(cleaned, sign)
         if raw:
             origin = raw[-1]
@@ -269,6 +278,12 @@ class LiveCorpus:
         if not self._displaced:
             return
         table = self.table
+        self._clean(
+            row.as_path
+            for key, old in self._displaced.items()
+            for row in (old, table.get(key))
+            if row is not None
+        )
         first = self._first
         lost: Set[PathT] = set()  # kept paths whose first key left them
         gained: Dict[PathT, TableKey] = {}  # kept path -> min new key

@@ -1,13 +1,16 @@
 """Unit tests for path sanitization and degree computation."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.core.paths import (
-    PathSet,
+import repro.core.paths as paths_module
+from repro.core.paths import PathSet, clean_paths, is_reserved_asn
+from repro.qa.oracles import (
+    clean_path,
     compress_prepending,
     has_loop,
-    is_reserved_asn,
+    reference_sanitize,
 )
 
 
@@ -79,6 +82,23 @@ class TestSanitize:
         assert ps.links() == set()
         assert ps.stats.discarded_reserved_asn == 1
 
+    @pytest.mark.parametrize(
+        "path, prepending",
+        [
+            ((10, 2**64, 20), 0),
+            ((10, -1, 20), 0),
+            ((10, 2**64, 2**64, 20), 1),  # prepending still counted
+            ((10, 2**64, 2**65, 20), 0),  # distinct huge hops: no run
+        ],
+    )
+    def test_out_of_range_asn_discarded(self, path, prepending):
+        # values outside int64 never reach the kernel's arrays as such
+        ps = PathSet.sanitize([path, (1, 2)])
+        assert ps.paths == [(1, 2)]
+        assert ps.stats.discarded_reserved_asn == 1
+        assert ps.stats.prepending_compressed == prepending
+        assert ps.stats == reference_sanitize([path, (1, 2)]).stats
+
     def test_ixp_hop_spliced(self):
         ps = PathSet.sanitize([(1, 99, 2)], ixp_asns=frozenset({99}))
         assert ps.paths == [(1, 2)]
@@ -108,6 +128,52 @@ class TestSanitize:
         ps = PathSet.sanitize([(1, 2, 3)])
         names = [name for name, _ in ps.stats.as_rows()]
         assert "input paths" in names and "kept (unique)" in names
+
+
+#: hops covering every stage-1 outcome: public, reserved, IXP, and
+#: values outside 32 bits and int64
+_HOPS = st.sampled_from(
+    (1, 2, 3, 4, 5, 99, 0, 23456, 64512, 4200000000, 2**32, 2**64, -1)
+)
+_RAW_PATHS = st.lists(st.lists(_HOPS, max_size=8), max_size=12)
+_IXPS = st.frozensets(st.sampled_from((3, 99, 64512, 2**70)), max_size=2)
+
+
+class TestSanitizeKernel:
+    """The vectorized stage 1 against the scalar oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=_RAW_PATHS, ixp=_IXPS)
+    def test_equals_oracle(self, raw, ixp):
+        got = PathSet.sanitize(raw, ixp_asns=ixp)
+        want = reference_sanitize(raw, ixp_asns=ixp)
+        assert got.paths == want.paths
+        assert got.counts == want.counts
+        assert got.stats == want.stats
+        assert clean_paths(raw, ixp) == [clean_path(p, ixp) for p in raw]
+
+    @settings(max_examples=50, deadline=None)
+    @given(raw=_RAW_PATHS, ixp=_IXPS)
+    def test_numpy_view_equals_rebuilt(self, raw, ixp):
+        built = PathSet.sanitize(raw, ixp_asns=ixp).numpy_view()
+        rebuilt = PathSet(PathSet.sanitize(raw, ixp_asns=ixp).paths)
+        for got, want in zip(built, rebuilt.numpy_view()):
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    def test_hash_collisions_group_exactly(self, monkeypatch):
+        # all-ones multipliers hash a path to its hop sum plus length,
+        # so (1, 4) and (2, 3) collide and must still stay apart
+        monkeypatch.setattr(
+            paths_module,
+            "_hash_multipliers",
+            lambda n: np.ones(n, dtype=np.uint64),
+        )
+        raw = [(1, 4), (2, 3), (1, 4), (3, 2), (2, 3)]
+        ps = PathSet.sanitize(raw)
+        assert ps.paths == [(1, 4), (2, 3), (3, 2)]
+        assert ps.counts == {(1, 4): 2, (2, 3): 2, (3, 2): 1}
+        assert ps.stats == reference_sanitize(raw).stats
 
 
 class TestDegrees:

@@ -137,6 +137,22 @@ class TestPipelineWiring:
         for stage in ("generate", "collect", "sanitize", "infer"):
             assert stage in flat, flat
 
+    def test_from_mrt_reports_ingest_stages(self, tmp_path):
+        from repro.asrank import ASRank
+        from repro.mrt.writer import write_rib_dump
+        from repro.scenarios import get_scenario
+
+        _graph, corpus, _paths, _result = get_scenario("tiny").run()
+        rib = str(tmp_path / "rib.mrt")
+        write_rib_dump(rib, corpus.rib)
+        rec = perf.PerfRecorder()
+        with perf.use_recorder(rec):
+            ASRank.from_mrt(rib)
+        flat = rec.flat()
+        for stage in ("decode", "table", "sanitize", "prefixes"):
+            assert f"asrank/ingest/{stage}" in flat, flat
+        assert flat["asrank/ingest"] >= flat["asrank/ingest/decode"]
+
 
 class TestThreadSafety:
     def test_concurrent_counters_sum_exactly(self):

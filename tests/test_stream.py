@@ -17,6 +17,7 @@ from repro.mrt.updates import (
     write_update_dump,
 )
 from repro.net.prefix import Prefix
+from repro.qa.oracles import reference_sanitize
 from repro.relationships import canonical_pair
 from repro.stream import (
     LiveCorpus,
@@ -149,6 +150,13 @@ def _assert_views_match_batch(corpus, ixp_asns):
     assert maintained.paths == reference.paths
     assert maintained.counts == reference.counts
     assert maintained.stats == reference.stats
+    # and both equal stage 1 one raw path at a time
+    oracle = reference_sanitize(
+        (row.as_path for row in rows), ixp_asns=ixp_asns
+    )
+    assert (oracle.paths, oracle.counts, oracle.stats) == (
+        reference.paths, reference.counts, reference.stats
+    )
     assert corpus.prefixes_by_asn() == prefixes_from_rows(rows)
 
 
