@@ -33,6 +33,8 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as _np
+
 from repro import perf
 from repro.core.inference import InferenceResult
 from repro.graph.bitset import decode_bits
@@ -53,43 +55,94 @@ class ConeDefinition(enum.Enum):
 # ---------------------------------------------------------------------------
 
 
-def _bgp_observed_bits(result: InferenceResult) -> List[int]:
-    lstate = result._lstate
-    assert lstate is not None
-    path_lids, path_pids = result._path_lids, result._path_pids
-    cone_bits: List[int] = [1 << i for i in range(len(result.index))]
-    for pi, nodes in enumerate(result._path_nodes):
-        lids = path_lids[pi]
-        pids = path_pids[pi]
-        # one right-to-left pass: within a maximal descending run, the
-        # suffix bitset accumulates everything downstream of each hop
-        suffix = 0
-        for j in range(len(lids) - 1, -1, -1):
-            if lstate[lids[j]] == nodes[j]:  # p2c, left end is provider
-                suffix |= 1 << pids[j + 1]
-                cone_bits[pids[j]] |= suffix
-            else:
-                suffix = 0
+def _hop_states(result: InferenceResult, first_path: int):
+    """Per-hop numpy columns of the indexed paths from ``first_path``
+    on: link state, left ASN, local path number, and the position of
+    the hop's left node in ``_node_pid[_path_off[first_path]:]``."""
+    assert result._lstate is not None
+    lid, left, right, path = result._hop_columns(first_path)
+    state = _np.array(result._lstate, dtype=_np.int64)[lid]
+    node = _np.arange(len(lid), dtype=_np.int64) + path
+    return state, left, path, node
+
+
+def _bgp_observed_bits(
+    result: InferenceResult,
+    first_path: int = 0,
+    bits: Optional[List[int]] = None,
+) -> List[int]:
+    """BGP-observed cone bits from the paths ``first_path`` on, OR-ed
+    into ``bits`` (default: every AS alone in its cone)."""
+    cone_bits = bits if bits is not None else _unit_bits(result)
+    state, left, path, node = _hop_states(result, first_path)
+    pid = result._node_pid[result._path_off[first_path]:]
+    # a p2c hop with its left end as provider extends a descending run;
+    # the run goes on if the path's next hop descends too
+    down = state == left
+    more = _np.zeros(len(down), dtype=bool)
+    more[:-1] = down[1:] & (path[1:] == path[:-1])
+    hops = _np.flatnonzero(down)[::-1]
+    # one right-to-left pass over the descending hops only: within a
+    # run, the suffix bitset accumulates everything downstream of a hop
+    suffix = 0
+    for upper, lower, cont in zip(
+        pid[node[hops]].tolist(),
+        pid[node[hops] + 1].tolist(),
+        more[hops].tolist(),
+    ):
+        if not cont:
+            suffix = 0
+        suffix |= 1 << lower
+        cone_bits[upper] |= suffix
     return cone_bits
 
 
-def _ppdc_bits(result: InferenceResult) -> List[int]:
-    lstate = result._lstate
-    assert lstate is not None
-    path_lids, path_pids = result._path_lids, result._path_pids
-    cone_bits: List[int] = [1 << i for i in range(len(result.index))]
-    for pi, nodes in enumerate(result._path_nodes):
-        lids = path_lids[pi]
-        pids = path_pids[pi]
-        suffix = 0
-        for i in range(len(nodes) - 2, 0, -1):
-            suffix |= 1 << pids[i + 1]
-            s = lstate[lids[i - 1]]  # the link the route entered on
-            if s == -1 or s == nodes[i - 1]:
-                # entered from a peer or a provider: the whole observed
-                # suffix is a customer chain
-                cone_bits[pids[i]] |= suffix
+def _ppdc_bits(
+    result: InferenceResult,
+    first_path: int = 0,
+    bits: Optional[List[int]] = None,
+) -> List[int]:
+    """Provider/peer-observed cone bits from the paths ``first_path``
+    on, OR-ed into ``bits`` (default: every AS alone in its cone)."""
+    cone_bits = bits if bits is not None else _unit_bits(result)
+    state, left, path, node = _hop_states(result, first_path)
+    pid = result._node_pid[result._path_off[first_path]:]
+    # an interior node entered from a peer or a provider gets the whole
+    # observed suffix: everything it exports upward is a customer route
+    interior = _np.zeros(len(state), dtype=bool)
+    interior[:-1] = path[1:] == path[:-1]
+    enter = node[interior & ((state == -1) | (state == left))] + 1
+    if not len(enter):
+        return cone_bits
+    # walk each such path from its end back to its first entered node
+    n_nodes = len(pid)
+    off = _np.array(result._path_off[first_path:], dtype=_np.int64)
+    plen = _np.diff(off)
+    node_path = _np.repeat(_np.arange(len(plen), dtype=_np.int64), plen)
+    first_enter = _np.full(len(plen), n_nodes, dtype=_np.int64)
+    _np.minimum.at(first_enter, node_path[enter], enter)
+    walk = _np.flatnonzero(
+        _np.arange(n_nodes) >= first_enter[node_path]
+    )[::-1]
+    entered = _np.zeros(n_nodes, dtype=bool)
+    entered[enter] = True
+    last = _np.ones(n_nodes, dtype=bool)
+    last[:-1] = node_path[1:] != node_path[:-1]
+    suffix = 0
+    for k, is_entered, is_last in zip(
+        pid[walk].tolist(), entered[walk].tolist(), last[walk].tolist()
+    ):
+        if is_last:
+            suffix = 1 << k
+            continue
+        if is_entered:
+            cone_bits[k] |= suffix
+        suffix |= 1 << k
     return cone_bits
+
+
+def _unit_bits(result: InferenceResult) -> List[int]:
+    return [1 << i for i in range(len(result.index))]
 
 
 def _cone_bits(

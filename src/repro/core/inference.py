@@ -159,16 +159,22 @@ class InferenceResult:
         self._closure = ClosureBitsets()
         # corpus link index: canonical (a<<32|b) key -> link id, link
         # state per id (LINK_UNKNOWN, -1 peer, -2 sibling, else the
-        # provider's ASN, which is never negative), and which paths each
-        # link appears on (built by _init_fast)
+        # provider's ASN, which is never negative)
         self._key_lid: Optional[Dict[int, int]] = None
         self._lstate: Optional[List[int]] = None
-        self._lpaths: List[List[int]] = []
-        self._path_nodes: List[Tuple[int, ...]] = []
-        self._path_lids: List[List[int]] = []
-        self._path_pids: List[List[int]] = []
-        self._np_pid_flat = None  # dense id per flat corpus position
-        self._np_fold = None  # (lid, left, right, pos, off) per hop
+        # flat (CSR) corpus index built by _init_fast: path p's nodes are
+        # positions _path_off[p] .. _path_off[p + 1] - 1 of _node_pid
+        # (dense ids) and its hops positions _path_off[p] - p onwards of
+        # _hop_lid (link ids); node ASNs are read from paths.paths
+        self._path_off: List[int] = [0]
+        self._hop_lid: List[int] = []
+        self._node_pid = _np.zeros(0, dtype=_np.int64)
+        # link -> paths, CSR: the paths carrying link l are
+        # _lpath_pid[_lpath_off[l]:_lpath_off[l + 1]]
+        self._lpath_pid: Optional[List[int]] = None
+        self._lpath_off: Optional[List[int]] = None
+        # numpy (lid, left ASN, right ASN, path) per hop (_hop_columns)
+        self._hop_cols: Optional[Tuple[object, object, object, object]] = None
         # fold bookkeeping: links whose state changed (append-only log),
         # the consumed prefix, paths awaiting a fold pass
         self._dirty_lids: List[int] = []
@@ -187,12 +193,13 @@ class InferenceResult:
         return idx
 
     def _init_fast(self, paths: PathSet) -> None:
-        """Index the corpus for the fold and cone passes.
+        """Index the corpus for the top-down, fold and cone passes.
 
         Assigns dense ids to every AS (sorted, for determinism), interns
         every corpus link behind an integer key, and records which paths
         each link appears on so the fold can reprocess only paths whose
-        link states changed.
+        link states changed.  Everything is flat: no container is built
+        per path or per link.
         """
         flat, plen, off = paths.numpy_view()
         uasn, pid_flat = _np.unique(flat, return_inverse=True)
@@ -208,42 +215,42 @@ class InferenceResult:
         n_links = len(ukeys)
         self._key_lid = {k: i for i, k in enumerate(ukeys.tolist())}
         self._lstate = [LINK_UNKNOWN] * n_links
-        # per-path slices of the flat lid / pid streams
-        link_off = _np.empty(len(plen) + 1, dtype=_np.int64)
-        link_off[0] = 0
-        _np.cumsum(plen - 1, out=link_off[1:])
-        lbounds = link_off.tolist()
-        lid_list = lid_hop.tolist()
-        path_lids = [
-            lid_list[s:e] for s, e in zip(lbounds, lbounds[1:])
-        ]
-        pbounds = off.tolist()
-        pid_list = pid_flat.tolist()
-        path_pids = [
-            pid_list[s:e] for s, e in zip(pbounds, pbounds[1:])
-        ]
-        # lpaths: hops grouped by lid (group-internal order is free)
+        self._path_off = off.tolist()
+        self._hop_lid = lid_hop.tolist()
+        self._node_pid = pid_flat
         path_of_hop = _np.repeat(
             _np.arange(len(plen), dtype=_np.int64), plen - 1
         )
-        grouped = path_of_hop[_np.argsort(lid_hop)].tolist()
-        group_off = _np.empty(n_links + 1, dtype=_np.int64)
-        group_off[0] = 0
+        # group the hops by link (group-internal order is free)
+        self._lpath_pid = path_of_hop[_np.argsort(lid_hop)].tolist()
+        lpath_off = _np.zeros(n_links + 1, dtype=_np.int64)
         _np.cumsum(
-            _np.bincount(lid_hop, minlength=n_links), out=group_off[1:]
+            _np.bincount(lid_hop, minlength=n_links), out=lpath_off[1:]
         )
-        gbounds = group_off.tolist()
-        lpaths = [grouped[s:e] for s, e in zip(gbounds, gbounds[1:])]
-        self._lpaths = lpaths
-        self._path_nodes = list(paths.paths)
-        self._path_lids = path_lids
-        self._path_pids = path_pids
-        self._np_pid_flat = pid_flat
-        if bool((plen >= 2).all()):
-            # hop-level view for the fold's vectorized candidate filter
-            pos = _np.arange(len(lid_hop), dtype=_np.int64)
-            pos -= _np.repeat(link_off[:-1], plen - 1)
-            self._np_fold = (lid_hop, a[valid], b[valid], pos, link_off)
+        self._lpath_off = lpath_off.tolist()
+        self._hop_cols = None
+
+    def _hop_columns(self, first_path: int = 0):
+        """``(lid, left, right, path)`` numpy columns, one row per hop of
+        the indexed paths from ``first_path`` on; ``path`` counts from
+        ``first_path``.  Hop ``h`` joins local node positions
+        ``h + path[h]`` and ``h + path[h] + 1``.  The full view is
+        cached until a stream commit extends the index."""
+        if first_path == 0 and self._hop_cols is not None:
+            return self._hop_cols
+        n0 = self._path_off[first_path]
+        off = _np.array(self._path_off[first_path:], dtype=_np.int64)
+        nodes = _np.diff(off)
+        lid = _np.array(self._hop_lid[n0 - first_path:], dtype=_np.int64)
+        path = _np.repeat(_np.arange(len(nodes), dtype=_np.int64), nodes - 1)
+        node = _np.arange(len(lid), dtype=_np.int64) + path
+        asn = _np.array(self.index.asns, dtype=_np.int64)[
+            self._node_pid[n0:]
+        ]
+        cols = (lid, asn[node], asn[node + 1], path)
+        if first_path == 0:
+            self._hop_cols = cols
+        return cols
 
     def _mark_link(self, a: int, b: int, state: int) -> None:
         """Record a link's new fold state and flag it dirty."""
@@ -632,46 +639,89 @@ def _step_partial_vp(
                 break
 
 
+# hops per path S5's lexsort compares; real AS paths rarely come near
+# it, and it bounds the sort grid for corpora carrying a very long path
+_PEAK_SORT_WIDTH = 16
+
+
+def _peak_order(
+    result: InferenceResult, paths: PathSet, rank: Dict[int, int]
+) -> Tuple[List[int], List[int]]:
+    """S5's visiting order and each path's peak position.
+
+    The order sorts paths by (peak rank, path); the peak is a path's
+    first hop of minimum rank.  Both come from vectorized passes over
+    the flat corpus: no per-path key is built.
+    """
+    big = 1 << 30
+    # pack (rank, position) so a single segmented minimum yields both
+    # the peak rank and its first index per path (first minimum wins,
+    # like a left-to-right scan)
+    flat, plen, off = paths.numpy_view()
+    rank_arr = _np.fromiter(
+        (rank.get(asn, big) for asn in result.index.asns),
+        dtype=_np.int64,
+        count=len(result.index),
+    )
+    pos = _np.arange(len(flat), dtype=_np.int64)
+    pos -= _np.repeat(off[:-1], plen)
+    packed = (rank_arr[result._node_pid] << 20) | pos
+    mins = _np.minimum.reduceat(packed, off[:-1])
+    peak_rank = mins >> 20
+    # sort on the first _PEAK_SORT_WIDTH hops, padded with -1: paths are
+    # distinct, and -1 (below every ASN) sorts a path before its
+    # extensions, as tuple comparison does.  Only paths longer than the
+    # width can still tie; their runs are settled by comparing tuples.
+    longest = int(plen.max(initial=0))
+    width = min(longest, _PEAK_SORT_WIDTH)
+    grid = _np.full((len(plen), width), -1, _np.int64)
+    row = _np.repeat(_np.arange(len(plen)), plen)
+    head = pos < width
+    grid[row[head], pos[head]] = flat[head]
+    order = _np.lexsort((*grid.T[::-1], peak_rank))
+    order_list = order.tolist()
+    if width < longest:
+        keys = grid[order]
+        ranks = peak_rank[order]
+        tie = (keys[1:] == keys[:-1]).all(axis=1)
+        tie &= ranks[1:] == ranks[:-1]
+        if tie.any():
+            edge = _np.diff(tie.astype(_np.int8), prepend=0, append=0)
+            path_tuples = paths.paths
+            for s, e in zip(
+                _np.flatnonzero(edge == 1).tolist(),
+                _np.flatnonzero(edge == -1).tolist(),
+            ):
+                order_list[s:e + 1] = sorted(
+                    order_list[s:e + 1], key=path_tuples.__getitem__
+                )
+    return order_list, (mins & ((1 << 20) - 1)).tolist()
+
+
 def _step_topdown(
     result: InferenceResult, paths: PathSet, rank: Dict[int, int]
 ) -> None:
     """S5: peak-relative sweep, highest peaks first."""
-    big = 1 << 30
     unknown = LINK_UNKNOWN
     lstate = result._lstate
-    path_lids = result._path_lids
-
-    # vectorized peak scan: pack (rank, position) so a single segmented
-    # minimum yields both the peak rank and its first index per path
-    # (first minimum wins, like a left-to-right scan)
-    flat, plen, off = paths.numpy_view()
-    rank_arr = _np.full(len(result.index), big, dtype=_np.int64)
-    for asn, idx in result.index.ids.items():
-        rank_arr[idx] = rank.get(asn, big)
-    pos = _np.arange(len(flat), dtype=_np.int64)
-    pos -= _np.repeat(off[:-1], plen)
-    packed = (rank_arr[result._np_pid_flat] << 20) | pos
-    mins = _np.minimum.reduceat(packed, off[:-1])
-    order = list(
-        zip(
-            (mins >> 20).tolist(),
-            paths.paths,
-            (mins & ((1 << 20) - 1)).tolist(),
-            range(len(plen)),
-        )
-    )
-    order.sort()
+    hop_lid = result._hop_lid
+    path_off = result._path_off
+    order, peaks = _peak_order(result, paths, rank)
+    path_tuples = paths.paths
     set_p2c = result.set_p2c
-    for _, path, i, pi in order:
+    for pi in order:
+        path = path_tuples[pi]
+        i = peaks[pi]
+        h0 = path_off[pi] - pi
         # a link already labeled with the vote's provider is an agreeing
         # vote (a guaranteed no-op), any other label is a refusal: both
         # are readable straight off the link-state array
-        lids = path_lids[pi]
+        #
         # descend right of the peak: path[j] provides for path[j+1];
         # stop at the first contradiction — the path's shape no longer
         # matches our peak assumption beyond that point
         for j in range(i + 1, len(path) - 1):
-            s = lstate[lids[j]]
+            s = lstate[hop_lid[h0 + j]]
             if s == path[j]:
                 continue
             if s != unknown:
@@ -680,13 +730,47 @@ def _step_topdown(
                 break
         # descend left of the peak: path[j+1] provides for path[j]
         for j in range(i - 2, -1, -1):
-            s = lstate[lids[j]]
+            s = lstate[hop_lid[h0 + j]]
             if s == path[j + 1]:
                 continue
             if s != unknown:
                 break
             if not set_p2c(path[j + 1], path[j], Step.S5_TOPDOWN):
                 break
+
+
+def _fold_candidates(result: InferenceResult) -> Set[int]:
+    """The paths the first fold pass can cast a vote on.
+
+    A scan votes only on unknown hops.  With no sibling links in the
+    corpus it votes forward iff some unknown hop lies after a DOWN/PEER
+    hop, and backward iff some unknown hop lies before an UP/PEER hop;
+    siblings reset those constraints, so with siblings every path that
+    still carries an unknown hop is a candidate.
+    """
+    lid, left, right, path = result._hop_columns()
+    s = _np.array(result._lstate, dtype=_np.int64)[lid]
+    unknown = s == LINK_UNKNOWN
+    if not unknown.any():
+        return set()
+    if result.siblings:
+        return set(_np.unique(path[unknown]).tolist())
+    # one segment per path that has hops; global hop numbers order the
+    # hops within a path just as their positions do
+    starts = _np.flatnonzero(_np.diff(path, prepend=-1))
+    hop = _np.arange(len(s), dtype=_np.int64)
+    far = 1 << 40
+    peer = s == -1
+    first_down = _np.minimum.reduceat(
+        _np.where(peer | (s == left), hop, far), starts
+    )
+    last_up = _np.maximum.reduceat(
+        _np.where(peer | (s == right), hop, -1), starts
+    )
+    last_unk = _np.maximum.reduceat(_np.where(unknown, hop, -1), starts)
+    first_unk = _np.minimum.reduceat(_np.where(unknown, hop, far), starts)
+    cand = (last_unk > first_down) | (first_unk < last_up)
+    return set(path[starts[cand]].tolist())
 
 
 def _step_fold_fast(result: InferenceResult) -> None:
@@ -714,58 +798,25 @@ def _step_fold_fast(result: InferenceResult) -> None:
     """
     lstate = result._lstate
     assert lstate is not None
-    path_nodes = result._path_nodes
-    path_lids = result._path_lids
-    lpaths = result._lpaths
+    path_tuples = result.paths.paths
+    path_off = result._path_off
+    hop_lid = result._hop_lid
+    lpath_pid, lpath_off = result._lpath_pid, result._lpath_off
+    assert lpath_pid is not None and lpath_off is not None
     dirty = result._dirty_lids
     set_p2c = result.set_p2c
-    n_paths = len(path_nodes)
+    n_paths = len(path_off) - 1
 
-    pending = result._fold_pending
     if not result._fold_primed:
-        nfold = result._np_fold
-        if nfold is not None and not result.siblings:
-            # vectorized candidate filter: with no sibling links in the
-            # corpus, a path can vote forward iff some unknown hop lies
-            # after a DOWN/PEER hop, and backward iff some unknown hop
-            # lies before an UP/PEER hop — everything else is a no-op
-            lid_hop, left, right, hop_pos, link_off = nfold
-            s = _np.array(lstate, dtype=_np.int64)[lid_hop]
-            unknown = s == LINK_UNKNOWN
-            pending = set()
-            if unknown.any():
-                far = 1 << 40
-                peer = s == -1
-                marker_f = peer | (s == left)
-                marker_b = peer | (s == right)
-                starts = link_off[:-1]
-                first_mf = _np.minimum.reduceat(
-                    _np.where(marker_f, hop_pos, far), starts
-                )
-                last_unk = _np.maximum.reduceat(
-                    _np.where(unknown, hop_pos, -1), starts
-                )
-                last_mb = _np.maximum.reduceat(
-                    _np.where(marker_b, hop_pos, -1), starts
-                )
-                first_unk = _np.minimum.reduceat(
-                    _np.where(unknown, hop_pos, far), starts
-                )
-                cand = (last_unk > first_mf) | (first_unk < last_mb)
-                pending = set(_np.flatnonzero(cand).tolist())
-        else:
-            # only paths that still carry an unknown link can cast a
-            # vote (scans vote on unknown states alone)
-            pending = set()
-            for lid, state in enumerate(lstate):
-                if state == LINK_UNKNOWN:
-                    pending.update(lpaths[lid])
+        pending = _fold_candidates(result)
         result._fold_primed = True
         result._fold_cursor = len(dirty)
     else:
+        pending = result._fold_pending
         cursor = result._fold_cursor
         while cursor < len(dirty):
-            pending.update(lpaths[dirty[cursor]])
+            lid = dirty[cursor]
+            pending.update(lpath_pid[lpath_off[lid]:lpath_off[lid + 1]])
             cursor += 1
         result._fold_cursor = cursor
 
@@ -773,8 +824,9 @@ def _step_fold_fast(result: InferenceResult) -> None:
 
     def scan(i: int) -> None:
         """One forward+backward constraint pass over path ``i``."""
-        nodes = path_nodes[i]
-        states = [lstate[l] for l in path_lids[i]]
+        nodes = path_tuples[i]
+        h0 = path_off[i] - i
+        states = [lstate[l] for l in hop_lid[h0:h0 + len(nodes) - 1]]
         # forward: after the first DOWN or PEER everything descends
         # (sibling links reset the constraint, as in the reference)
         seen_descent = False
@@ -817,7 +869,8 @@ def _step_fold_fast(result: InferenceResult) -> None:
                 watermark = len(dirty)
                 scan(i)
                 while watermark < len(dirty):
-                    for pj in lpaths[dirty[watermark]]:
+                    lid = dirty[watermark]
+                    for pj in lpath_pid[lpath_off[lid]:lpath_off[lid + 1]]:
                         if pj <= i:
                             next_pending.add(pj)
                     watermark += 1
@@ -834,7 +887,8 @@ def _step_fold_fast(result: InferenceResult) -> None:
                 watermark = len(dirty)
                 scan(i)
                 while watermark < len(dirty):
-                    for pj in lpaths[dirty[watermark]]:
+                    lid = dirty[watermark]
+                    for pj in lpath_pid[lpath_off[lid]:lpath_off[lid + 1]]:
                         if pj > i:
                             if pj not in in_heap:
                                 in_heap.add(pj)

@@ -42,10 +42,12 @@ class Prefix:
     """An IPv4 prefix ``network/length`` in canonical (masked) form.
 
     Instances are immutable, hashable, and ordered first by network
-    address then by length, which yields the conventional RIB ordering.
+    address then by length, which yields the conventional RIB ordering;
+    every IPv4 prefix sorts before every :class:`~repro.net.prefix6.Prefix6`.
     """
 
     __slots__ = ("network", "length")
+    _family = 4
 
     def __init__(self, network: int, length: int):
         if not 0 <= length <= 32:
@@ -145,17 +147,28 @@ class Prefix:
             return NotImplemented
         return self.network == other.network and self.length == other.length
 
+    # ``_family`` leads the key: every IPv4 prefix sorts before every
+    # IPv6 one, and same-family prefixes order by (network, length)
+
     def __lt__(self, other: "Prefix") -> bool:
-        return (self.network, self.length) < (other.network, other.length)
+        return (self._family, self.network, self.length) < (
+            other._family, other.network, other.length
+        )
 
     def __le__(self, other: "Prefix") -> bool:
-        return (self.network, self.length) <= (other.network, other.length)
+        return (self._family, self.network, self.length) <= (
+            other._family, other.network, other.length
+        )
 
     def __gt__(self, other: "Prefix") -> bool:
-        return (self.network, self.length) > (other.network, other.length)
+        return (self._family, self.network, self.length) > (
+            other._family, other.network, other.length
+        )
 
     def __ge__(self, other: "Prefix") -> bool:
-        return (self.network, self.length) >= (other.network, other.length)
+        return (self._family, self.network, self.length) >= (
+            other._family, other.network, other.length
+        )
 
     def __hash__(self) -> int:
         return hash((self.network, self.length))

@@ -20,6 +20,7 @@ class Prefix6:
     """An IPv6 prefix ``network/length`` in canonical (masked) form."""
 
     __slots__ = ("network", "length")
+    _family = 6
 
     def __init__(self, network: int, length: int):
         if not 0 <= length <= 128:
@@ -79,17 +80,28 @@ class Prefix6:
             return NotImplemented
         return self.network == other.network and self.length == other.length
 
+    # ``_family`` leads the key: every IPv4 prefix sorts before every
+    # IPv6 one, and same-family prefixes order by (network, length)
+
     def __lt__(self, other: "Prefix6") -> bool:
-        return (self.network, self.length) < (other.network, other.length)
+        return (self._family, self.network, self.length) < (
+            other._family, other.network, other.length
+        )
 
     def __le__(self, other: "Prefix6") -> bool:
-        return (self.network, self.length) <= (other.network, other.length)
+        return (self._family, self.network, self.length) <= (
+            other._family, other.network, other.length
+        )
 
     def __gt__(self, other: "Prefix6") -> bool:
-        return (self.network, self.length) > (other.network, other.length)
+        return (self._family, self.network, self.length) > (
+            other._family, other.network, other.length
+        )
 
     def __ge__(self, other: "Prefix6") -> bool:
-        return (self.network, self.length) >= (other.network, other.length)
+        return (self._family, self.network, self.length) >= (
+            other._family, other.network, other.length
+        )
 
     def __hash__(self) -> int:
         return hash((Prefix6, self.network, self.length))

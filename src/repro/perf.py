@@ -44,6 +44,7 @@ plain dicts — reads a consistent tree without mutating it.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from contextlib import contextmanager
@@ -209,7 +210,8 @@ class PerfRecorder:
         return out
 
     def report_lines(self) -> List[str]:
-        """Human-readable indented profile."""
+        """Human-readable indented profile; root counters (the ``gc.*``
+        totals of :func:`use_recorder`) go on a last line."""
         lines: List[str] = []
 
         def walk(node: StageStats, depth: int) -> None:
@@ -226,6 +228,11 @@ class PerfRecorder:
 
         with self._lock:
             walk(self._root, 0)
+            root = self._root.counters
+            if root:
+                lines.append(
+                    "  ".join(f"{k}={v:g}" for k, v in root.items())
+                )
         return lines
 
 
@@ -249,14 +256,59 @@ def set_recorder(recorder: PerfRecorder) -> PerfRecorder:
     return previous
 
 
+class _GcTimer:
+    """A ``gc.callbacks`` hook: collections and seconds per generation.
+
+    It only accumulates plain numbers: a collection can start inside
+    any allocation, including one made while the recorder's lock is
+    held, so the hook must not take that lock itself.
+    """
+
+    def __init__(self) -> None:
+        self.calls = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._start = 0.0
+
+    def __call__(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+            return
+        generation = info["generation"]
+        self.calls[generation] += 1
+        self.seconds[generation] += time.perf_counter() - self._start
+
+    def deposit(self, recorder: PerfRecorder) -> None:
+        """Add ``gc.genN`` (collections) and ``gc.genN_s`` (seconds)
+        counters to the recorder root, for generations that ran."""
+        with recorder._lock:
+            counters = recorder._root.counters
+            for generation, calls in enumerate(self.calls):
+                if calls:
+                    name = f"gc.gen{generation}"
+                    seconds = self.seconds[generation]
+                    counters[name] = counters.get(name, 0) + calls
+                    counters[name + "_s"] = (
+                        counters.get(name + "_s", 0) + seconds
+                    )
+
+
 @contextmanager
 def use_recorder(recorder: PerfRecorder) -> Iterator[PerfRecorder]:
-    """Scope ``recorder`` as the active one, restoring on exit."""
+    """Scope ``recorder`` as the active one, restoring on exit.
+
+    While scoped, garbage collections are timed too; on exit the hook is
+    removed (the module default recorder never pays for it) and the
+    totals land as ``gc.*`` counters on the recorder root.
+    """
     previous = set_recorder(recorder)
+    timer = _GcTimer()
+    gc.callbacks.append(timer)
     try:
         yield recorder
     finally:
+        gc.callbacks.remove(timer)
         set_recorder(previous)
+        timer.deposit(recorder)
 
 
 def stage(name: str):

@@ -42,8 +42,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as _np
+
 from repro.core.clique import infer_clique
-from repro.core.cone import ConeDefinition, CustomerCones
+from repro.core.cone import (
+    ConeDefinition,
+    CustomerCones,
+    _bgp_observed_bits,
+    _ppdc_bits,
+)
 from repro.core.inference import InferenceConfig, Step, _discard_poisoned
 from repro.core.paths import PathSet
 from repro.relationships import Relationship, canonical_pair
@@ -278,32 +285,29 @@ def try_delta(
     # commit: every check passed, the live labels are provably what a
     # batch run over filtered_new would produce — extend state in place
     # ------------------------------------------------------------------
-    ids_item = result.index.ids.__getitem__
-    ppdc = list(live.bits[ConeDefinition.PROVIDER_PEER_OBSERVED])
+    # append the new paths to the flat index and OR their contribution
+    # into the observed-cone bitsets; the link -> paths CSR and the
+    # cached hop columns describe the old corpus, so drop them (the
+    # fold never runs again on a committed result)
     bgp = list(live.bits[ConeDefinition.BGP_OBSERVED])
-    for path, lids in checked:
-        pi = len(result._path_nodes)
-        pids = list(map(ids_item, path))
-        for lid in lids:
-            result._lpaths[lid].append(pi)
-        result._path_nodes.append(path)
-        result._path_lids.append(lids)
-        result._path_pids.append(pids)
-        # OR the new path's contribution into the observed-cone bitsets,
-        # mirroring _bgp_observed_bits / _ppdc_bits restricted to it
-        suffix = 0
-        for j in range(len(lids) - 1, -1, -1):
-            if lstate[lids[j]] == path[j]:
-                suffix |= 1 << pids[j + 1]
-                bgp[pids[j]] |= suffix
-            else:
-                suffix = 0
-        suffix = 0
-        for i in range(len(path) - 2, 0, -1):
-            suffix |= 1 << pids[i + 1]
-            s = lstate[lids[i - 1]]
-            if s == -1 or s == path[i - 1]:
-                ppdc[pids[i]] |= suffix
+    ppdc = list(live.bits[ConeDefinition.PROVIDER_PEER_OBSERVED])
+    if checked:
+        first_new = len(result._path_off) - 1
+        ids = result.index.ids
+        end = result._path_off[-1]
+        pids: List[int] = []
+        for path, lids in checked:
+            result._hop_lid.extend(lids)
+            pids.extend(ids[asn] for asn in path)
+            end += len(path)
+            result._path_off.append(end)
+        result._node_pid = _np.concatenate(
+            (result._node_pid, _np.array(pids, dtype=_np.int64))
+        )
+        result._lpath_pid = result._lpath_off = None
+        result._hop_cols = None
+        _bgp_observed_bits(result, first_new, bgp)
+        _ppdc_bits(result, first_new, ppdc)
 
     result.paths = filtered_new
     result.discarded_poisoned = discarded
@@ -311,9 +315,6 @@ def try_delta(
 
     recursive = live.bits[ConeDefinition.RECURSIVE]
     if checked:
-        # flat numpy views are corpus-shaped; invalidate, don't extend
-        result._np_pid_flat = None
-        result._np_fold = None
         # the p2c DAG did not change, so the recursive closure carries
         # over; rebuild the columnar graph (cheap) and hand it the
         # cached closure

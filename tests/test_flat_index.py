@@ -1,0 +1,191 @@
+"""The inference engine's flat (CSR) corpus index.
+
+``InferenceResult._init_fast`` keeps the corpus as a few flat lists and
+arrays plus offsets, never as one container per path or per link; the
+top-down step's visiting order comes from one ``numpy.lexsort`` over
+the padded paths instead of a sort of per-path tuples.
+"""
+
+import gc
+import random
+import tracemalloc
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core.clique import CliqueResult
+from repro.core.inference import (
+    _PEAK_SORT_WIDTH,
+    InferenceConfig,
+    InferenceResult,
+    _peak_order,
+)
+from repro.core.paths import PathSet
+
+
+def _indexed(paths):
+    corpus = PathSet(paths)
+    result = InferenceResult(
+        corpus,
+        CliqueResult(members=[], seed_members=[], added_members=[]),
+        InferenceConfig(),
+    )
+    result._init_fast(corpus)
+    return corpus, result
+
+
+def _tuple_sort_order(paths, rank):
+    """The order S5 used to take: sort (peak rank, path, peak, index)."""
+    big = 1 << 30
+    keyed = []
+    for pi, path in enumerate(paths):
+        ranks = [rank.get(asn, big) for asn in path]
+        peak = ranks.index(min(ranks))
+        keyed.append((min(ranks), path, peak, pi))
+    keyed.sort()
+    return [pi for *_, pi in keyed], {pi: peak for _, _, peak, pi in keyed}
+
+
+@st.composite
+def _corpora(draw):
+    """Distinct paths over few ASNs, with some paths' prefixes (down to
+    single-hop and single-AS paths) added, and a rank that leaves some
+    ASes out (so peak ranks tie at the default)."""
+    base = draw(st.lists(
+        st.lists(st.integers(1, 9), min_size=1, max_size=6, unique=True)
+        .map(tuple),
+        min_size=1,
+        max_size=30,
+    ))
+    paths = list(base)
+    for path in base:
+        cut = draw(st.integers(1, len(path)))
+        paths.append(path[:cut])
+    paths = list(dict.fromkeys(paths))
+    draw(st.randoms()).shuffle(paths)
+    ranked = draw(st.permutations(range(1, 10)))
+    kept = draw(st.integers(0, 9))
+    rank = {asn: i for i, asn in enumerate(ranked[:kept])}
+    return paths, rank
+
+
+class TestPeakOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=_corpora())
+    def test_lexsort_equals_tuple_sort(self, corpus):
+        paths, rank = corpus
+        pathset, result = _indexed(paths)
+        order, peaks = _peak_order(result, pathset, rank)
+        want_order, want_peaks = _tuple_sort_order(paths, rank)
+        assert order == want_order
+        assert {pi: peaks[pi] for pi in order} == want_peaks
+
+    def test_prefixes_ties_and_single_hops(self):
+        # 5 is unranked: every path through only 5 and 6 ties at the
+        # default rank; (2, 5) is a prefix of (2, 5, 6), (5,) of (5, 6)
+        paths = [(2, 5, 6), (5, 6), (2, 5), (6, 5), (5,), (3, 2), (2, 3)]
+        rank = {2: 0, 3: 1, 6: 2}
+        pathset, result = _indexed(paths)
+        order, peaks = _peak_order(result, pathset, rank)
+        assert [paths[pi] for pi in order] == [
+            (2, 3), (2, 5), (2, 5, 6), (3, 2), (5, 6), (6, 5), (5,),
+        ]
+        assert [peaks[pi] for pi in order] == [0, 0, 0, 1, 1, 0, 0]
+        assert order == _tuple_sort_order(paths, rank)[0]
+
+    def test_long_paths_keep_the_order_and_a_narrow_grid(self):
+        # one path of 5000 distinct ASNs among short ones, with longer-
+        # than-the-grid prefixes of it that tie on every sorted column
+        # (and on the default peak rank) and must still come out in
+        # tuple order
+        rng = random.Random(3)
+        short = {
+            tuple(rng.sample(range(1, 400), rng.randint(1, 7)))
+            for _ in range(300)
+        }
+        long = tuple(range(10_000, 15_000))
+        w = _PEAK_SORT_WIDTH
+        tails = [
+            long, long[:3000], long[:w + 4], long[:w + 1], long[:w],
+            long[:w - 1], long[:w + 4] + (7,), long[:w + 4] + (20_000,),
+            (5,) + long[:w + 2], (5,) + long[:w + 2] + (6,),
+        ]
+        paths = sorted(short) + tails
+        random.Random(4).shuffle(paths)
+        rank = {asn: i for i, asn in enumerate(range(1, 400, 3))}
+        pathset, result = _indexed(paths)
+        tracemalloc.start()
+        try:
+            order, peaks = _peak_order(result, pathset, rank)
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want_order, want_peaks = _tuple_sort_order(paths, rank)
+        assert order == want_order
+        assert {pi: peaks[pi] for pi in order} == want_peaks
+        # a padded n x 5000 int64 grid alone would take ~12.4 MB
+        assert peak_bytes < 1_000_000
+
+
+def _corpus(n_paths, seed=7):
+    rng = random.Random(seed)
+    paths = set()
+    while len(paths) < n_paths:
+        paths.add(tuple(rng.sample(range(1, 4000), rng.randint(2, 7))))
+    return PathSet(sorted(paths))
+
+
+def _containers_built(corpus):
+    """gc-tracked containers that indexing ``corpus`` leaves behind."""
+    corpus.numpy_view()
+    result = InferenceResult(
+        corpus,
+        CliqueResult(members=[], seed_members=[], added_members=[]),
+        InferenceConfig(),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result._init_fast(corpus)
+        return len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+
+
+class TestFlatIndex:
+    def test_container_count_does_not_grow_with_the_corpus(self):
+        small = _containers_built(_corpus(500))
+        large = _containers_built(_corpus(2000))
+        assert small == large
+        assert small <= 16
+
+    def test_paths_read_back_from_the_flat_lists(self):
+        paths = [(1, 2, 3), (3,), (4, 2), (2, 1, 4, 5)]
+        pathset, result = _indexed(paths)
+        off = result._path_off
+        asns = result.index.asns
+        assert [
+            tuple(asns[i] for i in result._node_pid[s:e].tolist())
+            for s, e in zip(off, off[1:])
+        ] == paths
+        # hops: path p's links start at _hop_lid[off[p] - p]
+        key_lid = result._key_lid
+        for p, path in enumerate(paths):
+            h0 = off[p] - p
+            assert result._hop_lid[h0:h0 + len(path) - 1] == [
+                key_lid[(min(a, b) << 32) | max(a, b)]
+                for a, b in zip(path, path[1:])
+            ]
+        # link -> paths CSR: every path carrying the link, once
+        for key, lid in key_lid.items():
+            a, b = key >> 32, key & 0xFFFFFFFF
+            start, end = result._lpath_off[lid], result._lpath_off[lid + 1]
+            assert sorted(result._lpath_pid[start:end]) == [
+                p for p, path in enumerate(paths)
+                if any({a, b} == {x, y} for x, y in zip(path, path[1:]))
+            ]
+
+    def test_old_list_of_lists_fields_are_gone(self):
+        _, result = _indexed([(1, 2, 3)])
+        for name in ("_path_lids", "_path_pids", "_lpaths", "_path_nodes"):
+            assert not hasattr(result, name)

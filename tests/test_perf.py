@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import time
 
 from repro import perf
@@ -108,6 +109,34 @@ class TestScopedRecorder:
         assert perf.get_recorder() is before
         assert "x" in scoped.flat()
         assert "x" not in before.flat()
+
+    def test_gc_collections_land_on_the_recorder_root(self):
+        rec = perf.PerfRecorder()
+        hooks = list(gc.callbacks)
+        with perf.use_recorder(rec):
+            assert len(gc.callbacks) == len(hooks) + 1
+            with perf.stage("work"):
+                gc.collect()
+                gc.collect(0)
+        # the hook is gone again: the default recorder pays nothing
+        assert gc.callbacks == hooks
+        counters = rec.counters()
+        assert counters["gc.gen2"] >= 1 and counters["gc.gen0"] >= 1
+        assert counters["gc.gen2_s"] >= 0.0
+        # root counters, not the open stage's
+        assert not any(key.startswith("work/") for key in counters)
+
+    def test_no_gc_counters_without_collections(self):
+        rec = perf.PerfRecorder()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with perf.use_recorder(rec):
+                pass
+        finally:
+            if enabled:
+                gc.enable()
+        assert rec.counters() == {}
 
     def test_reset_clears(self):
         rec = perf.PerfRecorder()

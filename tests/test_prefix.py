@@ -93,6 +93,19 @@ class TestProperties:
         assert p24 > p9 >= p8
         assert sorted([p24, p9, p8]) == [p8, p9, p24]
 
+    def test_every_v4_prefix_sorts_before_every_v6_prefix(self):
+        from repro.net.prefix6 import Prefix6
+
+        v4 = Prefix.parse("0.0.0.0/0")
+        v6 = Prefix6.parse("::/0")
+        # same (network, length): only the family tells them apart
+        assert v4 != v6
+        assert v4 < v6 and v4 <= v6 and not v4 > v6 and not v4 >= v6
+        assert v6 > v4 and v6 >= v4 and not v6 < v4 and not v6 <= v4
+        top4 = Prefix.parse("255.255.255.255/32")
+        low6 = Prefix6.parse("::1/128")
+        assert sorted([low6, v6, top4, v4]) == [v4, top4, v6, low6]
+
 
 class TestContainment:
     def test_contains_more_specific(self):

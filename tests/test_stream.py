@@ -362,11 +362,10 @@ class TestIngestLevels:
         assert second.version != first.version
         assert second.version == _oracle_version(ingestor, ixp)
 
-    def test_truncated_path_batch_is_delta(self):
-        graph, rows = _world()
-        ixp = graph.ixp_asns()
-        ingestor = StreamIngestor(ixp_asns=ixp, base_rows=rows)
-        ingestor.publish()
+    @staticmethod
+    def _truncation_batch(ingestor):
+        """Announcements of truncated corpus paths that a delta publish
+        accepts: no new link, no partial-VP head, early-step labels."""
         live = ingestor.live
         result = live.result
         origins = {path[-1] for path in live.filtered.paths}
@@ -403,11 +402,145 @@ class TestIngestLevels:
             if len(batch) >= 4:
                 break
         assert batch, "world must yield delta-eligible truncations"
-        ingestor.apply_batch(batch)
+        return batch
+
+    def test_truncated_path_batch_is_delta(self):
+        graph, rows = _world()
+        ixp = graph.ixp_asns()
+        ingestor = StreamIngestor(ixp_asns=ixp, base_rows=rows)
+        ingestor.publish()
+        ingestor.apply_batch(self._truncation_batch(ingestor))
         snapshot = ingestor.publish()
         assert ingestor.stats.delta_publishes >= 1
         assert ingestor.stats.last_publish_mode == "delta"
         assert snapshot.version == _oracle_version(ingestor, ixp)
+
+    @staticmethod
+    def _splice_batch(ingestor):
+        """Up to four announcements of spliced corpus paths (a prefix of
+        one path up to an interior AS, then another path's suffix after
+        it) that pass the poison filter, use only early-step labels and
+        add ASes to some provider/peer-observed cone."""
+        from repro.core.cone import ConeDefinition
+        from repro.relationships import Relationship
+
+        live = ingestor.live
+        result = live.result
+        paths = live.filtered.paths
+        ppdc = live.facade.cones(ConeDefinition.PROVIDER_PEER_OBSERVED)
+        clique = set(result.clique.members)
+        partial = _partial_vps(
+            live.filtered, ingestor.config.partial_vp_coverage
+        )
+        existing = set(paths)
+
+        def eligible(t):
+            if t in existing or len(set(t)) != len(t):
+                return False
+            at = [i for i, asn in enumerate(t) if asn in clique]
+            if len(at) > 2 or (len(at) == 2 and at[1] != at[0] + 1):
+                return False  # the poison filter would drop it
+            steps = [
+                result._step.get(canonical_pair(a, b))
+                for a, b in zip(t, t[1:])
+            ]
+            return not any(s is None or s in _LATE_STEPS for s in steps)
+
+        def widens_a_cone(t):
+            for i in range(1, len(t) - 1):
+                up = t[i - 1]
+                entered = (
+                    result.relationship(up, t[i]) is Relationship.P2P
+                    or result.provider_of(up, t[i]) == up
+                )
+                if entered and set(t[i + 1:]) - ppdc.cone(t[i]):
+                    return True
+            return False
+
+        picked = []
+        for a in paths:
+            if a[0] in partial:
+                continue
+            for i in range(1, len(a) - 1):
+                for b in paths:
+                    if a[i] not in b[1:-1]:
+                        continue
+                    t = a[:i + 1] + b[b.index(a[i]) + 1:]
+                    if eligible(t) and widens_a_cone(t):
+                        existing.add(t)
+                        picked.append(t)
+                        if len(picked) == 4:
+                            break
+                if len(picked) == 4:
+                    break
+            if len(picked) == 4:
+                break
+        assert picked, "world must yield delta-eligible splices"
+        return [
+            UpdateRecord(
+                peer_asn=t[0],
+                local_asn=COLLECTOR_ASN,
+                as_path=t,
+                announced=(Prefix.parse(f"203.0.{113 + n}.0/24"),),
+                communities=(),
+            )
+            for n, t in enumerate(picked)
+        ]
+
+    def test_delta_commit_extends_the_flat_index(self):
+        from repro.core.cone import (
+            ConeDefinition,
+            _bgp_observed_bits,
+            _ppdc_bits,
+        )
+
+        graph, rows = _world()
+        ixp = graph.ixp_asns()
+        ingestor = StreamIngestor(ixp_asns=ixp, base_rows=rows)
+        ingestor.publish()
+        result = ingestor.live.result
+        old_paths = list(result.paths.paths)
+        old_ppdc = list(
+            ingestor.live.bits[ConeDefinition.PROVIDER_PEER_OBSERVED]
+        )
+        ingestor.apply_batch(self._splice_batch(ingestor))
+        ingestor.publish()
+        assert ingestor.stats.last_publish_mode == "delta"
+        live = ingestor.live
+        assert live.result is result  # extended in place
+        known = set(old_paths)
+        added = [p for p in live.filtered.paths if p not in known]
+        assert added
+        # the flat index holds the old paths, then the new ones appended
+        off = result._path_off
+        asns = result.index.asns
+        indexed = [
+            tuple(asns[i] for i in result._node_pid[s:e].tolist())
+            for s, e in zip(off, off[1:])
+        ]
+        assert indexed == old_paths + added
+        key_lid = result._key_lid
+        for p, path in enumerate(indexed):
+            h0 = off[p] - p
+            assert result._hop_lid[h0:h0 + len(path) - 1] == [
+                key_lid[(min(a, b) << 32) | max(a, b)]
+                for a, b in zip(path, path[1:])
+            ]
+        # the link -> paths CSR describes the old corpus only: dropped
+        assert result._lpath_pid is None and result._lpath_off is None
+        # the commit OR-ed in exactly what the extended index yields...
+        bgp = live.bits[ConeDefinition.BGP_OBSERVED]
+        ppdc = live.bits[ConeDefinition.PROVIDER_PEER_OBSERVED]
+        assert ppdc != old_ppdc  # the splices widened some cone
+        assert _bgp_observed_bits(result) == bgp
+        assert _ppdc_bits(result) == ppdc
+        # ...and what a batch build over the same table computes
+        batch = asrank_from_rib_rows(ingestor.corpus.rows(), ixp_asns=ixp)
+        assert batch.result.index.asns == asns
+        assert batch.cones(ConeDefinition.BGP_OBSERVED).bits == bgp
+        assert (
+            batch.cones(ConeDefinition.PROVIDER_PEER_OBSERVED).bits == ppdc
+        )
 
     def test_new_link_falls_back_to_full(self):
         graph, rows = _world()
