@@ -1,42 +1,39 @@
-"""Bench-regression smoke checks: collection pipeline and serving.
+"""Bench-regression smoke checks: collection, snapshot build, serving
+and the era timeline.
 
-Two checks, each failing — exit code 1 — on a >``TOLERANCE``
-regression against the committed report:
+Seven legs, run in this order; the first one that fails ends the run
+with exit code 1.  Legs gated against a committed report fail on a
+>``TOLERANCE`` regression after machine calibration (below):
 
-* the E00 300-AS scale point's `propagate+collect` time vs
-  ``reports/BENCH_e00.json`` (the cheapest point, a few hundred
-  milliseconds);
-* the internet-scale smoke: collection over a 10k-AS power-law world
-  (a downscaled replica of the 100k point) vs the ``internet_smoke``
-  time committed in ``reports/BENCH_e00.json`` — guards the
-  internet-scale hot paths (``array_state`` rows, 64-origin blocks,
-  the linear-time generator);
-* the query service's sustained throughput on a ``small``-scenario
-  snapshot vs the ``medium``-snapshot throughput committed in
-  ``reports/BENCH_serve.json``;
-* the path-prediction endpoints: committed warm (route-table-cached)
-  path p99 must sit within 2x of the ``/asns/{asn}`` yardstick, and a
-  live re-measure must show cached tables beating cold per-origin
-  propagation;
-* the warm ``Snapshot.build`` time on the ``medium`` scenario vs
-  ``reports/BENCH_graph.json`` — guards the graph core's zero-copy
-  build path (the snapshot adopts the facade's ``RelGraph`` index and
-  cone bitsets instead of re-indexing);
-* pre-fork worker scaling: on runners with >=4 CPUs a 2-worker mmap
-  fleet must beat the 1-worker throughput by >=1.6x, both measured
-  live on the same machine (skipped, with a message, on smaller
-  runners where workers time-slice one core);
-* the stream-ingest path: on a live ``small``-scenario ingestor,
-  delta-eligible UPDATE batches must apply >=3x faster than a full
-  recompute over the same final table (self-calibrated — both legs
-  run on this machine), and the streamed snapshot version must equal
-  the batch recompute's;
-* the era timeline: committed delta eras must store <=35% of their
-  full-snapshot bytes and committed warm historical-read p99 must sit
-  within 2x of the latest-read p99; a small timeline is then rebuilt
-  and served live — the storage ratio is machine-independent, and the
-  live historical/latest comparison is self-calibrated because both
-  legs run interleaved on this runner.
+1. the E00 300-AS scale point's `propagate+collect` time vs
+   ``reports/BENCH_e00.json`` (the cheapest point, a few hundred
+   milliseconds);
+2. the internet-scale smoke: collection over a 10k-AS power-law world
+   (a downscaled replica of the 100k point) vs the ``internet_smoke``
+   time committed in ``reports/BENCH_e00.json`` — guards the
+   internet-scale hot paths (``array_state`` rows, 64-origin blocks,
+   the linear-time generator);
+3. the warm ``Snapshot.build`` time on the ``medium`` scenario vs
+   ``reports/BENCH_graph.json`` — guards the graph core's zero-copy
+   build path (the snapshot adopts the facade's ``RelGraph`` index and
+   cone bitsets instead of re-indexing);
+4. the path-prediction endpoints: committed warm (route-table-cached)
+   path p99 must sit within 2x of the ``/asns/{asn}`` yardstick, and a
+   live re-measure must show cached tables beating cold per-origin
+   propagation;
+5. the query service's sustained throughput on a ``small``-scenario
+   snapshot vs the ``medium``-snapshot throughput committed in
+   ``reports/BENCH_serve.json``;
+6. the era timeline: committed delta eras must store <=35% of their
+   full-snapshot bytes and committed warm historical-read p99 must sit
+   within 2x of the latest-read p99; a small timeline is then rebuilt
+   and served live — the storage ratio is machine-independent, and the
+   live historical/latest comparison is self-calibrated because both
+   legs run interleaved on this runner;
+7. pre-fork worker scaling: on runners with >=4 CPUs a 2-worker mmap
+   fleet must beat the 1-worker throughput by >=1.6x, both measured
+   live on the same machine (skipped, with a message, on smaller
+   runners where workers time-slice one core).
 
 The committed baselines and the CI runner are different machines, so
 the committed numbers are first rescaled by a calibration ratio.  The
@@ -87,7 +84,6 @@ TIMELINE_DELTA_RATIO_MAX = 0.35  # delta eras vs their full snapshots
 TIMELINE_WARM_FACTOR = 2.0  # committed historical p99 vs latest p99
 TIMELINE_LIVE_FACTOR = 3.0  # live re-measure, absorbs runner noise
 TIMELINE_LIVE_EPSILON_MS = 0.25  # sub-ms samples need an absolute floor
-STREAM_MIN_SPEEDUP = 3.0  # delta apply vs full apply, small dirty region
 
 
 def _collect_seconds(graph, config, collector=Collector) -> float:
@@ -371,77 +367,6 @@ def check_timeline() -> int:
     return 0
 
 
-def check_stream() -> int:
-    """Stream-ingest leg: delta apply must beat full apply by >=3x.
-
-    Re-measured live on the ``small`` scenario, so no cross-machine
-    calibration is needed: a seeded ingestor streams delta-eligible
-    batches (built by ``bench_stream.delta_eligible_batches``) and the
-    mean incremental apply time — sanitize, delta checks and commit,
-    snapshot encode excluded — must undercut a cold full recompute
-    over the same final table by ``STREAM_MIN_SPEEDUP``x.  Guards the
-    whole incremental path: the sorted-key table, the memoized
-    sanitizer and ``try_delta``'s zero-new-links fast path.
-    """
-    import statistics
-
-    from bench_stream import delta_eligible_batches, rows_from_rib
-    from repro.scenarios import get_scenario
-    from repro.stream import StreamIngestor
-
-    graph, corpus, _paths, _result = get_scenario("small").run()
-    rows = rows_from_rib(corpus.rib)
-    ingestor = StreamIngestor(ixp_asns=graph.ixp_asns(), base_rows=rows)
-    ingestor.publish()
-
-    applies = []
-    for batch in delta_eligible_batches(ingestor, n_batches=4):
-        ingestor.apply_batch(batch)
-        ingestor.publish()
-        if ingestor.stats.last_publish_mode == "delta":
-            applies.append(ingestor.stats.last_apply_seconds)
-    if not applies:
-        print(
-            "REGRESSION: no delta publishes on the small scenario — "
-            "every batch fell back to a full recompute "
-            f"({dict(ingestor.stats.fallbacks)})"
-        )
-        return 1
-
-    recompute = StreamIngestor(
-        ixp_asns=graph.ixp_asns(), base_rows=ingestor.corpus.rows()
-    )
-    recompute.publish()
-    if (
-        recompute.stats.last_publish_version
-        != ingestor.stats.last_publish_version
-    ):
-        print(
-            "REGRESSION: streamed snapshot version diverged from the "
-            "batch recompute over the same table"
-        )
-        return 1
-
-    delta_mean = statistics.mean(applies)
-    full_apply = recompute.stats.last_apply_seconds
-    speedup = full_apply / delta_mean if delta_mean else float("inf")
-    print(
-        f"stream ingest: delta apply mean {delta_mean * 1000:.1f}ms over "
-        f"{len(applies)} publishes, full apply {full_apply * 1000:.1f}ms, "
-        f"speedup {speedup:.2f}x (floor {STREAM_MIN_SPEEDUP}x)"
-    )
-    if speedup < STREAM_MIN_SPEEDUP:
-        print(
-            f"REGRESSION: incremental apply speedup {speedup:.2f}x is "
-            f"below the {STREAM_MIN_SPEEDUP}x floor — the delta path "
-            "is paying batch-recompute costs (memoized sanitizer or "
-            "zero-new-links checks regressed?)"
-        )
-        return 1
-    print("ok: stream delta apply within the regression budget")
-    return 0
-
-
 def check_workers() -> int:
     """Worker-scaling leg: 2 pre-fork workers must beat 1 by >=1.6x.
 
@@ -613,9 +538,6 @@ def main() -> int:
     if status:
         return status
     status = check_timeline()
-    if status:
-        return status
-    status = check_stream()
     if status:
         return status
     return check_workers()

@@ -36,8 +36,7 @@ import threading
 import time
 from urllib.request import urlopen
 
-from bench_stream import rows_from_rib
-from repro.mrt.reader import UpdateRecord
+from repro.mrt.reader import RibRecord, UpdateRecord
 from repro.mrt.updates import COLLECTOR_ASN, iter_update_batches, write_update_dump
 from repro.net.prefix import Prefix
 from repro.scenarios import get_scenario
@@ -49,6 +48,19 @@ from repro.stream import FleetPublisher, StorePublisher, StreamIngestor, asrank_
 
 REQUESTS = 5_000
 CONNECTIONS = 4
+
+
+def rows_from_rib(rib) -> list:
+    """Collector RIB entries → MRT RibRecord rows (the stream substrate)."""
+    return [
+        RibRecord(
+            prefix=entry.prefix,
+            peer_asn=entry.vp,
+            as_path=tuple(entry.path),
+            communities=tuple(entry.communities),
+        )
+        for entry in rib
+    ]
 
 
 def _fail(reason: str) -> int:
@@ -195,7 +207,7 @@ def main() -> int:
         print(
             f"streamed {status['updates']} updates in "
             f"{status['batches']} batches: {hot_publishes} hot publishes "
-            f"({status['delta_publishes']} delta / "
+            f"({status['noop_publishes']} noop / "
             f"{status['full_publishes']} full), "
             f"{report.requests} requests, 0 errors, "
             f"final version == batch build"

@@ -399,6 +399,14 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     """``stream``: replay an UPDATE dump through the live-ingest layer."""
     import json
 
+    if args.batch_size < 1:
+        print("error: --batch-size must be at least 1", file=sys.stderr)
+        return 2
+    if args.publish_every < 0:
+        print("error: --publish-every must not be negative",
+              file=sys.stderr)
+        return 2
+
     if args.status:
         from urllib.request import urlopen
 
@@ -419,9 +427,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     base_rows = None
     if args.base:
         base_rows = list(iter_rib_dump(args.base))
-    ingestor = StreamIngestor(
-        base_rows=base_rows, full_threshold=args.full_threshold
-    )
+    ingestor = StreamIngestor(base_rows=base_rows)
 
     server = None
     if args.serve:
@@ -661,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream = sub.add_parser(
         "stream",
         help="live-ingest an MRT UPDATE dump, publishing snapshots "
-             "incrementally (optionally into a live server)",
+             "as batches arrive (optionally into a live server)",
     )
     stream.add_argument("updates", nargs="?",
                         help="BGP4MP UPDATE dump to replay")
@@ -671,12 +677,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="UPDATE records applied per batch "
                              "(default: 256)")
     stream.add_argument("--publish-every", type=int, default=1,
-                        help="publish a snapshot every N batches "
+                        help="publish a snapshot every N batches; 0 "
+                             "publishes once, after the last batch "
                              "(default: 1)")
-    stream.add_argument("--full-threshold", type=float, default=0.25,
-                        help="dirty-table fraction above which a publish "
-                             "skips the delta checks and recomputes in "
-                             "full (default: 0.25)")
     stream.add_argument("--serve", action="store_true",
                         help="serve the stream over HTTP while ingesting "
                              "(hot-publishing each snapshot); keeps "

@@ -55,27 +55,22 @@ class ConeDefinition(enum.Enum):
 # ---------------------------------------------------------------------------
 
 
-def _hop_states(result: InferenceResult, first_path: int):
-    """Per-hop numpy columns of the indexed paths from ``first_path``
-    on: link state, left ASN, local path number, and the position of
-    the hop's left node in ``_node_pid[_path_off[first_path]:]``."""
+def _hop_states(result: InferenceResult):
+    """Per-hop numpy columns of the indexed paths: link state, left
+    ASN, path number, and the position of the hop's left node in
+    ``_node_pid``."""
     assert result._lstate is not None
-    lid, left, right, path = result._hop_columns(first_path)
+    lid, left, right, path = result._hop_columns()
     state = _np.array(result._lstate, dtype=_np.int64)[lid]
     node = _np.arange(len(lid), dtype=_np.int64) + path
     return state, left, path, node
 
 
-def _bgp_observed_bits(
-    result: InferenceResult,
-    first_path: int = 0,
-    bits: Optional[List[int]] = None,
-) -> List[int]:
-    """BGP-observed cone bits from the paths ``first_path`` on, OR-ed
-    into ``bits`` (default: every AS alone in its cone)."""
-    cone_bits = bits if bits is not None else _unit_bits(result)
-    state, left, path, node = _hop_states(result, first_path)
-    pid = result._node_pid[result._path_off[first_path]:]
+def _bgp_observed_bits(result: InferenceResult) -> List[int]:
+    """BGP-observed cone bits, one bitset per dense id."""
+    cone_bits = _unit_bits(result)
+    state, left, path, node = _hop_states(result)
+    pid = result._node_pid
     # a p2c hop with its left end as provider extends a descending run;
     # the run goes on if the path's next hop descends too
     down = state == left
@@ -97,16 +92,11 @@ def _bgp_observed_bits(
     return cone_bits
 
 
-def _ppdc_bits(
-    result: InferenceResult,
-    first_path: int = 0,
-    bits: Optional[List[int]] = None,
-) -> List[int]:
-    """Provider/peer-observed cone bits from the paths ``first_path``
-    on, OR-ed into ``bits`` (default: every AS alone in its cone)."""
-    cone_bits = bits if bits is not None else _unit_bits(result)
-    state, left, path, node = _hop_states(result, first_path)
-    pid = result._node_pid[result._path_off[first_path]:]
+def _ppdc_bits(result: InferenceResult) -> List[int]:
+    """Provider/peer-observed cone bits, one bitset per dense id."""
+    cone_bits = _unit_bits(result)
+    state, left, path, node = _hop_states(result)
+    pid = result._node_pid
     # an interior node entered from a peer or a provider gets the whole
     # observed suffix: everything it exports upward is a customer route
     interior = _np.zeros(len(state), dtype=bool)
@@ -116,7 +106,7 @@ def _ppdc_bits(
         return cone_bits
     # walk each such path from its end back to its first entered node
     n_nodes = len(pid)
-    off = _np.array(result._path_off[first_path:], dtype=_np.int64)
+    off = _np.array(result._path_off, dtype=_np.int64)
     plen = _np.diff(off)
     node_path = _np.repeat(_np.arange(len(plen), dtype=_np.int64), plen)
     first_enter = _np.full(len(plen), n_nodes, dtype=_np.int64)

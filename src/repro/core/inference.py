@@ -230,27 +230,21 @@ class InferenceResult:
         self._lpath_off = lpath_off.tolist()
         self._hop_cols = None
 
-    def _hop_columns(self, first_path: int = 0):
+    def _hop_columns(self):
         """``(lid, left, right, path)`` numpy columns, one row per hop of
-        the indexed paths from ``first_path`` on; ``path`` counts from
-        ``first_path``.  Hop ``h`` joins local node positions
-        ``h + path[h]`` and ``h + path[h] + 1``.  The full view is
-        cached until a stream commit extends the index."""
-        if first_path == 0 and self._hop_cols is not None:
-            return self._hop_cols
-        n0 = self._path_off[first_path]
-        off = _np.array(self._path_off[first_path:], dtype=_np.int64)
-        nodes = _np.diff(off)
-        lid = _np.array(self._hop_lid[n0 - first_path:], dtype=_np.int64)
-        path = _np.repeat(_np.arange(len(nodes), dtype=_np.int64), nodes - 1)
-        node = _np.arange(len(lid), dtype=_np.int64) + path
-        asn = _np.array(self.index.asns, dtype=_np.int64)[
-            self._node_pid[n0:]
-        ]
-        cols = (lid, asn[node], asn[node + 1], path)
-        if first_path == 0:
-            self._hop_cols = cols
-        return cols
+        the indexed paths (cached).  Hop ``h`` joins node positions
+        ``h + path[h]`` and ``h + path[h] + 1``."""
+        if self._hop_cols is None:
+            off = _np.array(self._path_off, dtype=_np.int64)
+            nodes = _np.diff(off)
+            lid = _np.array(self._hop_lid, dtype=_np.int64)
+            path = _np.repeat(
+                _np.arange(len(nodes), dtype=_np.int64), nodes - 1
+            )
+            node = _np.arange(len(lid), dtype=_np.int64) + path
+            asn = _np.array(self.index.asns, dtype=_np.int64)[self._node_pid]
+            self._hop_cols = (lid, asn[node], asn[node + 1], path)
+        return self._hop_cols
 
     def _mark_link(self, a: int, b: int, state: int) -> None:
         """Record a link's new fold state and flag it dirty."""

@@ -1168,11 +1168,11 @@ def check_stream(world, label: str, seed: int) -> List[Violation]:
     :class:`~repro.stream.ingest.StreamIngestor` — announcements of the
     held-back rows, withdrawals of live keys, relationship-changing
     churn (re-announcing live prefixes with donor paths), a
-    withdraw+announce of the same prefix inside one UPDATE, and
-    delta-eligible batches (new prefixes over existing paths, truncated
-    existing paths) so the incremental apply level is exercised, not
-    just its fallback.  After *every* publish, the snapshot's content
-    version must equal a from-scratch batch recompute
+    withdraw+announce of the same prefix inside one UPDATE, a new
+    prefix over an existing path, truncated existing paths, and a
+    duplicate re-announcement that must publish as a noop.  After
+    *every* publish, the snapshot's content version must equal a
+    from-scratch batch recompute
     (:func:`~repro.stream.corpus.asrank_from_rib_rows`) over the same
     final rows — the streamed-vs-batch contract is exact, not
     approximate.
@@ -1181,9 +1181,7 @@ def check_stream(world, label: str, seed: int) -> List[Violation]:
 
     from repro.mrt.reader import RibRecord, UpdateRecord
     from repro.net.prefix import Prefix
-    from repro.relationships import canonical_pair
     from repro.stream import StreamIngestor, asrank_from_rib_rows
-    from repro.stream.delta import _LATE_STEPS, _partial_vps
 
     violations: List[Violation] = []
     rows = [
@@ -1255,9 +1253,7 @@ def check_stream(world, label: str, seed: int) -> List[Violation]:
         ]
     )
 
-    ingestor = StreamIngestor(
-        ixp_asns=ixp_asns, base_rows=base, full_threshold=0.95
-    )
+    ingestor = StreamIngestor(ixp_asns=ixp_asns, base_rows=base)
 
     def checked_publish(stage: str) -> None:
         snapshot = ingestor.publish()
@@ -1280,62 +1276,38 @@ def check_stream(world, label: str, seed: int) -> List[Violation]:
         ingestor.apply_batch(batch)
         checked_publish(f"batch-{index}")
 
-    # delta-eligible stages: a fresh prefix over an existing (vp, path)
-    # row, then truncated existing paths whose links all carry early-
-    # step labels (the crafted shape the incremental apply accepts)
-    live = ingestor.live
-    if live is not None and live.result._step:
-        donor = rng.choice(rows)
-        ingestor.apply_batch(
-            [announce(donor, prefix=Prefix.parse("198.51.100.0/24"))]
-        )
-        checked_publish("prefix-only")
+    # corpus-growing stages: a fresh prefix over an existing (vp, path)
+    # row, then announcements of truncated existing paths
+    donor = rng.choice(rows)
+    ingestor.apply_batch(
+        [announce(donor, prefix=Prefix.parse("198.51.100.0/24"))]
+    )
+    checked_publish("prefix-only")
 
-        result = live.result
-        filtered = live.filtered
-        origins = {path[-1] for path in filtered.paths}
-        partial = _partial_vps(
-            filtered, ingestor.config.partial_vp_coverage
+    existing = set(ingestor.live.filtered.paths)
+    truncated: List[Tuple[int, ...]] = []
+    for path in ingestor.live.filtered.paths:
+        for cut in range(3, len(path)):
+            candidate = path[:cut]
+            if candidate not in existing:
+                truncated.append(candidate)
+                existing.add(candidate)
+        if len(truncated) >= 3:
+            break
+    if truncated:
+        ingestor.apply_batch(
+            [
+                UpdateRecord(
+                    peer_asn=candidate[0],
+                    local_asn=local_asn,
+                    as_path=candidate,
+                    announced=(Prefix.parse(f"203.0.{113 + index}.0/24"),),
+                    communities=(),
+                )
+                for index, candidate in enumerate(truncated)
+            ]
         )
-        existing = set(filtered.paths)
-        truncated: List[Tuple[int, ...]] = []
-        for path in filtered.paths:
-            for cut in range(3, len(path)):
-                candidate = path[:cut]
-                if candidate in existing:
-                    continue
-                steps = [
-                    result._step.get(canonical_pair(a, b))
-                    for a, b in zip(candidate, candidate[1:])
-                ]
-                if (
-                    candidate[-1] in origins
-                    and candidate[0] not in partial
-                    and all(
-                        s is not None and s not in _LATE_STEPS
-                        for s in steps
-                    )
-                ):
-                    truncated.append(candidate)
-                    existing.add(candidate)
-            if len(truncated) >= 3:
-                break
-        if truncated:
-            ingestor.apply_batch(
-                [
-                    UpdateRecord(
-                        peer_asn=candidate[0],
-                        local_asn=local_asn,
-                        as_path=candidate,
-                        announced=(
-                            Prefix.parse(f"203.0.{113 + index}.0/24"),
-                        ),
-                        communities=(),
-                    )
-                    for index, candidate in enumerate(truncated)
-                ]
-            )
-            checked_publish("truncated-paths")
+        checked_publish("truncated-paths")
 
     # a duplicate re-announcement must be detected as a noop publish
     ingestor.apply_batch([announce(rng.choice(ingestor.corpus.rows()))])

@@ -18,17 +18,20 @@ load unchanged: readers only ever trust the header's offset table.
 
 Integrity is two-level: the header carries a sha256 over the whole
 payload (verified on eager loads) and one per section (verified on
-first access in mmap loads), so a flipped byte is rejected on either
-path.  The section table itself is checked before any payload byte is
-read: every entry must name a non-overlapping, in-file span and a
-sha256, else the load fails with a typed format error.
+eager loads and on first access in mmap loads), so a flipped payload
+byte or a section entry pointing at the wrong span is rejected on
+either path.  The header's own labels (``version``, ``minor``) carry
+no checksum.  The section table itself is checked before any payload
+byte is read: every entry must name a non-overlapping, in-file span
+and a sha256, else the load fails with a typed format error.
 ``save_snapshot`` writes to a temp file in the target directory and
 ``os.replace``s it into place, so a concurrently reloading server
 never observes a half-written file.
 
 Two load modes (``load_snapshot(path, mode=...)``):
 
-* ``eager`` — read + checksum the whole payload, decode every section.
+* ``eager`` — read + checksum the whole payload and every section,
+  decode every section.
 * ``mmap`` — map the file read-only and hand sections out as
   zero-copy views of the mapping; numpy decodes links/ranks as array
   views over the mapped pages and cones stay packed with per-AS lazy
@@ -387,7 +390,15 @@ def load_snapshot(
         blobs: Dict[str, bytes] = {}
         for name, entry in header["sections"].items():
             start = entry["offset"]
-            blobs[name] = payload[start:start + entry["length"]]
+            blob = payload[start:start + entry["length"]]
+            # the payload checksum does not cover the table: an entry
+            # pointing at the wrong span must fail its own digest
+            if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
+                raise SnapshotFormatError(
+                    f"section {name!r} checksum mismatch "
+                    f"(corrupted snapshot)"
+                )
+            blobs[name] = blob
 
         def section(name: str) -> bytes:
             blob = blobs.get(name)

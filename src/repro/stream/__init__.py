@@ -1,19 +1,18 @@
-"""Live-stream ingest: incremental inference over MRT UPDATE batches.
+"""Live-stream ingest: snapshots published from MRT UPDATE batches.
 
 The batch pipeline rebuilds the world from scratch for every era; this
 package is the streaming twin.  :class:`~repro.stream.corpus.LiveCorpus`
 maintains the per-(prefix, peer) RIB table under announce/withdraw
-semantics, :class:`~repro.stream.ingest.StreamIngestor` turns batches of
-decoded UPDATE records into published snapshots, and
-:mod:`repro.stream.delta` is the checked incremental apply that makes a
-publish cheap when a batch only grows the corpus benignly.
+semantics, and :class:`~repro.stream.ingest.StreamIngestor` turns
+batches of decoded UPDATE records into published snapshots.  A publish
+is either a noop (the sanitized corpus and the prefix map are
+unchanged, so the previous snapshot is reused) or a full batch
+recompute over the live table's maintained views.
 
 The correctness contract is differential and absolute: every published
 snapshot is bit-identical (equal content version) to a batch recompute
-over the same final corpus.  The delta path earns its speed by proving
-a set of agreement preconditions against the live inference state and
-falling back to a full recompute whenever any of them fails — QA
-family 10 checks the contract on every publish of seeded worlds.
+over the same final corpus — QA family 10 checks it on every publish of
+seeded worlds.
 """
 
 from repro.stream.corpus import (
@@ -21,7 +20,6 @@ from repro.stream.corpus import (
     asrank_from_rib_rows,
     prefixes_from_rows,
 )
-from repro.stream.delta import LiveState, try_delta
 from repro.stream.ingest import (
     FleetPublisher,
     IngestStats,
@@ -33,10 +31,8 @@ __all__ = [
     "FleetPublisher",
     "IngestStats",
     "LiveCorpus",
-    "LiveState",
     "StorePublisher",
     "StreamIngestor",
     "asrank_from_rib_rows",
     "prefixes_from_rows",
-    "try_delta",
 ]

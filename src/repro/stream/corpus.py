@@ -5,19 +5,19 @@ route table that :func:`repro.mrt.updates.rib_from_updates` reconstructs
 offline: the last announcement for a key wins, a withdrawal removes the
 key, and withdrawals inside an UPDATE are applied before its
 announcements (RFC 4271 ordering).  :class:`LiveCorpus` keeps that table
-resident, tracks which keys changed since the last publish so the
-ingestor can estimate the dirty fraction cheaply, and maintains the two
-derived views a publish feeds to inference — the sanitized corpus and
-the origin → prefixes map — row by row, so a publish pays for the rows
-a batch changed rather than for the whole table.  Stage 1 is memoized
+resident and maintains the two derived views a publish feeds to
+inference — the sanitized corpus and the origin → prefixes map — row by
+row, so a publish pays for the rows a batch changed rather than for the
+whole table.  Stage 1 is memoized
 per distinct raw path and filled in batches: every raw path of the
 base table in one :func:`~repro.core.paths.clean_paths` call, then per
 refresh only the changed rows' raw paths the memo has not seen.
 
 :func:`asrank_from_rib_rows` is the single shared definition of "batch
-recompute over a set of RIB rows" — the stream's full publishes, the QA
-family 10 comparator, and the CI smoke all call it, which makes the
-streamed-vs-batch bit-identity contract trivially well-defined.
+recompute over a set of RIB rows" — the QA family 10 comparator and the
+CI smoke call it, and the stream's full publishes run the same facade
+over the maintained views, which makes the streamed-vs-batch
+bit-identity contract trivially well-defined.
 """
 
 from __future__ import annotations
@@ -99,8 +99,6 @@ class LiveCorpus:
         # keys kept sorted incrementally, so a publish over a
         # barely-changed table doesn't pay an O(n log n) re-sort
         self._sorted_keys: List[TableKey] = [key for key, _ in ordered]
-        #: keys touched since the last ``clear_dirty`` (i.e. last publish)
-        self.dirty_keys: Set[TableKey] = set()
         self.announced = 0
         self.withdrawn = 0
 
@@ -165,7 +163,6 @@ class LiveCorpus:
         """
         announced = withdrawn = 0
         table = self.table
-        dirty = self.dirty_keys
         displaced = self._displaced
         keys = self._sorted_keys
         for update in updates:
@@ -174,7 +171,6 @@ class LiveCorpus:
                 old = table.pop(key, None)
                 if old is not None:
                     withdrawn += 1
-                    dirty.add(key)
                     displaced.setdefault(key, old)
                     del keys[bisect_left(keys, key)]
             for prefix in update.announced:
@@ -189,20 +185,12 @@ class LiveCorpus:
                 if old is None:
                     insort(keys, key)
                 if old != row:
-                    dirty.add(key)
                     displaced.setdefault(key, old)
                 table[key] = row
                 announced += 1
         self.announced += announced
         self.withdrawn += withdrawn
         return announced, withdrawn
-
-    def dirty_fraction(self) -> float:
-        """Fraction of the table touched since the last publish."""
-        return len(self.dirty_keys) / max(1, len(self.table))
-
-    def clear_dirty(self) -> None:
-        self.dirty_keys.clear()
 
     def rows(self) -> List[RibRecord]:
         """Deterministic row order, identical to ``rib_from_updates``."""

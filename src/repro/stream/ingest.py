@@ -1,14 +1,13 @@
 """StreamIngestor: UPDATE batches in, content-versioned snapshots out.
 
 The ingestor owns the :class:`~repro.stream.corpus.LiveCorpus`, decides
-per publish which of the three apply levels to take, and hands the
+per publish which of the two apply levels to take, and hands the
 resulting snapshot to a pluggable publisher:
 
 * **noop** — the sanitized corpus and the prefix map both match the last
   published state; the previous snapshot object is reused unchanged.
-* **delta** — :func:`repro.stream.delta.try_delta` proved the batch
-  labels unchanged; only cones/ranks/sections are recomputed.
-* **full** — the always-safe fallback: a batch recompute through
+* **full** — everything else: a batch recompute over the live table's
+  maintained views, the same pipeline as
   :func:`repro.stream.corpus.asrank_from_rib_rows` (the QA oracle).
 
 Publishers adapt the snapshot to the serving tier:
@@ -30,7 +29,17 @@ from repro.core.inference import InferenceConfig
 from repro.core.paths import PathSet
 from repro.mrt.reader import RibRecord, UpdateRecord
 from repro.stream.corpus import LiveCorpus
-from repro.stream.delta import LiveState, try_delta
+
+
+@dataclass
+class LiveState:
+    """What a publish keeps resident for the next one."""
+
+    facade: object  # repro.asrank.ASRank, inference and cones computed
+    sanitized: PathSet  # pre-filter corpus (the noop comparison)
+    filtered: PathSet  # post-poison-filter corpus (link counters)
+    prefixes_by_asn: Dict[int, List]
+    snapshot: Optional[object] = None
 
 
 @dataclass
@@ -45,7 +54,6 @@ class IngestStats:
     links_removed: int = 0
     publishes: int = 0
     noop_publishes: int = 0
-    delta_publishes: int = 0
     full_publishes: int = 0
     apply_seconds: float = 0.0
     build_seconds: float = 0.0
@@ -54,6 +62,8 @@ class IngestStats:
     last_publish_mode: Optional[str] = None
     last_publish_version: Optional[str] = None
     last_publish_unix: Optional[float] = None
+    # read only by perfbench/streaming.py; always 0 and empty
+    delta_publishes: int = 0
     fallbacks: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self, now: Optional[float] = None) -> Dict[str, object]:
@@ -66,7 +76,6 @@ class IngestStats:
             "links_removed": self.links_removed,
             "publishes": self.publishes,
             "noop_publishes": self.noop_publishes,
-            "delta_publishes": self.delta_publishes,
             "full_publishes": self.full_publishes,
             "apply_seconds": round(self.apply_seconds, 6),
             "build_seconds": round(self.build_seconds, 6),
@@ -74,7 +83,6 @@ class IngestStats:
             "last_build_seconds": round(self.last_build_seconds, 6),
             "last_publish_mode": self.last_publish_mode,
             "last_publish_version": self.last_publish_version,
-            "fallbacks": dict(self.fallbacks),
         }
         if self.last_publish_unix is not None and now is not None:
             out["last_publish_age_s"] = round(now - self.last_publish_unix, 3)
@@ -106,7 +114,7 @@ class FleetPublisher:
 
 
 class StreamIngestor:
-    """Incremental inference driver over decoded UPDATE batches."""
+    """Publishes snapshots of live inference over UPDATE batches."""
 
     def __init__(
         self,
@@ -114,14 +122,12 @@ class StreamIngestor:
         config: Optional[InferenceConfig] = None,
         source: str = "stream",
         base_rows: Optional[Iterable[RibRecord]] = None,
-        full_threshold: float = 0.25,
         publisher: Optional[Callable[[object], None]] = None,
     ) -> None:
         self.ixp_asns = frozenset(ixp_asns)
         self.config = config or InferenceConfig()
         self.source = source
         self.corpus = LiveCorpus(base_rows, ixp_asns=self.ixp_asns)
-        self.full_threshold = full_threshold
         self.publisher = publisher
         self.live: Optional[LiveState] = None
         self.stats = IngestStats()
@@ -148,46 +154,30 @@ class StreamIngestor:
         bit-identical to a batch recompute over ``self.corpus.rows()``.
         """
         start = time.perf_counter()
-        dirty = self.corpus.dirty_fraction()
-        self.corpus.clear_dirty()
         # both views pay only for the rows changed since the last publish
         sanitized = self.corpus.sanitized()
         prefixes = self.corpus.prefixes_by_asn()
-
-        mode, reason, state = "full", None, None
-        if self.live is not None:
-            if (
-                sanitized.paths == self.live.sanitized.paths
-                and prefixes == self.live.prefixes_by_asn
-            ):
-                mode, state = "noop", self.live
-            elif dirty > self.full_threshold:
-                reason = "dirty-threshold"
-            else:
-                state, reason = try_delta(
-                    self.live, sanitized, prefixes, self.config
-                )
-                if state is not None:
-                    mode = "delta"
+        live = self.live
+        added = removed = 0
+        if (
+            live is not None
+            and sanitized.paths == live.sanitized.paths
+            and prefixes == live.prefixes_by_asn
+        ):
+            mode, state = "noop", live
+            built = applied = time.perf_counter()
         else:
-            reason = "cold-start"
-
-        old_links = (
-            self.live.filtered.links() if self.live is not None else set()
-        )
-        if state is None:
-            state = self._full_state(sanitized, prefixes)
-        applied = time.perf_counter()
-
-        if mode == "noop":
-            built = applied
-        else:
+            mode, state = "full", self._full_state(sanitized, prefixes)
+            applied = time.perf_counter()
             state.snapshot = state.facade.snapshot(source=self.source)
             built = time.perf_counter()
             if self.publisher is not None:
                 self.publisher(state.snapshot)
+            old_links = live.filtered.links() if live is not None else set()
+            new_links = state.filtered.links()
+            added = len(new_links - old_links)
+            removed = len(old_links - new_links)
         snapshot = state.snapshot
-        new_links = state.filtered.links()
         self.live = state
 
         with self._lock:
@@ -195,14 +185,10 @@ class StreamIngestor:
             st.publishes += 1
             if mode == "noop":
                 st.noop_publishes += 1
-            elif mode == "delta":
-                st.delta_publishes += 1
             else:
                 st.full_publishes += 1
-                if reason is not None:
-                    st.fallbacks[reason] = st.fallbacks.get(reason, 0) + 1
-            st.links_added += len(new_links - old_links)
-            st.links_removed += len(old_links - new_links)
+            st.links_added += added
+            st.links_removed += removed
             st.last_apply_seconds = applied - start
             st.last_build_seconds = built - applied
             st.apply_seconds += st.last_apply_seconds
@@ -241,8 +227,6 @@ class StreamIngestor:
             out = self.stats.as_dict(now=time.time())
         out["source"] = self.source
         out["table_rows"] = len(self.corpus)
-        out["dirty_rows"] = len(self.corpus.dirty_keys)
-        out["full_threshold"] = self.full_threshold
         return out
 
     # ------------------------------------------------------------------
@@ -259,14 +243,9 @@ class StreamIngestor:
         facade.result  # force inference
         for definition in ConeDefinition:
             facade.cones(definition)
-        bits = {
-            definition: facade.cones(definition).bits
-            for definition in ConeDefinition
-        }
         return LiveState(
             facade=facade,
             sanitized=sanitized,
             filtered=facade.result.paths,
             prefixes_by_asn=prefixes,
-            bits=bits,
         )

@@ -180,6 +180,21 @@ class TestErrorExits:
         junk.write_bytes(b"not a snapshot")
         self._assert_exit_2(capsys, ["serve", "--snapshot", str(junk)])
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_stream_batch_size_below_one(self, capsys, tmp_path, size):
+        dump = tmp_path / "updates.mrt"
+        dump.write_bytes(b"")
+        self._assert_exit_2(
+            capsys, ["stream", str(dump), "--batch-size", size]
+        )
+
+    def test_stream_negative_publish_every(self, capsys, tmp_path):
+        dump = tmp_path / "updates.mrt"
+        dump.write_bytes(b"")
+        self._assert_exit_2(
+            capsys, ["stream", str(dump), "--publish-every", "-1"]
+        )
+
     def test_snapshot_info_corrupt_section_table(self, capsys, tmp_path):
         import json
         import struct

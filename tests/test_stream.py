@@ -1,4 +1,4 @@
-"""Unit tests for repro.stream: live corpus, delta apply, publishers."""
+"""Unit tests for repro.stream: live corpus, publish levels, publishers."""
 
 import random
 
@@ -26,7 +26,6 @@ from repro.stream import (
     asrank_from_rib_rows,
     prefixes_from_rows,
 )
-from repro.stream.delta import _LATE_STEPS, _partial_vps
 from repro.topology.generator import GeneratorConfig, generate_topology
 
 
@@ -119,18 +118,6 @@ class TestLiveCorpus:
         )
         (survivor,) = corpus.rows()
         assert survivor.as_path == (1, 3)
-
-    def test_dirty_tracking(self):
-        _graph, rows = _world()
-        corpus = LiveCorpus(rows)
-        assert corpus.dirty_fraction() == 0.0
-        # re-announcing an identical row is not dirty
-        corpus.apply([_announce(rows[0])])
-        assert corpus.dirty_fraction() == 0.0
-        corpus.apply([_withdraw(rows[1])])
-        assert len(corpus.dirty_keys) == 1
-        corpus.clear_dirty()
-        assert corpus.dirty_fraction() == 0.0
 
     def test_prefixes_from_rows_matches_facade_derivation(self):
         _graph, rows = _world()
@@ -347,7 +334,7 @@ class TestIngestLevels:
         assert second is first  # the object, not just the version
         assert ingestor.stats.noop_publishes == 1
 
-    def test_new_prefix_is_delta_not_noop(self):
+    def test_new_prefix_is_full_not_noop(self):
         graph, rows = _world()
         ixp = graph.ixp_asns()
         ingestor = StreamIngestor(ixp_asns=ixp, base_rows=rows)
@@ -358,189 +345,9 @@ class TestIngestLevels:
             [_announce(rows[0], prefix=Prefix.parse("198.51.100.0/24"))]
         )
         second = ingestor.publish()
-        assert ingestor.stats.last_publish_mode == "delta"
+        assert ingestor.stats.last_publish_mode == "full"
         assert second.version != first.version
         assert second.version == _oracle_version(ingestor, ixp)
-
-    @staticmethod
-    def _truncation_batch(ingestor):
-        """Announcements of truncated corpus paths that a delta publish
-        accepts: no new link, no partial-VP head, early-step labels."""
-        live = ingestor.live
-        result = live.result
-        origins = {path[-1] for path in live.filtered.paths}
-        partial = _partial_vps(
-            live.filtered, ingestor.config.partial_vp_coverage
-        )
-        existing = set(live.filtered.paths)
-        batch = []
-        for path in live.filtered.paths:
-            for cut in range(3, len(path)):
-                t = path[:cut]
-                if t in existing or t[-1] not in origins:
-                    continue
-                if t[0] in partial:
-                    continue
-                steps = [
-                    result._step.get(canonical_pair(a, b))
-                    for a, b in zip(t, t[1:])
-                ]
-                if any(s is None or s in _LATE_STEPS for s in steps):
-                    continue
-                existing.add(t)
-                batch.append(
-                    UpdateRecord(
-                        peer_asn=t[0],
-                        local_asn=COLLECTOR_ASN,
-                        as_path=t,
-                        announced=(
-                            Prefix.parse(f"203.0.{113 + len(batch)}.0/24"),
-                        ),
-                        communities=(),
-                    )
-                )
-            if len(batch) >= 4:
-                break
-        assert batch, "world must yield delta-eligible truncations"
-        return batch
-
-    def test_truncated_path_batch_is_delta(self):
-        graph, rows = _world()
-        ixp = graph.ixp_asns()
-        ingestor = StreamIngestor(ixp_asns=ixp, base_rows=rows)
-        ingestor.publish()
-        ingestor.apply_batch(self._truncation_batch(ingestor))
-        snapshot = ingestor.publish()
-        assert ingestor.stats.delta_publishes >= 1
-        assert ingestor.stats.last_publish_mode == "delta"
-        assert snapshot.version == _oracle_version(ingestor, ixp)
-
-    @staticmethod
-    def _splice_batch(ingestor):
-        """Up to four announcements of spliced corpus paths (a prefix of
-        one path up to an interior AS, then another path's suffix after
-        it) that pass the poison filter, use only early-step labels and
-        add ASes to some provider/peer-observed cone."""
-        from repro.core.cone import ConeDefinition
-        from repro.relationships import Relationship
-
-        live = ingestor.live
-        result = live.result
-        paths = live.filtered.paths
-        ppdc = live.facade.cones(ConeDefinition.PROVIDER_PEER_OBSERVED)
-        clique = set(result.clique.members)
-        partial = _partial_vps(
-            live.filtered, ingestor.config.partial_vp_coverage
-        )
-        existing = set(paths)
-
-        def eligible(t):
-            if t in existing or len(set(t)) != len(t):
-                return False
-            at = [i for i, asn in enumerate(t) if asn in clique]
-            if len(at) > 2 or (len(at) == 2 and at[1] != at[0] + 1):
-                return False  # the poison filter would drop it
-            steps = [
-                result._step.get(canonical_pair(a, b))
-                for a, b in zip(t, t[1:])
-            ]
-            return not any(s is None or s in _LATE_STEPS for s in steps)
-
-        def widens_a_cone(t):
-            for i in range(1, len(t) - 1):
-                up = t[i - 1]
-                entered = (
-                    result.relationship(up, t[i]) is Relationship.P2P
-                    or result.provider_of(up, t[i]) == up
-                )
-                if entered and set(t[i + 1:]) - ppdc.cone(t[i]):
-                    return True
-            return False
-
-        picked = []
-        for a in paths:
-            if a[0] in partial:
-                continue
-            for i in range(1, len(a) - 1):
-                for b in paths:
-                    if a[i] not in b[1:-1]:
-                        continue
-                    t = a[:i + 1] + b[b.index(a[i]) + 1:]
-                    if eligible(t) and widens_a_cone(t):
-                        existing.add(t)
-                        picked.append(t)
-                        if len(picked) == 4:
-                            break
-                if len(picked) == 4:
-                    break
-            if len(picked) == 4:
-                break
-        assert picked, "world must yield delta-eligible splices"
-        return [
-            UpdateRecord(
-                peer_asn=t[0],
-                local_asn=COLLECTOR_ASN,
-                as_path=t,
-                announced=(Prefix.parse(f"203.0.{113 + n}.0/24"),),
-                communities=(),
-            )
-            for n, t in enumerate(picked)
-        ]
-
-    def test_delta_commit_extends_the_flat_index(self):
-        from repro.core.cone import (
-            ConeDefinition,
-            _bgp_observed_bits,
-            _ppdc_bits,
-        )
-
-        graph, rows = _world()
-        ixp = graph.ixp_asns()
-        ingestor = StreamIngestor(ixp_asns=ixp, base_rows=rows)
-        ingestor.publish()
-        result = ingestor.live.result
-        old_paths = list(result.paths.paths)
-        old_ppdc = list(
-            ingestor.live.bits[ConeDefinition.PROVIDER_PEER_OBSERVED]
-        )
-        ingestor.apply_batch(self._splice_batch(ingestor))
-        ingestor.publish()
-        assert ingestor.stats.last_publish_mode == "delta"
-        live = ingestor.live
-        assert live.result is result  # extended in place
-        known = set(old_paths)
-        added = [p for p in live.filtered.paths if p not in known]
-        assert added
-        # the flat index holds the old paths, then the new ones appended
-        off = result._path_off
-        asns = result.index.asns
-        indexed = [
-            tuple(asns[i] for i in result._node_pid[s:e].tolist())
-            for s, e in zip(off, off[1:])
-        ]
-        assert indexed == old_paths + added
-        key_lid = result._key_lid
-        for p, path in enumerate(indexed):
-            h0 = off[p] - p
-            assert result._hop_lid[h0:h0 + len(path) - 1] == [
-                key_lid[(min(a, b) << 32) | max(a, b)]
-                for a, b in zip(path, path[1:])
-            ]
-        # the link -> paths CSR describes the old corpus only: dropped
-        assert result._lpath_pid is None and result._lpath_off is None
-        # the commit OR-ed in exactly what the extended index yields...
-        bgp = live.bits[ConeDefinition.BGP_OBSERVED]
-        ppdc = live.bits[ConeDefinition.PROVIDER_PEER_OBSERVED]
-        assert ppdc != old_ppdc  # the splices widened some cone
-        assert _bgp_observed_bits(result) == bgp
-        assert _ppdc_bits(result) == ppdc
-        # ...and what a batch build over the same table computes
-        batch = asrank_from_rib_rows(ingestor.corpus.rows(), ixp_asns=ixp)
-        assert batch.result.index.asns == asns
-        assert batch.cones(ConeDefinition.BGP_OBSERVED).bits == bgp
-        assert (
-            batch.cones(ConeDefinition.PROVIDER_PEER_OBSERVED).bits == ppdc
-        )
 
     def test_new_link_falls_back_to_full(self):
         graph, rows = _world()
@@ -575,7 +382,8 @@ class TestIngestLevels:
         )
         snapshot = ingestor.publish()
         assert ingestor.stats.last_publish_mode == "full"
-        assert ingestor.stats.fallbacks  # a delta refusal was recorded
+        # the new link reached the corpus (the poison filter may drop it)
+        assert canonical_pair(*path[-2:]) in ingestor.live.sanitized.links()
         assert snapshot.version == _oracle_version(ingestor, ixp)
 
     def test_withdrawal_shrinking_corpus_is_full(self):
@@ -591,20 +399,6 @@ class TestIngestLevels:
         assert ingestor.stats.last_publish_mode == "full"
         assert ingestor.stats.withdrawals == len(victims)
         assert snapshot.version == _oracle_version(ingestor, ixp)
-
-    def test_zero_threshold_forces_full(self):
-        graph, rows = _world()
-        ixp = graph.ixp_asns()
-        ingestor = StreamIngestor(
-            ixp_asns=ixp, base_rows=rows, full_threshold=0.0
-        )
-        ingestor.publish()
-        ingestor.apply_batch(
-            [_announce(rows[0], prefix=Prefix.parse("198.51.100.0/24"))]
-        )
-        ingestor.publish()
-        assert ingestor.stats.last_publish_mode == "full"
-        assert ingestor.stats.fallbacks.get("dirty-threshold") == 1
 
     def test_churn_sequence_stays_bit_identical(self):
         graph, rows = _world(seed=29)
@@ -637,43 +431,11 @@ class TestIngestLevels:
             assert ingestor.live.prefixes_by_asn == prefixes_from_rows(rows)
         assert ingestor.stats.publishes == 4
         assert ingestor.stats.batches == 3
-        # the publish levels this sequence takes are pinned: a cheaper
-        # refusal must not change which level a publish lands on
+        # every batch changes the corpus: no publish may be a noop
         assert ingestor.stats.noop_publishes == 0
-        assert ingestor.stats.delta_publishes == 0
         assert ingestor.stats.full_publishes == 4
 
-    @pytest.fixture
-    def clique_forbidden(self, monkeypatch):
-        """Make any clique inference inside the delta path fail loudly."""
-        import repro.stream.delta as delta
-
-        def forbidden(*_args, **_kwargs):
-            raise AssertionError("infer_clique called by a cheap refusal")
-
-        monkeypatch.setattr(delta, "infer_clique", forbidden)
-
-    def test_withdrawal_refused_before_clique(self, clique_forbidden):
-        graph, rows = _world()
-        ixp = graph.ixp_asns()
-        ingestor = StreamIngestor(ixp_asns=ixp, base_rows=rows)
-        ingestor.publish()
-        # withdraw every row of one path that survived the poison filter
-        victim = ingestor.live.filtered.paths[0]
-        ingestor.apply_batch(
-            [
-                _withdraw(row)
-                for row in rows
-                if PathSet.sanitize([row.as_path], ixp_asns=ixp).paths
-                == [victim]
-            ]
-        )
-        snapshot = ingestor.publish()
-        assert ingestor.stats.last_publish_mode == "full"
-        assert ingestor.stats.fallbacks.get("paths-removed") == 1
-        assert snapshot.version == _oracle_version(ingestor, ixp)
-
-    def test_reordering_refused_before_clique(self, clique_forbidden):
+    def test_reordered_corpus_is_full_not_noop(self):
         graph, rows = _world()
         ixp = graph.ixp_asns()
         ingestor = StreamIngestor(ixp_asns=ixp, base_rows=rows)
@@ -690,8 +452,9 @@ class TestIngestLevels:
         assert (front, mover.peer_asn) < min(ingestor.corpus.table)
         ingestor.apply_batch([_announce(mover, prefix=front)])
         snapshot = ingestor.publish()
+        # same path set, new first-seen order: the engine's votes are
+        # order-sensitive, so only a recompute is safe
         assert ingestor.stats.last_publish_mode == "full"
-        assert ingestor.stats.fallbacks.get("paths-reordered") == 1
         assert snapshot.version == _oracle_version(ingestor, ixp)
 
     def test_stats_counters(self, seeded):
@@ -701,7 +464,8 @@ class TestIngestLevels:
         assert status["table_rows"] == len(ingestor.corpus)
         assert status["last_publish_version"] is not None
         assert "last_publish_age_s" in status
-        assert status["fallbacks"].get("cold-start") == 1
+        assert status["full_publishes"] == 1
+        assert status["last_publish_mode"] == "full"
 
 
 class TestServing:
