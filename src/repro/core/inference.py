@@ -633,19 +633,14 @@ def _step_partial_vp(
                 break
 
 
-# hops per path S5's lexsort compares; real AS paths rarely come near
-# it, and it bounds the sort grid for corpora carrying a very long path
-_PEAK_SORT_WIDTH = 16
-
-
 def _peak_order(
     result: InferenceResult, paths: PathSet, rank: Dict[int, int]
 ) -> Tuple[List[int], List[int]]:
     """S5's visiting order and each path's peak position.
 
     The order sorts paths by (peak rank, path); the peak is a path's
-    first hop of minimum rank.  Both come from vectorized passes over
-    the flat corpus: no per-path key is built.
+    first hop of minimum rank.  The corpus is already in tuple order,
+    so a stable sort on peak rank alone gives the visiting order.
     """
     big = 1 << 30
     # pack (rank, position) so a single segmented minimum yields both
@@ -661,35 +656,8 @@ def _peak_order(
     pos -= _np.repeat(off[:-1], plen)
     packed = (rank_arr[result._node_pid] << 20) | pos
     mins = _np.minimum.reduceat(packed, off[:-1])
-    peak_rank = mins >> 20
-    # sort on the first _PEAK_SORT_WIDTH hops, padded with -1: paths are
-    # distinct, and -1 (below every ASN) sorts a path before its
-    # extensions, as tuple comparison does.  Only paths longer than the
-    # width can still tie; their runs are settled by comparing tuples.
-    longest = int(plen.max(initial=0))
-    width = min(longest, _PEAK_SORT_WIDTH)
-    grid = _np.full((len(plen), width), -1, _np.int64)
-    row = _np.repeat(_np.arange(len(plen)), plen)
-    head = pos < width
-    grid[row[head], pos[head]] = flat[head]
-    order = _np.lexsort((*grid.T[::-1], peak_rank))
-    order_list = order.tolist()
-    if width < longest:
-        keys = grid[order]
-        ranks = peak_rank[order]
-        tie = (keys[1:] == keys[:-1]).all(axis=1)
-        tie &= ranks[1:] == ranks[:-1]
-        if tie.any():
-            edge = _np.diff(tie.astype(_np.int8), prepend=0, append=0)
-            path_tuples = paths.paths
-            for s, e in zip(
-                _np.flatnonzero(edge == 1).tolist(),
-                _np.flatnonzero(edge == -1).tolist(),
-            ):
-                order_list[s:e + 1] = sorted(
-                    order_list[s:e + 1], key=path_tuples.__getitem__
-                )
-    return order_list, (mins & ((1 << 20) - 1)).tolist()
+    order = _np.argsort(mins >> 20, kind="stable")
+    return order.tolist(), (mins & ((1 << 20) - 1)).tolist()
 
 
 def _step_topdown(

@@ -12,6 +12,10 @@ tuples into it, and :func:`clean_paths` returns its per-path outcomes
 for the stream layer's memo.  The scalar ``clean_path`` it replaced is
 the QA oracle in :mod:`repro.qa.oracles`.
 
+A :class:`PathSet` keeps its paths in tuple order, whatever order the
+raw rows came in, so a corpus depends only on the multiset of rows.
+The kernel gets that order and its dedup from one row sort.
+
 The sanitized :class:`PathSet` also precomputes the two degree notions
 the algorithm ranks ASes by:
 
@@ -283,67 +287,60 @@ def clean_paths(
     ]
 
 
-def _hash_multipliers(n: int):
-    """``n`` fixed pseudo-random odd uint64 multipliers."""
-    rng = _np.random.Generator(_np.random.PCG64(0x5EED))
-    return rng.integers(0, 2**64, size=n, dtype=_np.uint64) | _np.uint64(1)
+#: hops per row the stage-1 row sort compares at once; real AS paths
+#: rarely come near it, and it bounds the sort grid when a corpus
+#: carries a very long path
+_SORT_WIDTH = 16
 
 
-def _first_seen_unique(flat, offsets, rows):
+def _sorted_unique(flat, offsets, rows):
     """Distinct paths among ``rows`` (non-empty rows of ``(flat,
-    offsets)``): the first row carrying each, in row order, and how many
-    of ``rows`` carry it.
+    offsets)``): one row carrying each, in tuple order of the paths,
+    and how many of ``rows`` carry it.
 
-    Rows are grouped by a 64-bit hash of their hops, and every later
-    row of a group is then compared hop by hop with its first; on a hash
-    collision the rows are grouped exactly, one tuple at a time.
+    One ``numpy.lexsort`` orders the rows by their first
+    ``_SORT_WIDTH`` hops, padded with -1: that is below every ASN, so a
+    path sorts before its extensions, as tuple comparison does.  Only
+    rows longer than the width can tie on every column and still
+    differ; their runs are settled by comparing tuples.  Equal rows
+    then sit next to each other and are merged.
     """
-    if not len(rows):
+    n = len(rows)
+    if not n:
         return rows, rows
     hops, lengths, bounds = take_rows(flat, offsets, rows)
-    position = _np.arange(len(hops), dtype=_np.int64) - _np.repeat(
-        bounds[:-1], lengths
-    )
-    multipliers = _hash_multipliers(int(lengths.max()) + 1)
-    with _np.errstate(over="ignore"):
-        keys = _np.add.reduceat(
-            hops.astype(_np.uint64) * multipliers[position + 1], bounds[:-1]
-        ) + lengths.astype(_np.uint64) * multipliers[0]
-    order = _np.argsort(keys)
-    sorted_keys = keys[order]
-    new_group = _np.ones(len(keys), dtype=bool)
-    _np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:])
-    starts = _np.flatnonzero(new_group)
-    first = _np.minimum.reduceat(order, starts)
-    counts = _np.diff(_np.append(starts, len(keys)))
-    group = _np.empty(len(keys), dtype=_np.int64)
-    group[order] = _np.cumsum(new_group) - 1
-    later = _np.flatnonzero(first[group] != _np.arange(len(keys)))
-    rep = first[group[later]]
-    exact = bool((lengths[rep] == lengths[later]).all()) and bool(
-        (take_rows(hops, bounds, rep)[0] == take_rows(hops, bounds, later)[0])
-        .all()
-    )
-    if not exact:
-        groups: Dict[Tuple[int, ...], int] = {}
-        first_list: List[int] = []
-        count_list: List[int] = []
-        flat_hops, cuts = hops.tolist(), bounds.tolist()
-        for i in range(len(rows)):
-            j = groups.setdefault(
-                tuple(flat_hops[cuts[i]:cuts[i + 1]]), len(groups)
+    longest = int(lengths.max())
+    width = min(longest, _SORT_WIDTH)
+    row = _np.repeat(_np.arange(n, dtype=_np.int64), lengths)
+    pos = _np.arange(len(hops), dtype=_np.int64) - bounds[row]
+    head = pos < width
+    grid = _np.full((width, n), -1, dtype=_np.int64)
+    grid[pos[head], row[head]] = hops[head]
+    order = _np.lexsort(grid[::-1])
+    same = _np.ones(n - 1, dtype=bool)
+    for column in grid:
+        column = column[order]
+        same &= column[1:] == column[:-1]
+    if width < longest:
+        tie = same & (lengths[order[1:]] >= width)
+        edge = _np.diff(tie.astype(_np.int8), prepend=0, append=0)
+        for s, e in zip(
+            _np.flatnonzero(edge == 1).tolist(),
+            _np.flatnonzero(edge == -1).tolist(),
+        ):
+            run = sorted(
+                (tuple(hops[bounds[r]:bounds[r + 1]].tolist()), r)
+                for r in order[s:e + 1].tolist()
             )
-            if j == len(first_list):
-                first_list.append(i)
-                count_list.append(0)
-            count_list[j] += 1
-        return rows[first_list], _np.array(count_list, dtype=_np.int64)
-    order = _np.argsort(first)
-    return rows[first[order]], counts[order]
+            order[s:e + 1] = [r for _, r in run]
+            same[s:e] = [a[0] == b[0] for a, b in zip(run, run[1:])]
+    starts = _np.flatnonzero(_np.concatenate(([True], ~same)))
+    return rows[order[starts]], _np.diff(_np.append(starts, n))
 
 
 class PathSet:
-    """A deduplicated corpus of sanitized AS paths with degree indexes."""
+    """A deduplicated corpus of sanitized AS paths, in tuple order, with
+    degree indexes."""
 
     def __init__(
         self,
@@ -351,7 +348,7 @@ class PathSet:
         counts: Optional[Dict[Tuple[int, ...], int]] = None,
         stats: Optional[SanitizeStats] = None,
     ):
-        self.paths: List[Tuple[int, ...]] = list(paths)
+        self.paths: List[Tuple[int, ...]] = sorted(paths)
         self.counts: Dict[Tuple[int, ...], int] = counts or {
             p: 1 for p in self.paths
         }
@@ -393,12 +390,12 @@ class PathSet:
         """Stage 1 over raw paths given as columns: row ``i`` is
         ``flat[offsets[i]:offsets[i + 1]]`` (int64 ASNs).
 
-        Kept paths are deduplicated in first-seen order, every action
+        Kept paths are deduplicated in tuple order, every action
         is counted in :class:`SanitizeStats`, and the result comes with
         its :meth:`numpy_view` already built.
         """
         s = _stage1(flat, offsets, ixp_asns)
-        firsts, counts = _first_seen_unique(
+        firsts, counts = _sorted_unique(
             s.flat, s.offsets, _np.flatnonzero(s.kept)
         )
         kept_flat, plen, off = take_rows(s.flat, s.offsets, firsts)

@@ -300,8 +300,9 @@ class SnapshotServer:
                 await writer.drain()
                 if not keep_alive:
                     break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        except (ConnectionResetError, BrokenPipeError,
+                asyncio.IncompleteReadError):
+            pass  # includes a body cut short of its Content-Length
         finally:
             self._connections.discard(writer)
             if task is not None:
@@ -413,10 +414,11 @@ def _parse_head(head: bytes) -> Tuple[str, str, bool, int, bytes]:
         key, _, value = line.partition(b":")
         key = key.strip().lower()
         if key == b"content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                raise ValueError("bad content-length") from None
+            # digits only: int() would also take "-1", "+3" and "1_0"
+            value = value.strip()
+            if not value.isdigit():
+                raise ValueError("bad content-length")
+            content_length = int(value)
         elif key == b"connection":
             token = value.strip().lower()
             if token == b"close":

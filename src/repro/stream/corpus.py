@@ -8,10 +8,12 @@ announcements (RFC 4271 ordering).  :class:`LiveCorpus` keeps that table
 resident and maintains the two derived views a publish feeds to
 inference — the sanitized corpus and the origin → prefixes map — row by
 row, so a publish pays for the rows a batch changed rather than for the
-whole table.  Stage 1 is memoized
-per distinct raw path and filled in batches: every raw path of the
-base table in one :func:`~repro.core.paths.clean_paths` call, then per
-refresh only the changed rows' raw paths the memo has not seen.
+whole table.  Neither view depends on the order of the rows (a
+:class:`~repro.core.paths.PathSet` is in tuple order), so the table
+keeps no key order; :meth:`LiveCorpus.rows` sorts on demand.  Stage 1
+is memoized per distinct raw path and filled in batches: every raw path
+of the base table in one :func:`~repro.core.paths.clean_paths` call,
+then per refresh only the changed rows' raw paths the memo has not seen.
 
 :func:`asrank_from_rib_rows` is the single shared definition of "batch
 recompute over a set of RIB rows" — the QA family 10 comparator and the
@@ -22,11 +24,9 @@ bit-identity contract trivially well-defined.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import replace
-from itertools import islice
-from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.paths import CleanedPath, PathSet, SanitizeStats, clean_paths
@@ -73,10 +73,9 @@ class LiveCorpus:
     batch definitions at every point (the property tests pin both):
 
     * :meth:`sanitized` is ``PathSet.sanitize(row.as_path for row in
-      rows(), ixp_asns)`` — same paths in the same first-seen order,
-      same multiplicities, same :class:`SanitizeStats`.  First-seen
-      order over :meth:`rows` is the order of the smallest table key
-      carrying each cleaned path, which is what is kept.
+      rows(), ixp_asns)`` — same paths (in tuple order), same
+      multiplicities, same :class:`SanitizeStats`, from per-path row
+      counts and one sorted list of the kept paths.
     * :meth:`prefixes_by_asn` is ``prefixes_from_rows(rows())``, from
       per-origin prefix refcounts.
 
@@ -95,10 +94,6 @@ class LiveCorpus:
         self.table: Dict[TableKey, RibRecord] = {}
         for row in base or ():
             self.table[(row.prefix, row.peer_asn)] = row
-        ordered = sorted(self.table.items(), key=itemgetter(0))
-        # keys kept sorted incrementally, so a publish over a
-        # barely-changed table doesn't pay an O(n log n) re-sort
-        self._sorted_keys: List[TableKey] = [key for key, _ in ordered]
         self.announced = 0
         self.withdrawn = 0
 
@@ -110,30 +105,20 @@ class LiveCorpus:
         # per-counter totals; ``kept``/``duplicates_merged`` are derived
         self._stats = SanitizeStats()
         self._counts: Dict[PathT, int] = {}  # kept path -> rows
+        self._paths: List[PathT] = []  # the kept paths, sorted
         self._kept_rows = 0
-        self._first: Dict[PathT, TableKey] = {}  # kept path -> min key
-        # kept paths ordered by first key, with those keys (parallel)
-        self._order_paths: List[PathT] = []
-        self._order_keys: List[TableKey] = []
         # origin -> prefix -> rows announcing it from that origin
         self._prefix_refs: Dict[int, Counter] = {}
         self._prefix_lists: Dict[int, List] = {}
         self._stale_origins: Set[int] = set()
 
-        # one pass in key order over the base table: rows and first key
-        # per raw path (a kept path first shows up at the first key of
-        # the first raw path cleaning to it) and per-origin prefix lists
-        raw_rows: Dict[PathT, int] = {}
-        raw_first: Dict[PathT, TableKey] = {}
+        # one pass over the base table: rows per raw path and prefixes
+        # per origin
+        raw_rows: Counter = Counter()
         origin_prefixes: Dict[int, List] = {}
-        for key, row in ordered:
+        for row in self.table.values():
             raw = row.as_path
-            n = raw_rows.get(raw)
-            if n is None:
-                raw_rows[raw] = 1
-                raw_first[raw] = key
-            else:
-                raw_rows[raw] = n + 1
+            raw_rows[raw] += 1
             if raw:
                 prefixes = origin_prefixes.get(raw[-1])
                 if prefixes is None:
@@ -141,13 +126,8 @@ class LiveCorpus:
                 prefixes.append(row.prefix)
         self._clean(raw_rows)
         for raw, n in raw_rows.items():
-            cleaned = self._cleaned[raw]
-            path = cleaned.path
-            if path is not None and path not in self._first:
-                self._first[path] = raw_first[raw]
-                self._order_paths.append(path)
-                self._order_keys.append(raw_first[raw])
-            self._count_cleaned(cleaned, n)
+            self._count_cleaned(self._cleaned[raw], n)
+        self._paths = sorted(self._counts)
         for origin, prefixes in origin_prefixes.items():
             self._prefix_refs[origin] = Counter(prefixes)
         self._stale_origins.update(self._prefix_refs)
@@ -164,7 +144,6 @@ class LiveCorpus:
         announced = withdrawn = 0
         table = self.table
         displaced = self._displaced
-        keys = self._sorted_keys
         for update in updates:
             for prefix in update.withdrawn:
                 key = (prefix, update.peer_asn)
@@ -172,7 +151,6 @@ class LiveCorpus:
                 if old is not None:
                     withdrawn += 1
                     displaced.setdefault(key, old)
-                    del keys[bisect_left(keys, key)]
             for prefix in update.announced:
                 key = (prefix, update.peer_asn)
                 row = RibRecord(
@@ -182,8 +160,6 @@ class LiveCorpus:
                     communities=update.communities,
                 )
                 old = table.get(key)
-                if old is None:
-                    insort(keys, key)
                 if old != row:
                     displaced.setdefault(key, old)
                 table[key] = row
@@ -195,7 +171,7 @@ class LiveCorpus:
     def rows(self) -> List[RibRecord]:
         """Deterministic row order, identical to ``rib_from_updates``."""
         table = self.table
-        return [table[key] for key in self._sorted_keys]
+        return [table[key] for key in sorted(table)]
 
     # ------------------------------------------------------------------
     # maintained views
@@ -209,7 +185,7 @@ class LiveCorpus:
         stats = replace(
             self._stats, kept=kept, duplicates_merged=self._kept_rows - kept
         )
-        return PathSet(self._order_paths, dict(self._counts), stats)
+        return PathSet(self._paths, dict(self._counts), stats)
 
     def prefixes_by_asn(self) -> Dict[int, List]:
         """A fresh dict equal to ``prefixes_from_rows(rows())``; only
@@ -272,67 +248,26 @@ class LiveCorpus:
             for row in (old, table.get(key))
             if row is not None
         )
-        first = self._first
-        lost: Set[PathT] = set()  # kept paths whose first key left them
-        gained: Dict[PathT, TableKey] = {}  # kept path -> min new key
+        touched: Set[Optional[PathT]] = set()
         for key, old in self._displaced.items():
             new = table.get(key)
-            if old is None and new is None:
-                continue
             if old is not None and new is not None:
                 if old.as_path == new.as_path:
                     continue  # communities changed: neither view did
             if old is not None:
-                path = self._count(old, -1)
-                if path is not None and first[path] == key:
-                    lost.add(path)
+                touched.add(self._count(old, -1))
             if new is not None:
-                path = self._count(new, 1)
-                if path is not None and (
-                    path not in gained or key < gained[path]
-                ):
-                    gained[path] = key
+                touched.add(self._count(new, 1))
         self._displaced.clear()
-
-        # new first key per touched path (None: no row carries it now)
-        moves: Dict[PathT, Optional[TableKey]] = {}
-        for path in lost.union(gained):
-            old_first = first.get(path)
-            if path not in self._counts:
-                new_first = None
-            elif path not in lost:
-                new_first = gained[path]
-                if old_first is not None and old_first < new_first:
-                    new_first = old_first
-            else:
-                # no key below the lost one carried the path before, so
-                # its first key is a gained key below it, or else the
-                # first carrier at or after it
-                new_first = gained.get(path)
-                if new_first is None or not new_first < old_first:
-                    new_first = self._first_carrier(path, old_first)
-            if new_first != old_first:
-                moves[path] = new_first
-
-        # take every moved entry out before putting any back, so two
-        # entries never share a key while the lists are bisected
-        order_keys, order_paths = self._order_keys, self._order_paths
-        for path in moves:
-            old_first = first.pop(path, None)
-            if old_first is not None:
-                at = bisect_left(order_keys, old_first)
-                del order_keys[at], order_paths[at]
-        for path, new_first in moves.items():
-            if new_first is not None:
-                first[path] = new_first
-                at = bisect_left(order_keys, new_first)
-                order_keys.insert(at, new_first)
-                order_paths.insert(at, path)
-
-    def _first_carrier(self, path: PathT, start: TableKey) -> TableKey:
-        """The smallest key ``>= start`` whose row cleans to ``path``."""
-        keys, table, cleaned = self._sorted_keys, self.table, self._cleaned
-        for key in islice(keys, bisect_left(keys, start), None):
-            if cleaned[table[key].as_path].path == path:
-                return key
-        raise AssertionError(f"no row carries counted path {path}")
+        touched.discard(None)
+        # a path joins or leaves the sorted list when its count leaves
+        # or reaches zero
+        paths = self._paths
+        for path in touched:
+            at = bisect_left(paths, path)
+            listed = at < len(paths) and paths[at] == path
+            if path in self._counts:
+                if not listed:
+                    paths.insert(at, path)
+            elif listed:
+                del paths[at]

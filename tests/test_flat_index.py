@@ -2,8 +2,8 @@
 
 ``InferenceResult._init_fast`` keeps the corpus as a few flat lists and
 arrays plus offsets, never as one container per path or per link; the
-top-down step's visiting order comes from one ``numpy.lexsort`` over
-the padded paths instead of a sort of per-path tuples.
+top-down step's visiting order is a stable sort on peak rank over a
+corpus that stage 1 already put in tuple order.
 """
 
 import gc
@@ -13,13 +13,8 @@ import tracemalloc
 from hypothesis import given, settings, strategies as st
 
 from repro.core.clique import CliqueResult
-from repro.core.inference import (
-    _PEAK_SORT_WIDTH,
-    InferenceConfig,
-    InferenceResult,
-    _peak_order,
-)
-from repro.core.paths import PathSet
+from repro.core.inference import InferenceConfig, InferenceResult, _peak_order
+from repro.core.paths import _SORT_WIDTH, PathSet
 
 
 def _indexed(paths):
@@ -75,7 +70,7 @@ class TestPeakOrder:
         paths, rank = corpus
         pathset, result = _indexed(paths)
         order, peaks = _peak_order(result, pathset, rank)
-        want_order, want_peaks = _tuple_sort_order(paths, rank)
+        want_order, want_peaks = _tuple_sort_order(pathset.paths, rank)
         assert order == want_order
         assert {pi: peaks[pi] for pi in order} == want_peaks
 
@@ -86,42 +81,47 @@ class TestPeakOrder:
         rank = {2: 0, 3: 1, 6: 2}
         pathset, result = _indexed(paths)
         order, peaks = _peak_order(result, pathset, rank)
-        assert [paths[pi] for pi in order] == [
+        assert [pathset.paths[pi] for pi in order] == [
             (2, 3), (2, 5), (2, 5, 6), (3, 2), (5, 6), (6, 5), (5,),
         ]
         assert [peaks[pi] for pi in order] == [0, 0, 0, 1, 1, 0, 0]
-        assert order == _tuple_sort_order(paths, rank)[0]
+        assert order == _tuple_sort_order(pathset.paths, rank)[0]
+
+
+class TestCorpusOrder:
+    """A corpus is in tuple order; stage 1 gets it from one row sort."""
+
+    def test_pathset_sorts_its_paths(self):
+        paths = [(3, 2), (2, 5, 6), (2, 5), (5,)]
+        assert PathSet(paths).paths == sorted(paths)
 
     def test_long_paths_keep_the_order_and_a_narrow_grid(self):
         # one path of 5000 distinct ASNs among short ones, with longer-
         # than-the-grid prefixes of it that tie on every sorted column
-        # (and on the default peak rank) and must still come out in
-        # tuple order
+        # and must still come out in tuple order, the shorter ones each
+        # merged with its duplicate
         rng = random.Random(3)
         short = {
-            tuple(rng.sample(range(1, 400), rng.randint(1, 7)))
+            tuple(rng.sample(range(1, 400), rng.randint(2, 7)))
             for _ in range(300)
         }
         long = tuple(range(10_000, 15_000))
-        w = _PEAK_SORT_WIDTH
+        w = _SORT_WIDTH
         tails = [
             long, long[:3000], long[:w + 4], long[:w + 1], long[:w],
             long[:w - 1], long[:w + 4] + (7,), long[:w + 4] + (20_000,),
             (5,) + long[:w + 2], (5,) + long[:w + 2] + (6,),
         ]
-        paths = sorted(short) + tails
-        random.Random(4).shuffle(paths)
-        rank = {asn: i for i, asn in enumerate(range(1, 400, 3))}
-        pathset, result = _indexed(paths)
+        raw = sorted(short) + tails + tails[2:]
+        random.Random(4).shuffle(raw)
         tracemalloc.start()
         try:
-            order, peaks = _peak_order(result, pathset, rank)
+            pathset = PathSet.sanitize(raw)
             peak_bytes = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        want_order, want_peaks = _tuple_sort_order(paths, rank)
-        assert order == want_order
-        assert {pi: peaks[pi] for pi in order} == want_peaks
+        assert pathset.paths == sorted(set(raw))
+        assert pathset.counts == {p: raw.count(p) for p in set(raw)}
         # a padded n x 5000 int64 grid alone would take ~12.4 MB
         assert peak_bytes < 1_000_000
 
@@ -160,8 +160,8 @@ class TestFlatIndex:
         assert small <= 16
 
     def test_paths_read_back_from_the_flat_lists(self):
-        paths = [(1, 2, 3), (3,), (4, 2), (2, 1, 4, 5)]
-        pathset, result = _indexed(paths)
+        pathset, result = _indexed([(1, 2, 3), (3,), (4, 2), (2, 1, 4, 5)])
+        paths = pathset.paths
         off = result._path_off
         asns = result.index.asns
         assert [

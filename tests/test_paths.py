@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.core.paths as paths_module
 from repro.core.paths import PathSet, clean_paths, is_reserved_asn
 from repro.qa.oracles import (
     clean_path,
@@ -161,14 +160,9 @@ class TestSanitizeKernel:
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
 
-    def test_hash_collisions_group_exactly(self, monkeypatch):
-        # all-ones multipliers hash a path to its hop sum plus length,
-        # so (1, 4) and (2, 3) collide and must still stay apart
-        monkeypatch.setattr(
-            paths_module,
-            "_hash_multipliers",
-            lambda n: np.ones(n, dtype=np.uint64),
-        )
+    def test_duplicates_merge_in_tuple_order(self):
+        # (1, 4) and (2, 3) share a hop sum and a length, the key a weak
+        # hash would collide on; sorting keeps them apart
         raw = [(1, 4), (2, 3), (1, 4), (3, 2), (2, 3)]
         ps = PathSet.sanitize(raw)
         assert ps.paths == [(1, 4), (2, 3), (3, 2)]

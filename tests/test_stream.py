@@ -1,13 +1,14 @@
 """Unit tests for repro.stream: live corpus, publish levels, publishers."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.collector import Collector, CollectorConfig
-from repro.core.paths import PathSet
+from repro.core.paths import PathSet, clean_paths
 from repro.mrt.reader import RibRecord, UpdateRecord
 from repro.mrt.updates import (
     COLLECTOR_ASN,
@@ -125,6 +126,27 @@ class TestLiveCorpus:
         assert set(derived) == {r.as_path[-1] for r in rows if r.as_path}
         for prefixes in derived.values():
             assert prefixes == sorted(prefixes)
+
+
+class TestRowOrder:
+    def test_snapshot_depends_on_the_multiset_of_rows(self):
+        graph, rows = _world()
+        ixp = graph.ixp_asns()
+        shuffled = list(rows)
+        random.Random(2).shuffle(shuffled)
+        want = PathSet.sanitize((row.as_path for row in rows), ixp_asns=ixp)
+        got = PathSet.sanitize(
+            (row.as_path for row in shuffled), ixp_asns=ixp
+        )
+        assert got.paths == want.paths
+        assert got.counts == want.counts
+        assert got.stats == want.stats
+
+        def version(table):
+            facade = asrank_from_rib_rows(table, ixp_asns=ixp)
+            return facade.snapshot(source="batch").version
+
+        assert version(shuffled) == version(rows)
 
 
 def _assert_views_match_batch(corpus, ixp_asns):
@@ -435,26 +457,36 @@ class TestIngestLevels:
         assert ingestor.stats.noop_publishes == 0
         assert ingestor.stats.full_publishes == 4
 
-    def test_reordered_corpus_is_full_not_noop(self):
+    def test_first_key_move_is_noop(self):
         graph, rows = _world()
         ixp = graph.ixp_asns()
         ingestor = StreamIngestor(ixp_asns=ixp, base_rows=rows)
-        ingestor.publish()
-        # re-announce the last path under a key below every other key:
-        # the corpus keeps its paths, but that one moves to the front
-        mover = next(
-            row
-            for row in reversed(ingestor.corpus.rows())
-            if PathSet.sanitize([row.as_path], ixp_asns=ixp).paths
-            == [ingestor.live.filtered.paths[-1]]
+        before = ingestor.publish()
+        table = ingestor.corpus.rows()
+        cleaned = [
+            c.path for c in clean_paths([row.as_path for row in table], ixp)
+        ]
+        carriers = Counter(cleaned)
+        first = {}
+        for at, path in enumerate(cleaned):
+            first.setdefault(path, at)
+        # re-announce under an earlier key a path that first shows up
+        # at a later one, same origin; the key's old path keeps another
+        # row, so the corpus and the prefix map keep their contents and
+        # only the first key carrying the path moves
+        row, donor = next(
+            (table[i], table[j])
+            for j, path in enumerate(cleaned)
+            if path is not None and first[path] == j
+            for i in range(j)
+            if cleaned[i] not in (None, path)
+            and carriers[cleaned[i]] > 1
+            and table[i].as_path[-1] == table[j].as_path[-1]
         )
-        front = Prefix.parse("0.0.0.0/32")
-        assert (front, mover.peer_asn) < min(ingestor.corpus.table)
-        ingestor.apply_batch([_announce(mover, prefix=front)])
+        ingestor.apply_batch([_announce(row, path=donor.as_path)])
         snapshot = ingestor.publish()
-        # same path set, new first-seen order: the engine's votes are
-        # order-sensitive, so only a recompute is safe
-        assert ingestor.stats.last_publish_mode == "full"
+        assert ingestor.stats.last_publish_mode == "noop"
+        assert snapshot is before
         assert snapshot.version == _oracle_version(ingestor, ixp)
 
     def test_stats_counters(self, seeded):
