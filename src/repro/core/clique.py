@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 import numpy as _np
 
-from repro.core.paths import PathSet
+from repro.core.paths import PathSet, in_one_path
 
 #: ``mid -> [(left, right, multiplicity), ...]`` over the corpus's hops
 TripleIndex = Dict[int, List[Tuple[int, int, int]]]
@@ -79,41 +79,25 @@ def _index_triples(paths: PathSet, mids: Iterable[int]) -> TripleIndex:
     triples whose middle AS is in ``mids`` are indexed.  Repeated
     triples collapse to one entry carrying their multiplicity.
     """
-    wanted = set(mids)
-    flat, _plen, off = paths.numpy_view()
+    asns, ids = paths.asn_index
+    n = max(len(asns), 1)
+    wanted = _np.isin(asns, list(mids))
+    # window i is (flat[i], flat[i + 1], flat[i + 2]): keep the ones
+    # inside one path whose middle is wanted, as one int64 key of dense
+    # ids (the middle as its rank among the wanted; ``len(mids) * n**2``
+    # stays far below 2**63 for any corpus that fits in memory)
+    at = _np.flatnonzero(in_one_path(paths.off, 3) & wanted[ids[1:-1]])
+    keys = (_np.cumsum(wanted) - 1)[ids[at + 1]] * n + ids[at]
+    triples, counts = _np.unique(keys * n + ids[at + 2], return_counts=True)
+    middle, pair = _np.divmod(triples, n * n)
     by_mid: TripleIndex = {}
-    if len(flat) < 3 or not wanted:
-        return by_mid
-    # window i is (flat[i], flat[i + 1], flat[i + 2]); drop the ones
-    # whose middle is in ``wanted`` but which straddle two paths
-    valid = _np.isin(
-        flat[1:-1],
-        _np.fromiter(wanted, dtype=_np.int64, count=len(wanted)),
-    )
-    bounds = off[1:-1]
-    valid[bounds - 1] = False
-    valid[_np.maximum(bounds - 2, 0)] = False
-    starts = _np.flatnonzero(valid)
-    mid = flat[starts + 1]
-    # ASNs fit 32 bits: one uint64 per (left, right) pair
-    pair = (flat[starts].astype(_np.uint64) << _np.uint64(32)) | flat[
-        starts + 2
-    ].astype(_np.uint64)
-    order = _np.lexsort((pair, mid))
-    mid, pair = mid[order], pair[order]
-    first = _np.ones(len(order), dtype=bool)
-    first[1:] = (mid[1:] != mid[:-1]) | (pair[1:] != pair[:-1])
-    runs = _np.flatnonzero(first)
-    counts = _np.diff(_np.append(runs, len(order)))
-    pair = pair[runs]
-    triples = zip(
-        mid[runs].tolist(),
-        (pair >> _np.uint64(32)).tolist(),
-        (pair & _np.uint64(0xFFFFFFFF)).tolist(),
+    for mid, left, right, count in zip(
+        asns[_np.flatnonzero(wanted)[middle]].tolist(),
+        asns[pair // n].tolist(),
+        asns[pair % n].tolist(),
         counts.tolist(),
-    )
-    for mid, left, right, n in triples:
-        by_mid.setdefault(mid, []).append((left, right, n))
+    ):
+        by_mid.setdefault(mid, []).append((left, right, count))
     return by_mid
 
 
@@ -166,10 +150,10 @@ def infer_clique(
     ranking = paths.ranked_asns()
     if not ranking:
         return CliqueResult(members=[], seed_members=[], added_members=[])
-    adjacency = paths.node_neighbors
-
     seeds = ranking[:seed_size]
-    cliques = bron_kerbosch(seeds, adjacency)
+    cliques = bron_kerbosch(
+        seeds, {asn: set(paths.neighbors(asn)) for asn in seeds}
+    )
     if not cliques:
         return CliqueResult(members=[], seed_members=[], added_members=[])
 
@@ -196,7 +180,7 @@ def infer_clique(
             break
         considered += 1
         if (
-            clique <= adjacency.get(asn, set())
+            clique.issubset(paths.neighbors(asn))
             and paths.transit_degree(asn) > 0  # a tier-1 transits, always
             and _customer_evidence(by_mid, clique | {asn}).get(asn, 0) == 0
         ):

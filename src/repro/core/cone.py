@@ -60,7 +60,7 @@ def _hop_states(result: InferenceResult):
     ASN, path number, and the position of the hop's left node in
     ``_node_pid``."""
     assert result._lstate is not None
-    lid, left, right, path = result._hop_columns()
+    lid, left, right, path = result._hop_cols
     state = _np.array(result._lstate, dtype=_np.int64)[lid]
     node = _np.arange(len(lid), dtype=_np.int64) + path
     return state, left, path, node
@@ -106,8 +106,7 @@ def _ppdc_bits(result: InferenceResult) -> List[int]:
         return cone_bits
     # walk each such path from its end back to its first entered node
     n_nodes = len(pid)
-    off = _np.array(result._path_off, dtype=_np.int64)
-    plen = _np.diff(off)
+    plen = result.paths.plen
     node_path = _np.repeat(_np.arange(len(plen), dtype=_np.int64), plen)
     first_enter = _np.full(len(plen), n_nodes, dtype=_np.int64)
     _np.minimum.at(first_enter, node_path[enter], enter)

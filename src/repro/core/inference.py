@@ -38,14 +38,13 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as _np
 
 from repro import perf
 from repro.core.clique import CliqueResult, infer_clique
-from repro.core.paths import PathSet
+from repro.core.paths import PathSet, sort_unique
 from repro.graph.bitset import ClosureBitsets
 from repro.graph.index import DenseIndex
 from repro.relationships import Relationship, canonical_pair
@@ -163,17 +162,19 @@ class InferenceResult:
         self._key_lid: Optional[Dict[int, int]] = None
         self._lstate: Optional[List[int]] = None
         # flat (CSR) corpus index built by _init_fast: path p's nodes are
-        # positions _path_off[p] .. _path_off[p + 1] - 1 of _node_pid
-        # (dense ids) and its hops positions _path_off[p] - p onwards of
-        # _hop_lid (link ids); node ASNs are read from paths.paths
+        # positions _path_off[p] .. _path_off[p + 1] - 1 of _node_asn
+        # (ASNs) and _node_pid (dense ids), and its hops positions
+        # _path_off[p] - p onwards of _hop_lid (link ids)
         self._path_off: List[int] = [0]
-        self._hop_lid: List[int] = []
+        self._hop_lid: Sequence[int] = []
+        self._node_asn: Sequence[int] = []
         self._node_pid = _np.zeros(0, dtype=_np.int64)
         # link -> paths, CSR: the paths carrying link l are
         # _lpath_pid[_lpath_off[l]:_lpath_off[l + 1]]
-        self._lpath_pid: Optional[List[int]] = None
+        self._lpath_pid: Optional[Sequence[int]] = None
         self._lpath_off: Optional[List[int]] = None
-        # numpy (lid, left ASN, right ASN, path) per hop (_hop_columns)
+        # numpy (lid, left ASN, right ASN, path) per hop; hop h joins
+        # node positions h + path[h] and h + path[h] + 1
         self._hop_cols: Optional[Tuple[object, object, object, object]] = None
         # fold bookkeeping: links whose state changed (append-only log),
         # the consumed prefix, paths awaiting a fold pass
@@ -202,49 +203,35 @@ class InferenceResult:
         per path or per link.
         """
         flat, plen, off = paths.numpy_view()
-        uasn, pid_flat = _np.unique(flat, return_inverse=True)
-        self.index = DenseIndex.from_sorted(uasn.tolist())
+        asns, pid_flat = paths.asn_index
+        self.index = DenseIndex.from_sorted(asns.tolist())
         self._closure.ensure(len(self.index))
-        a, b = flat[:-1], flat[1:]
-        valid = _np.ones(len(a), dtype=bool)
-        valid[off[1:-1] - 1] = False
-        lo = _np.minimum(a, b)[valid].astype(_np.uint64)
-        hi = _np.maximum(a, b)[valid].astype(_np.uint64)
-        keys = (lo << _np.uint64(32)) | hi
-        ukeys, lid_hop = _np.unique(keys, return_inverse=True)
-        n_links = len(ukeys)
-        self._key_lid = {k: i for i, k in enumerate(ukeys.tolist())}
+        links = paths.link_index
+        n_links = len(links.keys)
+        self._key_lid = dict(zip(links.keys.tolist(), range(n_links)))
         self._lstate = [LINK_UNKNOWN] * n_links
         self._path_off = off.tolist()
-        self._hop_lid = lid_hop.tolist()
+        # the scalar loops index memoryviews of the columns: no int
+        # object per hop or node stays resident
+        self._hop_lid = memoryview(links.link_of_hop)
+        self._node_asn = memoryview(flat)
         self._node_pid = pid_flat
         path_of_hop = _np.repeat(
             _np.arange(len(plen), dtype=_np.int64), plen - 1
         )
-        # group the hops by link (group-internal order is free)
-        self._lpath_pid = path_of_hop[_np.argsort(lid_hop)].tolist()
+        self._lpath_pid = memoryview(path_of_hop[links.by_link])
         lpath_off = _np.zeros(n_links + 1, dtype=_np.int64)
         _np.cumsum(
-            _np.bincount(lid_hop, minlength=n_links), out=lpath_off[1:]
+            _np.bincount(links.link_of_hop, minlength=n_links),
+            out=lpath_off[1:],
         )
         self._lpath_off = lpath_off.tolist()
-        self._hop_cols = None
-
-    def _hop_columns(self):
-        """``(lid, left, right, path)`` numpy columns, one row per hop of
-        the indexed paths (cached).  Hop ``h`` joins node positions
-        ``h + path[h]`` and ``h + path[h] + 1``."""
-        if self._hop_cols is None:
-            off = _np.array(self._path_off, dtype=_np.int64)
-            nodes = _np.diff(off)
-            lid = _np.array(self._hop_lid, dtype=_np.int64)
-            path = _np.repeat(
-                _np.arange(len(nodes), dtype=_np.int64), nodes - 1
-            )
-            node = _np.arange(len(lid), dtype=_np.int64) + path
-            asn = _np.array(self.index.asns, dtype=_np.int64)[self._node_pid]
-            self._hop_cols = (lid, asn[node], asn[node + 1], path)
-        return self._hop_cols
+        self._hop_cols = (
+            links.link_of_hop,
+            flat[:-1][links.starts],
+            flat[1:][links.starts],
+            path_of_hop,
+        )
 
     def _mark_link(self, a: int, b: int, state: int) -> None:
         """Record a link's new fold state and flag it dirty."""
@@ -450,6 +437,11 @@ class _Engine:
     def _index(self, result: InferenceResult, paths: PathSet) -> None:
         result._init_fast(paths)
 
+    def _partial_vp(
+        self, result: InferenceResult, paths: PathSet, config: InferenceConfig
+    ) -> None:
+        _step_partial_vp(result, paths, config)
+
     def _topdown(
         self, result: InferenceResult, paths: PathSet, rank: Dict[int, int]
     ) -> None:
@@ -484,7 +476,8 @@ class _Engine:
 
         with perf.stage("rank"):
             # position in transit-degree order, not a graph id space
-            rank = DenseIndex.from_ordered(paths.ranked_asns()).ids
+            ranked = paths.ranked_asns()
+            rank = dict(zip(ranked, range(len(ranked))))
         perf.counter("paths", len(paths))
 
         if config.known_siblings:
@@ -495,7 +488,7 @@ class _Engine:
                 _step_clique(result, paths, clique)
         if config.enable_partial_vp:
             with perf.stage("partial-vp"):
-                _step_partial_vp(result, paths, config)
+                self._partial_vp(result, paths, config)
         if config.enable_topdown:
             with perf.stage("topdown"):
                 self._topdown(result, paths, rank)
@@ -566,17 +559,7 @@ def _discard_poisoned(
     discarded = int(bad.sum())
     if not discarded:
         return paths, 0  # keep the original object (and its caches)
-    keep = ~bad
-    kept = list(compress(paths.paths, keep.tolist()))
-    out = paths.filtered(kept)
-    # seed the filtered corpus's flat view from the parent's by
-    # masking, sparing the index stage a full rebuild
-    new_plen = plen[keep]
-    new_off = _np.empty(len(new_plen) + 1, dtype=_np.int64)
-    new_off[0] = 0
-    _np.cumsum(new_plen, out=new_off[1:])
-    out._np_view = (flat[_np.repeat(keep, plen)], new_plen, new_off)
-    return out, discarded
+    return paths.filtered(~bad), discarded
 
 
 def _step_siblings(
@@ -613,23 +596,22 @@ def _step_partial_vp(
     because its paths reach only a small fraction of all observed
     origins.  Every path it exports descends from the first hop, so
     every link on it is p2c with the left endpoint as provider.
+
+    One pass over the first-hop and last-hop columns of the corpus
+    index finds the partial VPs; the votes then walk only their paths,
+    in corpus order.
     """
-    origins_total = {path[-1] for path in paths}
-    if not origins_total:
-        return
-    by_vp: Dict[int, Set[int]] = {}
-    for path in paths:
-        by_vp.setdefault(path[0], set()).add(path[-1])
-    partial_vps = {
-        vp
-        for vp, origins in by_vp.items()
-        if len(origins) < config.partial_vp_coverage * len(origins_total)
-    }
-    for path in paths:
-        if path[0] not in partial_vps:
-            continue
-        for j in range(len(path) - 1):
-            if not result.set_p2c(path[j], path[j + 1], Step.S4B_PARTIAL_VP):
+    ids, n = result._node_pid, len(result.index)
+    vp, origin = ids[paths.off[:-1]], ids[paths.off[1:] - 1]
+    # the distinct (vp, origin) pairs count each VP's origins
+    pairs = sort_unique(vp * n + origin)
+    reach = _np.bincount(pairs // max(n, 1), minlength=n)
+    coverage = config.partial_vp_coverage * len(sort_unique(origin))
+    nodes, path_off = result._node_asn, result._path_off
+    set_p2c = result.set_p2c
+    for p in _np.flatnonzero((reach < coverage)[vp]).tolist():
+        for j in range(path_off[p], path_off[p + 1] - 1):
+            if not set_p2c(nodes[j], nodes[j + 1], Step.S4B_PARTIAL_VP):
                 break
 
 
@@ -668,36 +650,37 @@ def _step_topdown(
     lstate = result._lstate
     hop_lid = result._hop_lid
     path_off = result._path_off
+    nodes = result._node_asn
     order, peaks = _peak_order(result, paths, rank)
-    path_tuples = paths.paths
     set_p2c = result.set_p2c
     for pi in order:
-        path = path_tuples[pi]
-        i = peaks[pi]
-        h0 = path_off[pi] - pi
+        # node positions: the path runs from n0 to n1 - 1 and peaks at
+        # i; the hop leaving node position j is hop j - pi
+        n0, n1 = path_off[pi], path_off[pi + 1]
+        i = n0 + peaks[pi]
         # a link already labeled with the vote's provider is an agreeing
         # vote (a guaranteed no-op), any other label is a refusal: both
         # are readable straight off the link-state array
         #
-        # descend right of the peak: path[j] provides for path[j+1];
+        # descend right of the peak: node j provides for node j+1;
         # stop at the first contradiction — the path's shape no longer
         # matches our peak assumption beyond that point
-        for j in range(i + 1, len(path) - 1):
-            s = lstate[hop_lid[h0 + j]]
-            if s == path[j]:
+        for j in range(i + 1, n1 - 1):
+            s = lstate[hop_lid[j - pi]]
+            if s == nodes[j]:
                 continue
             if s != unknown:
                 break
-            if not set_p2c(path[j], path[j + 1], Step.S5_TOPDOWN):
+            if not set_p2c(nodes[j], nodes[j + 1], Step.S5_TOPDOWN):
                 break
-        # descend left of the peak: path[j+1] provides for path[j]
-        for j in range(i - 2, -1, -1):
-            s = lstate[hop_lid[h0 + j]]
-            if s == path[j + 1]:
+        # descend left of the peak: node j+1 provides for node j
+        for j in range(i - 2, n0 - 1, -1):
+            s = lstate[hop_lid[j - pi]]
+            if s == nodes[j + 1]:
                 continue
             if s != unknown:
                 break
-            if not set_p2c(path[j + 1], path[j], Step.S5_TOPDOWN):
+            if not set_p2c(nodes[j + 1], nodes[j], Step.S5_TOPDOWN):
                 break
 
 
@@ -710,13 +693,13 @@ def _fold_candidates(result: InferenceResult) -> Set[int]:
     siblings reset those constraints, so with siblings every path that
     still carries an unknown hop is a candidate.
     """
-    lid, left, right, path = result._hop_columns()
+    lid, left, right, path = result._hop_cols
     s = _np.array(result._lstate, dtype=_np.int64)[lid]
     unknown = s == LINK_UNKNOWN
     if not unknown.any():
         return set()
     if result.siblings:
-        return set(_np.unique(path[unknown]).tolist())
+        return set(path[unknown].tolist())
     # one segment per path that has hops; global hop numbers order the
     # hops within a path just as their positions do
     starts = _np.flatnonzero(_np.diff(path, prepend=-1))
@@ -760,7 +743,7 @@ def _step_fold_fast(result: InferenceResult) -> None:
     """
     lstate = result._lstate
     assert lstate is not None
-    path_tuples = result.paths.paths
+    node_asn = result._node_asn
     path_off = result._path_off
     hop_lid = result._hop_lid
     lpath_pid, lpath_off = result._lpath_pid, result._lpath_off
@@ -786,9 +769,9 @@ def _step_fold_fast(result: InferenceResult) -> None:
 
     def scan(i: int) -> None:
         """One forward+backward constraint pass over path ``i``."""
-        nodes = path_tuples[i]
-        h0 = path_off[i] - i
-        states = [lstate[l] for l in hop_lid[h0:h0 + len(nodes) - 1]]
+        n0, n1 = path_off[i], path_off[i + 1]
+        nodes = node_asn[n0:n1]
+        states = [lstate[l] for l in hop_lid[n0 - i:n1 - i - 1]]
         # forward: after the first DOWN or PEER everything descends
         # (sibling links reset the constraint, as in the reference)
         seen_descent = False
@@ -909,13 +892,12 @@ def _step_providerless(
 ) -> None:
     """S8: give every provider-less non-clique AS its best provider."""
     clique = result.clique.member_set
-    neighbors = paths.node_neighbors
     for asn in paths.ranked_asns():
         if asn in clique or result.providers.get(asn):
             continue
         open_neighbors = [
             n
-            for n in neighbors.get(asn, ())
+            for n in paths.neighbors(asn)
             if result.relationship(asn, n) is None
         ]
         if not open_neighbors:

@@ -16,8 +16,9 @@ A :class:`PathSet` keeps its paths in tuple order, whatever order the
 raw rows came in, so a corpus depends only on the multiset of rows.
 The kernel gets that order and its dedup from one row sort.
 
-The sanitized :class:`PathSet` also precomputes the two degree notions
-the algorithm ranks ASes by:
+A :class:`PathSet` holds the corpus as numpy columns and derives from
+them, in sort-based passes, the two degree notions the algorithm ranks
+ASes by:
 
 * **node degree** — distinct neighbors in any path;
 * **transit degree** — distinct neighbors across the positions where
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import (
     Dict,
@@ -154,23 +156,26 @@ def take_rows(flat, offsets, rows):
 
 
 def _flatten(raw_paths: Iterable[Sequence[int]]):
-    """Raw paths as one int64 ``flat`` array plus row ``offsets``."""
+    """Raw paths as one int64 ``flat`` array plus row ``offsets``; a
+    path with a hop outside int64 is flattened as its stand-in."""
     paths = raw_paths if isinstance(raw_paths, list) else list(raw_paths)
+    try:
+        return _columns(paths)
+    except OverflowError:
+        return _columns([_int64_stand_in(path) for path in paths])
+
+
+def _columns(paths: List[Sequence[int]]):
+    """``paths`` as one int64 ``flat`` array plus row ``offsets``
+    (``OverflowError`` for a hop outside int64)."""
     offsets = _np.zeros(len(paths) + 1, dtype=_np.int64)
     _np.cumsum(
         _np.fromiter(map(len, paths), dtype=_np.int64, count=len(paths)),
         out=offsets[1:],
     )
-    try:
-        flat = _np.fromiter(
-            chain.from_iterable(paths), dtype=_np.int64, count=int(offsets[-1])
-        )
-    except OverflowError:
-        flat = _np.fromiter(
-            chain.from_iterable(map(_int64_stand_in, paths)),
-            dtype=_np.int64,
-            count=int(offsets[-1]),
-        )
+    flat = _np.fromiter(
+        chain.from_iterable(paths), dtype=_np.int64, count=int(offsets[-1])
+    )
     return flat, offsets
 
 
@@ -338,9 +343,75 @@ def _sorted_unique(flat, offsets, rows):
     return rows[order[starts]], _np.diff(_np.append(starts, n))
 
 
+def sort_unique(values, return_inverse: bool = False):
+    """The sorted distinct ``values`` (1-d integers) by one sort and an
+    adjacent-difference mask (``numpy.unique`` hashes integers, slower).
+
+    With ``return_inverse``: ``(unique, inverse, order)``, where
+    ``unique[inverse]`` is ``values`` and ``order`` its stable argsort,
+    which values that fit beside their position in 64 bits get from a
+    plain sort of ``(value << bits) | position``, faster than argsort.
+    """
+    if not return_inverse:
+        ordered = _np.sort(values)
+    else:
+        n = len(values)
+        bits = max(n - 1, 0).bit_length()
+        if n and values.min() >= 0 and (
+            int(values.max()).bit_length() + bits <= 64
+        ):
+            packed = values.astype(_np.uint64)
+            packed <<= _np.uint64(bits)
+            packed |= _np.arange(n, dtype=_np.uint64)
+            packed.sort()
+            order = (packed & _np.uint64((1 << bits) - 1)).view(_np.int64)
+            packed >>= _np.uint64(bits)
+            ordered = packed.astype(values.dtype, copy=False)
+        else:
+            order = _np.argsort(values, kind="stable")
+            ordered = values[order]
+    first = _np.ones(len(ordered), dtype=bool)
+    _np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if not return_inverse:
+        return ordered[first]
+    inverse = _np.empty(len(values), dtype=_np.int64)
+    inverse[order] = _np.cumsum(first) - 1
+    return ordered[first], inverse, order
+
+
+def in_one_path(off, width: int):
+    """Mask over the windows ``flat[i:i + width]`` that lie inside one
+    path of the corpus with path offsets ``off``."""
+    row = _np.repeat(_np.arange(len(off) - 1, dtype=_np.int64), _np.diff(off))
+    return row[:len(row) - width + 1] == row[width - 1:]
+
+
+class LinkIndex(NamedTuple):
+    """A corpus's distinct links, ascending as ``keys`` (packed
+    ``(lo << 32) | hi`` uint64) and as their endpoints' dense ids
+    ``lo``/``hi``.  A hop joins ``flat[i]`` and ``flat[i + 1]`` for each
+    ``i`` where ``starts`` holds; in that order, ``link_of_hop`` gives
+    each hop's link, and ``by_link`` lists the hops grouped by link."""
+
+    keys: object
+    lo: object
+    hi: object
+    starts: object
+    link_of_hop: object
+    by_link: object
+
+
 class PathSet:
     """A deduplicated corpus of sanitized AS paths, in tuple order, with
-    degree indexes."""
+    degree indexes.
+
+    Held as columns: ``flat`` (every path's int64 ASNs), ``plen`` and
+    ``off`` (each path's length and start, ``off`` with a final
+    sentinel) and ``path_counts`` (input paths per path).  ``paths``
+    and ``counts`` are tuple views built on first use.  A PathSet is
+    immutable, so views and scans are computed once and cached
+    (callers treat what they get as read-only).
+    """
 
     def __init__(
         self,
@@ -348,24 +419,30 @@ class PathSet:
         counts: Optional[Dict[Tuple[int, ...], int]] = None,
         stats: Optional[SanitizeStats] = None,
     ):
-        self.paths: List[Tuple[int, ...]] = sorted(paths)
-        self.counts: Dict[Tuple[int, ...], int] = counts or {
-            p: 1 for p in self.paths
-        }
-        self.stats = stats or SanitizeStats(
-            input_paths=len(self.paths), kept=len(self.paths)
+        self.paths = sorted(paths)
+        n = len(self.paths)
+        flat, off = _columns(self.paths)
+        self._set_columns(
+            flat, _np.diff(off), off,
+            _np.fromiter(
+                (counts.get(p, 1) for p in self.paths), _np.int64, count=n
+            ) if counts else _np.ones(n, dtype=_np.int64),
+            stats or SanitizeStats(input_paths=n, kept=n),
         )
-        self._node_neighbors: Optional[Dict[int, Set[int]]] = None
-        self._transit_neighbors: Optional[Dict[int, Set[int]]] = None
-        # a PathSet is immutable after construction, so the corpus-wide
-        # scans below are computed once and cached (callers treat the
-        # returned collections as read-only)
+
+    @classmethod
+    def _from_columns(cls, flat, plen, off, path_counts, stats) -> "PathSet":
+        out = cls.__new__(cls)
+        out._set_columns(flat, plen, off, path_counts, stats)
+        return out
+
+    def _set_columns(self, flat, plen, off, path_counts, stats) -> None:
+        self.flat, self.plen, self.off = flat, plen, off
+        self.path_counts = path_counts
+        self.stats = stats
         self._asns: Optional[Set[int]] = None
         self._links: Optional[Set[Tuple[int, int]]] = None
         self._ranked: Optional[List[int]] = None
-        # flat numpy encoding of the corpus (``numpy_view``), shared by
-        # every vectorized pass over the hops
-        self._np_view: Optional[Tuple[object, object, object]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -390,20 +467,13 @@ class PathSet:
         """Stage 1 over raw paths given as columns: row ``i`` is
         ``flat[offsets[i]:offsets[i + 1]]`` (int64 ASNs).
 
-        Kept paths are deduplicated in tuple order, every action
-        is counted in :class:`SanitizeStats`, and the result comes with
-        its :meth:`numpy_view` already built.
+        Kept paths are deduplicated in tuple order and every action
+        is counted in :class:`SanitizeStats`.
         """
         s = _stage1(flat, offsets, ixp_asns)
         firsts, counts = _sorted_unique(
             s.flat, s.offsets, _np.flatnonzero(s.kept)
         )
-        kept_flat, plen, off = take_rows(s.flat, s.offsets, firsts)
-        hops = kept_flat.tolist()
-        bounds = off.tolist()
-        paths = [
-            tuple(hops[bounds[i]:bounds[i + 1]]) for i in range(len(firsts))
-        ]
         stats = SanitizeStats(
             input_paths=len(offsets) - 1,
             prepending_compressed=int(s.prepending.sum()),
@@ -411,81 +481,88 @@ class PathSet:
             discarded_reserved_asn=int(s.reserved.sum()),
             discarded_short=int(s.short.sum()),
             ixp_hops_removed=int(s.ixp.sum()),
-            duplicates_merged=int(s.kept.sum()) - len(paths),
-            kept=len(paths),
+            duplicates_merged=int(s.kept.sum()) - len(firsts),
+            kept=len(firsts),
         )
-        out = cls(paths, dict(zip(paths, counts.tolist())), stats)
-        out._np_view = (kept_flat, plen, off)
-        return out
+        return cls._from_columns(
+            *take_rows(s.flat, s.offsets, firsts), counts, stats
+        )
 
-    def filtered(self, keep: Iterable[Tuple[int, ...]]) -> "PathSet":
-        """A new PathSet restricted to ``keep`` (shares the stats object)."""
-        keep_list = list(keep)
-        keep_set = set(keep_list)
-        counts = {p: self.counts.get(p, 1) for p in keep_set}
-        return PathSet(keep_list, counts, self.stats)
+    def filtered(self, keep) -> "PathSet":
+        """A new PathSet of the paths where the row mask ``keep`` is
+        true (shares the stats object)."""
+        keep = _np.asarray(keep, dtype=bool)
+        plen = self.plen[keep]
+        off = _np.zeros(len(plen) + 1, dtype=_np.int64)
+        _np.cumsum(plen, out=off[1:])
+        return PathSet._from_columns(
+            self.flat[_np.repeat(keep, self.plen)], plen, off,
+            self.path_counts[keep], self.stats,
+        )
 
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.plen)
 
     def __iter__(self) -> Iterator[Tuple[int, ...]]:
         return iter(self.paths)
 
+    @cached_property
+    def paths(self) -> List[Tuple[int, ...]]:
+        """The paths as tuples, in tuple order."""
+        hops = self.flat.tolist()
+        bounds = self.off.tolist()
+        return [tuple(hops[s:e]) for s, e in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def counts(self) -> Dict[Tuple[int, ...], int]:
+        """Input paths per path, by tuple."""
+        return dict(zip(self.paths, self.path_counts.tolist()))
+
     def numpy_view(self):
-        """The corpus as flat numpy arrays ``(flat, plen, off)``.
+        """The columns ``(flat, plen, off)``; an empty corpus gives
+        empty arrays (``off`` is ``[0]``)."""
+        return self.flat, self.plen, self.off
 
-        ``flat`` concatenates every path, ``plen`` holds each path's
-        length and ``off`` the start offset of each path (with a final
-        sentinel), so a vectorized pass can address any hop or window.
-        An empty corpus gives empty arrays (``off`` is ``[0]``).  Built
-        once and cached (the corpus is immutable).
-        """
-        if self._np_view is None:
-            plen = _np.fromiter(
-                (len(p) for p in self.paths),
-                dtype=_np.int64,
-                count=len(self.paths),
-            )
-            total = int(plen.sum())
-            flat = _np.fromiter(
-                chain.from_iterable(self.paths),
-                dtype=_np.int64,
-                count=total,
-            )
-            off = _np.empty(len(plen) + 1, dtype=_np.int64)
-            off[0] = 0
-            _np.cumsum(plen, out=off[1:])
-            self._np_view = (flat, plen, off)
-        return self._np_view
+    @cached_property
+    def asn_index(self):
+        """``(asns, ids)``: the distinct ASNs, ascending, and each
+        position of ``flat``'s dense id (its ASN's place among them)."""
+        asns, ids, _ = sort_unique(self.flat, return_inverse=True)
+        return asns, ids
 
-    def _hop_keys(self):
-        """Packed ``(lo << 32) | hi`` key per hop, plus a validity mask
-        (False where the "hop" would span two different paths)."""
-        flat, plen, off = self.numpy_view()
-        a, b = flat[:-1], flat[1:]
-        valid = _np.ones(len(a), dtype=bool)
-        valid[off[1:-1] - 1] = False
-        lo = _np.minimum(a, b).astype(_np.uint64)
-        hi = _np.maximum(a, b).astype(_np.uint64)
-        return (lo << _np.uint64(32)) | hi, valid
+    @cached_property
+    def link_index(self) -> LinkIndex:
+        """The :class:`LinkIndex`, from one sort of the hops' dense-id
+        pairs (dense ids ascend with ASNs, and so do the keys)."""
+        asns, ids = self.asn_index
+        n = len(asns)
+        starts = in_one_path(self.off, 2)
+        a, b = ids[:-1][starts], ids[1:][starts]
+        dense, link_of_hop, by_link = sort_unique(
+            _np.minimum(a, b) * n + _np.maximum(a, b), return_inverse=True
+        )
+        lo, hi = _np.divmod(dense, max(n, 1))
+        keys = asns[lo].astype(_np.uint64) << _np.uint64(32)
+        keys |= asns[hi].astype(_np.uint64)
+        return LinkIndex(keys, lo, hi, starts, link_of_hop, by_link)
 
     def asns(self) -> Set[int]:
         if self._asns is None:
-            flat = self.numpy_view()[0]
-            self._asns = set(_np.unique(flat).tolist())
+            self._asns = set(self.asn_index[0].tolist())
         return self._asns
 
     def links(self) -> Set[Tuple[int, int]]:
         """Unordered adjacencies across the corpus."""
         if self._links is None:
-            keys, valid = self._hop_keys()
+            asns = self.asn_index[0].tolist()
+            links = self.link_index
             self._links = {
-                (k >> 32, k & 0xFFFFFFFF)
-                for k in _np.unique(keys[valid]).tolist()
+                (asns[lo], asns[hi])
+                for lo, hi in zip(links.lo.tolist(), links.hi.tolist())
             }
         return self._links
 
@@ -493,73 +570,64 @@ class PathSet:
     # degrees
     # ------------------------------------------------------------------
 
-    def _transit_pairs(self) -> Iterable[Tuple[int, int]]:
-        """Distinct ``(mid, neighbor)`` pairs over all interior hops."""
-        flat, plen, off = self.numpy_view()
-        if len(flat) >= 3:
-            mid = flat[1:-1].astype(_np.uint64)
-            left = flat[:-2].astype(_np.uint64)
-            right = flat[2:].astype(_np.uint64)
-            valid = _np.ones(len(flat) - 2, dtype=bool)
-            bounds = off[1:-1]
-            valid[bounds - 1] = False
-            valid[_np.maximum(bounds - 2, 0)] = False
-            shift = _np.uint64(32)
-            keys = _np.concatenate(
-                (
-                    ((mid << shift) | left)[valid],
-                    ((mid << shift) | right)[valid],
-                )
-            )
-            for k in _np.unique(keys).tolist():
-                yield k >> 32, k & 0xFFFFFFFF
+    @cached_property
+    def _degrees(self):
+        """``(position, transit, node, start, neighbors)``: dense id by
+        ASN, degree lists by dense id, and the neighbour CSR (AS ``i``'s
+        neighbours are ``neighbors[start[i]:start[i + 1]]``)."""
+        asns, ids = self.asn_index
+        n = len(asns)
+        links = self.link_index
+        other = links.lo != links.hi
+        src = _np.concatenate((links.lo, links.hi[other]))
+        dst = _np.concatenate((links.hi, links.lo[other]))
+        node = _np.bincount(src, minlength=n)
+        start = _np.zeros(n + 1, dtype=_np.int64)
+        _np.cumsum(node, out=start[1:])
+        # transit: the distinct (mid, neighbor) pairs of interior hops
+        inner = in_one_path(self.off, 3)
+        mid = ids[1:-1][inner] * n
+        pairs = sort_unique(_np.concatenate((
+            mid + ids[:-2][inner], mid + ids[2:][inner]
+        )))
+        transit = _np.bincount(pairs // max(n, 1), minlength=n)
+        return (
+            dict(zip(asns.tolist(), range(n))),
+            transit.tolist(),
+            node.tolist(),
+            start,
+            asns[dst[_np.lexsort((dst, src))]],
+        )
 
-    def _build_degrees(self) -> None:
-        # node adjacency straight from the (much smaller) link set
-        node: Dict[int, Set[int]] = {}
-        for a, b in self.links():
-            node.setdefault(a, set()).add(b)
-            node.setdefault(b, set()).add(a)
-        for asn in self.asns():
-            node.setdefault(asn, set())
-        transit: Dict[int, Set[int]] = {}
-        transit_get = transit.get
-        for mid, neighbor in self._transit_pairs():
-            neighbors = transit_get(mid)
-            if neighbors is None:
-                neighbors = transit[mid] = set()
-            neighbors.add(neighbor)
-        self._node_neighbors = node
-        self._transit_neighbors = transit
+    def neighbors(self, asn: int) -> List[int]:
+        """The ASes adjacent to ``asn`` in some path, ascending."""
+        position, _, _, start, neighbors = self._degrees
+        i = position.get(asn)
+        return [] if i is None else neighbors[start[i]:start[i + 1]].tolist()
 
-    @property
+    @cached_property
     def node_neighbors(self) -> Dict[int, Set[int]]:
-        if self._node_neighbors is None:
-            self._build_degrees()
-        assert self._node_neighbors is not None
-        return self._node_neighbors
+        """Every AS's neighbour set (no pipeline step needs it)."""
+        return {asn: set(self.neighbors(asn)) for asn in self.asns()}
 
     def node_degree(self, asn: int) -> int:
-        return len(self.node_neighbors.get(asn, ()))
+        i = self._degrees[0].get(asn)
+        return 0 if i is None else self._degrees[2][i]
 
     def transit_degree(self, asn: int) -> int:
-        if self._transit_neighbors is None:
-            self._build_degrees()
-        assert self._transit_neighbors is not None
-        return len(self._transit_neighbors.get(asn, ()))
+        i = self._degrees[0].get(asn)
+        return 0 if i is None else self._degrees[1][i]
 
     def transit_degrees(self) -> Dict[int, int]:
         """Transit degree for every AS in the corpus (0 for pure edges)."""
-        return {asn: self.transit_degree(asn) for asn in self.asns()}
+        return dict(zip(self.asn_index[0].tolist(), self._degrees[1]))
 
     def ranked_asns(self) -> List[int]:
         """ASes sorted by the paper's ranking: transit degree desc, then
         node degree desc, then ASN asc (determinism)."""
         if self._ranked is None:
-            self._ranked = sorted(
-                self.asns(),
-                key=lambda asn: (
-                    -self.transit_degree(asn), -self.node_degree(asn), asn
-                ),
-            )
+            asns = self.asn_index[0]
+            _, transit, node, _, _ = self._degrees
+            order = _np.lexsort((asns, -_np.array(node), -_np.array(transit)))
+            self._ranked = asns[order].tolist()
         return self._ranked

@@ -41,7 +41,8 @@ class DenseIndex:
 
     ``DenseIndex(asns)`` sorts and dedupes; :meth:`from_sorted` adopts
     an already-sorted unique list without copying or checking (for the
-    hot paths that got it from ``numpy.unique``); :meth:`from_ordered`
+    hot paths that got it from a sort-based unique pass, such as
+    :func:`repro.core.paths.sort_unique`); :meth:`from_ordered`
     preserves the caller's explicit order for table-shaped uses (e.g.
     the MRT writer's peer table) where position, not sortedness, is the
     contract.

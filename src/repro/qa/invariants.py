@@ -38,7 +38,9 @@ from repro.qa.oracles import (
     REFERENCE_CONES,
     ReferenceCollector,
     propagate_origin,
+    reference_degrees,
     reference_infer_relationships,
+    reference_ranked_asns,
     reference_sanitize,
 )
 from repro.relationships import Relationship
@@ -108,6 +110,41 @@ def _pathset_violations(
     ]
 
 
+def _degree_violations(paths: PathSet, world: str) -> List[Violation]:
+    """``paths``'s ASNs, links, node and transit degrees and S2 ranking
+    must equal those the oracle builds one path at a time
+    (:func:`~repro.qa.oracles.reference_degrees`)."""
+    node, transit = reference_degrees(paths)
+    links = {
+        (a, b) for a, neighbors in node.items() for b in neighbors if a <= b
+    }
+    differ = [
+        name
+        for name, same in (
+            ("asns", paths.asns() == set(node)),
+            ("links", paths.links() == links),
+            ("node degree", all(
+                paths.node_degree(asn) == len(n) for asn, n in node.items()
+            )),
+            ("transit degree", all(
+                paths.transit_degree(asn) == len(transit.get(asn, ()))
+                for asn in node
+            )),
+            ("ranking", paths.ranked_asns() == reference_ranked_asns(paths)),
+        )
+        if not same
+    ]
+    if not differ:
+        return []
+    return [
+        Violation(
+            "differential/degrees",
+            world,
+            f"{', '.join(differ)} differ over {len(paths)} paths",
+        )
+    ]
+
+
 # ---------------------------------------------------------------------------
 # family 1: production engine vs reference oracle differential
 # ---------------------------------------------------------------------------
@@ -141,6 +178,10 @@ def check_differential(
     )
     fast = infer_relationships(paths, config)
     ref = reference_infer_relationships(paths, config)
+    # the pre- and post-poison-filter corpora (one object when the
+    # filter dropped nothing)
+    for corpus in {id(paths): paths, id(fast.paths): fast.paths}.values():
+        violations.extend(_degree_violations(corpus, world))
 
     if fast.clique.members != ref.clique.members:
         violations.append(

@@ -12,9 +12,13 @@ parameter or environment variable selects it.
 * :func:`clean_path` and :func:`reference_sanitize` — stage 1 one raw
   path at a time (QA family 1 and the sanitize tests compare
   ``PathSet.sanitize`` against it);
+* :func:`reference_degrees` and :func:`reference_ranked_asns` — node
+  and transit degrees and the S2 ranking as neighbour sets built one
+  path at a time (QA family 1's ``differential/degrees``);
 * :func:`reference_infer_relationships` — the ASRank pipeline with the
-  per-vote BFS cycle check, the scalar top-down peak scan and the
-  full-rescan fold, and no corpus link index;
+  per-vote BFS cycle check, the three-scan partial-VP step, the scalar
+  top-down peak scan and the full-rescan fold, and no corpus link
+  index;
 * ``reference_*_cones`` — the three cone definitions over plain ASN
   sets;
 * :func:`propagate_origin` — the one-origin-at-a-time Gao–Rexford
@@ -189,6 +193,11 @@ class _ReferenceEngine(_Engine):
     def _index(self, result: InferenceResult, paths: PathSet) -> None:
         """No corpus link index: labels live in the result's dicts only."""
 
+    def _partial_vp(
+        self, result: InferenceResult, paths: PathSet, config: InferenceConfig
+    ) -> None:
+        reference_partial_vp(result, paths, config)
+
     def _topdown(
         self, result: InferenceResult, paths: PathSet, rank: Dict[int, int]
     ) -> None:
@@ -203,6 +212,60 @@ def reference_infer_relationships(
 ) -> InferenceResult:
     """Run the reference ASRank pipeline over a sanitized corpus."""
     return _ReferenceEngine(paths, config or InferenceConfig()).run()
+
+
+def reference_degrees(
+    paths: PathSet,
+) -> Tuple[Dict[int, Set[int]], Dict[int, Set[int]]]:
+    """Node and transit neighbour sets per AS, one path at a time.
+
+    Every AS of the corpus has a node entry (possibly empty); only ASes
+    seen between two others have a transit entry.
+    """
+    node: Dict[int, Set[int]] = {}
+    transit: Dict[int, Set[int]] = {}
+    for path in paths.paths:
+        for asn in path:
+            node.setdefault(asn, set())
+        for a, b in zip(path, path[1:]):
+            node[a].add(b)
+            node[b].add(a)
+        for left, mid, right in zip(path, path[1:], path[2:]):
+            transit.setdefault(mid, set()).update((left, right))
+    return node, transit
+
+
+def reference_ranked_asns(paths: PathSet) -> List[int]:
+    """The S2 ranking: transit degree desc, node degree desc, ASN asc."""
+    node, transit = reference_degrees(paths)
+    return sorted(
+        node,
+        key=lambda asn: (-len(transit.get(asn, ())), -len(node[asn]), asn),
+    )
+
+
+def reference_partial_vp(
+    result: InferenceResult, paths: PathSet, config: InferenceConfig
+) -> None:
+    """S4B as three scans over the path tuples: all origins, origins per
+    VP, then the votes of the partial VPs' paths."""
+    origins_total = {path[-1] for path in paths}
+    if not origins_total:
+        return
+    by_vp: Dict[int, Set[int]] = {}
+    for path in paths:
+        by_vp.setdefault(path[0], set()).add(path[-1])
+    partial_vps = {
+        vp
+        for vp, origins in by_vp.items()
+        if len(origins) < config.partial_vp_coverage * len(origins_total)
+    }
+    for path in paths:
+        if path[0] not in partial_vps:
+            continue
+        for j in range(len(path) - 1):
+            if not result.set_p2c(path[j], path[j + 1], Step.S4B_PARTIAL_VP):
+                break
 
 
 def _step_topdown_reference(

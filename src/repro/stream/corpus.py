@@ -185,7 +185,7 @@ class LiveCorpus:
         stats = replace(
             self._stats, kept=kept, duplicates_merged=self._kept_rows - kept
         )
-        return PathSet(self._paths, dict(self._counts), stats)
+        return PathSet(self._paths, self._counts, stats)
 
     def prefixes_by_asn(self) -> Dict[int, List]:
         """A fresh dict equal to ``prefixes_from_rows(rows())``; only

@@ -24,6 +24,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
+import numpy as _np
+
 from repro.core.cone import ConeDefinition
 from repro.core.inference import InferenceConfig
 from repro.core.paths import PathSet
@@ -173,10 +175,10 @@ class StreamIngestor:
             built = time.perf_counter()
             if self.publisher is not None:
                 self.publisher(state.snapshot)
-            old_links = live.filtered.links() if live is not None else set()
-            new_links = state.filtered.links()
-            added = len(new_links - old_links)
-            removed = len(old_links - new_links)
+            new = state.filtered.link_index.keys
+            old = live.filtered.link_index.keys if live else new[:0]
+            added = len(_np.setdiff1d(new, old, assume_unique=True))
+            removed = len(_np.setdiff1d(old, new, assume_unique=True))
         snapshot = state.snapshot
         self.live = state
 

@@ -3,7 +3,8 @@
 ``InferenceResult._init_fast`` keeps the corpus as a few flat lists and
 arrays plus offsets, never as one container per path or per link; the
 top-down step's visiting order is a stable sort on peak rank over a
-corpus that stage 1 already put in tuple order.
+corpus that stage 1 already put in tuple order.  The default pipeline
+reads a :class:`PathSet` only through its columns.
 """
 
 import gc
@@ -12,9 +13,20 @@ import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
+from repro.bgp.collector import Collector, CollectorConfig
 from repro.core.clique import CliqueResult
-from repro.core.inference import InferenceConfig, InferenceResult, _peak_order
+from repro.core.inference import (
+    InferenceConfig,
+    InferenceResult,
+    _peak_order,
+    infer_relationships,
+)
 from repro.core.paths import _SORT_WIDTH, PathSet
+from repro.mrt.reader import RibRecord, UpdateRecord
+from repro.mrt.updates import COLLECTOR_ASN
+from repro.scenarios import get_scenario
+from repro.stream import StreamIngestor
+from repro.topology.generator import GeneratorConfig, generate_topology
 
 
 def _indexed(paths):
@@ -172,7 +184,7 @@ class TestFlatIndex:
         key_lid = result._key_lid
         for p, path in enumerate(paths):
             h0 = off[p] - p
-            assert result._hop_lid[h0:h0 + len(path) - 1] == [
+            assert result._hop_lid[h0:h0 + len(path) - 1].tolist() == [
                 key_lid[(min(a, b) << 32) | max(a, b)]
                 for a, b in zip(path, path[1:])
             ]
@@ -189,3 +201,61 @@ class TestFlatIndex:
         _, result = _indexed([(1, 2, 3)])
         for name in ("_path_lids", "_path_pids", "_lpaths", "_path_nodes"):
             assert not hasattr(result, name)
+
+
+class TestColumnsOnly:
+    def test_default_pipeline_builds_no_tuples_or_neighbour_sets(self):
+        graph, corpus, _, _ = get_scenario("small").run()
+        paths = PathSet.sanitize(corpus.paths, ixp_asns=graph.ixp_asns())
+        result = infer_relationships(paths)
+        assert result.discarded_poisoned  # two corpora: before and after
+        for pathset in (paths, result.paths):
+            built = vars(pathset)
+            assert "paths" not in built and "counts" not in built
+            assert "node_neighbors" not in built
+
+    def test_full_publishes_stay_off_the_full_heap_collector(self):
+        # 30 full publishes over a 14k-path table: the parent of the
+        # columns-only corpus took 3 generation-2 collections here (this
+        # one 2).  gc.freeze() empties the heap the collector would
+        # scan, so the count follows the containers the publishes leave
+        # alive, not the tests that ran before
+        graph = generate_topology(GeneratorConfig(n_ases=600, seed=5))
+        corpus = Collector(graph, CollectorConfig(n_vps=30, seed=5)).run()
+        rows = [
+            RibRecord(entry.prefix, entry.vp, tuple(entry.path),
+                      tuple(entry.communities))
+            for entry in corpus.rib
+        ]
+        ingestor = StreamIngestor(ixp_asns=graph.ixp_asns(), base_rows=rows)
+        ingestor.publish()
+        by_path = {}
+        for row in rows:
+            by_path.setdefault(row.as_path, []).append(row)
+        # withdrawing a path's only row changes the corpus: a full publish
+        victims = [
+            carriers[0] for _, carriers in sorted(by_path.items())
+            if len(carriers) == 1
+        ][:30]
+        full = []
+
+        def count(phase, info):
+            if phase == "start" and info["generation"] == 2:
+                full.append(info)
+
+        gc.collect()
+        gc.freeze()
+        gc.callbacks.append(count)
+        try:
+            for row in victims:
+                ingestor.apply_batch([UpdateRecord(
+                    peer_asn=row.peer_asn, local_asn=COLLECTOR_ASN,
+                    as_path=(), announced=(), communities=(),
+                    withdrawn=(row.prefix,),
+                )])
+                ingestor.publish()
+        finally:
+            gc.callbacks.remove(count)
+            gc.unfreeze()
+        assert ingestor.stats.full_publishes == len(victims) + 1
+        assert len(full) <= 3

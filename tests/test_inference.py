@@ -6,12 +6,18 @@ heuristic, then checks the resulting labels and attribution.
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
+from repro.core.clique import CliqueResult
 from repro.core.inference import (
     InferenceConfig,
+    InferenceResult,
     Step,
+    _step_partial_vp,
     infer_relationships,
 )
 from repro.core.paths import PathSet
+from repro.qa.oracles import reference_partial_vp
 from repro.relationships import Relationship
 
 
@@ -196,6 +202,68 @@ class TestPartialVp:
         assert result.provider_of(5, 6) == 5
         assert result.step_of(5, 6) is Step.S4B_PARTIAL_VP
         assert result.provider_of(6, 7) == 6
+
+
+def _partial_vp_votes(step, paths, coverage, preset=()):
+    """Labels (in vote order) and conflicts after S4B alone, over a
+    result that already holds the ``preset`` provider→customer links."""
+    result = InferenceResult(
+        paths,
+        CliqueResult(members=[], seed_members=[], added_members=[]),
+        InferenceConfig(partial_vp_coverage=coverage),
+    )
+    result._init_fast(paths)
+    for provider, customer in preset:
+        result.set_p2c(provider, customer, Step.S5_TOPDOWN)
+    step(result, paths, result.config)
+    labels = [
+        (pair, rel, result.provider_of(*pair), result.step_of(*pair))
+        for pair, rel in result._rel.items()
+    ]
+    return labels, result.conflicts
+
+
+class TestPartialVpColumns:
+    """S4B over columns against the three-scan oracle."""
+
+    def test_coverage_boundary_is_strict(self):
+        # four origins (40, 50, 60, 70) at coverage 0.5: VP 5 reaches
+        # exactly two, which is not fewer than 0.5 x 4, so it is a full
+        # VP; VP 8 reaches one and is partial.  (9, 70) is preset with
+        # 70 as provider, so 8's second vote is refused and logged
+        paths = PathSet([
+            (10, 1, 40), (10, 1, 50), (10, 1, 60), (10, 1, 70),
+            (5, 6, 40), (5, 6, 50),
+            (8, 9, 70),
+        ])
+        got = _partial_vp_votes(_step_partial_vp, paths, 0.5, [(70, 9)])
+        want = _partial_vp_votes(reference_partial_vp, paths, 0.5, [(70, 9)])
+        assert got == want
+        labels, conflicts = got
+        assert [(pair, step) for pair, _, _, step in labels] == [
+            ((9, 70), Step.S5_TOPDOWN), ((8, 9), Step.S4B_PARTIAL_VP),
+        ]
+        assert [c.pair for c in conflicts] == [(9, 70)]
+
+    def test_empty_corpus_votes_nothing(self):
+        empty = PathSet([])
+        assert _partial_vp_votes(_step_partial_vp, empty, 0.5) == ([], [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        paths=st.lists(
+            st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True)
+            .map(tuple),
+            max_size=25,
+        ),
+        coverage=st.sampled_from((0.25, 0.5, 0.75, 1.0)),
+        preset=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12))),
+    )
+    def test_equals_the_three_scan_oracle(self, paths, coverage, preset):
+        corpus = PathSet(set(paths))
+        assert _partial_vp_votes(
+            _step_partial_vp, corpus, coverage, preset
+        ) == _partial_vp_votes(reference_partial_vp, corpus, coverage, preset)
 
 
 class TestSafety:

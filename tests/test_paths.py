@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.paths import PathSet, clean_paths, is_reserved_asn
+from repro.core.paths import (
+    PathSet,
+    clean_paths,
+    is_reserved_asn,
+    sort_unique,
+)
 from repro.qa.oracles import (
     clean_path,
     compress_prepending,
     has_loop,
+    reference_degrees,
+    reference_ranked_asns,
     reference_sanitize,
 )
 
@@ -207,10 +214,96 @@ class TestDegrees:
         assert (10, 60) in ps.links()
 
     def test_filtered_shares_stats(self, ps):
-        sub = ps.filtered([(10, 20, 30)])
+        # row mask over (10, 20, 30), (10, 20, 40), (10, 60), (50, 20, 30)
+        sub = ps.filtered([True, False, False, False])
         assert len(sub) == 1
         assert sub.stats is ps.stats
         assert sub.transit_degree(20) == 2
+
+
+class TestSortUnique:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.one_of(
+            st.integers(0, 40), st.integers(0, 2**63 - 1),
+            st.integers(-(2**63), 2**63 - 1),
+        ), max_size=40),
+        dtype=st.sampled_from((np.int64, np.uint64)),
+    )
+    def test_equals_numpy_unique(self, values, dtype):
+        # small values take the packed sort, large or negative ones the
+        # argsort
+        if dtype is np.uint64:
+            values = [v % 2**64 for v in values]
+        array = np.array(values, dtype=dtype)
+        unique, inverse = np.unique(array, return_inverse=True)
+        assert np.array_equal(sort_unique(array), unique)
+        got, got_inverse, order = sort_unique(array, return_inverse=True)
+        assert got.dtype == array.dtype
+        assert np.array_equal(got, unique)
+        assert np.array_equal(got_inverse, inverse)
+        assert np.array_equal(order, np.argsort(array, kind="stable"))
+
+
+#: ASNs from both halves of the 32-bit space: ones at or above 2**31
+#: overflow a signed 32-bit shift, so packed keys must stay uint64
+_DEGREE_ASNS = st.sampled_from(
+    (1, 2, 3, 70, 2**31 - 1, 2**31, 3_000_000_000, 4_199_999_999)
+)
+
+
+class TestDegreeOracle:
+    """Degrees and ranking from the columns against neighbour sets
+    built one path at a time."""
+
+    @staticmethod
+    def _assert_matches_oracle(ps):
+        node, transit = reference_degrees(ps)
+        assert ps.asns() == set(node)
+        assert ps.links() == {
+            (a, b) for a, neighbors in node.items() for b in neighbors
+            if a <= b
+        }
+        assert sorted(ps.links()) == [
+            (int(k) >> 32, int(k) & 0xFFFFFFFF) for k in ps.link_index.keys
+        ]
+        for asn, neighbors in node.items():
+            assert ps.node_degree(asn) == len(neighbors)
+            assert ps.neighbors(asn) == sorted(neighbors)
+            assert ps.transit_degree(asn) == len(transit.get(asn, ()))
+        assert ps.transit_degrees() == {
+            asn: len(transit.get(asn, ())) for asn in node
+        }
+        assert ps.ranked_asns() == reference_ranked_asns(ps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        paths=st.lists(
+            st.lists(_DEGREE_ASNS, min_size=1, max_size=6, unique=True)
+            .map(tuple),
+            max_size=12,
+        ),
+        data=st.data(),
+    )
+    def test_columns_equal_the_oracle(self, paths, data):
+        # single-AS and single-hop paths included, and the empty corpus
+        ps = PathSet(paths)
+        self._assert_matches_oracle(ps)
+        keep = data.draw(st.lists(
+            st.booleans(), min_size=len(ps), max_size=len(ps)
+        ))
+        self._assert_matches_oracle(ps.filtered(keep))
+
+    def test_hop_outside_int64_is_refused(self):
+        # stage 1's stand-in codes are for raw paths only: a corpus
+        # built from such a path must not carry them as ASNs
+        with pytest.raises(OverflowError):
+            PathSet([(1, 2**64, 3)])
+
+    def test_absent_asn_has_no_degree(self):
+        ps = PathSet([(1, 2, 3)])
+        assert ps.node_degree(9) == ps.transit_degree(9) == 0
+        assert ps.neighbors(9) == []
 
 
 class TestMemoization:
@@ -232,7 +325,8 @@ class TestMemoization:
     def test_filtered_does_not_share_caches(self, ps):
         ps.asns()
         ps.links()
-        sub = ps.filtered([(10, 20, 30)])
+        sub = ps.filtered([True, False])
+        assert sub.paths == [(10, 20, 30)]
         assert sub.asns() == {10, 20, 30}
         assert sub.links() == {(10, 20), (20, 30)}
         # and the parent's caches are untouched

@@ -489,6 +489,37 @@ class TestIngestLevels:
         assert snapshot is before
         assert snapshot.version == _oracle_version(ingestor, ixp)
 
+    def test_link_counters_equal_the_link_set_differences(self):
+        graph, rows = _world(seed=31)
+        rng = random.Random(31)
+        base = rows[: len(rows) // 2]
+        held = rows[len(base):]
+        ingestor = StreamIngestor(ixp_asns=graph.ixp_asns(), base_rows=base)
+        ingestor.publish()
+        # the first publish adds every link
+        added, removed = len(ingestor.live.filtered.links()), 0
+        assert ingestor.stats.links_added == added
+        asns = sorted(graph.asns())
+        for step in range(6):
+            before = set(ingestor.live.filtered.links())
+            # grow the table, shrink it, and extend paths by one AS
+            batch = [_announce(r) for r in held[step::6]]
+            batch += [_withdraw(r) for r in rng.sample(base, 40)]
+            batch += [
+                _announce(r, path=r.as_path + (extra,))
+                for r in rng.sample(base, 3)
+                for extra in [rng.choice(asns)]
+                if extra not in r.as_path
+            ]
+            ingestor.apply_batch(batch)
+            ingestor.publish()
+            after = ingestor.live.filtered.links()
+            added += len(after - before)
+            removed += len(before - after)
+            assert ingestor.stats.links_added == added
+            assert ingestor.stats.links_removed == removed
+        assert added and removed
+
     def test_stats_counters(self, seeded):
         _graph, _rows, ingestor = seeded
         status = ingestor.status()
