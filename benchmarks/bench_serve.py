@@ -153,7 +153,6 @@ def workers_leg(path: str, size_bytes: int) -> dict:
                 procs=LOADGEN_PROCS,
             )
             stats = [memory_stats(pid) for pid in fleet.pids()]
-            reuse_port = fleet.reuse_port
         finally:
             fleet.stop()
         if single_rps is None:
@@ -167,7 +166,6 @@ def workers_leg(path: str, size_bytes: int) -> dict:
             }
         legs.append({
             "workers": count,
-            "reuse_port": reuse_port,
             "requests": report.requests,
             "errors": report.errors,
             "seconds": round(report.seconds, 4),

@@ -382,8 +382,7 @@ def _serve_fleet(args: argparse.Namespace, mode: Optional[str]) -> int:
     print(
         f"serving snapshot {path} on http://{host}:{port} "
         f"with {args.workers} workers "
-        f"({'SO_REUSEPORT' if fleet.reuse_port else 'shared socket'}, "
-        f"mode={fleet.mode}); SIGHUP reloads the fleet"
+        f"(SO_REUSEPORT, mode={fleet.mode}); SIGHUP reloads the fleet"
     )
     try:
         while True:

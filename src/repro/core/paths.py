@@ -7,10 +7,11 @@ sanitization table (experiment E11) can be regenerated.
 
 Stage 1 has one implementation, a numpy kernel over raw paths given as
 columns (int64 ``flat`` hops plus row ``offsets``):
-:meth:`PathSet.sanitize_columns`.  :meth:`PathSet.sanitize` flattens
-tuples into it, and :func:`clean_paths` returns its per-path outcomes
-for the stream layer's memo.  The scalar ``clean_path`` it replaced is
-the QA oracle in :mod:`repro.qa.oracles`.
+:meth:`PathSet.sanitize_columns`; :meth:`PathSet.sanitize` flattens
+tuples into it.  Rows may carry a weight, the number of input paths
+they stand for, so a caller holding rows per distinct raw path cleans
+each raw path once.  The scalar ``clean_path`` it replaced is the QA
+oracle in :mod:`repro.qa.oracles`.
 
 A :class:`PathSet` keeps its paths in tuple order, whatever order the
 raw rows came in, so a corpus depends only on the multiset of rows.
@@ -113,31 +114,6 @@ class SanitizeStats:
             ("duplicates merged", self.duplicates_merged),
             ("kept (unique)", self.kept),
         ]
-
-    def record(self, cleaned: "CleanedPath", times: int = 1) -> None:
-        """Count ``times`` input paths that cleaned to ``cleaned``
-        (a negative ``times`` takes them back out).  ``kept`` and
-        ``duplicates_merged`` depend on the whole corpus, so the caller
-        sets them."""
-        _, prepending, reserved, ixp_removed, loop, short = cleaned
-        self.input_paths += times
-        self.prepending_compressed += prepending * times
-        self.discarded_reserved_asn += reserved * times
-        self.ixp_hops_removed += ixp_removed * times
-        self.discarded_loops += loop * times
-        self.discarded_short += short * times
-
-
-class CleanedPath(NamedTuple):
-    """One raw path through stage 1: the cleaned path (``None`` when
-    discarded) and a 0/1 increment per :class:`SanitizeStats` counter."""
-
-    path: Optional[Tuple[int, ...]]
-    prepending_compressed: int = 0
-    discarded_reserved_asn: int = 0
-    ixp_hops_removed: int = 0
-    discarded_loops: int = 0
-    discarded_short: int = 0
 
 
 #: ``_PUBLIC_BOUNDS`` as an array, for ``np.searchsorted``
@@ -268,40 +244,17 @@ def _stage1(flat, offsets, ixp_asns: FrozenSet[int]) -> _Stage1:
     )
 
 
-def clean_paths(
-    raw_paths: Sequence[Sequence[int]], ixp_asns: FrozenSet[int] = frozenset()
-) -> List["CleanedPath"]:
-    """Stage 1 for each of ``raw_paths``, in one kernel call.
-
-    The outcome for a raw path depends only on it and ``ixp_asns``, so
-    callers may memoize it per distinct raw path.  A call has a fixed
-    cost, so batch the paths rather than clean them one at a time.
-    """
-    s = _stage1(*_flatten(raw_paths), ixp_asns)
-    hops = s.flat.tolist()
-    bounds = s.offsets.tolist()
-    return [
-        CleanedPath(
-            tuple(hops[bounds[i]:bounds[i + 1]]) if kept else None,
-            *flags,
-        )
-        for i, (kept, *flags) in enumerate(zip(
-            s.kept.tolist(), s.prepending.tolist(), s.reserved.tolist(),
-            s.ixp.tolist(), s.loop.tolist(), s.short.tolist(),
-        ))
-    ]
-
-
 #: hops per row the stage-1 row sort compares at once; real AS paths
 #: rarely come near it, and it bounds the sort grid when a corpus
 #: carries a very long path
 _SORT_WIDTH = 16
 
 
-def _sorted_unique(flat, offsets, rows):
+def _sorted_unique(flat, offsets, rows, weights):
     """Distinct paths among ``rows`` (non-empty rows of ``(flat,
     offsets)``): one row carrying each, in tuple order of the paths,
-    and how many of ``rows`` carry it.
+    and the sum of ``weights`` (one per row of ``offsets``) over the
+    ``rows`` that carry it.
 
     One ``numpy.lexsort`` orders the rows by their first
     ``_SORT_WIDTH`` hops, padded with -1: that is below every ASN, so a
@@ -340,7 +293,7 @@ def _sorted_unique(flat, offsets, rows):
             order[s:e + 1] = [r for _, r in run]
             same[s:e] = [a[0] == b[0] for a, b in zip(run, run[1:])]
     starts = _np.flatnonzero(_np.concatenate(([True], ~same)))
-    return rows[order[starts]], _np.diff(_np.append(starts, n))
+    return rows[order[starts]], _np.add.reduceat(weights[rows[order]], starts)
 
 
 def sort_unique(values, return_inverse: bool = False):
@@ -453,9 +406,11 @@ class PathSet:
         cls,
         raw_paths: Iterable[Sequence[int]],
         ixp_asns: FrozenSet[int] = frozenset(),
+        weights=None,
     ) -> "PathSet":
-        """Apply the paper's stage-1 cleaning to raw observed paths."""
-        return cls.sanitize_columns(*_flatten(raw_paths), ixp_asns=ixp_asns)
+        """Apply the paper's stage-1 cleaning to raw observed paths
+        (``weights`` as in :meth:`sanitize_columns`)."""
+        return cls.sanitize_columns(*_flatten(raw_paths), ixp_asns, weights)
 
     @classmethod
     def sanitize_columns(
@@ -463,25 +418,33 @@ class PathSet:
         flat,
         offsets,
         ixp_asns: FrozenSet[int] = frozenset(),
+        weights=None,
     ) -> "PathSet":
         """Stage 1 over raw paths given as columns: row ``i`` is
         ``flat[offsets[i]:offsets[i + 1]]`` (int64 ASNs).
 
-        Kept paths are deduplicated in tuple order and every action
-        is counted in :class:`SanitizeStats`.
+        ``weights`` gives each row's multiplicity (default one per
+        row): the result equals stage 1 over the rows each repeated
+        that many times.  Kept paths are deduplicated in tuple order
+        and every action is counted in :class:`SanitizeStats`.
         """
         s = _stage1(flat, offsets, ixp_asns)
+        n = len(s.kept)
+        w = (
+            _np.ones(n, dtype=_np.int64) if weights is None
+            else _np.asarray(weights, dtype=_np.int64)
+        )
         firsts, counts = _sorted_unique(
-            s.flat, s.offsets, _np.flatnonzero(s.kept)
+            s.flat, s.offsets, _np.flatnonzero(s.kept), w
         )
         stats = SanitizeStats(
-            input_paths=len(offsets) - 1,
-            prepending_compressed=int(s.prepending.sum()),
-            discarded_loops=int(s.loop.sum()),
-            discarded_reserved_asn=int(s.reserved.sum()),
-            discarded_short=int(s.short.sum()),
-            ixp_hops_removed=int(s.ixp.sum()),
-            duplicates_merged=int(s.kept.sum()) - len(firsts),
+            input_paths=int(w.sum()),
+            prepending_compressed=int(w[s.prepending].sum()),
+            discarded_loops=int(w[s.loop].sum()),
+            discarded_reserved_asn=int(w[s.reserved].sum()),
+            discarded_short=int(w[s.short].sum()),
+            ixp_hops_removed=int(w[s.ixp].sum()),
+            duplicates_merged=int(w[s.kept].sum()) - len(firsts),
             kept=len(firsts),
         )
         return cls._from_columns(

@@ -153,34 +153,3 @@ class ClosureBitsets:
     def descends(self, ancestor_id: int, node_id: int) -> bool:
         """Is ``node_id`` a strict descendant of ``ancestor_id``?"""
         return bool(self.desc[ancestor_id] >> node_id & 1)
-
-    @classmethod
-    def rebuild(
-        cls, n: int, edges: Iterable[Sequence[int]]
-    ) -> "ClosureBitsets":
-        """Batch-(re)build from scratch over ``(parent, child)`` edges.
-
-        The removal path for the incremental closure: :meth:`add_edge`
-        only ever grows the reachable sets, so dropping an edge (a
-        withdrawn link, a relationship flip) means rebuilding from the
-        surviving edge set — two :func:`closure_bits` passes (forward
-        for descendants, reversed for ancestors) with the self-bits
-        stripped to match the strict anc/desc convention.  Equivalent
-        to replaying the surviving edges through :meth:`add_edge`, at
-        batch cost instead of quadratic incremental cost.
-        """
-        children: Dict[int, List[int]] = {}
-        parents: Dict[int, List[int]] = {}
-        for parent_id, child_id in edges:
-            children.setdefault(parent_id, []).append(child_id)
-            parents.setdefault(child_id, []).append(parent_id)
-        out = cls()
-        out.desc = [
-            bits ^ (1 << i)
-            for i, bits in enumerate(closure_bits(n, children))
-        ]
-        out.anc = [
-            bits ^ (1 << i)
-            for i, bits in enumerate(closure_bits(n, parents))
-        ]
-        return out

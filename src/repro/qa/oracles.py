@@ -37,6 +37,7 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -68,12 +69,7 @@ from repro.core.inference import (
     Step,
     _Engine,
 )
-from repro.core.paths import (
-    CleanedPath,
-    PathSet,
-    SanitizeStats,
-    is_reserved_asn,
-)
+from repro.core.paths import PathSet, SanitizeStats, is_reserved_asn
 from repro.net.prefix import Prefix
 from repro.relationships import Relationship
 from repro.topology.model import ASGraph
@@ -82,6 +78,31 @@ from repro.topology.model import ASGraph
 # ---------------------------------------------------------------------------
 # sanitization (stage 1)
 # ---------------------------------------------------------------------------
+
+
+class CleanedPath(NamedTuple):
+    """One raw path through stage 1: the cleaned path (``None`` when
+    discarded) and a 0/1 increment per :class:`SanitizeStats` counter."""
+
+    path: Optional[Tuple[int, ...]]
+    prepending_compressed: int = 0
+    discarded_reserved_asn: int = 0
+    ixp_hops_removed: int = 0
+    discarded_loops: int = 0
+    discarded_short: int = 0
+
+
+def _record(stats: SanitizeStats, cleaned: CleanedPath) -> None:
+    """Count one input path that cleaned to ``cleaned``.  ``kept`` and
+    ``duplicates_merged`` depend on the whole corpus, so the caller
+    sets them."""
+    _, prepending, reserved, ixp_removed, loop, short = cleaned
+    stats.input_paths += 1
+    stats.prepending_compressed += prepending
+    stats.discarded_reserved_asn += reserved
+    stats.ixp_hops_removed += ixp_removed
+    stats.discarded_loops += loop
+    stats.discarded_short += short
 
 
 def compress_prepending(path: Sequence[int]) -> Tuple[int, ...]:
@@ -145,7 +166,7 @@ def reference_sanitize(
     counts: Dict[Tuple[int, ...], int] = {}
     for raw in raw_paths:
         cleaned = clean_path(raw, ixp_asns)
-        stats.record(cleaned)
+        _record(stats, cleaned)
         path = cleaned.path
         if path is None:
             continue

@@ -163,7 +163,6 @@ class SnapshotServer:
         allow_admin: bool = True,
         install_sighup: bool = False,
         compute_workers: int = 2,
-        sock=None,
         reuse_port: bool = False,
         worker_info: Optional[Dict[str, object]] = None,
         reload_delegate=None,
@@ -174,9 +173,7 @@ class SnapshotServer:
         self.port = port
         self.cache_size = cache_size
         self.install_sighup = install_sighup
-        # pre-fork fleet wiring: an inherited listening socket (shared-
-        # socket fallback) or reuse_port=True for SO_REUSEPORT siblings
-        self._sock = sock
+        # pre-fork fleet wiring: reuse_port=True for SO_REUSEPORT siblings
         self._reuse_port = reuse_port
         self.metrics = Metrics()
         self.api = Api(
@@ -210,19 +207,10 @@ class SnapshotServer:
 
     async def start(self) -> Tuple[str, int]:
         """Bind and start accepting; returns the actual (host, port)."""
-        if self._sock is not None:
-            self._server = await asyncio.start_server(
-                self._handle_connection, sock=self._sock
-            )
-        elif self._reuse_port:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port,
-                reuse_port=True,
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port
-            )
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.host, self.port,
+            reuse_port=self._reuse_port,
+        )
         sockname = self._server.sockets[0].getsockname()
         self.host = sockname[0]
         self.port = sockname[1]

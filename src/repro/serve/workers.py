@@ -7,13 +7,11 @@ its own :class:`~repro.serve.store.SnapshotStore`, opened in ``mmap``
 mode against the *same* file, so the kernel shares one physical copy
 of the payload pages across the whole fleet.
 
-**Port sharing.** Where the platform has ``SO_REUSEPORT`` the parent
-binds (without listening) a *reserver* socket to pin the port, and
-every worker binds the same address with ``reuse_port=True`` — the
-kernel load-balances accepts across the workers' listen queues.
-Where it doesn't (or ``force_shared_socket=True``), the parent binds
-and listens one socket before forking and the workers accept from the
-inherited file description.
+**Port sharing.** The parent binds (without listening) a *reserver*
+socket with ``SO_REUSEPORT`` to pin the port, and every worker binds
+the same address with ``reuse_port=True`` — the kernel load-balances
+accepts across the workers' listen queues.  A platform or address
+where that bind fails raises :class:`FleetError` naming the address.
 
 **Supervision.** A monitor thread owns all the control pipes: it
 reaps dead workers with ``waitpid(WNOHANG)`` and respawns them (small
@@ -229,7 +227,6 @@ def _worker_main(
     mode: str,
     cmd_fd: int,
     resp_fd: int,
-    sock: Optional[socket.socket],
     host: str,
     port: int,
     server_kwargs: Dict[str, object],
@@ -245,8 +242,7 @@ def _worker_main(
         store,
         host=host,
         port=port,
-        sock=sock,
-        reuse_port=sock is None,
+        reuse_port=True,
         worker_info={"index": index, "pid": os.getpid()},
         reload_delegate=agent.request_reload,
         install_sighup=False,
@@ -299,7 +295,6 @@ class WorkerFleet:
         host: str = "127.0.0.1",
         port: int = 0,
         mode: str = "mmap",
-        force_shared_socket: bool = False,
         restart_backoff: float = 0.1,
         start_timeout: float = 30.0,
         reload_timeout: float = 60.0,
@@ -312,16 +307,13 @@ class WorkerFleet:
         self.host = host
         self.port = port
         self.mode = mode
-        self.force_shared_socket = force_shared_socket
         self.restart_backoff = restart_backoff
         self.start_timeout = start_timeout
         self.reload_timeout = reload_timeout
-        self.reuse_port = False
         self.restarts = 0
         self._server_kwargs = server_kwargs
         self._workers: List[Optional[_Worker]] = []
         self._reserver: Optional[socket.socket] = None
-        self._shared_sock: Optional[socket.socket] = None
         self._selector = selectors.DefaultSelector()
         self._collections: Dict[int, Dict[int, Dict[str, object]]] = {}
         self._last_fatal: Optional[str] = None
@@ -398,9 +390,6 @@ class WorkerFleet:
         if self._reserver is not None:
             self._reserver.close()
             self._reserver = None
-        if self._shared_sock is not None:
-            self._shared_sock.close()
-            self._shared_sock = None
 
     def __enter__(self) -> Tuple[str, int]:
         return self.start()
@@ -449,31 +438,20 @@ class WorkerFleet:
     # -- binding + forking ---------------------------------------------
 
     def _bind(self) -> None:
-        if not self.force_shared_socket and hasattr(
-            socket, "SO_REUSEPORT"
-        ):
-            reserver = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            try:
-                reserver.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
-                )
-                reserver.bind((self.host, self.port))
-            except OSError:
-                reserver.close()
-            else:
-                # bound but never listening: it pins the (possibly
-                # ephemeral) port for the fleet's lifetime without
-                # receiving connections; workers bind it for real
-                self.host, self.port = reserver.getsockname()[:2]
-                self._reserver = reserver
-                self.reuse_port = True
-                return
-        shared = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        shared.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        shared.bind((self.host, self.port))
-        shared.listen(512)
-        self.host, self.port = shared.getsockname()[:2]
-        self._shared_sock = shared
+        # bound but never listening: it pins the (possibly ephemeral)
+        # port for the fleet's lifetime without receiving connections;
+        # workers bind it for real
+        reserver = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            reserver.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+            reserver.bind((self.host, self.port))
+        except (AttributeError, OSError) as exc:
+            reserver.close()
+            raise FleetError(
+                f"cannot bind {self.host}:{self.port} with SO_REUSEPORT: {exc}"
+            ) from exc
+        self.host, self.port = reserver.getsockname()[:2]
+        self._reserver = reserver
 
     def _spawn(self, index: int) -> _Worker:
         cmd_r, cmd_w = os.pipe()
@@ -503,7 +481,6 @@ class WorkerFleet:
                     self.mode,
                     cmd_r,
                     resp_w,
-                    self._shared_sock,
                     self.host,
                     self.port,
                     self._server_kwargs,

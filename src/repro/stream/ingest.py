@@ -1,19 +1,21 @@
 """StreamIngestor: UPDATE batches in, content-versioned snapshots out.
 
-The ingestor owns the :class:`~repro.stream.corpus.LiveCorpus`, decides
-per publish which of the two apply levels to take, and hands the
-resulting snapshot to a pluggable publisher:
+The ingestor owns the :class:`~repro.stream.corpus.LiveCorpus`.  Every
+publish reads the corpus's two views, the sanitized corpus (stage 1 over
+the table's distinct raw paths) and the prefix map, then takes one of
+two levels:
 
-* **noop** — the sanitized corpus and the prefix map both match the last
-  published state; the previous snapshot object is reused unchanged.
-* **full** — everything else: a batch recompute over the live table's
-  maintained views, the same pipeline as
-  :func:`repro.stream.corpus.asrank_from_rib_rows` (the QA oracle).
+* **noop** — the sanitized corpus's columns (``flat`` and ``off``) and
+  the prefix map both equal those of the last published facade; the
+  previous snapshot object is reused unchanged.
+* **full** — everything else: a batch recompute over the two views, the
+  same pipeline as :func:`repro.stream.corpus.asrank_from_rib_rows`
+  (the QA oracle).
 
-Publishers adapt the snapshot to the serving tier:
-:class:`StorePublisher` swaps it into an in-process
-:class:`~repro.serve.store.SnapshotStore` (single server hot reload),
-:class:`FleetPublisher` saves it to disk and drives the
+Neither level builds the corpus's tuple views.  The resulting snapshot
+goes to a pluggable publisher: :class:`StorePublisher` swaps it into an
+in-process :class:`~repro.serve.store.SnapshotStore` (single server hot
+reload), :class:`FleetPublisher` saves it to disk and drives the
 :class:`~repro.serve.workers.WorkerFleet` two-phase coordinated reload.
 """
 
@@ -38,7 +40,6 @@ class LiveState:
     """What a publish keeps resident for the next one."""
 
     facade: object  # repro.asrank.ASRank, inference and cones computed
-    sanitized: PathSet  # pre-filter corpus (the noop comparison)
     filtered: PathSet  # post-poison-filter corpus (link counters)
     prefixes_by_asn: Dict[int, List]
     snapshot: Optional[object] = None
@@ -156,14 +157,14 @@ class StreamIngestor:
         bit-identical to a batch recompute over ``self.corpus.rows()``.
         """
         start = time.perf_counter()
-        # both views pay only for the rows changed since the last publish
         sanitized = self.corpus.sanitized()
         prefixes = self.corpus.prefixes_by_asn()
         live = self.live
         added = removed = 0
         if (
             live is not None
-            and sanitized.paths == live.sanitized.paths
+            and _np.array_equal(sanitized.off, live.facade.paths.off)
+            and _np.array_equal(sanitized.flat, live.facade.paths.flat)
             and prefixes == live.prefixes_by_asn
         ):
             mode, state = "noop", live
@@ -247,7 +248,6 @@ class StreamIngestor:
             facade.cones(definition)
         return LiveState(
             facade=facade,
-            sanitized=sanitized,
             filtered=facade.result.paths,
             prefixes_by_asn=prefixes,
         )

@@ -114,42 +114,6 @@ class TestIncrementalMatchesBatch:
         assert not closure.descends(2, 0)
 
 
-class TestRebuild:
-    def test_rebuild_equals_incremental(self):
-        rng = random.Random(99)
-        n = 16
-        incremental = ClosureBitsets()
-        incremental.ensure(n)
-        edges = []
-        for _ in range(60):
-            parent, child = rng.randrange(n), rng.randrange(n)
-            if parent == child or incremental.descends(child, parent):
-                continue
-            incremental.add_edge(parent, child)
-            edges.append((parent, child))
-        rebuilt = ClosureBitsets.rebuild(n, edges)
-        assert rebuilt.anc == incremental.anc
-        assert rebuilt.desc == incremental.desc
-
-    def test_rebuild_after_removal(self):
-        # the documented removal path: drop an edge, rebuild from the
-        # survivors, and the closure shrinks accordingly
-        edges = [(0, 1), (1, 2), (2, 3)]
-        full = ClosureBitsets.rebuild(4, edges)
-        assert full.descends(0, 3)
-        pruned = ClosureBitsets.rebuild(4, [(0, 1), (2, 3)])
-        assert not pruned.descends(0, 3)
-        assert pruned.descends(0, 1)
-        assert pruned.descends(2, 3)
-        anc, desc = _batch_oracle(4, [(0, 1), (2, 3)])
-        assert pruned.anc == anc and pruned.desc == desc
-
-    def test_rebuild_empty(self):
-        empty = ClosureBitsets.rebuild(3, [])
-        assert empty.anc == [0, 0, 0]
-        assert empty.desc == [0, 0, 0]
-
-
 class TestAgainstInference:
     def test_engine_closure_matches_batch(self):
         """The engine's live closure equals a batch closure over the
@@ -172,7 +136,7 @@ class TestAgainstInference:
                 continue
             customer = b if provider == a else a
             edges.append((index.ids[provider], index.ids[customer]))
-        rebuilt = ClosureBitsets.rebuild(len(index.asns), edges)
+        anc, desc = _batch_oracle(len(index.asns), edges)
         live = result._closure
-        assert live.desc[: len(rebuilt.desc)] == rebuilt.desc
-        assert live.anc[: len(rebuilt.anc)] == rebuilt.anc
+        assert live.desc[: len(desc)] == desc
+        assert live.anc[: len(anc)] == anc

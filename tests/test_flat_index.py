@@ -9,6 +9,7 @@ reads a :class:`PathSet` only through its columns.
 
 import gc
 import random
+from collections import Counter
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
@@ -259,3 +260,36 @@ class TestColumnsOnly:
             gc.unfreeze()
         assert ingestor.stats.full_publishes == len(victims) + 1
         assert len(full) <= 3
+
+    def test_stream_publishes_build_no_tuples(self, monkeypatch):
+        # full and noop publishes read the live corpus as columns only:
+        # no PathSet from tuples, no `paths` view
+        graph = generate_topology(GeneratorConfig(n_ases=200, seed=3))
+        corpus = Collector(graph, CollectorConfig(n_vps=10, seed=3)).run()
+        rows = [
+            RibRecord(entry.prefix, entry.vp, tuple(entry.path),
+                      tuple(entry.communities))
+            for entry in corpus.rib
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built from or as tuples")
+
+        monkeypatch.setattr(PathSet, "__init__", refuse)
+        monkeypatch.setattr(PathSet, "paths", property(refuse))
+        ingestor = StreamIngestor(ixp_asns=graph.ixp_asns(), base_rows=rows)
+        ingestor.publish()
+        carriers = Counter(row.as_path for row in rows)
+        # withdrawing a path's only row changes the corpus: a full
+        # publish; publishing again right after is a noop
+        victims = [row for row in rows if carriers[row.as_path] == 1][:3]
+        for row in victims:
+            ingestor.apply_batch([UpdateRecord(
+                peer_asn=row.peer_asn, local_asn=COLLECTOR_ASN,
+                as_path=(), announced=(), communities=(),
+                withdrawn=(row.prefix,),
+            )])
+            ingestor.publish()
+            ingestor.publish()
+        assert ingestor.stats.noop_publishes == 3
+        assert ingestor.stats.full_publishes == 4

@@ -6,12 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.paths import (
     PathSet,
-    clean_paths,
     is_reserved_asn,
     sort_unique,
 )
 from repro.qa.oracles import (
-    clean_path,
     compress_prepending,
     has_loop,
     reference_degrees,
@@ -149,14 +147,29 @@ class TestSanitizeKernel:
     """The vectorized stage 1 against the scalar oracle."""
 
     @settings(max_examples=200, deadline=None)
-    @given(raw=_RAW_PATHS, ixp=_IXPS)
-    def test_equals_oracle(self, raw, ixp):
+    @given(
+        raw=_RAW_PATHS,
+        ixp=_IXPS,
+        times=st.lists(st.integers(min_value=1, max_value=5), min_size=12),
+    )
+    def test_equals_oracle(self, raw, ixp, times):
         got = PathSet.sanitize(raw, ixp_asns=ixp)
         want = reference_sanitize(raw, ixp_asns=ixp)
         assert got.paths == want.paths
         assert got.counts == want.counts
         assert got.stats == want.stats
-        assert clean_paths(raw, ixp) == [clean_path(p, ixp) for p in raw]
+        # weighted: each distinct raw path once, weighted by its rows,
+        # equals the oracle over the rows expanded
+        distinct = list(dict.fromkeys(map(tuple, raw)))
+        weights = times[:len(distinct)]
+        got = PathSet.sanitize(distinct, ixp_asns=ixp, weights=weights)
+        want = reference_sanitize(
+            [path for path, n in zip(distinct, weights) for _ in range(n)],
+            ixp_asns=ixp,
+        )
+        assert got.paths == want.paths
+        assert got.counts == want.counts
+        assert got.stats == want.stats
 
     @settings(max_examples=50, deadline=None)
     @given(raw=_RAW_PATHS, ixp=_IXPS)

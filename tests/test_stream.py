@@ -1,6 +1,8 @@
 """Unit tests for repro.stream: live corpus, publish levels, publishers."""
 
+import gc
 import random
+import types
 from collections import Counter
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.collector import Collector, CollectorConfig
-from repro.core.paths import PathSet, clean_paths
+from repro.core.paths import PathSet
 from repro.mrt.reader import RibRecord, UpdateRecord
 from repro.mrt.updates import (
     COLLECTOR_ASN,
@@ -18,7 +20,7 @@ from repro.mrt.updates import (
     write_update_dump,
 )
 from repro.net.prefix import Prefix
-from repro.qa.oracles import reference_sanitize
+from repro.qa.oracles import clean_path, reference_sanitize
 from repro.relationships import canonical_pair
 from repro.stream import (
     LiveCorpus,
@@ -170,7 +172,8 @@ def _assert_views_match_batch(corpus, ixp_asns):
 
 
 class TestCachedSanitizer:
-    """The live corpus's maintained, memoized stage-1 cleaning."""
+    """The live corpus's stage 1: one weighted call over its distinct
+    raw paths."""
 
     def test_bit_identical_to_pathset_sanitize(self):
         ixp = frozenset({500})
@@ -198,8 +201,7 @@ class TestCachedSanitizer:
         ]
         corpus = LiveCorpus(rows, ixp_asns=ixp)
         _assert_views_match_batch(corpus, ixp)
-        # withdraw everything, then re-announce it: the second fill is
-        # all memo hits and must still match the uncached reference
+        # withdraw everything, then re-announce it
         corpus.apply([_withdraw(row) for row in rows])
         _assert_views_match_batch(corpus, ixp)
         assert len(corpus.sanitized()) == 0
@@ -210,6 +212,39 @@ class TestCachedSanitizer:
         graph, rows = _world()
         ixp = graph.ixp_asns()
         _assert_views_match_batch(LiveCorpus(rows, ixp_asns=ixp), ixp)
+
+    def test_withdrawn_raw_paths_leave_no_entry(self):
+        graph, rows = _world()
+        corpus = LiveCorpus(rows[:20], ixp_asns=graph.ixp_asns())
+        corpus.sanitized()
+        fresh = [
+            RibRecord(
+                prefix=Prefix.parse(f"10.{i // 256}.{i % 256}.0/24"),
+                peer_asn=7,
+                as_path=(7, 8, 70000 + i),
+                communities=(),
+            )
+            for i in range(300)
+        ]
+        corpus.apply([_announce(row) for row in fresh])
+        corpus.sanitized()
+        corpus.prefixes_by_asn()
+        corpus.apply([_withdraw(row) for row in fresh])
+        corpus.sanitized()
+        corpus.prefixes_by_asn()
+        # nothing reachable from the corpus holds one of the raw paths
+        # or their origins any more
+        paths = {id(row.as_path) for row in fresh}
+        origins = {row.as_path[-1] for row in fresh}
+        seen, todo = set(), [corpus]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+                continue
+            seen.add(id(obj))
+            assert id(obj) not in paths
+            assert type(obj) is not int or obj not in origins
+            todo.extend(gc.get_referents(obj))
 
 
 #: raw paths covering every stage-1 outcome; several clean to the same
@@ -405,7 +440,7 @@ class TestIngestLevels:
         snapshot = ingestor.publish()
         assert ingestor.stats.last_publish_mode == "full"
         # the new link reached the corpus (the poison filter may drop it)
-        assert canonical_pair(*path[-2:]) in ingestor.live.sanitized.links()
+        assert canonical_pair(*path[-2:]) in ingestor.live.facade.paths.links()
         assert snapshot.version == _oracle_version(ingestor, ixp)
 
     def test_withdrawal_shrinking_corpus_is_full(self):
@@ -447,9 +482,9 @@ class TestIngestLevels:
             reference = PathSet.sanitize(
                 (row.as_path for row in rows), ixp_asns=ixp
             )
-            assert ingestor.live.sanitized.paths == reference.paths
-            assert ingestor.live.sanitized.counts == reference.counts
-            assert ingestor.live.sanitized.stats == reference.stats
+            assert ingestor.live.facade.paths.paths == reference.paths
+            assert ingestor.live.facade.paths.counts == reference.counts
+            assert ingestor.live.facade.paths.stats == reference.stats
             assert ingestor.live.prefixes_by_asn == prefixes_from_rows(rows)
         assert ingestor.stats.publishes == 4
         assert ingestor.stats.batches == 3
@@ -463,9 +498,7 @@ class TestIngestLevels:
         ingestor = StreamIngestor(ixp_asns=ixp, base_rows=rows)
         before = ingestor.publish()
         table = ingestor.corpus.rows()
-        cleaned = [
-            c.path for c in clean_paths([row.as_path for row in table], ixp)
-        ]
+        cleaned = [clean_path(row.as_path, ixp).path for row in table]
         carriers = Counter(cleaned)
         first = {}
         for at, path in enumerate(cleaned):

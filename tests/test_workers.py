@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import time
 import urllib.request
 
@@ -101,16 +102,18 @@ class TestFleetServing:
         finally:
             fleet.stop()
 
-    def test_shared_socket_fallback(self, snapshots):
-        small, version, _tiny, _tv = snapshots
-        fleet = WorkerFleet(small, workers=2, force_shared_socket=True)
-        host, port = fleet.start()
-        try:
-            assert not fleet.reuse_port
-            status, body = _get(host, port, "/healthz")
-            assert status == 200 and body["version"] == version
-        finally:
-            fleet.stop()
+    def test_bind_failure_names_the_address(self, snapshots):
+        small, _version, _tiny, _tv = snapshots
+        # a listener without SO_REUSEPORT holds the port: the fleet
+        # cannot share it and says which address failed, forking nothing
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            fleet = WorkerFleet(small, workers=2, port=port)
+            with pytest.raises(FleetError, match=f"127.0.0.1:{port}"):
+                fleet.start()
+            assert fleet.pids() == []
 
     def test_worker_memory_is_shared(self, snapshots):
         small, _v, _tiny, _tv = snapshots
