@@ -59,7 +59,6 @@ def _hop_states(result: InferenceResult):
     """Per-hop numpy columns of the indexed paths: link state, left
     ASN, path number, and the position of the hop's left node in
     ``_node_pid``."""
-    assert result._lstate is not None
     lid, left, right, path = result._hop_cols
     state = _np.array(result._lstate, dtype=_np.int64)[lid]
     node = _np.arange(len(lid), dtype=_np.int64) + path

@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 import numpy as _np
 
@@ -127,7 +127,11 @@ class Conflict:
 
 
 class InferenceResult:
-    """All inferred relationships plus provenance and diagnostics."""
+    """All inferred relationships plus provenance and diagnostics.
+
+    Building one indexes ``paths``: ``index`` is its sorted AS set, the
+    one id space of every vote, bitset and cone over this result.
+    """
 
     def __init__(
         self,
@@ -149,33 +153,54 @@ class InferenceResult:
         self.providers: Dict[int, Set[int]] = {}
         self.peers: Dict[int, Set[int]] = {}
         self.siblings: Dict[int, Set[int]] = {}
-        # --- corpus index state ------------------------------------------
-        # the shared dense ASN index (repro.graph) used by the cycle
-        # bitsets, the fold link-state array, and the cone bitsets;
-        # grown on demand so hand-built results (no _init_fast) work
-        self.index = DenseIndex()
+        # --- corpus index ------------------------------------------------
+        # Everything is flat: no container is built per path or per link.
+        # The shared dense ASN index (repro.graph) is the sorted corpus AS
+        # set; the cycle bitsets, the fold link-state array and the cone
+        # bitsets all use it, and every vote is on a corpus link
+        flat, plen, off = paths.numpy_view()
+        asns, pid_flat = paths.asn_index
+        self.index = DenseIndex.from_sorted(asns.tolist())
         # incremental transitive closure of the p2c DAG (cycle refusal)
-        self._closure = ClosureBitsets()
+        self._closure = ClosureBitsets(len(self.index))
         # corpus link index: canonical (a<<32|b) key -> link id, link
         # state per id (LINK_UNKNOWN, -1 peer, -2 sibling, else the
         # provider's ASN, which is never negative)
-        self._key_lid: Optional[Dict[int, int]] = None
-        self._lstate: Optional[List[int]] = None
-        # flat (CSR) corpus index built by _init_fast: path p's nodes are
-        # positions _path_off[p] .. _path_off[p + 1] - 1 of _node_asn
-        # (ASNs) and _node_pid (dense ids), and its hops positions
-        # _path_off[p] - p onwards of _hop_lid (link ids)
-        self._path_off: List[int] = [0]
-        self._hop_lid: Sequence[int] = []
-        self._node_asn: Sequence[int] = []
-        self._node_pid = _np.zeros(0, dtype=_np.int64)
+        links = paths.link_index
+        n_links = len(links.keys)
+        self._key_lid = dict(zip(links.keys.tolist(), range(n_links)))
+        self._lstate = [LINK_UNKNOWN] * n_links
+        # path p's nodes are positions _path_off[p] .. _path_off[p + 1] - 1
+        # of _node_asn (ASNs) and _node_pid (dense ids), and its hops
+        # positions _path_off[p] - p onwards of _hop_lid (link ids).  The
+        # scalar loops index memoryviews of the per-hop and per-node
+        # columns, so no int object per hop or node stays resident; the
+        # two offset columns stay lists, which S5 and S6 read faster
+        # (docs/PERFORMANCE.md)
+        self._path_off = off.tolist()
+        self._hop_lid = memoryview(links.link_of_hop)
+        self._node_asn = memoryview(flat)
+        self._node_pid = pid_flat
         # link -> paths, CSR: the paths carrying link l are
         # _lpath_pid[_lpath_off[l]:_lpath_off[l + 1]]
-        self._lpath_pid: Optional[Sequence[int]] = None
-        self._lpath_off: Optional[List[int]] = None
+        path_of_hop = _np.repeat(
+            _np.arange(len(plen), dtype=_np.int64), plen - 1
+        )
+        self._lpath_pid = memoryview(path_of_hop[links.by_link])
+        lpath_off = _np.zeros(n_links + 1, dtype=_np.int64)
+        _np.cumsum(
+            _np.bincount(links.link_of_hop, minlength=n_links),
+            out=lpath_off[1:],
+        )
+        self._lpath_off = lpath_off.tolist()
         # numpy (lid, left ASN, right ASN, path) per hop; hop h joins
         # node positions h + path[h] and h + path[h] + 1
-        self._hop_cols: Optional[Tuple[object, object, object, object]] = None
+        self._hop_cols = (
+            links.link_of_hop,
+            flat[:-1][links.starts],
+            flat[1:][links.starts],
+            path_of_hop,
+        )
         # fold bookkeeping: links whose state changed (append-only log),
         # the consumed prefix, paths awaiting a fold pass
         self._dirty_lids: List[int] = []
@@ -187,69 +212,16 @@ class InferenceResult:
     # corpus index
     # ------------------------------------------------------------------
 
-    def _asn_id(self, asn: int) -> int:
-        """Dense id for ``asn``, assigning one on first sight."""
-        idx = self.index.intern(asn)
-        self._closure.ensure(len(self.index))
-        return idx
-
-    def _init_fast(self, paths: PathSet) -> None:
-        """Index the corpus for the top-down, fold and cone passes.
-
-        Assigns dense ids to every AS (sorted, for determinism), interns
-        every corpus link behind an integer key, and records which paths
-        each link appears on so the fold can reprocess only paths whose
-        link states changed.  Everything is flat: no container is built
-        per path or per link.
-        """
-        flat, plen, off = paths.numpy_view()
-        asns, pid_flat = paths.asn_index
-        self.index = DenseIndex.from_sorted(asns.tolist())
-        self._closure.ensure(len(self.index))
-        links = paths.link_index
-        n_links = len(links.keys)
-        self._key_lid = dict(zip(links.keys.tolist(), range(n_links)))
-        self._lstate = [LINK_UNKNOWN] * n_links
-        self._path_off = off.tolist()
-        # the scalar loops index memoryviews of the columns: no int
-        # object per hop or node stays resident
-        self._hop_lid = memoryview(links.link_of_hop)
-        self._node_asn = memoryview(flat)
-        self._node_pid = pid_flat
-        path_of_hop = _np.repeat(
-            _np.arange(len(plen), dtype=_np.int64), plen - 1
-        )
-        self._lpath_pid = memoryview(path_of_hop[links.by_link])
-        lpath_off = _np.zeros(n_links + 1, dtype=_np.int64)
-        _np.cumsum(
-            _np.bincount(links.link_of_hop, minlength=n_links),
-            out=lpath_off[1:],
-        )
-        self._lpath_off = lpath_off.tolist()
-        self._hop_cols = (
-            links.link_of_hop,
-            flat[:-1][links.starts],
-            flat[1:][links.starts],
-            path_of_hop,
-        )
-
     def _mark_link(self, a: int, b: int, state: int) -> None:
         """Record a link's new fold state and flag it dirty."""
-        if self._key_lid is None:
-            return
-        key = (a << 32) | b if a <= b else (b << 32) | a
-        lid = self._key_lid.get(key)
-        if lid is None:
-            return  # link outside the indexed corpus: no path reads it
-        assert self._lstate is not None
+        lid = self._key_lid[(a << 32) | b if a <= b else (b << 32) | a]
         self._lstate[lid] = state
         self._dirty_lids.append(lid)
 
     def _note_p2c(self, provider: int, customer: int) -> None:
         """Maintain the transitive-closure bitsets on an accepted edge."""
-        pid = self._asn_id(provider)
-        cid = self._asn_id(customer)
-        self._closure.add_edge(pid, cid)
+        ids = self.index.ids
+        self._closure.add_edge(ids[provider], ids[customer])
 
     # ------------------------------------------------------------------
     # mutation (used by the engine)
@@ -259,9 +231,8 @@ class InferenceResult:
         """Would ``provider→customer`` close a loop in the p2c DAG?"""
         if provider == customer:
             return True
-        pid = self._asn_id(provider)
-        cid = self._asn_id(customer)
-        return self._closure.descends(cid, pid)
+        ids = self.index.ids
+        return self._closure.descends(ids[customer], ids[provider])
 
     def set_p2c(self, provider: int, customer: int, step: Step) -> bool:
         """Record ``provider→customer``; False if refused or conflicting.
@@ -423,9 +394,10 @@ class InferenceResult:
 class _Engine:
     """Runs the pipeline; kept separate so the result object stays lean.
 
-    The result type and the index/top-down/fold steps are overridable
-    methods so that the reference oracle in :mod:`repro.qa.oracles` can
-    run the same step order with the seed's step bodies.
+    The result type and the partial-VP/top-down/fold steps are
+    overridable methods so that the reference oracle in
+    :mod:`repro.qa.oracles` can run the same step order with the seed's
+    step bodies.
     """
 
     result_type = InferenceResult
@@ -433,9 +405,6 @@ class _Engine:
     def __init__(self, paths: PathSet, config: InferenceConfig):
         self.config = config
         self.raw_paths = paths
-
-    def _index(self, result: InferenceResult, paths: PathSet) -> None:
-        result._init_fast(paths)
 
     def _partial_vp(
         self, result: InferenceResult, paths: PathSet, config: InferenceConfig
@@ -469,10 +438,11 @@ class _Engine:
             with perf.stage("filter-poisoned"):
                 paths, discarded = _discard_poisoned(paths, clique.member_set)
 
-        result = self.result_type(paths=paths, clique=clique, config=config)
-        result.discarded_poisoned = discarded
         with perf.stage("index"):
-            self._index(result, paths)
+            result = self.result_type(
+                paths=paths, clique=clique, config=config
+            )
+        result.discarded_poisoned = discarded
 
         with perf.stage("rank"):
             # position in transit-degree order, not a graph id space
@@ -742,15 +712,12 @@ def _step_fold_fast(result: InferenceResult) -> None:
     rescanned then.
     """
     lstate = result._lstate
-    assert lstate is not None
     node_asn = result._node_asn
     path_off = result._path_off
     hop_lid = result._hop_lid
     lpath_pid, lpath_off = result._lpath_pid, result._lpath_off
-    assert lpath_pid is not None and lpath_off is not None
     dirty = result._dirty_lids
     set_p2c = result.set_p2c
-    n_paths = len(path_off) - 1
 
     if not result._fold_primed:
         pending = _fold_candidates(result)
@@ -807,40 +774,27 @@ def _step_fold_fast(result: InferenceResult) -> None:
         if not pending:
             break
         next_pending: Set[int] = set()
-        if len(pending) == n_paths:
-            # full round: plain ascending iteration already visits every
-            # freshly dirtied later path, so no queue is needed
-            for i in range(n_paths):
-                watermark = len(dirty)
-                scan(i)
-                while watermark < len(dirty):
-                    lid = dirty[watermark]
-                    for pj in lpath_pid[lpath_off[lid]:lpath_off[lid + 1]]:
-                        if pj <= i:
-                            next_pending.add(pj)
-                    watermark += 1
-        else:
-            # sparse round: min-heap in corpus order; a vote cast at path
-            # i re-queues dirtied paths j > i into this same round (the
-            # reference full scan would reach them with the new state),
-            # while paths j <= i wait for the next round
-            heap = sorted(pending)
-            in_heap = set(heap)
-            while heap:
-                i = heapq.heappop(heap)
-                in_heap.discard(i)
-                watermark = len(dirty)
-                scan(i)
-                while watermark < len(dirty):
-                    lid = dirty[watermark]
-                    for pj in lpath_pid[lpath_off[lid]:lpath_off[lid + 1]]:
-                        if pj > i:
-                            if pj not in in_heap:
-                                in_heap.add(pj)
-                                heapq.heappush(heap, pj)
-                        else:
-                            next_pending.add(pj)
-                    watermark += 1
+        # min-heap in corpus order; a vote cast at path i re-queues
+        # dirtied paths j > i into this same round (the reference full
+        # scan would reach them with the new state), while paths j <= i
+        # wait for the next round
+        heap = sorted(pending)
+        in_heap = set(heap)
+        while heap:
+            i = heapq.heappop(heap)
+            in_heap.discard(i)
+            watermark = len(dirty)
+            scan(i)
+            while watermark < len(dirty):
+                lid = dirty[watermark]
+                for pj in lpath_pid[lpath_off[lid]:lpath_off[lid + 1]]:
+                    if pj > i:
+                        if pj not in in_heap:
+                            in_heap.add(pj)
+                            heapq.heappush(heap, pj)
+                    else:
+                        next_pending.add(pj)
+                watermark += 1
         pending = next_pending
         result._fold_cursor = len(dirty)
     result._fold_pending = pending

@@ -4,7 +4,7 @@ One canonical home for the dense representations every layer of the
 reproduction used to hand-roll separately:
 
 * :class:`~repro.graph.index.DenseIndex` — the ASN ↔ dense-id mapping
-  (sorted, deterministic, grow-on-demand until frozen);
+  (sorted, deterministic, immutable);
 * :class:`~repro.graph.bitset.BitsetFamily` /
   :class:`~repro.graph.bitset.ClosureBitsets` /
   :func:`~repro.graph.bitset.closure_bits` — Python-int bitsets over

@@ -112,25 +112,18 @@ class ClosureBitsets:
     Maintains, per dense id, the strict-ancestor and strict-descendant
     bitsets; :meth:`add_edge` updates both sides in O(affected nodes),
     and :meth:`descends` answers the inference engine's would-this-
-    edge-close-a-cycle question with one shift.  Grows with the id
-    space via :meth:`ensure`.
+    edge-close-a-cycle question with one shift.  Sized once, for the
+    ``n`` ids of one index.
     """
 
     __slots__ = ("anc", "desc")
 
-    def __init__(self) -> None:
-        self.anc: List[int] = []
-        self.desc: List[int] = []
-
-    def ensure(self, n: int) -> None:
-        """Extend the per-id arrays to cover ids ``< n``."""
-        grow = n - len(self.anc)
-        if grow > 0:
-            self.anc.extend([0] * grow)
-            self.desc.extend([0] * grow)
+    def __init__(self, n: int) -> None:
+        self.anc: List[int] = [0] * n
+        self.desc: List[int] = [0] * n
 
     def add_edge(self, parent_id: int, child_id: int) -> None:
-        """Record ``parent -> child``; both ids must be :meth:`ensure`-d.
+        """Record ``parent -> child``; both ids must be ``< n``.
 
         Every node at or above the parent gains the child's whole
         subtree as descendants, and every node at or below the child

@@ -12,10 +12,9 @@ tie-breaks and lets independently built indexes over the same AS set
 agree bit for bit (the property tests assert exactly this across the
 inference, cone, propagation and snapshot layers).
 
-Indexes grow on demand through :meth:`intern` until frozen; a frozen
-index refuses growth, which is how downstream columnar views (CSR
-arrays, bitsets) guarantee their id space can no longer shift under
-them.
+An index is immutable: its AS set is fixed when it is built, so the
+columnar views built over it (CSR arrays, bitsets) can never see their
+id space shift.
 """
 
 from __future__ import annotations
@@ -37,18 +36,15 @@ def _check_asn_range(lo: int, hi: int) -> None:
 
 
 class DenseIndex:
-    """A deterministic ASN ↔ dense-id mapping.
+    """A deterministic, immutable ASN ↔ dense-id mapping.
 
     ``DenseIndex(asns)`` sorts and dedupes; :meth:`from_sorted` adopts
     an already-sorted unique list without copying or checking (for the
     hot paths that got it from a sort-based unique pass, such as
-    :func:`repro.core.paths.sort_unique`); :meth:`from_ordered`
-    preserves the caller's explicit order for table-shaped uses (e.g.
-    the MRT writer's peer table) where position, not sortedness, is the
-    contract.
+    :func:`repro.core.paths.sort_unique`).
     """
 
-    __slots__ = ("ids", "asns", "_frozen", "_sorted")
+    __slots__ = ("ids", "asns")
 
     def __init__(self, asns: Iterable[int] = ()):
         self.asns: List[int] = sorted(set(asns))
@@ -57,8 +53,6 @@ class DenseIndex:
         self.ids: Dict[int, int] = {
             asn: i for i, asn in enumerate(self.asns)
         }
-        self._frozen = False
-        self._sorted = True
 
     @classmethod
     def from_sorted(cls, asns: List[int]) -> "DenseIndex":
@@ -69,15 +63,6 @@ class DenseIndex:
             _check_asn_range(asns[0], asns[-1])
         index.asns = asns
         index.ids = {asn: i for i, asn in enumerate(asns)}
-        return index
-
-    @classmethod
-    def from_ordered(cls, asns: Iterable[int]) -> "DenseIndex":
-        """Assign ids in first-seen order (duplicates collapse)."""
-        index = cls()
-        index._sorted = False
-        for asn in asns:
-            index.intern(asn)
         return index
 
     # ------------------------------------------------------------------
@@ -102,44 +87,3 @@ class DenseIndex:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.asns)
-
-    @property
-    def is_sorted(self) -> bool:
-        """True while ids are in ascending ASN order (grow-on-demand
-        interning of an out-of-order ASN clears it)."""
-        return self._sorted
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    # ------------------------------------------------------------------
-    # growth
-    # ------------------------------------------------------------------
-
-    def intern(self, asn: int) -> int:
-        """Dense id for ``asn``, assigning the next id on first sight.
-
-        Refused on a frozen index: columnar structures built over the
-        id space rely on it never shifting afterwards.
-        """
-        idx = self.ids.get(asn)
-        if idx is None:
-            if self._frozen:
-                raise ValueError(
-                    f"cannot intern AS{asn}: index is frozen at "
-                    f"{len(self.asns)} ASes"
-                )
-            if asn < 0 or asn > MAX_ASN:
-                _check_asn_range(asn, asn)
-            idx = len(self.asns)
-            if self._sorted and self.asns and asn < self.asns[-1]:
-                self._sorted = False
-            self.ids[asn] = idx
-            self.asns.append(asn)
-        return idx
-
-    def freeze(self) -> "DenseIndex":
-        """Refuse further growth; returns self for chaining."""
-        self._frozen = True
-        return self

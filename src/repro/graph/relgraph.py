@@ -1,7 +1,7 @@
 """The frozen columnar AS graph every layer consumes.
 
 A :class:`RelGraph` is one immutable view of a relationship-labeled AS
-graph: a frozen :class:`~repro.graph.index.DenseIndex`, per-id sorted
+graph: a :class:`~repro.graph.index.DenseIndex`, per-id sorted
 adjacency lists split by relationship type, a lazily built
 :class:`~repro.graph.csr.Csr`, a :class:`~repro.graph.bitset.BitsetFamily`
 over the id space, and the lazily computed p2c transitive closure.
@@ -10,16 +10,15 @@ It is built **once** per world and then shared:
 
 * :meth:`from_inference` compiles an
   :class:`~repro.core.inference.InferenceResult` (cached on the result,
-  so the facade, cones and snapshot all get the *same* object — and
-  when the inference engine's own index is already sorted, it is
-  adopted without copying);
+  so the facade, cones and snapshot all get the *same* object) over
+  the result's own corpus index, adopted without copying;
 * :meth:`from_as_graph` compiles a topology-model
   :class:`~repro.topology.model.ASGraph` for route propagation (this
   is what :class:`~repro.bgp.propagation.GraphIndex` wraps);
 * :meth:`from_links` compiles bare relationship rows (CAIDA as-rel
   files) for file-built snapshots.
 
-Freezing is the point: the dense-id space of a RelGraph can never
+Immutability is the point: the dense-id space of a RelGraph can never
 shift, so bitsets and CSR arrays built against it stay valid for the
 object's whole life.
 """
@@ -57,7 +56,7 @@ class RelGraph:
         siblings: Optional[List[List[int]]] = None,
         result=None,
     ):
-        self.index = index.freeze()
+        self.index = index
         self.family = BitsetFamily(index)
         self.providers = providers
         self.customers = customers
@@ -91,31 +90,15 @@ class RelGraph:
     def from_inference(cls, result) -> "RelGraph":
         """Compile an inference result; cached on the result object.
 
-        The id space is the sorted corpus AS set plus any hand-voted
-        ASes outside it.  When the engine's own index already equals
-        that (every engine run), it is adopted as-is — the zero-copy
-        case the snapshot build relies on.
+        The id space is the result's own index, the sorted corpus AS
+        set (every vote is on a corpus link), adopted as-is — the
+        zero-copy case the snapshot build relies on.
         """
         cached = getattr(result, "_rel_graph", None)
         if cached is not None:
             return cached
 
-        universe: Set[int] = set(result.paths.asns())
-        for a, b in result.links():
-            universe.add(a)
-            universe.add(b)
-
-        own = result.index
-        if (
-            own is not None
-            and own.is_sorted
-            and len(own) == len(universe)
-            and not (universe - own.ids.keys())
-        ):
-            index = own
-        else:
-            index = DenseIndex(universe)
-
+        index = result.index
         graph = cls(
             index,
             providers=_id_adjacency(index, result.providers),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, IO, Iterable, List, Optional, Sequence, Tuple
 
-from repro.graph.index import DenseIndex
+from repro.graph.index import MAX_ASN
 from repro.mrt import constants as c
 from repro.net.prefix import Prefix
 from repro.net.prefix6 import Prefix6
@@ -107,9 +107,15 @@ class MrtWriter:
         view_name: str = "repro",
     ) -> None:
         """Emit the PEER_INDEX_TABLE; must precede any RIB records."""
-        # table position is the contract here, so the index preserves
-        # the caller's peer order rather than sorting
-        self._peer_index = DenseIndex.from_ordered(peer_asns).ids
+        # table position is the contract here: each peer maps to the
+        # first position it holds in the caller's order
+        self._peer_index = {}
+        for i, asn in enumerate(peer_asns):
+            if not 0 <= asn <= MAX_ASN:
+                raise ValueError(
+                    f"ASN {asn} outside the 32-bit ASN space [0, {MAX_ASN}]"
+                )
+            self._peer_index.setdefault(asn, i)
         name = view_name.encode("ascii")
         body = [struct.pack("!I", collector_id), struct.pack("!H", len(name)), name]
         body.append(struct.pack("!H", len(peer_asns)))

@@ -34,6 +34,7 @@ from repro.datasets.serialization import (
     save_paths,
     save_ppdc_ases,
 )
+from repro.graph import RelGraph
 from repro.qa.oracles import (
     REFERENCE_CONES,
     ReferenceCollector,
@@ -182,6 +183,22 @@ def check_differential(
     # filter dropped nothing)
     for corpus in {id(paths): paths, id(fast.paths): fast.paths}.values():
         violations.extend(_degree_violations(corpus, world))
+
+    for name, result in (("fast", fast), ("ref", ref)):
+        if result.index.asns != sorted(result.paths.asns()):
+            detail = "index is not the corpus's sorted AS set"
+        elif RelGraph.of(result).index is not result.index:
+            detail = "RelGraph did not adopt the result's index"
+        else:
+            continue
+        violations.append(
+            Violation(
+                "differential/index",
+                world,
+                f"{name}: {detail} ({len(result.index)} ids, "
+                f"{len(result.paths.asns())} corpus ASes)",
+            )
+        )
 
     if fast.clique.members != ref.clique.members:
         violations.append(

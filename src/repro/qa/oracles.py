@@ -17,8 +17,8 @@ parameter or environment variable selects it.
   path at a time (QA family 1's ``differential/degrees``);
 * :func:`reference_infer_relationships` — the ASRank pipeline with the
   per-vote BFS cycle check, the three-scan partial-VP step, the scalar
-  top-down peak scan and the full-rescan fold, and no corpus link
-  index;
+  top-down peak scan and the full-rescan fold, none of which reads
+  the result's corpus link index;
 * ``reference_*_cones`` — the three cone definitions over plain ASN
   sets;
 * :func:`propagate_origin` — the one-origin-at-a-time Gao–Rexford
@@ -210,9 +210,6 @@ class _ReferenceEngine(_Engine):
     """The seed pipeline: same step order, reference step bodies."""
 
     result_type = ReferenceInferenceResult
-
-    def _index(self, result: InferenceResult, paths: PathSet) -> None:
-        """No corpus link index: labels live in the result's dicts only."""
 
     def _partial_vp(
         self, result: InferenceResult, paths: PathSet, config: InferenceConfig

@@ -188,7 +188,7 @@ class Snapshot:
         the zero-copy path :meth:`build` uses)."""
         if index is None:
             index = DenseIndex.from_sorted(asns if asns is not None else [])
-        self.index = index.freeze()
+        self.index = index
         self.asns = index.asns
         self.meta = meta if meta is not None else {}
         self.stats = stats if stats is not None else {}

@@ -31,8 +31,7 @@ def _batch_oracle(n, edges):
 
 def _replay_and_check(n, edges):
     """add_edge one at a time; oracle-compare after every step."""
-    closure = ClosureBitsets()
-    closure.ensure(n)
+    closure = ClosureBitsets(n)
     for count, (parent, child) in enumerate(edges, start=1):
         closure.add_edge(parent, child)
         anc, desc = _batch_oracle(n, edges[:count])
@@ -73,8 +72,7 @@ class TestIncrementalMatchesBatch:
         for seed in range(6):
             rng = random.Random(seed)
             n = rng.randint(10, 24)
-            closure = ClosureBitsets()
-            closure.ensure(n)
+            closure = ClosureBitsets(n)
             edges = []
             candidates = [
                 (a, b) for a in range(n) for b in range(n) if a != b
@@ -93,19 +91,8 @@ class TestIncrementalMatchesBatch:
             assert closure.anc == anc, f"seed {seed}: anc diverged"
             assert closure.desc == desc, f"seed {seed}: desc diverged"
 
-    def test_ensure_mid_sequence(self):
-        closure = ClosureBitsets()
-        closure.ensure(2)
-        closure.add_edge(0, 1)
-        closure.ensure(5)
-        closure.add_edge(1, 4)
-        closure.add_edge(4, 2)
-        anc, desc = _batch_oracle(5, [(0, 1), (1, 4), (4, 2)])
-        assert closure.anc == anc and closure.desc == desc
-
     def test_descends_is_strict(self):
-        closure = ClosureBitsets()
-        closure.ensure(3)
+        closure = ClosureBitsets(3)
         closure.add_edge(0, 1)
         closure.add_edge(1, 2)
         assert closure.descends(0, 2)

@@ -12,9 +12,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.cone import ConeDefinition, compute_cones
-from repro.core.inference import infer_relationships
-from repro.qa.oracles import REFERENCE_CONES, reference_infer_relationships
+from repro.core.cone import ConeDefinition, _cone_bits, compute_cones
+from repro.core.inference import InferenceResult, infer_relationships
+from repro.graph import RelGraph
+from repro.qa.oracles import (
+    REFERENCE_CONES,
+    ReferenceInferenceResult,
+    reference_infer_relationships,
+)
 
 
 def _snapshot(result):
@@ -48,9 +53,27 @@ class TestInferenceEquivalence:
 
     def test_fast_engine_used_the_index(self, pair):
         fast, reference = pair
-        # guard against silently falling back to the reference paths
-        assert fast._lstate is not None
-        assert reference._lstate is None
+        # guard against silently falling back to the reference paths:
+        # each side ran its own engine
+        assert type(fast) is InferenceResult
+        assert type(reference) is ReferenceInferenceResult
+
+
+class TestOneIdSpace:
+    """Each result indexes its own corpus, and every id space built from
+    it (the RelGraph, all three cone definitions) is that index."""
+
+    def test_graph_adopts_the_corpus_index(self, pair):
+        for result in pair:
+            assert RelGraph.of(result).index is result.index
+            assert (
+                result.index.asns == result.paths.asn_index[0].tolist()
+            )
+
+    @pytest.mark.parametrize("definition", list(ConeDefinition))
+    def test_cone_bits_cover_the_index(self, pair, definition):
+        for result in pair:
+            assert len(_cone_bits(result, definition)) == len(result.index)
 
 
 class TestConeEquivalence:

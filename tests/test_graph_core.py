@@ -41,40 +41,12 @@ class TestDenseIndex:
         index = DenseIndex([30, 10, 20, 10])
         assert index.asns == [10, 20, 30]
         assert index.ids == {10: 0, 20: 1, 30: 2}
-        assert index.is_sorted
 
     def test_from_sorted_adopts_verbatim(self):
         asns = [1, 5, 9]
         index = DenseIndex.from_sorted(asns)
         assert index.asns is asns
         assert [index.id_of(asn) for asn in asns] == [0, 1, 2]
-
-    def test_from_ordered_preserves_first_seen_order(self):
-        index = DenseIndex.from_ordered([30, 10, 30, 20])
-        assert index.asns == [30, 10, 20]
-        assert index.ids == {30: 0, 10: 1, 20: 2}
-        assert not index.is_sorted
-
-    def test_intern_grows_and_reuses(self):
-        index = DenseIndex()
-        assert index.intern(7) == 0
-        assert index.intern(3) == 1
-        assert index.intern(7) == 0
-        assert len(index) == 2
-        assert not index.is_sorted  # 3 arrived after 7
-
-    def test_intern_in_order_stays_sorted(self):
-        index = DenseIndex()
-        for asn in (1, 2, 5):
-            index.intern(asn)
-        assert index.is_sorted
-
-    def test_frozen_index_refuses_growth(self):
-        index = DenseIndex([1, 2]).freeze()
-        assert index.frozen
-        assert index.intern(2) == 1  # existing ASes still resolve
-        with pytest.raises(ValueError, match="frozen"):
-            index.intern(3)
 
     def test_lookup_api(self):
         index = DenseIndex([10, 20])
@@ -135,8 +107,7 @@ class TestBitsets:
 
     def test_incremental_closure_matches_batch(self):
         edges = [(0, 1), (1, 2), (0, 3), (3, 2), (2, 4)]
-        incremental = ClosureBitsets()
-        incremental.ensure(5)
+        incremental = ClosureBitsets(5)
         for parent, child in edges:
             incremental.add_edge(parent, child)
         children = {}
@@ -148,8 +119,7 @@ class TestBitsets:
             assert (incremental.desc[i] | (1 << i)) == batch[i]
 
     def test_incremental_closure_cycle_detection(self):
-        closure = ClosureBitsets()
-        closure.ensure(3)
+        closure = ClosureBitsets(3)
         closure.add_edge(0, 1)
         closure.add_edge(1, 2)
         assert closure.descends(0, 2)
@@ -168,8 +138,7 @@ class TestBitsets:
     def test_incremental_equals_batch_on_random_dags(self, raw_edges):
         # keep only forward edges so the input is a DAG
         edges = [(a, b) for a, b in raw_edges if a < b]
-        incremental = ClosureBitsets()
-        incremental.ensure(20)
+        incremental = ClosureBitsets(20)
         for parent, child in edges:
             incremental.add_edge(parent, child)
         children = {}
@@ -229,11 +198,6 @@ class TestRelGraph:
         world = build_world(world_spec(0))
         result = infer_relationships(world.paths)
         assert RelGraph.of(result) is RelGraph.of(result)
-
-    def test_freezes_index(self):
-        graph = RelGraph.from_links([1, 2], p2c=[(1, 2)])
-        with pytest.raises(ValueError, match="frozen"):
-            graph.index.intern(3)
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,6 @@ def _partial_vp_votes(step, paths, coverage, preset=()):
         CliqueResult(members=[], seed_members=[], added_members=[]),
         InferenceConfig(partial_vp_coverage=coverage),
     )
-    result._init_fast(paths)
     for provider, customer in preset:
         result.set_p2c(provider, customer, Step.S5_TOPDOWN)
     step(result, paths, result.config)
@@ -257,10 +256,15 @@ class TestPartialVpColumns:
             max_size=25,
         ),
         coverage=st.sampled_from((0.25, 0.5, 0.75, 1.0)),
-        preset=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12))),
+        picks=st.lists(st.tuples(st.integers(0, 99), st.booleans())),
     )
-    def test_equals_the_three_scan_oracle(self, paths, coverage, preset):
+    def test_equals_the_three_scan_oracle(self, paths, coverage, picks):
         corpus = PathSet(set(paths))
+        # preset votes land on corpus links, either way round
+        links = sorted(corpus.links())
+        preset = [
+            links[i % len(links)][::-1 if flip else 1] for i, flip in picks
+        ] if links else []
         assert _partial_vp_votes(
             _step_partial_vp, corpus, coverage, preset
         ) == _partial_vp_votes(reference_partial_vp, corpus, coverage, preset)

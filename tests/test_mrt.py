@@ -125,6 +125,24 @@ class TestTableDumpV2:
         )
         assert [r.prefix for r in records] == prefixes
 
+    def test_peer_table_keeps_first_position(self):
+        # a peer listed twice is addressed by its first table position
+        prefix = Prefix.parse("10.0.0.0/8")
+        records = roundtrip_rib(
+            [(prefix, [(20, (20, 5), ()), (30, (30, 5), ())])],
+            peers=[30, 10, 30, 20],
+        )
+        assert [(r.peer_asn, r.as_path) for r in records] == [
+            (20, (20, 5)),
+            (30, (30, 5)),
+        ]
+
+    @pytest.mark.parametrize("asn", [-1, 2**32])
+    def test_peer_outside_32_bits_rejected(self, asn):
+        writer = MrtWriter(io.BytesIO())
+        with pytest.raises(ValueError, match="32-bit"):
+            writer.write_peer_index_table([1, asn])
+
     def test_rib_before_peer_table_rejected_on_write(self):
         writer = MrtWriter(io.BytesIO())
         with pytest.raises(c.MrtFormatError):
