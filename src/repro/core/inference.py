@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
@@ -186,7 +187,7 @@ class InferenceResult:
         path_of_hop = _np.repeat(
             _np.arange(len(plen), dtype=_np.int64), plen - 1
         )
-        self._lpath_pid = memoryview(path_of_hop[links.by_link])
+        self._lpath_pid = path_of_hop[links.by_link]
         lpath_off = _np.zeros(n_links + 1, dtype=_np.int64)
         _np.cumsum(
             _np.bincount(links.link_of_hop, minlength=n_links),
@@ -202,11 +203,13 @@ class InferenceResult:
             path_of_hop,
         )
         # fold bookkeeping: links whose state changed (append-only log),
-        # the consumed prefix, paths awaiting a fold pass
+        # the consumed prefix, paths awaiting a fold pass, and per path
+        # whether its last scan was refused a vote (None before the
+        # first fold call)
         self._dirty_lids: List[int] = []
         self._fold_cursor = 0
         self._fold_pending: Set[int] = set()
-        self._fold_primed = False
+        self._fold_stuck = None
 
     # ------------------------------------------------------------------
     # corpus index
@@ -608,22 +611,80 @@ def _peak_order(
     pos -= _np.repeat(off[:-1], plen)
     packed = (rank_arr[result._node_pid] << 20) | pos
     mins = _np.minimum.reduceat(packed, off[:-1])
-    order = _np.argsort(mins >> 20, kind="stable")
+    _, _, order = sort_unique(mins >> 20, return_inverse=True)
     return order.tolist(), (mins & ((1 << 20) - 1)).tolist()
+
+
+def _descent_chains(
+    result: InferenceResult,
+    paths: PathSet,
+    order: List[int],
+    peaks: List[int],
+):
+    """S5's descent hops as ``link * span + key`` (``span`` twice the
+    path count), ascending, so a link's descents are one run in key
+    order; and the first key of each run whose link is still unknown,
+    ascending (a sorted list is a heap)."""
+    lid, _, _, path = result._hop_cols
+    span = 2 * len(order)
+    key = _np.empty(len(order), dtype=_np.int64)
+    key[order] = _np.arange(0, span, 2, dtype=_np.int64)
+    # each hop's place after its path's peak: the hops at -1 and 0
+    # touch the peak and are on no descent, those below -1 are on the
+    # left walk
+    at = _np.arange(len(path), dtype=_np.int64)
+    at += path
+    at -= paths.off[path]
+    at -= _np.array(peaks, dtype=_np.int64)[path]
+    left = at < -1
+    code = lid * span
+    code += key[path]
+    code += left
+    chain = _np.sort(code[left | (at > 0)])
+    link = chain // span
+    head = _np.ones(len(chain), dtype=bool)
+    _np.not_equal(link[1:], link[:-1], out=head[1:])
+    head &= _np.array(result._lstate, dtype=_np.int64)[link] == LINK_UNKNOWN
+    return chain, sort_unique(chain[head] % span).tolist()
 
 
 def _step_topdown(
     result: InferenceResult, paths: PathSet, rank: Dict[int, int]
 ) -> None:
-    """S5: peak-relative sweep, highest peaks first."""
+    """S5: peak-relative sweep, highest peaks first.
+
+    A descent is one path's walk away from its peak: the k-th path in
+    peak order walks right under key 2k, then left under key 2k + 1.  A
+    walk skips a link already labeled with its vote's provider and ends
+    at any other label, so a descent that meets no unknown link at its
+    turn casts no vote.  Each link unknown at the start therefore has a
+    chain, its descents in key order, of which only the next is queued:
+    a walk hands every link it covers that is still unknown (not
+    reached, or its vote refused) on to the link's next descent.  The
+    sweep walks exactly the descents that meet an unknown link at their
+    turn, in key order, and casts the votes a walk of every descent
+    would.
+    """
     unknown = LINK_UNKNOWN
     lstate = result._lstate
     hop_lid = result._hop_lid
     path_off = result._path_off
     nodes = result._node_asn
+    conflicts, dirty = result.conflicts, result._dirty_lids
+    votes = len(conflicts) + len(dirty)
     order, peaks = _peak_order(result, paths, rank)
+    span = 2 * len(order)
+    chain, heap = _descent_chains(result, paths, order, peaks)
+    chain = memoryview(chain)
     set_p2c = result.set_p2c
-    for pi in order:
+    visits, last = 0, -1
+    while heap:
+        k = heapq.heappop(heap)
+        if k == last:
+            continue  # queued by two of its links
+        last = k
+        visits += 1
+        pi = order[k >> 1]
         # node positions: the path runs from n0 to n1 - 1 and peaks at
         # i; the hop leaving node position j is hop j - pi
         n0, n1 = path_off[pi], path_off[pi + 1]
@@ -631,61 +692,80 @@ def _step_topdown(
         # a link already labeled with the vote's provider is an agreeing
         # vote (a guaranteed no-op), any other label is a refusal: both
         # are readable straight off the link-state array
-        #
-        # descend right of the peak: node j provides for node j+1;
-        # stop at the first contradiction — the path's shape no longer
-        # matches our peak assumption beyond that point
-        for j in range(i + 1, n1 - 1):
-            s = lstate[hop_lid[j - pi]]
-            if s == nodes[j]:
-                continue
-            if s != unknown:
-                break
-            if not set_p2c(nodes[j], nodes[j + 1], Step.S5_TOPDOWN):
-                break
-        # descend left of the peak: node j+1 provides for node j
-        for j in range(i - 2, n0 - 1, -1):
-            s = lstate[hop_lid[j - pi]]
-            if s == nodes[j + 1]:
-                continue
-            if s != unknown:
-                break
-            if not set_p2c(nodes[j + 1], nodes[j], Step.S5_TOPDOWN):
-                break
+        if k & 1:
+            # descend left of the peak: node j+1 provides for node j
+            for j in range(i - 2, n0 - 1, -1):
+                s = lstate[hop_lid[j - pi]]
+                if s == nodes[j + 1]:
+                    continue
+                if s != unknown:
+                    break
+                if not set_p2c(nodes[j + 1], nodes[j], Step.S5_TOPDOWN):
+                    break
+            hops = range(n0 - pi, i - 1 - pi)
+        else:
+            # descend right of the peak: node j provides for node j+1;
+            # stop at the first contradiction — the path's shape no
+            # longer matches our peak assumption beyond that point
+            for j in range(i + 1, n1 - 1):
+                s = lstate[hop_lid[j - pi]]
+                if s == nodes[j]:
+                    continue
+                if s != unknown:
+                    break
+                if not set_p2c(nodes[j], nodes[j + 1], Step.S5_TOPDOWN):
+                    break
+            hops = range(i + 1 - pi, n1 - 1 - pi)
+        # hand each link still unknown on to its next descent
+        for h in hops:
+            l = hop_lid[h]
+            if lstate[l] == unknown:
+                c = bisect_right(chain, l * span + k)
+                if c < len(chain) and chain[c] < (l + 1) * span:
+                    heapq.heappush(heap, chain[c] - l * span)
+    perf.counter("visits", visits)
+    perf.counter("votes", len(conflicts) + len(dirty) - votes)
 
 
-def _fold_candidates(result: InferenceResult) -> Set[int]:
-    """The paths the first fold pass can cast a vote on.
+def _forced_chains(result: InferenceResult, state, at, owner):
+    """The first fold pass's queue, and its hand-on links.
 
-    A scan votes only on unknown hops.  With no sibling links in the
-    corpus it votes forward iff some unknown hop lies after a DOWN/PEER
-    hop, and backward iff some unknown hop lies before an UP/PEER hop;
-    siblings reset those constraints, so with siblings every path that
-    still carries an unknown hop is a candidate.
+    ``at`` lists the unknown hops (``owner`` their paths) under the
+    link ``state``s.  An unknown hop is forced when the last
+    DOWN/PEER-or-sibling hop before it in its path, or the first
+    UP/PEER-or-sibling hop after it, is not a sibling.  Returns the set
+    of paths first forced on some link, and a memoryview giving each
+    forced hop the next path forced on its link (-1 for none or for a
+    hop that is not forced).
     """
     lid, left, right, path = result._hop_cols
-    s = _np.array(result._lstate, dtype=_np.int64)[lid]
-    unknown = s == LINK_UNKNOWN
-    if not unknown.any():
-        return set()
-    if result.siblings:
-        return set(path[unknown].tolist())
-    # one segment per path that has hops; global hop numbers order the
-    # hops within a path just as their positions do
-    starts = _np.flatnonzero(_np.diff(path, prepend=-1))
-    hop = _np.arange(len(s), dtype=_np.int64)
-    far = 1 << 40
+    n_hops = len(lid)
+    s = state[lid]
+    sibling = s == -2
     peer = s == -1
-    first_down = _np.minimum.reduceat(
-        _np.where(peer | (s == left), hop, far), starts
-    )
-    last_up = _np.maximum.reduceat(
-        _np.where(peer | (s == right), hop, -1), starts
-    )
-    last_unk = _np.maximum.reduceat(_np.where(unknown, hop, -1), starts)
-    first_unk = _np.minimum.reduceat(_np.where(unknown, hop, far), starts)
-    cand = (last_unk > first_down) | (first_unk < last_up)
-    return set(path[starts[cand]].tolist())
+    descent = peer | (s == left)
+    ascent = peer | (s == right)
+    # index 0 and the last hop pad the event lists; neither is an event
+    # where it stands in
+    event = descent | sibling
+    before = _np.concatenate(([0], _np.flatnonzero(event)))
+    before = before[_np.cumsum(event)[at]]
+    event = ascent | sibling
+    after = _np.append(_np.flatnonzero(event), n_hops - 1)
+    after = after[_np.cumsum(event)[at]]
+    forced = at[
+        descent[before] & (path[before] == owner)
+        | ascent[after] & (path[after] == owner)
+    ]
+    # a link's forced hops in corpus order
+    runs = _np.sort(lid[forced] * n_hops + forced)
+    forced = runs % n_hops
+    same = runs[1:] // n_hops == runs[:-1] // n_hops
+    head = _np.ones(len(runs), dtype=bool)
+    head[1:] = ~same
+    chain_next = _np.full(n_hops, -1, dtype=_np.int64)
+    chain_next[forced[:-1][same]] = path[forced[1:][same]]
+    return set(path[forced[head]].tolist()), memoryview(chain_next)
 
 
 def _step_fold_fast(result: InferenceResult) -> None:
@@ -695,44 +775,91 @@ def _step_fold_fast(result: InferenceResult) -> None:
     link, then descends.  So any link after a DOWN/PEER link must be
     DOWN, and any link before an UP/PEER link must be UP.
 
-    Dirty-path fold: reprocess only paths whose link states changed.
+    Rounds scan paths in corpus order, and a vote cast at path ``i``
+    queues a dirtied path ``j > i`` into the *same* round — exactly when
+    a full rescan (the QA oracle) would reach ``j`` and see the new
+    state — and a path ``j <= i`` into the next.  A path whose link
+    states are unchanged since its last scan is a guaranteed no-op:
+    every vote it would cast was already cast and either succeeded (so
+    a state changed — contradiction) or was refused for a reason that
+    cannot un-happen (clique membership is fixed, and the p2c DAG only
+    grows, so cycle refusals are permanent).  Dropping those scans
+    keeps the exact label/step outcome of the full rescan; only
+    duplicate refusal entries in ``conflicts`` are elided.
 
-    A path whose link states are unchanged since its last fold pass is a
-    guaranteed no-op: every vote it would cast was already cast and
-    either succeeded (so a state changed — contradiction) or was refused
-    for a reason that cannot un-happen (clique membership is fixed, and
-    the p2c DAG only grows, so cycle refusals are permanent).  Dropping
-    those paths preserves the exact label/step outcome of the full
-    rescan; only duplicate refusal entries in ``conflicts`` are elided.
+    A scan votes on a *forced* hop: an unknown hop with a DOWN/PEER hop
+    before it, or an UP/PEER hop after it, and no sibling hop between.
+    The fold scans only the queued paths that can have one at their
+    turn, so it casts the same votes and refusals, in the same order, as
+    scanning every dirtied path would:
 
-    Within a round, paths run in corpus order, and a vote cast at path
-    ``i`` re-queues any dirtied path ``j > i`` into the *same* round —
-    exactly when a full rescan (the QA oracle) would reach ``j`` and see
-    the new state.  Paths ``j <= i`` go to the next round, as they would be
-    rescanned then.
+    * the first round of the first call starts from one numpy pass that
+      finds the forced hops; it queues only the first path forced on
+      each link, and hands a link on to its next forced path when that
+      path's vote on it is refused;
+    * a vote queues a path carrying its link only when the path's last
+      scan was refused a vote (that hop stays forced), or when the path
+      has an unknown hop on the side the new label forces.  Each path's
+      first and last unknown hop are taken once per call; later votes
+      only shrink that span, so the stale test only admits more paths.
     """
     lstate = result._lstate
     node_asn = result._node_asn
     path_off = result._path_off
     hop_lid = result._hop_lid
-    lpath_pid, lpath_off = result._lpath_pid, result._lpath_off
+    lpath, lpath_off = result._lpath_pid, result._lpath_off
+    by_link = result.paths.link_index.by_link
     dirty = result._dirty_lids
+    conflicts = result.conflicts
     set_p2c = result.set_p2c
-
-    if not result._fold_primed:
-        pending = _fold_candidates(result)
-        result._fold_primed = True
-        result._fold_cursor = len(dirty)
-    else:
-        pending = result._fold_pending
-        cursor = result._fold_cursor
-        while cursor < len(dirty):
-            lid = dirty[cursor]
-            pending.update(lpath_pid[lpath_off[lid]:lpath_off[lid + 1]])
-            cursor += 1
-        result._fold_cursor = cursor
-
     unknown = LINK_UNKNOWN
+    votes = len(conflicts) + len(dirty)
+
+    if result._fold_stuck is not None and not (
+        result._fold_pending or result._fold_cursor < len(dirty)
+    ):
+        return  # nothing queued and nothing labeled since the last call
+    lid, left, _, path = result._hop_cols
+    n_hops, n_paths = len(lid), len(path_off) - 1
+    state = _np.array(lstate, dtype=_np.int64)
+    # each path's first and last unknown hop (global hop numbers order
+    # a path's hops as their positions do)
+    at = _np.flatnonzero(state[lid] == unknown)
+    owner = path[at]
+    first = _np.ones(len(at), dtype=bool)
+    _np.not_equal(owner[1:], owner[:-1], out=first[1:])
+    last = _np.roll(first, -1)
+    first_unknown = _np.full(n_paths, n_hops, dtype=_np.int64)
+    first_unknown[owner[first]] = at[first]
+    last_unknown = _np.full(n_paths, -1, dtype=_np.int64)
+    last_unknown[owner[last]] = at[last]
+
+    def forced_by(hops, carriers, new_state):
+        """The ``carriers`` (the paths of ``hops``) to which a link's
+        ``new_state`` may give a forced hop, or whose last scan was
+        refused a vote."""
+        down = left[hops] == new_state
+        peer = new_state == -1
+        keep = (last_unknown[carriers] > hops) & (down | peer)
+        keep |= (first_unknown[carriers] < hops) & (~down | peer)
+        keep |= stuck[carriers]
+        return carriers[keep].tolist()
+
+    chain_next = None
+    if result._fold_stuck is None:
+        result._fold_stuck = stuck = _np.zeros(n_paths, dtype=bool)
+        pending, chain_next = _forced_chains(result, state, at, owner)
+    else:
+        stuck = result._fold_stuck
+        pending = result._fold_pending
+        if result._fold_cursor < len(dirty):
+            # the paths of the links other steps labeled since the last
+            # call, under the same test as a fold vote
+            since = _np.zeros(len(state), dtype=bool)
+            since[dirty[result._fold_cursor:]] = True
+            hops = _np.flatnonzero(since[lid])
+            pending.update(forced_by(hops, path[hops], state[lid[hops]]))
+    result._fold_cursor = len(dirty)
 
     def scan(i: int) -> None:
         """One forward+backward constraint pass over path ``i``."""
@@ -770,34 +897,45 @@ def _step_fold_fast(result: InferenceResult) -> None:
             if s == -1 or s == nodes[j + 1]:
                 seen_ascent = True
 
+    scans = 0
     for _ in range(result.config.max_fold_rounds):
         if not pending:
             break
         next_pending: Set[int] = set()
-        # min-heap in corpus order; a vote cast at path i re-queues
-        # dirtied paths j > i into this same round (the reference full
-        # scan would reach them with the new state), while paths j <= i
-        # wait for the next round
+        # min-heap in corpus order (a path queued twice pops twice in a
+        # row); a vote cast at path i queues paths j > i into this same
+        # round, while paths j <= i wait for the next round
         heap = sorted(pending)
-        in_heap = set(heap)
+        last = -1
         while heap:
             i = heapq.heappop(heap)
-            in_heap.discard(i)
-            watermark = len(dirty)
+            if i == last:
+                continue
+            last = i
+            scans += 1
+            watermark, refused = len(dirty), len(conflicts)
             scan(i)
-            while watermark < len(dirty):
-                lid = dirty[watermark]
-                for pj in lpath_pid[lpath_off[lid]:lpath_off[lid + 1]]:
-                    if pj > i:
-                        if pj not in in_heap:
-                            in_heap.add(pj)
-                            heapq.heappush(heap, pj)
+            stuck[i] = len(conflicts) > refused
+            if chain_next is not None:
+                for h in range(path_off[i] - i, path_off[i + 1] - i - 1):
+                    j = chain_next[h]
+                    if j >= 0 and lstate[hop_lid[h]] == unknown:
+                        heapq.heappush(heap, j)
+            for l in dirty[watermark:]:
+                entries = slice(lpath_off[l], lpath_off[l + 1])
+                for j in forced_by(
+                    by_link[entries], lpath[entries], lstate[l]
+                ):
+                    if j > i:
+                        heapq.heappush(heap, j)
                     else:
-                        next_pending.add(pj)
-                watermark += 1
+                        next_pending.add(j)
         pending = next_pending
+        chain_next = None
         result._fold_cursor = len(dirty)
     result._fold_pending = pending
+    perf.counter("scans", scans)
+    perf.counter("votes", len(conflicts) + len(dirty) - votes)
 
 
 def _step_stub(result: InferenceResult, paths: PathSet) -> None:

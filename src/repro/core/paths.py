@@ -257,11 +257,14 @@ def _sorted_unique(flat, offsets, rows, weights):
     ``rows`` that carry it.
 
     One ``numpy.lexsort`` orders the rows by their first
-    ``_SORT_WIDTH`` hops, padded with -1: that is below every ASN, so a
-    path sorts before its extensions, as tuple comparison does.  Only
-    rows longer than the width can tie on every column and still
-    differ; their runs are settled by comparing tuples.  Equal rows
-    then sit next to each other and are merged.
+    ``_SORT_WIDTH`` hops.  A hop is coded as its ASN less the smallest
+    ASN among them, plus one, and a missing hop as 0, which is below
+    every code, so a path sorts before its extensions, as tuple
+    comparison does.  As many codes as fit go into each uint64 sort
+    key, the first hop in the high bits, so a key compares as the hops
+    it packs do.  Only rows longer than the width can tie on every key
+    and still differ; their runs are settled by comparing tuples.
+    Equal rows then sit next to each other and are merged.
     """
     n = len(rows)
     if not n:
@@ -269,16 +272,22 @@ def _sorted_unique(flat, offsets, rows, weights):
     hops, lengths, bounds = take_rows(flat, offsets, rows)
     longest = int(lengths.max())
     width = min(longest, _SORT_WIDTH)
-    row = _np.repeat(_np.arange(n, dtype=_np.int64), lengths)
-    pos = _np.arange(len(hops), dtype=_np.int64) - bounds[row]
-    head = pos < width
-    grid = _np.full((width, n), -1, dtype=_np.int64)
-    grid[pos[head], row[head]] = hops[head]
-    order = _np.lexsort(grid[::-1])
+    low = int(hops.min()) - 1
+    bits = (int(hops.max()) - low).bit_length()
+    per_key = 64 // bits
+    # a row's hop p is code[bounds[row] + p], or the final 0 past its end
+    code = _np.zeros(len(hops) + 1, dtype=_np.uint64)
+    code[:-1] = hops - low
+    keys = _np.zeros((-(-width // per_key), n), dtype=_np.uint64)
+    for p in range(width):
+        key = keys[p // per_key]
+        key <<= _np.uint64(bits)
+        key |= code[_np.where(lengths > p, bounds[:-1] + p, len(hops))]
+    order = _np.lexsort(keys[::-1])
     same = _np.ones(n - 1, dtype=bool)
-    for column in grid:
-        column = column[order]
-        same &= column[1:] == column[:-1]
+    for key in keys:
+        key = key[order]
+        same &= key[1:] == key[:-1]
     if width < longest:
         tie = same & (lengths[order[1:]] >= width)
         edge = _np.diff(tie.astype(_np.int8), prepend=0, append=0)

@@ -146,6 +146,31 @@ def _degree_violations(paths: PathSet, world: str) -> List[Violation]:
     ]
 
 
+def _links_violations(
+    fast: InferenceResult, ref: InferenceResult, invariant: str, world: str
+) -> List[Violation]:
+    """The two engines' label maps must be equal."""
+    fast_labels, ref_labels = _label_map(fast), _label_map(ref)
+    if fast_labels == ref_labels:
+        return []
+    only_fast = sorted(set(fast_labels) - set(ref_labels))[:3]
+    only_ref = sorted(set(ref_labels) - set(fast_labels))[:3]
+    mismatched = sorted(
+        pair
+        for pair in set(fast_labels) & set(ref_labels)
+        if fast_labels[pair] != ref_labels[pair]
+    )[:3]
+    return [
+        Violation(
+            invariant,
+            world,
+            f"label maps differ (fast {len(fast_labels)} links, ref "
+            f"{len(ref_labels)}): fast-only {only_fast}, ref-only "
+            f"{only_ref}, relabeled {mismatched}",
+        )
+    ]
+
+
 # ---------------------------------------------------------------------------
 # family 1: production engine vs reference oracle differential
 # ---------------------------------------------------------------------------
@@ -217,24 +242,19 @@ def check_differential(
                 f"ref {ref.discarded_poisoned}",
             )
         )
-    fast_labels, ref_labels = _label_map(fast), _label_map(ref)
-    if fast_labels != ref_labels:
-        only_fast = sorted(set(fast_labels) - set(ref_labels))[:3]
-        only_ref = sorted(set(ref_labels) - set(fast_labels))[:3]
-        mismatched = sorted(
-            pair
-            for pair in set(fast_labels) & set(ref_labels)
-            if fast_labels[pair] != ref_labels[pair]
-        )[:3]
-        violations.append(
-            Violation(
-                "differential/links",
-                world,
-                f"label maps differ (fast {len(fast_labels)} links, ref "
-                f"{len(ref_labels)}): fast-only {only_fast}, ref-only "
-                f"{only_ref}, relabeled {mismatched}",
-            )
-        )
+    violations.extend(_links_violations(fast, ref, "differential/links",
+                                        world))
+    # the sibling leg: every third corpus link a known sibling, so the
+    # sibling resets of the top-down sweep and the fold meet the oracle
+    siblings = replace(
+        config, known_siblings=frozenset(sorted(paths.links())[::3])
+    )
+    violations.extend(_links_violations(
+        infer_relationships(paths, siblings),
+        reference_infer_relationships(paths, siblings),
+        "differential/siblings",
+        world,
+    ))
     fast_cones, ref_cones = _cone_sets(fast), _reference_cone_sets(ref)
     for name in fast_cones:
         if fast_cones[name] != ref_cones[name]:

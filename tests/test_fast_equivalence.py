@@ -10,14 +10,25 @@ contract on the `tiny` and `small` scenarios.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.cone import ConeDefinition, _cone_bits, compute_cones
-from repro.core.inference import InferenceResult, infer_relationships
+from repro.core.inference import (
+    InferenceConfig,
+    InferenceResult,
+    Step,
+    infer_relationships,
+)
+from repro.core.paths import PathSet
 from repro.graph import RelGraph
+from repro.qa.generator import build_world, world_spec
+from repro.qa.invariants import _label_map
 from repro.qa.oracles import (
     REFERENCE_CONES,
     ReferenceInferenceResult,
+    _ReferenceEngine,
     reference_infer_relationships,
 )
 
@@ -83,3 +94,74 @@ class TestConeEquivalence:
         assert compute_cones(fast, definition) == REFERENCE_CONES[
             definition
         ](reference)
+
+
+class _RefusalLog(ReferenceInferenceResult):
+    """A reference result that also keeps apart the conflicts of votes
+    on links still unlabeled at the vote (refusals).  The fast top-down
+    sweep reads any other label off its link-state array and ends the
+    walk there without a vote, so it logs only these."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.refusals = []
+
+    def set_p2c(self, provider, customer, step):
+        fresh = self.relationship(provider, customer) is None
+        logged = len(self.conflicts)
+        accepted = super().set_p2c(provider, customer, step)
+        if fresh and len(self.conflicts) > logged:
+            self.refusals.append(self.conflicts[-1])
+        return accepted
+
+
+class _LoggedReference(_ReferenceEngine):
+    result_type = _RefusalLog
+
+
+def _random_corpus(seed):
+    """Up to 120 paths over at most 30 ASes: dense enough that votes
+    collide, refusals are common and siblings sit between them."""
+    rng = random.Random(seed)
+    universe = rng.randint(5, 30)
+    return PathSet.sanitize(
+        tuple(rng.sample(range(1, universe + 1),
+                         rng.randint(2, min(8, universe))))
+        for _ in range(rng.randint(5, 120))
+    )
+
+
+
+
+def _s5(conflicts):
+    return [c for c in conflicts if c.step is Step.S5_TOPDOWN]
+
+
+class TestSiblings:
+    """Sibling links reset the fold's constraints and end top-down
+    walks; no scenario carries one, so these corpora get a known
+    sibling set."""
+
+    def _check(self, paths, **config):
+        # every third corpus link a known sibling, as in QA family 1
+        config = InferenceConfig(
+            known_siblings=frozenset(sorted(paths.links())[::3]), **config
+        )
+        fast = infer_relationships(paths, config)
+        reference = _LoggedReference(paths, config).run()
+        assert _label_map(fast) == _label_map(reference)
+        assert _s5(fast.conflicts) == _s5(reference.refusals)
+        return fast
+
+    # worlds where a sibling reset decides a fold vote
+    @pytest.mark.parametrize("seed", [11, 20, 46])
+    def test_qa_worlds(self, seed):
+        fast = self._check(build_world(world_spec(seed)).paths)
+        assert fast.siblings
+
+    def test_random_corpora(self):
+        refused = 0
+        for seed in range(60):
+            fast = self._check(_random_corpus(seed), clique_seed_size=3)
+            refused += len(_s5(fast.conflicts))
+        assert refused  # the S5 comparison is not vacuous

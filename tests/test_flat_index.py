@@ -12,6 +12,7 @@ import random
 from collections import Counter
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bgp.collector import Collector, CollectorConfig
@@ -136,6 +137,21 @@ class TestCorpusOrder:
         assert pathset.counts == {p: raw.count(p) for p in set(raw)}
         # a padded n x 5000 int64 grid alone would take ~12.4 MB
         assert peak_bytes < 1_000_000
+
+    @pytest.mark.parametrize("high", [60, 64_000, 4_199_999_999])
+    def test_sort_keys_of_any_width_keep_the_order(self, high):
+        # the row sort packs 64 // bits hop codes per key: 10 per key
+        # for ASNs up to 60, 4 up to 64,000 and 2 up to 2^32 (public
+        # ASNs only, so no row is dropped)
+        rng = random.Random(high)
+        pool = [1, 2, 3, high - 1, high] + rng.sample(range(4, 59), 20)
+        raw = [
+            tuple(rng.sample(pool, rng.randint(2, 12))) for _ in range(400)
+        ]
+        raw += [path[:-1] for path in raw if len(path) > 2]
+        pathset = PathSet.sanitize(raw)
+        assert pathset.paths == sorted(set(raw))
+        assert pathset.counts == {p: raw.count(p) for p in set(raw)}
 
 
 def _corpus(n_paths, seed=7):

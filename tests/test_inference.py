@@ -8,11 +8,15 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from repro import perf
 from repro.core.clique import CliqueResult
 from repro.core.inference import (
+    LINK_UNKNOWN,
     InferenceConfig,
     InferenceResult,
     Step,
+    _Engine,
+    _peak_order,
     _step_partial_vp,
     infer_relationships,
 )
@@ -96,6 +100,65 @@ class TestTopDown:
         paths = BACKBONE + [(12, 2, 1, 20), (10, 1, 20)]
         result = run(paths)
         assert result.provider_of(1, 20) == 1
+
+
+class _EveryDescent(_Engine):
+    """The top-down sweep as a walk of every descent in peak order,
+    counting the descents that meet an unknown link at their turn."""
+
+    def _topdown(self, result, paths, rank):
+        lstate, hop_lid = result._lstate, result._hop_lid
+        path_off, nodes = result._path_off, result._node_asn
+        order, peaks = _peak_order(result, paths, rank)
+        self.meets_unknown = 0
+        for pi in order:
+            n0, n1 = path_off[pi], path_off[pi + 1]
+            i = n0 + peaks[pi]
+            right = [(j, nodes[j], nodes[j + 1]) for j in range(i + 1, n1 - 1)]
+            left = [(j, nodes[j + 1], nodes[j])
+                    for j in range(i - 2, n0 - 1, -1)]
+            for descent in (right, left):
+                states = [lstate[hop_lid[j - pi]] for j, _, _ in descent]
+                self.meets_unknown += LINK_UNKNOWN in states
+                for (_, upper, lower), state in zip(descent, states):
+                    if state == upper:
+                        continue
+                    if state != LINK_UNKNOWN or not result.set_p2c(
+                        upper, lower, Step.S5_TOPDOWN
+                    ):
+                        break
+
+
+def _counted(paths):
+    recorder = perf.PerfRecorder()
+    with perf.use_recorder(recorder):
+        result = infer_relationships(paths)
+    return result, recorder.counters()
+
+
+class TestVoteFollowing:
+    """S5 and S6 visit a path only when it can still cast a vote."""
+
+    @pytest.mark.parametrize("name", ["tiny", "small"])
+    def test_topdown_walks_the_descents_that_meet_an_unknown_link(
+        self, name, request
+    ):
+        paths = request.getfixturevalue(f"{name}_run").paths
+        fast, counters = _counted(paths)
+        engine = _EveryDescent(paths, InferenceConfig())
+        every = engine.run()
+        assert counters["infer/topdown/visits"] == engine.meets_unknown > 0
+        assert every._lstate == fast._lstate
+        assert every.conflicts == fast.conflicts
+
+    # before the fold followed the votes, its first pass scanned every
+    # path with a forced hop: 147 paths on tiny, 881 on small
+    @pytest.mark.parametrize("name, queued", [("tiny", 147), ("small", 881)])
+    def test_fold_scans_fewer_paths_than_its_old_first_pass(
+        self, name, queued, request
+    ):
+        _, counters = _counted(request.getfixturevalue(f"{name}_run").paths)
+        assert 0 < counters["infer/fold/scans"] < queued
 
 
 class TestFold:
