@@ -191,8 +191,12 @@ class ASRank:
         return self.cones(definition).cone(asn)
 
     def rank(self, limit: Optional[int] = None) -> List[ASRankEntry]:
-        """The AS ranking by customer cone size."""
-        return rank_ases(self.result, self.cones(), limit=limit)
+        """The AS ranking by customer cone size.
+
+        Timed under ``asrank/rank``."""
+        cones = self.cones()  # outside: may trigger inference and cones
+        with perf.stage("asrank"):
+            return rank_ases(self.result, cones, limit=limit)
 
     def predict(self, max_origins: Optional[int] = None) -> PredictionReport:
         """Score the inference by re-deriving the corpus paths."""

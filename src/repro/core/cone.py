@@ -25,7 +25,10 @@ Cones are bitsets over the shared columnar core
 :class:`~repro.core.inference.InferenceResult`, which compiles to its
 cached RelGraph) and keeps the per-dense-id bitsets; ASN-set views
 materialize lazily at the API boundary, so the snapshot store can
-adopt the bitsets without ever expanding them.
+adopt the bitsets without ever expanding them.  The two observed
+definitions are numpy passes that emit ``(upper, member)`` dense-id
+pairs and pack them into one bitset per AS
+(:func:`~repro.graph.bitset.pack_bits`).
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ import numpy as _np
 
 from repro import perf
 from repro.core.inference import InferenceResult
-from repro.graph.bitset import decode_bits
+from repro.graph.bitset import decode_bits, pack_bits
+from repro.graph.csr import gather_rows
 from repro.graph.relgraph import RelGraph
 from repro.net.prefix import Prefix, summarize_address_space
 
@@ -67,7 +71,6 @@ def _hop_states(result: InferenceResult):
 
 def _bgp_observed_bits(result: InferenceResult) -> List[int]:
     """BGP-observed cone bits, one bitset per dense id."""
-    cone_bits = _unit_bits(result)
     state, left, path, node = _hop_states(result)
     pid = result._node_pid
     # a p2c hop with its left end as provider extends a descending run;
@@ -75,62 +78,34 @@ def _bgp_observed_bits(result: InferenceResult) -> List[int]:
     down = state == left
     more = _np.zeros(len(down), dtype=bool)
     more[:-1] = down[1:] & (path[1:] == path[:-1])
-    hops = _np.flatnonzero(down)[::-1]
-    # one right-to-left pass over the descending hops only: within a
-    # run, the suffix bitset accumulates everything downstream of a hop
-    suffix = 0
-    for upper, lower, cont in zip(
-        pid[node[hops]].tolist(),
-        pid[node[hops] + 1].tolist(),
-        more[hops].tolist(),
-    ):
-        if not cont:
-            suffix = 0
-        suffix |= 1 << lower
-        cone_bits[upper] |= suffix
-    return cone_bits
+    hops = _np.flatnonzero(down)
+    # each descending hop's upper node gets the lower nodes of every
+    # hop from it to the end of its run: consecutive node positions
+    stops = hops[~more[hops]]
+    counts = stops[_np.searchsorted(stops, hops)] - hops + 1
+    return pack_bits(
+        len(result.index),
+        _np.repeat(pid[node[hops]], counts),
+        gather_rows(pid, node[hops] + 1, counts)[0],
+    )
 
 
 def _ppdc_bits(result: InferenceResult) -> List[int]:
     """Provider/peer-observed cone bits, one bitset per dense id."""
-    cone_bits = _unit_bits(result)
     state, left, path, node = _hop_states(result)
     pid = result._node_pid
     # an interior node entered from a peer or a provider gets the whole
     # observed suffix: everything it exports upward is a customer route
     interior = _np.zeros(len(state), dtype=bool)
     interior[:-1] = path[1:] == path[:-1]
-    enter = node[interior & ((state == -1) | (state == left))] + 1
-    if not len(enter):
-        return cone_bits
-    # walk each such path from its end back to its first entered node
-    n_nodes = len(pid)
-    plen = result.paths.plen
-    node_path = _np.repeat(_np.arange(len(plen), dtype=_np.int64), plen)
-    first_enter = _np.full(len(plen), n_nodes, dtype=_np.int64)
-    _np.minimum.at(first_enter, node_path[enter], enter)
-    walk = _np.flatnonzero(
-        _np.arange(n_nodes) >= first_enter[node_path]
-    )[::-1]
-    entered = _np.zeros(n_nodes, dtype=bool)
-    entered[enter] = True
-    last = _np.ones(n_nodes, dtype=bool)
-    last[:-1] = node_path[1:] != node_path[:-1]
-    suffix = 0
-    for k, is_entered, is_last in zip(
-        pid[walk].tolist(), entered[walk].tolist(), last[walk].tolist()
-    ):
-        if is_last:
-            suffix = 1 << k
-            continue
-        if is_entered:
-            cone_bits[k] |= suffix
-        suffix |= 1 << k
-    return cone_bits
-
-
-def _unit_bits(result: InferenceResult) -> List[int]:
-    return [1 << i for i in range(len(result.index))]
+    hops = _np.flatnonzero(interior & ((state == -1) | (state == left)))
+    enter = node[hops] + 1
+    counts = result.paths.off[1:][path[hops]] - enter - 1
+    return pack_bits(
+        len(result.index),
+        _np.repeat(pid[enter], counts),
+        gather_rows(pid, enter + 1, counts)[0],
+    )
 
 
 def _cone_bits(

@@ -384,6 +384,15 @@ class InferenceResult:
             counts[conflict.pair] = counts.get(conflict.pair, 0) + 1
         return counts
 
+    def link_states(self):
+        """The labeled corpus links as numpy columns ``(lo, hi,
+        state)``, ascending: the endpoints' dense ids (``lo < hi``) and
+        the link state (-1 peer, -2 sibling, else the provider's ASN)."""
+        links = self.paths.link_index
+        state = _np.array(self._lstate, dtype=_np.int64)
+        labeled = state != LINK_UNKNOWN
+        return links.lo[labeled], links.hi[labeled], state[labeled]
+
     def providers_of_asn(self, asn: int) -> Set[int]:
         return set(self.providers.get(asn, ()))
 
@@ -590,37 +599,40 @@ def _step_partial_vp(
 
 def _peak_order(
     result: InferenceResult, paths: PathSet, rank: Dict[int, int]
-) -> Tuple[List[int], List[int]]:
-    """S5's visiting order and each path's peak position.
+):
+    """S5's visiting order and each path's peak position, as int64
+    arrays.
 
     The order sorts paths by (peak rank, path); the peak is a path's
     first hop of minimum rank.  The corpus is already in tuple order,
-    so a stable sort on peak rank alone gives the visiting order.
+    so a stable sort on peak rank alone gives the visiting order.  An
+    AS missing from ``rank`` ranks after every ranked one.
     """
     big = 1 << 30
+    # each dense id's rank: the rank map's ASNs located in the sorted
+    # index by one searchsorted (ASNs outside the corpus dropped)
+    asns = paths.asn_index[0]
+    ranked = _np.array(list(rank), dtype=_np.int64)
+    at = _np.searchsorted(asns, ranked)
+    inside = at < len(asns)
+    inside[inside] = asns[at[inside]] == ranked[inside]
+    rank_arr = _np.full(len(asns), big, dtype=_np.int64)
+    rank_arr[at[inside]] = _np.array(
+        list(rank.values()), dtype=_np.int64
+    )[inside]
     # pack (rank, position) so a single segmented minimum yields both
     # the peak rank and its first index per path (first minimum wins,
     # like a left-to-right scan)
     flat, plen, off = paths.numpy_view()
-    rank_arr = _np.fromiter(
-        (rank.get(asn, big) for asn in result.index.asns),
-        dtype=_np.int64,
-        count=len(result.index),
-    )
     pos = _np.arange(len(flat), dtype=_np.int64)
     pos -= _np.repeat(off[:-1], plen)
     packed = (rank_arr[result._node_pid] << 20) | pos
     mins = _np.minimum.reduceat(packed, off[:-1])
     _, _, order = sort_unique(mins >> 20, return_inverse=True)
-    return order.tolist(), (mins & ((1 << 20) - 1)).tolist()
+    return order, mins & ((1 << 20) - 1)
 
 
-def _descent_chains(
-    result: InferenceResult,
-    paths: PathSet,
-    order: List[int],
-    peaks: List[int],
-):
+def _descent_chains(result: InferenceResult, paths: PathSet, order, peaks):
     """S5's descent hops as ``link * span + key`` (``span`` twice the
     path count), ascending, so a link's descents are one run in key
     order; and the first key of each run whose link is still unknown,
@@ -635,7 +647,7 @@ def _descent_chains(
     at = _np.arange(len(path), dtype=_np.int64)
     at += path
     at -= paths.off[path]
-    at -= _np.array(peaks, dtype=_np.int64)[path]
+    at -= peaks[path]
     left = at < -1
     code = lid * span
     code += key[path]
@@ -676,6 +688,7 @@ def _step_topdown(
     span = 2 * len(order)
     chain, heap = _descent_chains(result, paths, order, peaks)
     chain = memoryview(chain)
+    order, peaks = memoryview(order), memoryview(peaks)
     set_p2c = result.set_p2c
     visits, last = 0, -1
     while heap:

@@ -590,6 +590,14 @@ class PathSet:
         i = self._degrees[0].get(asn)
         return 0 if i is None else self._degrees[1][i]
 
+    def degree_columns(self):
+        """``(transit, node)`` degrees by dense id, as int64 arrays."""
+        _, transit, node, _, _ = self._degrees
+        return (
+            _np.array(transit, dtype=_np.int64),
+            _np.array(node, dtype=_np.int64),
+        )
+
     def transit_degrees(self) -> Dict[int, int]:
         """Transit degree for every AS in the corpus (0 for pure edges)."""
         return dict(zip(self.asn_index[0].tolist(), self._degrees[1]))

@@ -4,16 +4,33 @@ asrank.caida.org orders ASes by the size of their provider/peer
 observed customer cone, breaking ties by transit degree and then ASN.
 This module produces that ranking together with the per-AS metrics the
 paper's top-k tables report.
+
+The table is a handful of array passes over the result's dense index:
+one ``lexsort`` orders it, cone sizes come from the bitsets, degrees
+and neighbour counts from per-id columns, and the prefix and address
+sizes from one join of the ranked cones' ``(row, member)`` pairs with
+the members' ``(origin, prefix)`` pairs.  The per-AS loop it replaces
+lives on as the QA oracle
+:func:`repro.qa.oracles.reference_rank_ases`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence, Tuple
 
+import numpy as _np
+
+from repro import perf
 from repro.core.cone import CustomerCones
 from repro.core.inference import InferenceResult
+from repro.core.paths import sort_unique
+from repro.graph.bitset import BitsetFamily, unpack_bits
+from repro.graph.csr import gather_rows
+from repro.graph.index import DenseIndex
 from repro.net.prefix import Prefix
+
+_LOW64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -38,32 +55,225 @@ def rank_ases(
     limit: Optional[int] = None,
 ) -> List[ASRankEntry]:
     """Rank every observed AS by cone size (desc), transit degree, ASN."""
-    paths = result.paths
-    with_prefixes = cones.prefixes_by_asn is not None
-    order = sorted(
-        paths.asns(),
-        key=lambda asn: (
-            -cones.size_ases(asn),
-            -paths.transit_degree(asn),
-            asn,
-        ),
-    )
-    if limit is not None:
-        order = order[:limit]
-    entries: List[ASRankEntry] = []
-    for position, asn in enumerate(order, start=1):
-        entries.append(
-            ASRankEntry(
-                rank=position,
-                asn=asn,
-                cone_ases=cones.size_ases(asn),
-                cone_prefixes=cones.size_prefixes(asn) if with_prefixes else None,
-                cone_addresses=cones.size_addresses(asn) if with_prefixes else None,
-                transit_degree=paths.transit_degree(asn),
-                node_degree=paths.node_degree(asn),
-                num_customers=len(result.customers_of_asn(asn)),
-                num_peers=len(result.peers_of_asn(asn)),
-                num_providers=len(result.providers_of_asn(asn)),
-            )
+    return [ASRankEntry(*row) for row in rank_table(result, cones, limit)]
+
+
+def rank_table(
+    result: InferenceResult,
+    cones: CustomerCones,
+    limit: Optional[int] = None,
+) -> List[Tuple[Optional[int], ...]]:
+    """:func:`rank_ases`'s rows as plain tuples in
+    :class:`ASRankEntry` field order (what the snapshot packs)."""
+    with perf.stage("rank"):
+        paths = result.paths
+        asns = paths.asn_index[0]
+        bits = _index_bits(result, cones)
+        size = _np.fromiter(
+            (mask.bit_count() for mask in bits),
+            dtype=_np.int64,
+            count=len(bits),
         )
-    return entries
+        transit, node = paths.degree_columns()
+        order = _np.lexsort((asns, -transit, -size))[:limit]
+        customers, peers, providers = _neighbor_counts(result)
+        if cones.prefixes_by_asn is None:
+            prefixes = addresses = [None] * len(order)
+        else:
+            prefixes, addresses = cone_prefix_sizes(
+                result.index,
+                [bits[i] for i in order.tolist()],
+                cones.prefixes_by_asn,
+            )
+        return list(zip(
+            range(1, len(order) + 1),
+            asns[order].tolist(),
+            size[order].tolist(),
+            prefixes,
+            addresses,
+            transit[order].tolist(),
+            node[order].tolist(),
+            customers[order].tolist(),
+            peers[order].tolist(),
+            providers[order].tolist(),
+        ))
+
+
+def _index_bits(result: InferenceResult, cones: CustomerCones) -> List[int]:
+    """``cones`` as one bitset per id of ``result.index``: the computed
+    bitsets as they are, hand-built cone sets encoded."""
+    graph = cones.graph
+    if graph is not None and (
+        graph.index is result.index or graph.index.asns == result.index.asns
+    ):
+        return cones.bits
+    encode = BitsetFamily(result.index).encode
+    return [encode(cones.cone(asn)) for asn in result.index.asns]
+
+
+def _neighbor_counts(result: InferenceResult):
+    """Customers, peers and providers per dense id, from the labeled
+    links' states."""
+    n = len(result.index)
+    lo, hi, state = result.link_states()
+    peer = state == -1
+    p2c = state >= 0
+    lo_provides = state[p2c] == result.paths.asn_index[0][lo[p2c]]
+    provider = _np.where(lo_provides, lo[p2c], hi[p2c])
+    customer = _np.where(lo_provides, hi[p2c], lo[p2c])
+    return (
+        _np.bincount(provider, minlength=n),
+        _np.bincount(_np.concatenate((lo[peer], hi[peer])), minlength=n),
+        _np.bincount(customer, minlength=n),
+    )
+
+
+def _low_ones(bits):
+    """``2**bits - 1`` as uint64, for ``bits`` clipped to 0..64."""
+    bits = _np.clip(bits, 0, 64).astype(_np.uint64)
+    ones = _np.left_shift(_np.uint64(1), _np.minimum(bits, _np.uint64(63)))
+    ones -= _np.uint64(1)
+    ones[bits == 64] = _np.uint64(_LOW64)
+    return ones
+
+
+def _prefix_table(
+    index: DenseIndex, prefixes_by_asn: Mapping[int, Sequence[Prefix]]
+):
+    """The indexed origins' prefixes, numbered in span order.
+
+    Returns ``(origin, prefix, span_of, reach, size)``: the distinct
+    ``(origin id, prefix id)`` pairs ascending; each prefix id's span
+    id; and per span id the last span id starting inside it and its
+    address count.  A span is a prefix's address range on one integer
+    line for both families (an IPv4 prefix and an IPv6 one over the
+    same integers share a span, as in
+    :func:`~repro.net.prefix.summarize_address_space`), held as two
+    uint64 halves.  Span ids sort ``(first address, -size)``, and
+    aligned power-of-two ranges nest or are disjoint, so in one cone a
+    span is covered by another exactly when an earlier span's
+    ``reach`` is at least its id.
+    """
+    ids = index.ids
+    owners: List[int] = []
+    listed: List[Prefix] = []
+    for asn, prefixes in prefixes_by_asn.items():
+        i = ids.get(asn)
+        if i is not None:
+            owners.extend([i] * len(prefixes))
+            listed.extend(prefixes)
+    network = [prefix.network for prefix in listed]
+    family = _np.array([prefix._family for prefix in listed], dtype=_np.int64)
+    hi = _np.array([x >> 64 for x in network], dtype=_np.uint64)
+    lo = _np.array([x & _LOW64 for x in network], dtype=_np.uint64)
+    # log2 of the address count
+    bits = _np.where(family == 4, 32, 128) - _np.array(
+        [prefix.length for prefix in listed], dtype=_np.int64
+    )
+    order = _np.lexsort((family, -bits, lo, hi))
+    hi, lo, bits, family = hi[order], lo[order], bits[order], family[order]
+    new_span = _np.ones(len(order), dtype=bool)
+    new_span[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1]) | (
+        bits[1:] != bits[:-1]
+    )
+    new_prefix = new_span.copy()
+    new_prefix[1:] |= family[1:] != family[:-1]
+    prefix_of = _np.empty(len(order), dtype=_np.int64)
+    prefix_of[order] = _np.cumsum(new_prefix) - 1
+    span_of = (_np.cumsum(new_span) - 1)[new_prefix]
+    hi, lo, bits = hi[new_span], lo[new_span], bits[new_span]
+    # rank the spans' first and last addresses together, so that
+    # "starts inside" is a comparison of int64 ranks
+    n_spans = len(bits)
+    rank = _rank_pairs(
+        _np.concatenate((hi, hi | _low_ones(bits - 64))),
+        _np.concatenate((lo, lo | _low_ones(bits))),
+    )
+    reach = _np.searchsorted(rank[:n_spans], rank[n_spans:], "right") - 1
+    # exact sums: int64 while every address count fits well inside it
+    if n_spans and bits.max() >= 62:
+        size = _np.array([1 << b for b in bits.tolist()], dtype=object)
+    else:
+        size = _np.left_shift(1, bits)
+    n_prefixes = max(len(span_of), 1)
+    pairs = sort_unique(
+        _np.array(owners, dtype=_np.int64) * n_prefixes + prefix_of
+    )
+    return (
+        pairs // n_prefixes,
+        pairs % n_prefixes,
+        span_of,
+        reach,
+        size,
+    )
+
+
+def _rank_pairs(hi, lo):
+    """Dense ranks of the 128-bit values ``(hi << 64) | lo``."""
+    order = _np.lexsort((lo, hi))
+    hi, lo = hi[order], lo[order]
+    new = _np.ones(len(order), dtype=bool)
+    new[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+    rank = _np.empty(len(order), dtype=_np.int64)
+    rank[order] = _np.cumsum(new) - 1
+    return rank
+
+
+def cone_prefix_sizes(
+    index: DenseIndex,
+    masks: Sequence[int],
+    prefixes_by_asn: Mapping[int, Sequence[Prefix]],
+) -> Tuple[List[int], List[int]]:
+    """Distinct prefixes and distinct addresses originated inside each
+    cone of ``masks`` (bitsets over ``index``), as two lists.
+
+    Equal to ``len(set(...))`` and
+    :func:`~repro.net.prefix.summarize_address_space` over each cone's
+    members' prefixes: MOAS and duplicate prefixes count once, and a
+    prefix covered by another prefix in the same cone adds no
+    addresses.
+    """
+    rows = len(masks)
+    origin, prefix, span_of, reach, size = _prefix_table(
+        index, prefixes_by_asn
+    )
+    if not len(origin):
+        return [0] * rows, [0] * rows
+    n = len(index)
+    # (row, member) pairs: a one-member cone (most ASes' cone is the AS
+    # alone) without unpacking, the rest a block of rows at a time
+    single = _np.fromiter(
+        (mask.bit_length() - 1 if not mask & (mask - 1) else -1
+         for mask in masks),
+        dtype=_np.int64,
+        count=rows,
+    )
+    multi = _np.flatnonzero(single < 0)
+    k, members = unpack_bits([masks[r] for r in multi.tolist()], n)
+    one = _np.flatnonzero(single >= 0)
+    row = _np.concatenate((one, multi[k]))
+    member = _np.concatenate((single[one], members))
+    # join with the members' (origin, prefix) pairs, then keep each
+    # row's distinct prefixes, ascending in span order
+    start = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(_np.bincount(origin, minlength=n), out=start[1:])
+    counts = start[member + 1] - start[member]
+    n_prefixes = len(span_of)
+    keys = sort_unique(
+        _np.repeat(row, counts) * n_prefixes
+        + gather_rows(prefix, start[member], counts)[0]
+    )
+    row, span = keys // n_prefixes, span_of[keys % n_prefixes]
+    prefixes = _np.bincount(row, minlength=rows)
+    # each row's distinct spans; one adds its addresses unless an
+    # earlier span of the row reaches over it
+    first = _np.ones(len(keys), dtype=bool)
+    first[1:] = (row[1:] != row[:-1]) | (span[1:] != span[:-1])
+    row, span = row[first], span[first]
+    n_spans = len(reach)
+    covered = _np.zeros(len(row), dtype=bool)
+    reached = _np.maximum.accumulate(row * n_spans + reach[span])
+    covered[1:] = reached[:-1] >= row[1:] * n_spans + span[1:]
+    addresses = _np.zeros(rows, dtype=size.dtype)
+    _np.add.at(addresses, row[~covered], size[span[~covered]])
+    return prefixes.tolist(), addresses.tolist()

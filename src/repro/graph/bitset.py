@@ -6,8 +6,10 @@ union/intersection single C-level ops and membership a shift-and-mask,
 which is why cones, snapshots and the inference cycle check all speak
 this encoding.  :class:`BitsetFamily` binds the encoding to one
 :class:`~repro.graph.index.DenseIndex` so conversions to and from ASN
-sets stay consistent; the two closure helpers below are the *only*
-transitive-closure implementations in the repository:
+sets stay consistent, and :func:`pack_bits` / :func:`unpack_bits`
+convert between one bitset per id and numpy ``(id, member)`` pair
+arrays a block of rows at a time.  The two closure helpers below are
+the *only* transitive-closure implementations in the repository:
 
 * :func:`closure_bits` — the batch form: full closure of a DAG given
   per-id children lists (recursive cones, file-built snapshots);
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Set
 
+import numpy as _np
+
 from repro.graph.index import DenseIndex
 
 
@@ -31,6 +35,78 @@ def decode_bits(bits: int, asns: Sequence[int]) -> Set[int]:
         out.add(asns[low.bit_length() - 1])
         bits ^= low
     return out
+
+
+#: packed bytes per row block of :func:`pack_bits` / :func:`unpack_bits`
+_BLOCK_BYTES = 1 << 22
+
+
+def pack_bits(n: int, upper, member) -> List[int]:
+    """One bitset per dense id ``i < n``: bit ``i`` plus bit
+    ``member[k]`` for every ``upper[k] == i`` (int64 id arrays; pairs
+    may repeat).
+
+    The pairs are ORed straight into little-endian packed rows, a block
+    of rows at a time, and each row becomes an int with one
+    ``int.from_bytes``: extra memory is the pairs plus one block, never
+    an ``n`` by ``n`` matrix.
+    """
+    width = max(1, (n + 7) // 8)
+    step = max(1, _BLOCK_BYTES // width)
+    bits: List[int] = []
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        if r1 - r0 < n:
+            keep = (upper >= r0) & (upper < r1)
+            u, m = upper[keep], member[keep]
+        else:
+            u, m = upper, member
+        block = _np.zeros((r1 - r0) * width, dtype=_np.uint8)
+        own = _np.arange(r0, r1)
+        for rows, members in ((u, m), (own, own)):
+            at = rows - r0
+            at *= width
+            at += members >> 3
+            _np.bitwise_or.at(
+                block, at,
+                _np.left_shift(_np.uint8(1), (members & 7).astype(_np.uint8)),
+            )
+        view = memoryview(block)
+        bits.extend(
+            int.from_bytes(view[k:k + width], "little")
+            for k in range(0, len(block), width)
+        )
+    return bits
+
+
+def unpack_bits(masks: Sequence[int], n: int):
+    """The set bits of ``masks`` (bitsets over ids ``< n``) as int64
+    ``(row, member)`` arrays, row by row and ascending within a row.
+
+    The inverse of :func:`pack_bits`, also a block of packed rows at a
+    time; only the nonzero bytes are unpacked, so extra memory is the
+    pairs plus one block.
+    """
+    width = max(1, (n + 7) // 8)
+    step = max(1, _BLOCK_BYTES // width)
+    rows, members = [], []
+    for r0 in range(0, len(masks), step):
+        block = _np.frombuffer(
+            b"".join(
+                mask.to_bytes(width, "little") for mask in masks[r0:r0 + step]
+            ),
+            dtype=_np.uint8,
+        )
+        at = _np.flatnonzero(block)
+        k, bit = _np.nonzero(
+            _np.unpackbits(block[at, None], axis=1, bitorder="little")
+        )
+        at = at[k]
+        rows.append(at // width + r0)
+        members.append(at % width * 8 + bit)
+    if not rows:
+        return _np.zeros(0, dtype=_np.int64), _np.zeros(0, dtype=_np.int64)
+    return _np.concatenate(rows), _np.concatenate(members)
 
 
 class BitsetFamily:

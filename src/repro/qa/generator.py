@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.bgp.collector import Collector, CollectorConfig, PathCorpus
 from repro.bgp.noise import NoiseConfig
@@ -57,6 +58,26 @@ class QaWorld:
     graph: ASGraph
     corpus: PathCorpus
     paths: PathSet
+
+    def prefixes_by_asn(self) -> Dict[int, List]:
+        """Origin ASN -> the IPv4 then IPv6 prefixes it originates, plus
+        the overlaps real tables carry: each origin's first prefix again
+        as its first more-specific half (nested) and from the next
+        origin in ASN order (MOAS), which the allocation alone never
+        gives."""
+        by_asn: Dict[int, List] = {}
+        for origins in (
+            self.graph.prefix_origins(), self.graph.prefix6_origins()
+        ):
+            for prefix, asn in origins.items():
+                by_asn.setdefault(asn, []).append(prefix)
+        asns = sorted(by_asn)
+        for asn, after in zip(asns, asns[1:] + asns[:1]):
+            first = by_asn[asn][0]
+            if first.num_addresses > 1:
+                by_asn[asn].append(next(first.subnets(first.length + 1)))
+            by_asn[after].append(first)
+        return by_asn
 
 
 def world_spec(seed: int) -> WorldSpec:

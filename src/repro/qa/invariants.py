@@ -17,15 +17,26 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.core.cone import ConeDefinition, compute_cones
+from repro.core.cone import ConeDefinition, CustomerCones, compute_cones
 from repro.core.inference import (
     InferenceConfig,
     InferenceResult,
     infer_relationships,
 )
 from repro.core.paths import PathSet
+from repro.core.rank import rank_ases
 from repro.datasets.serialization import (
     load_as_rel,
     load_paths,
@@ -41,6 +52,7 @@ from repro.qa.oracles import (
     propagate_origin,
     reference_degrees,
     reference_infer_relationships,
+    reference_rank_ases,
     reference_ranked_asns,
     reference_sanitize,
 )
@@ -181,12 +193,14 @@ def check_differential(
     ixp_asns: FrozenSet[int],
     world: str,
     config: InferenceConfig = InferenceConfig(),
+    prefixes_by_asn: Optional[Mapping[int, Sequence[object]]] = None,
 ) -> Tuple[List[Violation], InferenceResult]:
     """The production engine and the reference oracle
     (:func:`~repro.qa.oracles.reference_infer_relationships`, cones by
     the ``reference_*_cones`` oracles, stage 1 by
-    :func:`~repro.qa.oracles.reference_sanitize`) must agree bit for
-    bit.
+    :func:`~repro.qa.oracles.reference_sanitize`, the rank table by
+    :func:`~repro.qa.oracles.reference_rank_ases` with
+    ``prefixes_by_asn`` attached) must agree bit for bit.
 
     Returns the violations plus the production result so downstream
     families can reuse it without re-running inference.
@@ -270,6 +284,29 @@ def check_differential(
                     f"{len(diff)} cones differ, e.g. AS{sorted(diff)[:3]}",
                 )
             )
+    ppdc = ConeDefinition.PROVIDER_PEER_OBSERVED
+    got = rank_ases(
+        fast, CustomerCones.compute(fast, ppdc, prefixes_by_asn)
+    )
+    want = reference_rank_ases(
+        ref,
+        CustomerCones(ppdc, cones=ref_cones[ppdc.value],
+                      prefixes_by_asn=prefixes_by_asn),
+    )
+    if got != want:
+        at = next(
+            (i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+            min(len(got), len(want)),
+        )
+        violations.append(
+            Violation(
+                "differential/rank",
+                world,
+                f"{len(got)} vs {len(want)} rows, first difference at "
+                f"row {at + 1}: {got[at] if at < len(got) else None} vs "
+                f"{want[at] if at < len(want) else None}",
+            )
+        )
     return violations, fast
 
 

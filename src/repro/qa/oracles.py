@@ -21,6 +21,10 @@ parameter or environment variable selects it.
   the result's corpus link index;
 * ``reference_*_cones`` — the three cone definitions over plain ASN
   sets;
+* :func:`reference_rank_ases` — the rank table one AS at a time, each
+  cone's prefixes gathered into a set and its addresses summed by
+  :func:`~repro.net.prefix.summarize_address_space` (QA family 1's
+  ``differential/rank``);
 * :func:`propagate_origin` — the one-origin-at-a-time Gao–Rexford
   sweeps;
 * :class:`ReferenceCollector` — serial collection that propagates
@@ -62,7 +66,7 @@ from repro.bgp.propagation import (
     RouteState,
     _leak_pass,
 )
-from repro.core.cone import ConeDefinition
+from repro.core.cone import ConeDefinition, CustomerCones
 from repro.core.inference import (
     InferenceConfig,
     InferenceResult,
@@ -70,6 +74,7 @@ from repro.core.inference import (
     _Engine,
 )
 from repro.core.paths import PathSet, SanitizeStats, is_reserved_asn
+from repro.core.rank import ASRankEntry
 from repro.net.prefix import Prefix
 from repro.relationships import Relationship
 from repro.topology.model import ASGraph
@@ -455,6 +460,53 @@ REFERENCE_CONES: Dict[
     ConeDefinition.BGP_OBSERVED: reference_bgp_observed_cones,
     ConeDefinition.PROVIDER_PEER_OBSERVED: reference_ppdc_cones,
 }
+
+
+# ---------------------------------------------------------------------------
+# rank
+# ---------------------------------------------------------------------------
+
+
+def reference_rank_ases(
+    result: InferenceResult,
+    cones: CustomerCones,
+    limit: Optional[int] = None,
+) -> List[ASRankEntry]:
+    """Rank every observed AS by cone size (desc), transit degree, ASN,
+    one AS at a time through the :class:`CustomerCones` queries."""
+    paths = result.paths
+    with_prefixes = cones.prefixes_by_asn is not None
+    order = sorted(
+        paths.asns(),
+        key=lambda asn: (
+            -cones.size_ases(asn),
+            -paths.transit_degree(asn),
+            asn,
+        ),
+    )
+    if limit is not None:
+        order = order[:limit]
+    entries: List[ASRankEntry] = []
+    for position, asn in enumerate(order, start=1):
+        entries.append(
+            ASRankEntry(
+                rank=position,
+                asn=asn,
+                cone_ases=cones.size_ases(asn),
+                cone_prefixes=(
+                    cones.size_prefixes(asn) if with_prefixes else None
+                ),
+                cone_addresses=(
+                    cones.size_addresses(asn) if with_prefixes else None
+                ),
+                transit_degree=paths.transit_degree(asn),
+                node_degree=paths.node_degree(asn),
+                num_customers=len(result.customers_of_asn(asn)),
+                num_peers=len(result.peers_of_asn(asn)),
+                num_providers=len(result.providers_of_asn(asn)),
+            )
+        )
+    return entries
 
 
 # ---------------------------------------------------------------------------

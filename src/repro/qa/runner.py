@@ -13,7 +13,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro import perf
 from repro.datasets.serialization import load_paths, save_paths
@@ -85,10 +85,15 @@ class QaReport:
 
 
 def _corpus_violations(
-    raw_paths: List[Path], ixp_asns: FrozenSet[int], world: str
+    raw_paths: List[Path],
+    ixp_asns: FrozenSet[int],
+    world: str,
+    prefixes_by_asn: Optional[Dict[int, List]] = None,
 ) -> List[Violation]:
     """Families 1–3 from a raw corpus (the shrink predicate's view)."""
-    violations, fast = check_differential(raw_paths, ixp_asns, world)
+    violations, fast = check_differential(
+        raw_paths, ixp_asns, world, prefixes_by_asn=prefixes_by_asn
+    )
     hierarchy = check_hierarchy(fast, world)
     violations.extend(hierarchy)
     if not any(v.invariant == "hierarchy/p2c-cycle" for v in hierarchy):
@@ -119,8 +124,12 @@ def _shrink_and_save(
     first = violations[0]
     ixp_asns = world.graph.ixp_asns()
 
+    prefixes = world.prefixes_by_asn()
+
     def still_fails(candidate: List[Path]) -> bool:
-        found = _corpus_violations(candidate, ixp_asns, world.spec.label)
+        found = _corpus_violations(
+            candidate, ixp_asns, world.spec.label, prefixes
+        )
         return any(v.invariant == first.invariant for v in found)
 
     corpus_paths = [tuple(p) for p in world.corpus.paths]
@@ -176,6 +185,7 @@ def run_qa(
                         list(world.corpus.paths),
                         world.graph.ixp_asns(),
                         label,
+                        world.prefixes_by_asn(),
                     )
                 report.checks += 3
                 world_violations.extend(corpus_violations)

@@ -37,8 +37,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as _np
 
+from repro import perf
 from repro.core.cone import ConeDefinition
-from repro.core.rank import ASRankEntry
+from repro.core.rank import ASRankEntry, rank_table
 from repro.datasets.serialization import DatasetFormatError
 from repro.graph import DenseIndex, closure_bits, decode_bits
 from repro.relationships import Relationship
@@ -225,54 +226,71 @@ class Snapshot:
         to the facade's by construction.  The facade's shared
         :class:`~repro.graph.relgraph.RelGraph` supplies the dense index
         and the cone bitsets directly — no re-indexing, no re-encoding.
+        The rank table is timed under ``asrank/rank``, the rest under
+        ``snapshot-build`` (the content hash under its ``version``).
         """
         result = asrank.result
         graph = asrank.rel_graph()
-        ids = graph.index.ids
+        cones = {
+            definition: asrank.cones(definition)
+            for definition in ConeDefinition
+        }
+        ppdc = cones[ConeDefinition.PROVIDER_PEER_OBSERVED]
+        with perf.stage("asrank"):
+            ranks = rank_table(result, ppdc)
 
-        link_rows: List[Tuple[int, int, int, int]] = []
-        for rel in result:
-            flag = _NO_PROVIDER
-            if rel.provider == rel.a:
-                flag = _PROVIDER_A
-            elif rel.provider == rel.b:
-                flag = _PROVIDER_B
-            link_rows.append(
-                (ids[rel.a], ids[rel.b], int(rel.relationship), flag)
+        with perf.stage("snapshot-build"):
+            # the link rows straight off the result's label columns:
+            # ascending (a_id, b_id), as-rel code, provider flag
+            lo, hi, state = result.link_states()
+            asns = result.paths.asn_index[0]
+            p2c = state >= 0
+            code = _np.where(
+                p2c, int(Relationship.P2C),
+                _np.where(state == -1, int(Relationship.P2P),
+                          int(Relationship.S2S)),
             )
-        link_rows.sort()
+            flag = _np.where(
+                p2c & (state == asns[lo]), _PROVIDER_A,
+                _np.where(p2c & (state == asns[hi]), _PROVIDER_B,
+                          _NO_PROVIDER),
+            )
+            snapshot = cls(
+                index=graph.index,
+                meta={
+                    "source": source,
+                    "clique": list(asrank.clique),
+                    "definitions": sorted(
+                        definition.value for definition in ConeDefinition
+                    ),
+                },
+                stats={},
+            )
+            snapshot._attach_links(list(zip(
+                lo.tolist(), hi.tolist(), code.tolist(), flag.tolist()
+            )))
 
-        snapshot = cls(
-            index=graph.index,
-            meta={
-                "source": source,
-                "clique": list(asrank.clique),
-                "definitions": sorted(
-                    definition.value for definition in ConeDefinition
-                ),
-            },
-            stats={},
-        )
-        snapshot._attach_links(link_rows)
+            for definition, defined in cones.items():
+                if defined.graph is graph and defined.bits is not None:
+                    # same id space: adopt the bitsets without expanding
+                    bits = defined.bits
+                else:
+                    encode = graph.family.encode
+                    bits = [
+                        encode(defined.cones.get(asn, (asn,)))
+                        for asn in graph.index.asns
+                    ]
+                snapshot._cones[definition.value] = bits
 
-        for definition in ConeDefinition:
-            cones = asrank.cones(definition)
-            if cones.graph is graph and cones.bits is not None:
-                # same id space: adopt the bitsets without expanding
-                bits = cones.bits
-            else:
-                encode = graph.family.encode
-                bits = [
-                    encode(cones.cones.get(asn, (asn,)))
-                    for asn in graph.index.asns
-                ]
-            snapshot._cones[definition.value] = bits
-
-        snapshot._attach_ranks(
-            [_rank_entry_to_row(entry) for entry in asrank.rank()]
-        )
-        snapshot.stats = snapshot._summary_stats()
-        snapshot.version = snapshot.content_version()
+            if ppdc.prefixes_by_asn is None:
+                # no prefix data: the packed table's -1
+                ranks = [row[:3] + (-1, -1) + row[5:] for row in ranks]
+            snapshot._attach_ranks(ranks)
+            snapshot.stats = snapshot._summary_stats(
+                code, [row[2] for row in ranks]
+            )
+            with perf.stage("version"):
+                snapshot.version = snapshot.content_version()
         return snapshot
 
     @classmethod
@@ -378,7 +396,9 @@ class Snapshot:
             for position, i in enumerate(order, start=1)
         ]
         snapshot._attach_ranks(rank_rows)
-        snapshot.stats = snapshot._summary_stats()
+        snapshot.stats = snapshot._summary_stats(
+            [row[2] for row in link_rows], [row[2] for row in rank_rows]
+        )
         snapshot.version = snapshot.content_version()
         return snapshot
 
@@ -478,23 +498,26 @@ class Snapshot:
                 peers[b_id] += 1
         return customers, peers, providers
 
-    def _summary_stats(self) -> Dict[str, object]:
-        links = self._links_as_tuples()
-        counts: Dict[str, int] = {}
-        for _a, _b, code, _f in links:
-            label = Relationship(code).label
-            counts[label] = counts.get(label, 0) + 1
-        sizes = sorted(
-            (row[2] for row in self._ranks()), reverse=True
+    def _summary_stats(self, codes, sizes) -> Dict[str, object]:
+        """Stats over each link row's as-rel code and each rank row's
+        cone size (labels in order of first appearance)."""
+        labels, first, counts = _np.unique(
+            _np.asarray(codes, dtype=_np.int64),
+            return_index=True,
+            return_counts=True,
         )
+        sizes = _np.sort(_np.asarray(sizes, dtype=_np.int64))[::-1]
         return {
             "n_ases": len(self.asns),
-            "n_links": len(links),
-            "links_by_relationship": counts,
+            "n_links": len(codes),
+            "links_by_relationship": {
+                Relationship(int(labels[k])).label: int(counts[k])
+                for k in _np.argsort(first).tolist()
+            },
             "cone_sizes": {
-                "max": sizes[0] if sizes else 0,
-                "median": sizes[len(sizes) // 2] if sizes else 0,
-                "mean": (sum(sizes) / len(sizes)) if sizes else 0.0,
+                "max": int(sizes[0]) if len(sizes) else 0,
+                "median": int(sizes[len(sizes) // 2]) if len(sizes) else 0,
+                "mean": (int(sizes.sum()) / len(sizes)) if len(sizes) else 0.0,
             },
         }
 
@@ -776,21 +799,6 @@ def _decode_cones(blob: bytes, n: int) -> List[int]:
     if offset != len(blob):
         raise SnapshotFormatError("cones section has trailing bytes")
     return bits
-
-
-def _rank_entry_to_row(entry: ASRankEntry) -> Tuple[int, ...]:
-    return (
-        entry.rank,
-        entry.asn,
-        entry.cone_ases,
-        -1 if entry.cone_prefixes is None else entry.cone_prefixes,
-        -1 if entry.cone_addresses is None else entry.cone_addresses,
-        entry.transit_degree,
-        entry.node_degree,
-        entry.num_customers,
-        entry.num_peers,
-        entry.num_providers,
-    )
 
 
 def _row_to_rank_entry(row: Tuple[int, ...]) -> ASRankEntry:

@@ -83,6 +83,7 @@ class TestPeakOrder:
         paths, rank = corpus
         pathset, result = _indexed(paths)
         order, peaks = _peak_order(result, pathset, rank)
+        order, peaks = order.tolist(), peaks.tolist()
         want_order, want_peaks = _tuple_sort_order(pathset.paths, rank)
         assert order == want_order
         assert {pi: peaks[pi] for pi in order} == want_peaks
@@ -94,6 +95,7 @@ class TestPeakOrder:
         rank = {2: 0, 3: 1, 6: 2}
         pathset, result = _indexed(paths)
         order, peaks = _peak_order(result, pathset, rank)
+        order, peaks = order.tolist(), peaks.tolist()
         assert [pathset.paths[pi] for pi in order] == [
             (2, 3), (2, 5), (2, 5, 6), (3, 2), (5, 6), (6, 5), (5,),
         ]

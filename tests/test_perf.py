@@ -182,6 +182,37 @@ class TestPipelineWiring:
             assert f"asrank/ingest/{stage}" in flat, flat
         assert flat["asrank/ingest"] >= flat["asrank/ingest/decode"]
 
+    def test_full_publish_stages_cover_the_build(self):
+        """A full stream publish's build shows as asrank/rank plus
+        snapshot-build (with its content hash under version)."""
+        from repro.bgp.collector import Collector, CollectorConfig
+        from repro.mrt.reader import RibRecord
+        from repro.stream import StreamIngestor
+        from repro.topology.generator import (
+            GeneratorConfig,
+            generate_topology,
+        )
+
+        graph = generate_topology(GeneratorConfig(n_ases=80, seed=5))
+        corpus = Collector(graph, CollectorConfig(n_vps=5, seed=5)).run()
+        rows = [
+            RibRecord(prefix=entry.prefix, peer_asn=entry.vp,
+                      as_path=tuple(entry.path), communities=())
+            for entry in corpus.rib
+        ]
+        ingestor = StreamIngestor(ixp_asns=graph.ixp_asns(), base_rows=rows)
+        rec = perf.PerfRecorder()
+        with perf.use_recorder(rec):
+            ingestor.publish()
+        flat = rec.flat()
+        for stage in ("asrank/infer", "asrank/cones", "asrank/rank",
+                      "snapshot-build", "snapshot-build/version"):
+            assert stage in flat, flat
+        assert flat["snapshot-build"] >= flat["snapshot-build/version"]
+        # both stages run inside the build the ingestor times
+        build = ingestor.stats.last_build_seconds
+        assert flat["asrank/rank"] + flat["snapshot-build"] <= build
+
 
 class TestThreadSafety:
     def test_concurrent_counters_sum_exactly(self):
