@@ -15,14 +15,21 @@ hierarchy and infers it from the path data itself:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 import numpy as _np
 
-from repro.core.paths import PathSet, in_one_path
+from repro.core.paths import PathSet, count_unique, in_one_path
 
-#: ``mid -> [(left, right, multiplicity), ...]`` over the corpus's hops
-TripleIndex = Dict[int, List[Tuple[int, int, int]]]
+
+class Triples(NamedTuple):
+    """The corpus's distinct ``(left, mid, right)`` hops as dense-id
+    columns, with how many paths carry each."""
+
+    mid: object
+    left: object
+    right: object
+    count: object
 
 
 @dataclass
@@ -71,7 +78,14 @@ def bron_kerbosch(
     return cliques
 
 
-def _index_triples(paths: PathSet, mids: Iterable[int]) -> TripleIndex:
+def member_ids(paths: PathSet, asns: Iterable[int]):
+    """The dense ids of ``asns`` (each an AS of the corpus)."""
+    return _np.searchsorted(
+        paths.asn_index[0], _np.fromiter(asns, dtype=_np.int64)
+    )
+
+
+def _index_triples(paths: PathSet, mids: Iterable[int]) -> Triples:
     """Index the corpus's ``(left, mid, right)`` hops by middle AS.
 
     Every evidence query below filters on ``mid in clique``, and the
@@ -81,63 +95,54 @@ def _index_triples(paths: PathSet, mids: Iterable[int]) -> TripleIndex:
     """
     asns, ids = paths.asn_index
     n = max(len(asns), 1)
-    wanted = _np.isin(asns, list(mids))
+    wanted = _np.zeros(len(asns), dtype=bool)
+    wanted[member_ids(paths, mids)] = True
     # window i is (flat[i], flat[i + 1], flat[i + 2]): keep the ones
     # inside one path whose middle is wanted, as one int64 key of dense
     # ids (the middle as its rank among the wanted; ``len(mids) * n**2``
     # stays far below 2**63 for any corpus that fits in memory)
     at = _np.flatnonzero(in_one_path(paths.off, 3) & wanted[ids[1:-1]])
     keys = (_np.cumsum(wanted) - 1)[ids[at + 1]] * n + ids[at]
-    triples, counts = _np.unique(keys * n + ids[at + 2], return_counts=True)
+    triples, counts = count_unique(keys * n + ids[at + 2])
     middle, pair = _np.divmod(triples, n * n)
-    by_mid: TripleIndex = {}
-    for mid, left, right, count in zip(
-        asns[_np.flatnonzero(wanted)[middle]].tolist(),
-        asns[pair // n].tolist(),
-        asns[pair % n].tolist(),
-        counts.tolist(),
-    ):
-        by_mid.setdefault(mid, []).append((left, right, count))
-    return by_mid
+    left, right = _np.divmod(pair, n)
+    return Triples(_np.flatnonzero(wanted)[middle], left, right, counts)
 
 
-def _customer_evidence(by_mid: TripleIndex, clique: Set[int]) -> Dict[int, int]:
-    """Count, per AS, path evidence that it is a *customer* of a clique
-    member rather than a peer.
+def _customer_evidence(triples: Triples, member):
+    """Count, per dense id, path evidence that the AS is a *customer*
+    of a clique member rather than a peer (``member`` is the clique's
+    mask over dense ids).
 
     The pattern ``[x, y, cand]`` (or its mirror) with ``x`` and ``y``
     both clique members proves ``y`` exported cand's route to its peer
     ``x`` — only customer routes are exported to peers, so cand buys
     transit from ``y``.  A true clique member can never appear in this
     pattern: it would require a route to cross two peer links in a row.
-
-    ``by_mid`` is the :func:`_index_triples` index; counts are sums
-    over an order-independent filter, so indexed iteration returns
-    exactly what a full scan would.
     """
-    evidence: Dict[int, int] = {}
-    for mid in clique:
-        for left, right, n in by_mid.get(mid, ()):
-            if left in clique and right not in clique:
-                evidence[right] = evidence.get(right, 0) + n
-            elif right in clique and left not in clique:
-                evidence[left] = evidence.get(left, 0) + n
-    return evidence
+    mid, left, right, count = triples
+    on_left = member[left]
+    hit = member[mid] & (on_left != member[right])
+    return _np.bincount(
+        _np.where(on_left[hit], right[hit], left[hit]),
+        weights=count[hit],
+        minlength=len(member),
+    )
 
 
-def _prune_customers(clique: Set[int], by_mid: TripleIndex) -> Set[int]:
+def _prune_customers(member, triples: Triples):
     """Iteratively drop clique members that the path data shows buying
     transit from other members (multihomed-to-the-whole-clique transit
-    networks survive Bron–Kerbosch but fail this test)."""
-    clique = set(clique)
-    while len(clique) > 2:
-        evidence = _customer_evidence(by_mid, clique)
-        guilty = {m: n for m, n in evidence.items() if m in clique}
-        if not guilty:
+    networks survive Bron–Kerbosch but fail this test).  ``member`` is
+    the clique's mask over dense ids; returns the pruned mask."""
+    member = member.copy()
+    while member.sum() > 2:
+        guilty = _customer_evidence(triples, member) * member
+        if not guilty.any():
             break
-        worst = max(sorted(guilty), key=lambda m: guilty[m])
-        clique.discard(worst)
-    return clique
+        # the most evidence, the lowest ASN among ties
+        member[guilty.argmax()] = False
+    return member
 
 
 def infer_clique(
@@ -168,9 +173,12 @@ def infer_clique(
         )
 
     # the walk below considers at most ``max_walk`` ASes past the seeds
-    by_mid = _index_triples(paths, ranking[: seed_size + max_walk])
+    triples = _index_triples(paths, ranking[: seed_size + max_walk])
     best = max(cliques, key=clique_weight)
-    clique: Set[int] = _prune_customers(set(best), by_mid)
+    member = _np.zeros(len(paths.asn_index[0]), dtype=bool)
+    member[member_ids(paths, best)] = True
+    member = _prune_customers(member, triples)
+    clique: Set[int] = set(paths.asn_index[0][member].tolist())
 
     added: List[int] = []
     failures = 0
@@ -182,13 +190,17 @@ def infer_clique(
         if (
             clique.issubset(paths.neighbors(asn))
             and paths.transit_degree(asn) > 0  # a tier-1 transits, always
-            and _customer_evidence(by_mid, clique | {asn}).get(asn, 0) == 0
         ):
-            clique.add(asn)
-            added.append(asn)
-            failures = 0
-        else:
-            failures += 1
+            i = member_ids(paths, (asn,))[0]
+            trial = member.copy()
+            trial[i] = True
+            if not _customer_evidence(triples, trial)[i]:
+                clique.add(asn)
+                member = trial
+                added.append(asn)
+                failures = 0
+                continue
+        failures += 1
 
     return CliqueResult(
         members=sorted(clique),

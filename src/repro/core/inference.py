@@ -39,12 +39,12 @@ import enum
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as _np
 
 from repro import perf
-from repro.core.clique import CliqueResult, infer_clique
+from repro.core.clique import CliqueResult, infer_clique, member_ids
 from repro.core.paths import PathSet, sort_unique
 from repro.graph.bitset import ClosureBitsets
 from repro.graph.index import DenseIndex
@@ -418,6 +418,13 @@ class _Engine:
         self.config = config
         self.raw_paths = paths
 
+    def _clique(self, paths: PathSet, config: InferenceConfig) -> CliqueResult:
+        return infer_clique(
+            paths,
+            seed_size=config.clique_seed_size,
+            stop_after=config.clique_stop_after,
+        )
+
     def _partial_vp(
         self, result: InferenceResult, paths: PathSet, config: InferenceConfig
     ) -> None:
@@ -435,20 +442,18 @@ class _Engine:
         config = self.config
         with perf.stage("clique"):
             clique = (
-                infer_clique(
-                    self.raw_paths,
-                    seed_size=config.clique_seed_size,
-                    stop_after=config.clique_stop_after,
-                )
+                self._clique(self.raw_paths, config)
                 if config.enable_clique
                 else CliqueResult(members=[], seed_members=[], added_members=[])
             )
+            perf.counter("considered", clique.considered)
 
         paths = self.raw_paths
         discarded = 0
         if config.enable_poisoned_filter and clique.members:
             with perf.stage("filter-poisoned"):
-                paths, discarded = _discard_poisoned(paths, clique.member_set)
+                paths, discarded = _discard_poisoned(paths, clique.members)
+                perf.counter("discarded", discarded)
 
         with perf.stage("index"):
             result = self.result_type(
@@ -515,7 +520,7 @@ def infer_relationships(
 
 
 def _discard_poisoned(
-    paths: PathSet, clique: Set[int]
+    paths: PathSet, clique: Iterable[int]
 ) -> Tuple[PathSet, int]:
     """Drop paths that traverse the clique illegally (S4).
 
@@ -523,9 +528,11 @@ def _discard_poisoned(
     once, so clique members must appear as one contiguous run of length
     ≤ 2.  Anything else is a poisoned announcement or a route leak.
     """
-    flat, plen, off = paths.numpy_view()
-    member = _np.isin(flat, _np.fromiter(clique, dtype=_np.int64,
-                                         count=len(clique)))
+    asns, ids = paths.asn_index
+    off = paths.off
+    member = _np.zeros(len(asns), dtype=bool)
+    member[member_ids(paths, clique)] = True
+    member = member[ids]
     counts = _np.add.reduceat(member, off[:-1])
     bad = counts > 2
     twos = _np.flatnonzero(counts == 2)

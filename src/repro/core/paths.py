@@ -341,6 +341,34 @@ def sort_unique(values, return_inverse: bool = False):
     return ordered[first], inverse, order
 
 
+def count_unique(values):
+    """``(unique, counts)``: the sorted distinct ``values`` (1-d
+    integers) and how often each occurs, from one sort."""
+    ordered = _np.sort(values)
+    first = _np.ones(len(ordered), dtype=bool)
+    _np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    at = _np.flatnonzero(first)
+    return ordered[at], _np.diff(at, append=len(ordered))
+
+
+def _survivors(values, n: int):
+    """Which of the ids ``0 .. n - 1`` occur in ``values``, and each
+    one's id once the others are dropped (a ``cumsum`` of that mask),
+    as ``(alive, new_id)``; ``None`` when every id occurs."""
+    alive = _np.bincount(values, minlength=n).astype(bool)
+    if alive.all():
+        return None
+    return alive, _np.cumsum(alive) - 1
+
+
+def _transit_pairs(ids, off, n: int):
+    """Every interior hop's two ``(mid, neighbour)`` pairs of dense ids,
+    packed ``mid * n + neighbour``, for the paths ``(ids, off)``."""
+    inner = in_one_path(off, 3)
+    mid = ids[1:-1][inner] * n
+    return _np.concatenate((mid + ids[:-2][inner], mid + ids[2:][inner]))
+
+
 def in_one_path(off, width: int):
     """Mask over the windows ``flat[i:i + width]`` that lie inside one
     path of the corpus with path offsets ``off``."""
@@ -373,6 +401,11 @@ class PathSet:
     and ``counts`` are tuple views built on first use.  A PathSet is
     immutable, so views and scans are computed once and cached
     (callers treat what they get as read-only).
+
+    A root corpus indexes itself by sorts over its hops; a
+    :meth:`filtered` copy keeps its parent referenced and derives its
+    ``asn_index``, ``link_index`` and degrees from the parent's by
+    masking and compaction, equal to what the sorts would give.
     """
 
     def __init__(
@@ -402,6 +435,8 @@ class PathSet:
         self.flat, self.plen, self.off = flat, plen, off
         self.path_counts = path_counts
         self.stats = stats
+        #: ``(parent, row mask, hop mask)`` of a :meth:`filtered` copy
+        self._parent = None
         self._asns: Optional[Set[int]] = None
         self._links: Optional[Set[Tuple[int, int]]] = None
         self._ranked: Optional[List[int]] = None
@@ -462,15 +497,18 @@ class PathSet:
 
     def filtered(self, keep) -> "PathSet":
         """A new PathSet of the paths where the row mask ``keep`` is
-        true (shares the stats object)."""
+        true (shares the stats object).  It keeps this corpus
+        referenced, to index itself from this corpus's indexes."""
         keep = _np.asarray(keep, dtype=bool)
+        hops = _np.repeat(keep, self.plen)
         plen = self.plen[keep]
         off = _np.zeros(len(plen) + 1, dtype=_np.int64)
         _np.cumsum(plen, out=off[1:])
-        return PathSet._from_columns(
-            self.flat[_np.repeat(keep, self.plen)], plen, off,
-            self.path_counts[keep], self.stats,
+        out = PathSet._from_columns(
+            self.flat[hops], plen, off, self.path_counts[keep], self.stats
         )
+        out._parent = (self, keep, hops)
+        return out
 
     # ------------------------------------------------------------------
     # views
@@ -503,13 +541,34 @@ class PathSet:
     def asn_index(self):
         """``(asns, ids)``: the distinct ASNs, ascending, and each
         position of ``flat``'s dense id (its ASN's place among them)."""
-        asns, ids, _ = sort_unique(self.flat, return_inverse=True)
-        return asns, ids
+        if self._parent is None:
+            asns, ids, _ = sort_unique(self.flat, return_inverse=True)
+            return asns, ids
+        parent, _, hops = self._parent
+        asns, ids = parent.asn_index
+        ids = ids[hops]
+        gone = _survivors(ids, len(asns))
+        if gone is None:
+            return asns, ids
+        alive, new_id = gone
+        return asns[alive], new_id[ids]
+
+    def _id_map(self):
+        """Each parent dense id's id here (only meaningful for the ASes
+        that survive), or ``None`` when both corpora hold the same ASes."""
+        parent = self._parent[0].asn_index[0]
+        asns = self.asn_index[0]
+        if len(asns) == len(parent):
+            return None
+        return _np.searchsorted(asns, parent)
 
     @cached_property
     def link_index(self) -> LinkIndex:
         """The :class:`LinkIndex`, from one sort of the hops' dense-id
-        pairs (dense ids ascend with ASNs, and so do the keys)."""
+        pairs (dense ids ascend with ASNs, and so do the keys); a
+        filtered copy's is its parent's, masked and renumbered."""
+        if self._parent is not None:
+            return self._inherited_links()
         asns, ids = self.asn_index
         n = len(asns)
         starts = in_one_path(self.off, 2)
@@ -521,6 +580,29 @@ class PathSet:
         keys = asns[lo].astype(_np.uint64) << _np.uint64(32)
         keys |= asns[hi].astype(_np.uint64)
         return LinkIndex(keys, lo, hi, starts, link_of_hop, by_link)
+
+    def _inherited_links(self) -> LinkIndex:
+        """The parent's :class:`LinkIndex` restricted to the kept hops:
+        a link survives while a kept hop joins it, and the kept hops
+        keep their order within each link."""
+        parent, _, hops = self._parent
+        links = parent.link_index
+        kept = hops[:-1][links.starts]  # the parent's joins still here
+        link_of_hop = links.link_of_hop[kept]
+        by_link = links.by_link[kept[links.by_link]]
+        by_link = (_np.cumsum(kept) - 1)[by_link]
+        keys, lo, hi = links.keys, links.lo, links.hi
+        gone = _survivors(link_of_hop, len(keys))
+        if gone is not None:
+            alive, new_id = gone
+            keys, lo, hi = keys[alive], lo[alive], hi[alive]
+            link_of_hop = new_id[link_of_hop]
+        id_map = self._id_map()
+        if id_map is not None:
+            lo, hi = id_map[lo], id_map[hi]
+        return LinkIndex(
+            keys, lo, hi, in_one_path(self.off, 2), link_of_hop, by_link
+        )
 
     def asns(self) -> Set[int]:
         if self._asns is None:
@@ -544,11 +626,21 @@ class PathSet:
 
     @cached_property
     def _degrees(self):
-        """``(position, transit, node, start, neighbors)``: dense id by
-        ASN, degree lists by dense id, and the neighbour CSR (AS ``i``'s
-        neighbours are ``neighbors[start[i]:start[i + 1]]``)."""
+        """``(position, transit, node, start, neighbors, pairs,
+        multiplicity)``: dense id by ASN, degree lists by dense id, the
+        neighbour CSR (AS ``i``'s neighbours are
+        ``neighbors[start[i]:start[i + 1]]``), and the distinct
+        ``(mid, neighbour)`` transit pairs (packed ``mid * n +
+        neighbour``, ascending) with how many hops carry each."""
         asns, ids = self.asn_index
         n = len(asns)
+        if self._parent is None:
+            pairs, multiplicity = count_unique(
+                _transit_pairs(ids, self.off, n)
+            )
+        else:
+            pairs, multiplicity = self._inherited_pairs()
+        transit = _np.bincount(pairs // max(n, 1), minlength=n)
         links = self.link_index
         other = links.lo != links.hi
         src = _np.concatenate((links.lo, links.hi[other]))
@@ -556,24 +648,43 @@ class PathSet:
         node = _np.bincount(src, minlength=n)
         start = _np.zeros(n + 1, dtype=_np.int64)
         _np.cumsum(node, out=start[1:])
-        # transit: the distinct (mid, neighbor) pairs of interior hops
-        inner = in_one_path(self.off, 3)
-        mid = ids[1:-1][inner] * n
-        pairs = sort_unique(_np.concatenate((
-            mid + ids[:-2][inner], mid + ids[2:][inner]
-        )))
-        transit = _np.bincount(pairs // max(n, 1), minlength=n)
         return (
             dict(zip(asns.tolist(), range(n))),
             transit.tolist(),
             node.tolist(),
             start,
             asns[dst[_np.lexsort((dst, src))]],
+            pairs,
+            multiplicity,
         )
+
+    def _inherited_pairs(self):
+        """The parent's transit pairs less the dropped paths' ones: a
+        pair whose multiplicity reaches zero is gone (and costs its mid
+        one degree); the rest are renumbered to this corpus's ids."""
+        parent, keep, hops = self._parent
+        *_, pairs, multiplicity = parent._degrees
+        n = len(parent.asn_index[0])
+        dropped = ~keep
+        if dropped.any():
+            plen = parent.plen[dropped]
+            off = _np.zeros(len(plen) + 1, dtype=_np.int64)
+            _np.cumsum(plen, out=off[1:])
+            lost = _transit_pairs(parent.asn_index[1][~hops], off, n)
+            multiplicity = multiplicity - _np.bincount(
+                _np.searchsorted(pairs, lost), minlength=len(pairs)
+            )
+            alive = multiplicity > 0
+            pairs, multiplicity = pairs[alive], multiplicity[alive]
+        id_map = self._id_map()
+        if id_map is not None:
+            mid, neighbour = _np.divmod(pairs, max(n, 1))
+            pairs = id_map[mid] * len(self.asn_index[0]) + id_map[neighbour]
+        return pairs, multiplicity
 
     def neighbors(self, asn: int) -> List[int]:
         """The ASes adjacent to ``asn`` in some path, ascending."""
-        position, _, _, start, neighbors = self._degrees
+        position, _, _, start, neighbors, _, _ = self._degrees
         i = position.get(asn)
         return [] if i is None else neighbors[start[i]:start[i + 1]].tolist()
 
@@ -592,7 +703,7 @@ class PathSet:
 
     def degree_columns(self):
         """``(transit, node)`` degrees by dense id, as int64 arrays."""
-        _, transit, node, _, _ = self._degrees
+        _, transit, node, *_ = self._degrees
         return (
             _np.array(transit, dtype=_np.int64),
             _np.array(node, dtype=_np.int64),
@@ -607,7 +718,7 @@ class PathSet:
         node degree desc, then ASN asc (determinism)."""
         if self._ranked is None:
             asns = self.asn_index[0]
-            _, transit, node, _, _ = self._degrees
+            _, transit, node, *_ = self._degrees
             order = _np.lexsort((asns, -_np.array(node), -_np.array(transit)))
             self._ranked = asns[order].tolist()
         return self._ranked

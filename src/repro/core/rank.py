@@ -17,7 +17,7 @@ lives on as the QA oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -29,8 +29,6 @@ from repro.graph.bitset import BitsetFamily, unpack_bits
 from repro.graph.csr import gather_rows
 from repro.graph.index import DenseIndex
 from repro.net.prefix import Prefix
-
-_LOW64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -128,31 +126,20 @@ def _neighbor_counts(result: InferenceResult):
     )
 
 
-def _low_ones(bits):
-    """``2**bits - 1`` as uint64, for ``bits`` clipped to 0..64."""
-    bits = _np.clip(bits, 0, 64).astype(_np.uint64)
-    ones = _np.left_shift(_np.uint64(1), _np.minimum(bits, _np.uint64(63)))
-    ones -= _np.uint64(1)
-    ones[bits == 64] = _np.uint64(_LOW64)
-    return ones
-
-
 def _prefix_table(
     index: DenseIndex, prefixes_by_asn: Mapping[int, Sequence[Prefix]]
 ):
-    """The indexed origins' prefixes, numbered in span order.
+    """The indexed origins' prefixes, numbered IPv4 first, in span
+    order, then IPv6.
 
-    Returns ``(origin, prefix, span_of, reach, size)``: the distinct
-    ``(origin id, prefix id)`` pairs ascending; each prefix id's span
-    id; and per span id the last span id starting inside it and its
-    address count.  A span is a prefix's address range on one integer
-    line for both families (an IPv4 prefix and an IPv6 one over the
-    same integers share a span, as in
-    :func:`~repro.net.prefix.summarize_address_space`), held as two
-    uint64 halves.  Span ids sort ``(first address, -size)``, and
-    aligned power-of-two ranges nest or are disjoint, so in one cone a
-    span is covered by another exactly when an earlier span's
-    ``reach`` is at least its id.
+    Returns ``(origin, prefix, n_prefixes, reach, size)``: the distinct
+    ``(origin id, prefix id)`` pairs ascending; how many distinct
+    prefixes there are; and per IPv4 prefix id the last IPv4 prefix id
+    starting inside its address range and its address count (IPv6
+    prefixes count no addresses).  IPv4 ids sort ``(first address,
+    -size)``, and aligned power-of-two ranges nest or are disjoint, so
+    in one cone a prefix is covered by another exactly when an earlier
+    prefix's ``reach`` is at least its id.
     """
     ids = index.ids
     owners: List[int] = []
@@ -162,61 +149,33 @@ def _prefix_table(
         if i is not None:
             owners.extend([i] * len(prefixes))
             listed.extend(prefixes)
-    network = [prefix.network for prefix in listed]
-    family = _np.array([prefix._family for prefix in listed], dtype=_np.int64)
-    hi = _np.array([x >> 64 for x in network], dtype=_np.uint64)
-    lo = _np.array([x & _LOW64 for x in network], dtype=_np.uint64)
+    is_v4 = [isinstance(prefix, Prefix) for prefix in listed]
+    v4 = _np.flatnonzero(_np.array(is_v4, dtype=bool))
+    network = _np.array(
+        [p.network for p, four in zip(listed, is_v4) if four], dtype=_np.int64
+    )
     # log2 of the address count
-    bits = _np.where(family == 4, 32, 128) - _np.array(
-        [prefix.length for prefix in listed], dtype=_np.int64
+    bits = 32 - _np.array(
+        [p.length for p, four in zip(listed, is_v4) if four], dtype=_np.int64
     )
-    order = _np.lexsort((family, -bits, lo, hi))
-    hi, lo, bits, family = hi[order], lo[order], bits[order], family[order]
-    new_span = _np.ones(len(order), dtype=bool)
-    new_span[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1]) | (
-        bits[1:] != bits[:-1]
-    )
-    new_prefix = new_span.copy()
-    new_prefix[1:] |= family[1:] != family[:-1]
-    prefix_of = _np.empty(len(order), dtype=_np.int64)
-    prefix_of[order] = _np.cumsum(new_prefix) - 1
-    span_of = (_np.cumsum(new_span) - 1)[new_prefix]
-    hi, lo, bits = hi[new_span], lo[new_span], bits[new_span]
-    # rank the spans' first and last addresses together, so that
-    # "starts inside" is a comparison of int64 ranks
-    n_spans = len(bits)
-    rank = _rank_pairs(
-        _np.concatenate((hi, hi | _low_ones(bits - 64))),
-        _np.concatenate((lo, lo | _low_ones(bits))),
-    )
-    reach = _np.searchsorted(rank[:n_spans], rank[n_spans:], "right") - 1
-    # exact sums: int64 while every address count fits well inside it
-    if n_spans and bits.max() >= 62:
-        size = _np.array([1 << b for b in bits.tolist()], dtype=object)
-    else:
-        size = _np.left_shift(1, bits)
-    n_prefixes = max(len(span_of), 1)
-    pairs = sort_unique(
-        _np.array(owners, dtype=_np.int64) * n_prefixes + prefix_of
-    )
-    return (
-        pairs // n_prefixes,
-        pairs % n_prefixes,
-        span_of,
-        reach,
-        size,
-    )
-
-
-def _rank_pairs(hi, lo):
-    """Dense ranks of the 128-bit values ``(hi << 64) | lo``."""
-    order = _np.lexsort((lo, hi))
-    hi, lo = hi[order], lo[order]
+    order = _np.lexsort((-bits, network))
+    network, bits = network[order], bits[order]
     new = _np.ones(len(order), dtype=bool)
-    new[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
-    rank = _np.empty(len(order), dtype=_np.int64)
-    rank[order] = _np.cumsum(new) - 1
-    return rank
+    new[1:] = (network[1:] != network[:-1]) | (bits[1:] != bits[:-1])
+    prefix_of = _np.empty(len(listed), dtype=_np.int64)
+    prefix_of[v4[order]] = _np.cumsum(new) - 1
+    network, bits = network[new], bits[new]
+    size = _np.left_shift(1, bits)
+    reach = _np.searchsorted(network, network + size - 1, "right") - 1
+    n_v4 = len(bits)
+    v6: Dict[object, int] = {}
+    for k, four in enumerate(is_v4):
+        if not four:
+            prefix_of[k] = n_v4 + v6.setdefault(listed[k], len(v6))
+    n_prefixes = n_v4 + len(v6)
+    width = max(n_prefixes, 1)
+    pairs = sort_unique(_np.array(owners, dtype=_np.int64) * width + prefix_of)
+    return pairs // width, pairs % width, n_prefixes, reach, size
 
 
 def cone_prefix_sizes(
@@ -234,7 +193,7 @@ def cone_prefix_sizes(
     addresses.
     """
     rows = len(masks)
-    origin, prefix, span_of, reach, size = _prefix_table(
+    origin, prefix, n_prefixes, reach, size = _prefix_table(
         index, prefixes_by_asn
     )
     if not len(origin):
@@ -254,23 +213,21 @@ def cone_prefix_sizes(
     row = _np.concatenate((one, multi[k]))
     member = _np.concatenate((single[one], members))
     # join with the members' (origin, prefix) pairs, then keep each
-    # row's distinct prefixes, ascending in span order
+    # row's distinct prefixes, the IPv4 ones ascending in span order
     start = _np.zeros(n + 1, dtype=_np.int64)
     _np.cumsum(_np.bincount(origin, minlength=n), out=start[1:])
     counts = start[member + 1] - start[member]
-    n_prefixes = len(span_of)
     keys = sort_unique(
         _np.repeat(row, counts) * n_prefixes
         + gather_rows(prefix, start[member], counts)[0]
     )
-    row, span = keys // n_prefixes, span_of[keys % n_prefixes]
+    row, span = keys // n_prefixes, keys % n_prefixes
     prefixes = _np.bincount(row, minlength=rows)
-    # each row's distinct spans; one adds its addresses unless an
-    # earlier span of the row reaches over it
-    first = _np.ones(len(keys), dtype=bool)
-    first[1:] = (row[1:] != row[:-1]) | (span[1:] != span[:-1])
-    row, span = row[first], span[first]
+    # each row's IPv4 prefixes add their addresses unless an earlier
+    # one of the row reaches over them
     n_spans = len(reach)
+    v4 = span < n_spans
+    row, span = row[v4], span[v4]
     covered = _np.zeros(len(row), dtype=bool)
     reached = _np.maximum.accumulate(row * n_spans + reach[span])
     covered[1:] = reached[:-1] >= row[1:] * n_spans + span[1:]

@@ -185,10 +185,11 @@ def summarize_address_space(prefixes: Iterable[Prefix]) -> int:
 
     Overlapping and duplicate announcements are merged first so each
     address counts once — the unit the paper uses when sizing cones by
-    address space.
+    address space.  Prefixes of other families add nothing.
     """
     spans: List[Tuple[int, int]] = sorted(
         (p.network, p.broadcast) for p in set(prefixes)
+        if isinstance(p, Prefix)
     )
     total = 0
     current_start = current_end = -1

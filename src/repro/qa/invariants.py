@@ -239,14 +239,16 @@ def check_differential(
             )
         )
 
-    if fast.clique.members != ref.clique.members:
-        violations.append(
-            Violation(
-                "differential/clique",
-                world,
-                f"fast {fast.clique.members} != ref {ref.clique.members}",
+    for name in ("members", "seed_members", "added_members", "considered"):
+        mine, theirs = getattr(fast.clique, name), getattr(ref.clique, name)
+        if mine != theirs:
+            violations.append(
+                Violation(
+                    "differential/clique",
+                    world,
+                    f"{name}: fast {mine} != ref {theirs}",
+                )
             )
-        )
     if fast.discarded_poisoned != ref.discarded_poisoned:
         violations.append(
             Violation(

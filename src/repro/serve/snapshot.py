@@ -212,6 +212,8 @@ class Snapshot:
         self._section_reader = None
         # routing view over the link rows (compiled on first path query)
         self._rel_graph = None
+        # the section bytes build() hashed for the version, for the save
+        self._encoded: Optional[Dict[str, bytes]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -290,7 +292,8 @@ class Snapshot:
                 code, [row[2] for row in ranks]
             )
             with perf.stage("version"):
-                snapshot.version = snapshot.content_version()
+                snapshot._encoded = snapshot.encode_sections()
+                snapshot.version = _content_hash(snapshot._encoded)
         return snapshot
 
     @classmethod
@@ -664,14 +667,17 @@ class Snapshot:
             )
         return sections
 
+    def sections(self) -> Dict[str, bytes]:
+        """The canonical section bytes: those :meth:`build` hashed for
+        the version, else encoded now (a loaded or hand-built
+        snapshot)."""
+        if self._encoded is not None:
+            return self._encoded
+        return self.encode_sections()
+
     def content_version(self) -> str:
         """Content hash over the canonical sections (12 hex digits)."""
-        digest = hashlib.sha256()
-        for name, blob in sorted(self.encode_sections().items()):
-            digest.update(name.encode())
-            digest.update(struct.pack("<Q", len(blob)))
-            digest.update(blob)
-        return digest.hexdigest()[:12]
+        return _content_hash(self.encode_sections())
 
     @classmethod
     def from_sections(
@@ -736,6 +742,17 @@ def _cone_section(definition: ConeDefinition) -> str:
 
 def _json_bytes(value: object) -> bytes:
     return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _content_hash(sections: Dict[str, bytes]) -> str:
+    """The content version of ``sections``: 12 hex digits of one
+    sha256 over every section's name, length and bytes, by name."""
+    digest = hashlib.sha256()
+    for name, blob in sorted(sections.items()):
+        digest.update(name.encode())
+        digest.update(struct.pack("<Q", len(blob)))
+        digest.update(blob)
+    return digest.hexdigest()[:12]
 
 
 def _encode_links(rows: Iterable[Tuple[int, int, int, int]]) -> bytes:

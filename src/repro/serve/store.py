@@ -92,7 +92,7 @@ def _align(offset: int, alignment: int) -> int:
 def save_snapshot(snapshot: Snapshot, path: str) -> str:
     """Write ``snapshot`` to ``path`` atomically; returns its version."""
     with perf.stage("snapshot-save"):
-        sections = snapshot.encode_sections()
+        sections = snapshot.sections()
         table: Dict[str, Dict[str, object]] = {}
         payload_parts = []
         offset = 0

@@ -635,7 +635,7 @@ def build_timeline(
     for i, (label, snapshot) in enumerate(snapshots):
         if prev is None or not _prefix_compatible(prev, snapshot):
             kind = "full"
-            encoded = snapshot.encode_sections()
+            encoded = snapshot.sections()
         else:
             kind = "delta"
             encoded = {

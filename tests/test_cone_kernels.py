@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.asrank import ASRank
 from repro.core.clique import CliqueResult
 from repro.core.cone import ConeDefinition, CustomerCones, compute_cones
 from repro.core.inference import (
@@ -155,8 +156,8 @@ class TestPackedRows:
         )
 
 
-# prefixes that nest, touch, repeat across origins and overlap between
-# the families on the one integer line the address count uses
+# prefixes that nest, touch, repeat across origins, and IPv6 ones over
+# the same integers as IPv4 ones (which must not merge with them)
 _V4 = [
     Prefix.parse(text) for text in (
         "10.0.0.0/22", "10.0.0.0/23", "10.0.0.0/24", "10.0.1.0/24",
@@ -211,11 +212,12 @@ class TestConePrefixSizes:
             (["10.0.3.0/25", "10.0.3.128/25"], 2, 256),
             # a duplicate counts once
             (["192.0.2.0/24", "192.0.2.0/24"], 1, 256),
-            # ::/96 spans the whole IPv4 line: it covers every v4 prefix
-            (["::/96", "10.0.0.0/22"], 2, 1 << 32),
-            # 0.0.0.0/0 and ::/96 are two prefixes over one span
+            # addresses are IPv4 only: ::/96 covers no IPv4 prefix
+            (["::/96", "10.0.0.0/22"], 2, 1024),
+            # 0.0.0.0/0 and ::/96 are two prefixes, one of them IPv4
             (["0.0.0.0/0", "::/96"], 2, 1 << 32),
-            (["2001:db8::/32", "2001:db8:1::/48"], 2, 1 << 96),
+            (["2001:db8::/32", "2001:db8:1::/48"], 2, 0),
+            (["10.0.0.0/8", "::/96"], 2, 1 << 24),
         ],
     )
     def test_cases(self, listed, prefixes, addresses):
@@ -237,6 +239,18 @@ class TestConePrefixSizes:
         assert cone_prefix_sizes(index, [1, 3], {7: _V4}) == (
             [0, 0], [0, 0]
         )
+
+
+class TestIpv6Prefixes:
+    def test_ipv6_origin_builds_a_snapshot(self):
+        # an IPv6 /32 once summed 2**96 addresses into the int64 rank row
+        facade = ASRank.from_paths(
+            [(10, 1, 2, 20), (20, 2, 1, 10)],
+            prefixes_by_asn={20: [Prefix6.parse("2001:db8::/32")]},
+        )
+        rows = {row.asn: row for row in facade.snapshot().ranks()}
+        assert rows[20].cone_prefixes == 1
+        assert rows[20].cone_addresses == 0
 
 
 class TestRankAgainstOracle:

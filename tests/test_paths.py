@@ -319,6 +319,107 @@ class TestDegreeOracle:
         assert ps.neighbors(9) == []
 
 
+def _index_fields(ps):
+    """Everything a corpus indexes about itself, as comparable values."""
+    asns, ids = ps.asn_index
+    fields = [("asns", asns), ("ids", ids)]
+    fields += [(name, getattr(ps.link_index, name))
+               for name in ps.link_index._fields]
+    position, transit, node, start, neighbors, pairs, multiplicity = (
+        ps._degrees
+    )
+    fields += [("start", start), ("neighbors", neighbors),
+               ("pairs", pairs), ("multiplicity", multiplicity)]
+    return fields, (position, transit, node, ps.ranked_asns())
+
+
+def _fresh(ps):
+    """``ps``'s columns as a root corpus, indexed by its own sorts."""
+    return PathSet._from_columns(
+        ps.flat, ps.plen, ps.off, ps.path_counts, ps.stats
+    )
+
+
+class TestFilteredInheritance:
+    """A filtered copy derives its indexes from its parent's; they must
+    equal those of a root corpus over the same columns, bit for bit."""
+
+    @staticmethod
+    def _assert_inherits(sub):
+        assert sub._parent is not None
+        got, got_lists = _index_fields(sub)
+        want, want_lists = _index_fields(_fresh(sub))
+        for (name, a), (_, b) in zip(got, want):
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+        assert got_lists == want_lists
+        for asn in sub.asns():
+            assert sub.neighbors(asn) == _fresh(sub).neighbors(asn)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        paths=st.lists(
+            st.lists(_DEGREE_ASNS, min_size=1, max_size=6, unique=True)
+            .map(tuple),
+            max_size=12,
+        ),
+        data=st.data(),
+    )
+    def test_random_masks_and_a_copy_of_a_copy(self, paths, data):
+        # single-AS and 2-hop paths, ASNs >= 2**31, the empty corpus,
+        # all rows and no rows are all in the drawn space
+        ps = PathSet(paths)
+        keep = data.draw(st.lists(
+            st.booleans(), min_size=len(ps), max_size=len(ps)
+        ))
+        sub = ps.filtered(keep)
+        self._assert_inherits(sub)
+        again = data.draw(st.lists(
+            st.booleans(), min_size=len(sub), max_size=len(sub)
+        ))
+        self._assert_inherits(sub.filtered(again))
+
+    # rows in tuple order: (1, 2, 3), (3, 2, 4), (5, 2, 3)
+    @pytest.mark.parametrize("keep, gone", [
+        # AS 4 is only in the dropped path
+        ([True, False, True], "as"),
+        # link 1-2 is only in the first path
+        ([False, True, True], "link"),
+        # (mid 2, neighbour 1) is carried by the first path alone
+        ([False, True, True], "pair"),
+        ([True, True, True], None),
+        ([False, False, False], None),
+    ])
+    def test_hand_picked_drops(self, keep, gone):
+        ps = PathSet([(1, 2, 3), (5, 2, 3), (3, 2, 4)])
+        ps.ranked_asns()
+        sub = ps.filtered(keep)
+        self._assert_inherits(sub)
+        if gone == "as":
+            assert 4 not in sub.asns()
+        elif gone == "link":
+            assert (1, 2) not in sub.links()
+        elif gone == "pair":
+            assert sub.transit_degree(2) == ps.transit_degree(2) - 1
+
+    def test_indexing_a_filtered_copy_sorts_no_hops(self, monkeypatch):
+        import repro.core.paths as paths_module
+
+        ps = PathSet([(1, 2, 3), (5, 2, 3), (3, 2, 4), (7, 8)])
+        ps.ranked_asns()
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("a filtered copy sorted its hops")
+
+        monkeypatch.setattr(paths_module, "sort_unique", no_sort)
+        monkeypatch.setattr(paths_module, "count_unique", no_sort)
+        sub = ps.filtered([False, True, True, False])
+        sub.ranked_asns()
+        sub.filtered([True, False]).ranked_asns()
+        monkeypatch.undo()
+        self._assert_inherits(sub)
+
+
 class TestMemoization:
     """PathSet is immutable: corpus-wide scans are computed once."""
 

@@ -156,6 +156,21 @@ class TestPipelineWiring:
         assert "infer" in flat
         assert any(key.startswith("infer/") for key in flat)
 
+    def test_inference_counts_clique_walk_and_discards(self):
+        # 1-2-3 is the clique; (4, 1, 2, 3, 5) crosses it three times
+        # and is S4's one discard
+        rec = perf.PerfRecorder()
+        paths = PathSet.sanitize([
+            (4, 1, 2, 5), (5, 2, 3, 6), (6, 3, 1, 4), (4, 1, 3, 6),
+            (5, 2, 1, 4), (6, 3, 2, 5), (4, 1, 2, 3, 5),
+        ])
+        with perf.use_recorder(rec):
+            result = infer_relationships(paths)
+        counters = rec.counters()
+        assert result.discarded_poisoned == 1
+        assert counters["infer/filter-poisoned/discarded"] == 1
+        assert counters["infer/clique/considered"] == result.clique.considered
+
     def test_scenario_run_reports_stages(self):
         from repro.scenarios import get_scenario
 

@@ -146,6 +146,35 @@ class TestMutationSmoke:
         assert "propagation/reference" in invariants
         assert "propagation/v6-plane" in invariants
 
+    @pytest.fixture
+    def broken_clique_evidence(self, monkeypatch):
+        import numpy as np
+
+        import repro.core.clique as clique
+
+        def evidence(triples, member):
+            # counts a member on the far side too
+            mid, left, right, count = triples
+            hit = member[mid] & (member[left] | member[right])
+            who = np.where(member[left][hit], right[hit], left[hit])
+            return np.bincount(who, weights=count[hit],
+                               minlength=len(member))
+
+        monkeypatch.setattr(clique, "_customer_evidence", evidence)
+
+    def test_broken_clique_evidence_is_caught(
+        self, tmp_path, broken_clique_evidence
+    ):
+        # world 8 has paths over three clique members, which the broken
+        # evidence holds against the clique's own members
+        config = QaConfig(
+            seeds=1, base_seed=8, repro_dir=str(tmp_path),
+            collection_every=0, shrink=False,
+        )
+        report = run_qa(config)
+        invariants = {v.invariant for v in report.violations}
+        assert "differential/clique" in invariants
+
     def test_shrunken_repro_replays_red_under_the_bug(
         self, tmp_path, broken_fold
     ):

@@ -124,6 +124,32 @@ class TestRoundTrip:
                 )
 
 
+class TestEncodeOnce:
+    def test_build_and_save_encode_once(self, tmp_path, tiny_run,
+                                        monkeypatch):
+        calls = []
+        encode = Snapshot.encode_sections
+
+        def counted(self):
+            calls.append(self)
+            return encode(self)
+
+        monkeypatch.setattr(Snapshot, "encode_sections", counted)
+        facade = ASRank(tiny_run.paths)
+        facade._result = tiny_run.result
+        snapshot = facade.snapshot()
+        built = str(tmp_path / "built.snap")
+        assert save_snapshot(snapshot, built) == snapshot.version
+        assert calls == [snapshot]
+        # the bytes are those of a save that encodes afresh: a loaded
+        # snapshot still encodes on save, into the identical file
+        resaved = str(tmp_path / "resaved.snap")
+        save_snapshot(load_snapshot(built), resaved)
+        assert len(calls) == 2
+        with open(built, "rb") as a, open(resaved, "rb") as b:
+            assert a.read() == b.read()
+
+
 class TestCorruption:
     def _snapshot_file(self, tmp_path) -> str:
         path = str(tmp_path / "c.snap")
