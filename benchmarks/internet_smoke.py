@@ -5,6 +5,8 @@ Not a timing check (check_regression.py owns that) — a correctness
 gate for the three internet-scale pieces working together:
 
 * the linear-time power-law generator produces a valid world;
+* the world's column-built CSR compile equals the per-AS sorted-list
+  compile, arrays and dtypes alike;
 * the zero-copy shared-memory transport yields a corpus bit-identical
   to serial collection;
 * every shared segment is unlinked afterwards — no ``/dev/shm`` leaks.
@@ -22,12 +24,16 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
+
 from repro.bgp.collector import Collector, CollectorConfig, shutdown_pool
 from repro.bgp.propagation import PropagationConfig
+from repro.graph import RelGraph, csr_arrays
 from repro.topology.generator import (
     InternetScaleConfig,
     generate_internet_topology,
 )
+from repro.topology.model import ASType
 
 N_ASES = 10_000
 N_ORIGINS = 120
@@ -40,6 +46,32 @@ def _corpus_key(corpus):
         corpus.path_counts,
         [(r.vp, r.prefix, r.path, r.communities) for r in corpus.rib],
     )
+
+
+def _list_compile_mismatch(graph):
+    """The first CSR view where ``RelGraph.from_as_graph`` differs from
+    sorting each AS's neighbours into lists, or ``None``."""
+    rel = RelGraph.from_as_graph(graph)
+    routing = sorted(
+        a.asn for a in graph.ases() if a.type is not ASType.IXP_RS
+    )
+    if rel.index.asns != routing:
+        return "index"
+    ids = rel.index.ids
+    want = {"providers": [], "customers": [], "peers": []}
+    for asn in routing:
+        for name, neighbours in (
+            ("providers", graph.providers[asn]),
+            ("customers", graph.customers[asn]),
+            ("peers", graph.peers[asn] | graph.siblings[asn]),
+        ):
+            want[name].append(sorted(ids[x] for x in neighbours if x in ids))
+    csr = rel.csr()
+    for name, rows in want.items():
+        for got, ref in zip(getattr(csr, name), csr_arrays(rows)):
+            if got.dtype != ref.dtype or not np.array_equal(got, ref):
+                return name
+    return None
 
 
 def _shm_entries():
@@ -63,6 +95,12 @@ def main() -> int:
         f"generated {N_ASES}-AS world in {time.perf_counter() - start:.2f}s "
         f"({graph.num_links()} links, {len(graph.via_ixp)} via IXP)"
     )
+
+    mismatch = _list_compile_mismatch(graph)
+    if mismatch:
+        print(f"FAIL: CSR compile differs from the list compile: {mismatch}")
+        return 1
+    print("ok: CSR compile equals the list compile (3 views, dtypes)")
 
     config = CollectorConfig(
         n_vps=20,

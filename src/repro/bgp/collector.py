@@ -34,6 +34,8 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+import numpy as _np
+
 from repro import perf
 from repro.bgp.noise import NoiseConfig, PathNoiser
 from repro.bgp.propagation import (
@@ -64,6 +66,11 @@ _CLS_CODE = {
     CLS_PEER: REL_CODE[RelClass.PEER],
     CLS_PROVIDER: REL_CODE[RelClass.PROVIDER],
 }
+# the AS types a vantage point is drawn from (bound once: an enum
+# member lookup per AS costs more than the rest of the filter)
+_VP_TYPES = (
+    ASType.CLIQUE, ASType.LARGE_TRANSIT, ASType.SMALL_TRANSIT, ASType.ACCESS
+)
 
 
 @dataclass(frozen=True)
@@ -363,7 +370,7 @@ class CollectionKernel:
                 # internal (sibling) sessions carry no external
                 # relationship communities
                 if code is not None and (
-                    nh == -1 or nh not in self.sibling_nodes[node]
+                    nh == -1 or nh not in self.sibling_nodes.get(node, ())
                 ):
                     tags.append((asns[node], code))
             node = nh
@@ -411,43 +418,47 @@ class Collector:
         self.graph = graph
         self.plane = plane
         self.config = config or CollectorConfig()
-        restrict = graph.v6_asns() if plane == "v6" else None
-        self.index = GraphIndex(graph, restrict=restrict)
-        self._rng = random.Random(self.config.seed)
-        retained = [
-            vp for vp in (preset_vps or []) if vp.asn in self.index.index
-        ]
-        needed = max(0, self.config.n_vps - len(retained))
-        exclude = {vp.asn for vp in retained}
-        self.vps = sorted(
-            retained + self._choose_vps(needed, exclude),
-            key=lambda vp: vp.asn,
-        )
-        self.taggers = self._choose_taggers()
-        self.leakers = self._choose_leakers()
-        tagger_nodes = {
-            self.index.index[asn]
-            for asn in self.taggers
-            if asn in self.index.index
-        }
-        sibling_nodes: Dict[int, Set[int]] = {
-            node: {
-                self.index.index[s]
-                for s in graph.siblings[self.index.asns[node]]
-                if s in self.index.index
+        with perf.stage("collect-setup"):
+            restrict = graph.v6_asns() if plane == "v6" else None
+            with perf.stage("compile"):
+                self.index = GraphIndex(graph, restrict=restrict)
+            self._rng = random.Random(self.config.seed)
+            retained = [
+                vp for vp in (preset_vps or []) if vp.asn in self.index.index
+            ]
+            needed = max(0, self.config.n_vps - len(retained))
+            exclude = {vp.asn for vp in retained}
+            self.vps = sorted(
+                retained + self._choose_vps(needed, exclude),
+                key=lambda vp: vp.asn,
+            )
+            self.taggers = self._choose_taggers()
+            self.leakers = self._choose_leakers()
+            tagger_nodes = {
+                self.index.index[asn]
+                for asn in self.taggers
+                if asn in self.index.index
             }
-            for node in tagger_nodes
-        }
-        self.kernel = CollectionKernel(
-            config=self.config,
-            index=self.index,
-            vps=self.vps,
-            tagger_nodes=tagger_nodes,
-            sibling_nodes=sibling_nodes,
-            leakers=self.leakers,
-            clique=graph.clique_asns(),
-            via_ixp=getattr(graph, "via_ixp", {}),
-        )
+            # only taggers with a routing sibling get an entry
+            sibling_nodes: Dict[int, Set[int]] = {}
+            for node in tagger_nodes:
+                siblings = {
+                    self.index.index[s]
+                    for s in graph.siblings[self.index.asns[node]]
+                    if s in self.index.index
+                }
+                if siblings:
+                    sibling_nodes[node] = siblings
+            self.kernel = CollectionKernel(
+                config=self.config,
+                index=self.index,
+                vps=self.vps,
+                tagger_nodes=tagger_nodes,
+                sibling_nodes=sibling_nodes,
+                leakers=self.leakers,
+                clique=graph.clique_asns(),
+                via_ixp=getattr(graph, "via_ixp", {}),
+            )
         # lazily packed shared-memory segment, unlinked when this
         # collector is collected (plus the module atexit backstop)
         self._shared_segment: Optional[str] = None
@@ -459,31 +470,33 @@ class Collector:
 
     def _choose_vps(self, count: int, exclude: Set[int]) -> List[VantagePoint]:
         """Prefer transit networks (weighted by customer count), mimic the
-        RouteViews feed mix; deterministic under the seed."""
-        candidates = [
+        RouteViews feed mix; deterministic under the seed.
+
+        Each draw picks the first candidate whose running weight total
+        reaches ``uniform(0, total)`` (ascending ASN order) and removes
+        it from the pool.
+        """
+        routing = self.index.index
+        candidates = sorted(
             asys.asn
             for asys in self.graph.ases()
-            if asys.type
-            in (ASType.CLIQUE, ASType.LARGE_TRANSIT, ASType.SMALL_TRANSIT,
-                ASType.ACCESS)
+            if asys.type in _VP_TYPES
             and asys.asn not in exclude
-            and asys.asn in self.index.index  # v6 plane: v6 VPs only
-        ]
-        candidates.sort()
-        weights = [len(self.graph.customers[asn]) + 1 for asn in candidates]
+            and asys.asn in routing  # v6 plane: v6 VPs only
+        )
+        weights = _np.array(
+            [len(self.graph.customers[asn]) + 1 for asn in candidates],
+            dtype=_np.int64,
+        )
+        candidates = _np.array(candidates, dtype=_np.int64)
         chosen: List[int] = []
-        pool = list(zip(candidates, weights))
-        n = min(count, len(pool))
-        for _ in range(n):
-            total = sum(w for _, w in pool)
-            pick = self._rng.uniform(0, total)
-            acc = 0.0
-            for i, (asn, w) in enumerate(pool):
-                acc += w
-                if pick <= acc:
-                    chosen.append(asn)
-                    pool.pop(i)
-                    break
+        for _ in range(min(count, candidates.size)):
+            running = _np.cumsum(weights)
+            pick = self._rng.uniform(0, int(running[-1]))
+            i = int(_np.searchsorted(running, pick, side="left"))
+            chosen.append(int(candidates[i]))
+            candidates = _np.delete(candidates, i)
+            weights = _np.delete(weights, i)
         vps = []
         for asn in sorted(chosen):
             partial = self._rng.random() < self.config.partial_feed_fraction
@@ -492,10 +505,11 @@ class Collector:
 
     def _choose_taggers(self) -> FrozenSet[int]:
         """ASes that attach relationship-encoding communities at ingress."""
+        ixp_rs = ASType.IXP_RS
         taggers = {
             asys.asn
             for asys in self.graph.ases()
-            if asys.type is not ASType.IXP_RS
+            if asys.type is not ixp_rs
             and self._rng.random() < self.config.community_tagger_fraction
         }
         return frozenset(taggers)
@@ -532,9 +546,14 @@ class Collector:
                 if self.plane == "v6"
                 else self.graph.prefix_origins()
             )
+            # prefix lists only for the ASes asked to announce
+            announcing = (
+                self.index.index if origins is None
+                else set(origins).intersection(self.index.index)
+            )
             by_origin: Dict[int, List[Prefix]] = {}
             for prefix, asn in prefix_origins.items():
-                if asn in self.index.index:
+                if asn in announcing:
                     by_origin.setdefault(asn, []).append(prefix)
             if origins is None:
                 origin_list = sorted(by_origin)

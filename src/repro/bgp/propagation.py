@@ -44,8 +44,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as _np
 
-from repro.graph.csr import MAX_INT32, Csr, CsrOverflowError
-from repro.graph.relgraph import RelGraph
+from repro.graph.csr import MAX_INT32, Csr, CsrOverflowError, CsrRows
+from repro.graph.relgraph import RelGraph, Rows
 from repro.relationships import RelClass
 from repro.topology.model import ASGraph
 
@@ -97,11 +97,13 @@ class GraphIndex:
     compiled by :meth:`RelGraph.from_as_graph`: ASNs map to indexes
     ``0..n-1`` in ascending ASN order (so *lowest ASN* tie-breaks are
     exactly *lowest node index* tie-breaks), adjacency is the graph's
-    per-id sorted index lists, and :meth:`csr` exposes its shared CSR
-    arrays.  Sibling links are treated as peering links for propagation
-    purposes (the generator defaults to zero siblings).  IXP
-    route-server ASes do not participate in routing at all — they are
-    data-plane artifacts injected later by the noise model.
+    per-id sorted rows (:class:`~repro.graph.csr.CsrRows` views for a
+    compiled world, lists for an adopted inference or snapshot graph),
+    and :meth:`csr` exposes its shared CSR arrays.  Sibling links are
+    treated as peering links for propagation purposes (the generator
+    defaults to zero siblings).  IXP route-server ASes do not
+    participate in routing at all — they are data-plane artifacts
+    injected later by the noise model.
     """
 
     def __init__(
@@ -126,9 +128,9 @@ class GraphIndex:
         self.rel = rel
         self.asns: List[int] = self.rel.index.asns
         self.index: Dict[int, int] = self.rel.index.ids
-        self.providers: List[List[int]] = self.rel.providers
-        self.customers: List[List[int]] = self.rel.customers
-        self.peers: List[List[int]] = self.rel.peers
+        self.providers: Rows = self.rel.providers
+        self.customers: Rows = self.rel.customers
+        self.peers: Rows = self.rel.peers
 
     def __len__(self) -> int:
         return len(self.asns)
@@ -530,6 +532,10 @@ def _leak_pass(
     re-export it everywhere a customer route goes, and better routes
     displace worse ones.  A single deterministic pass (up, then peers,
     then down) is sufficient to materialize the leak's footprint.
+
+    Neighbors are read from the index's CSR one row at a time as
+    Python ints, so list-form state never stores a numpy scalar
+    whatever shape the index serves its rows in.
     """
     seeds = sorted(
         node
@@ -539,6 +545,10 @@ def _leak_pass(
     if not seeds:
         return
     seed_set = set(seeds)
+    csr = index.csr()
+    providers = CsrRows(csr.providers)
+    peers = CsrRows(csr.peers)
+    customers = CsrRows(csr.customers)
 
     def on_chain(node: int, via: int) -> bool:
         """Is ``node`` already on the route ``via`` would hand it?
@@ -562,7 +572,7 @@ def _leak_pass(
         next_frontier: List[int] = []
         for node in sorted(frontier, key=lambda i: index.asns[i]):
             offer_len = pathlen[node] + 1
-            for provider in index.providers[node]:
+            for provider in providers[node].tolist():
                 if provider in seed_set:
                     continue  # the leaker keeps its original route
                 if on_chain(provider, node):
@@ -580,7 +590,7 @@ def _leak_pass(
     peer_updated: List[int] = []
     for node in sorted(set(updated) | seed_set, key=lambda i: index.asns[i]):
         offer_len = pathlen[node] + 1
-        for peer in index.peers[node]:
+        for peer in peers[node].tolist():
             if peer in seed_set or on_chain(peer, node):
                 continue
             if _better(index, CLS_PEER, offer_len, node,
@@ -597,7 +607,7 @@ def _leak_pass(
         next_frontier = []
         for node in frontier:
             offer_len = pathlen[node] + 1
-            for customer in index.customers[node]:
+            for customer in customers[node].tolist():
                 if customer in seed_set or on_chain(customer, node):
                     continue
                 if _better(index, CLS_PROVIDER, offer_len, node,

@@ -10,7 +10,10 @@ reproduction used to hand-roll separately:
   :func:`~repro.graph.bitset.closure_bits` — Python-int bitsets over
   dense ids and the system's only transitive-closure implementations;
 * :class:`~repro.graph.csr.Csr` — relationship-typed CSR adjacency
-  over numpy arrays;
+  over numpy arrays, built from per-row lists
+  (:func:`~repro.graph.csr.csr_arrays`) or pair columns
+  (:func:`~repro.graph.csr.csr_from_pairs`) and read row by row
+  through :class:`~repro.graph.csr.CsrRows`;
 * :class:`~repro.graph.relgraph.RelGraph` — the frozen graph object
   built once per world and consumed by inference, cones, propagation
   and the snapshot store;
@@ -27,7 +30,14 @@ from repro.graph.bitset import (
     closure_bits,
     decode_bits,
 )
-from repro.graph.csr import MAX_INT32, Csr, CsrOverflowError, csr_arrays
+from repro.graph.csr import (
+    MAX_INT32,
+    Csr,
+    CsrOverflowError,
+    CsrRows,
+    csr_arrays,
+    csr_from_pairs,
+)
 from repro.graph.index import MAX_ASN, DenseIndex
 from repro.graph.relgraph import RelGraph
 from repro.graph.shm import SharedGraphIndex, SharedRelGraph
@@ -37,6 +47,7 @@ __all__ = [
     "ClosureBitsets",
     "Csr",
     "CsrOverflowError",
+    "CsrRows",
     "DenseIndex",
     "MAX_ASN",
     "MAX_INT32",
@@ -45,5 +56,6 @@ __all__ = [
     "SharedRelGraph",
     "closure_bits",
     "csr_arrays",
+    "csr_from_pairs",
     "decode_bits",
 ]

@@ -15,11 +15,18 @@ graph that cannot be addressed in 32 bits at all (≥ 2^31 rows) raises
 Determinism: building from the same adjacency lists always yields
 byte-identical arrays — ``indptr`` is a running sum and ``indices``
 a concatenation, with no hashing or ordering freedom anywhere.
+:func:`csr_from_pairs` builds the same arrays from unordered
+``(row, neighbor)`` columns: one sort puts every row's neighbors in
+ascending order, which is what the per-row sorted lists hold.
+
+:class:`CsrRows` serves one view row by row (``rows[i]`` is row
+``i``'s neighbor slice), the shape of the propagation world's
+adjacency in-process and in shared-memory workers alike.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as _np
 
@@ -54,6 +61,37 @@ def csr_arrays(adjacency: Sequence[Sequence[int]]) -> Tuple[object, object]:
         count=total,
     )
     return indptr, indices
+
+
+def csr_from_pairs(rows, cols, n: int) -> Tuple[object, object]:
+    """``(indptr, indices)`` for ``n`` rows from parallel pair columns.
+
+    Pair ``k`` puts ``cols[k]`` into row ``rows[k]``; every row's
+    neighbors come out in ascending order and a repeated pair counts
+    once, so the arrays (dtypes included) equal :func:`csr_arrays`
+    over the per-row sorted, duplicate-free lists.  Both columns hold
+    ids in ``[0, n)``.
+    """
+    if n > MAX_INT32:
+        raise CsrOverflowError(
+            f"{n} rows cannot be addressed by int32 dense ids"
+        )
+    # one sort of ``row * n + col`` orders rows, then neighbors within
+    # a row; n <= MAX_INT32 keeps the key inside int64
+    key = _np.sort(
+        _np.asarray(rows, dtype=_np.int64) * n
+        + _np.asarray(cols, dtype=_np.int64)
+    )
+    if key.size:
+        fresh = _np.empty(key.size, dtype=bool)
+        fresh[0] = True
+        _np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        key = key[fresh]
+    rows, cols = _np.divmod(key, max(n, 1))
+    ptr_dtype = _np.int32 if rows.size <= MAX_INT32 else _np.int64
+    indptr = _np.zeros(n + 1, dtype=ptr_dtype)
+    _np.cumsum(_np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols.astype(_np.int32)
 
 
 def gather_rows(flat, starts, lengths):
@@ -104,7 +142,32 @@ class Csr:
         csr.peers = peers
         return csr
 
-    def neighbors(self, view: Tuple[object, object], i: int):
-        """Row ``i`` of a view."""
-        indptr, indices = view
-        return indices[indptr[i]:indptr[i + 1]]
+
+class CsrRows:
+    """Row-by-row view of one CSR ``(indptr, indices)`` pair.
+
+    ``rows[i]`` is dense id ``i``'s sorted neighbor slice (an int32
+    array view, no copy); :meth:`tolist` is every row as a list of
+    Python ints.  Read-only: the arrays may be shared with a
+    :class:`Csr` or mapped from a shared-memory segment.
+    """
+
+    __slots__ = ("indptr", "indices")
+
+    def __init__(self, view: Tuple[object, object]):
+        self.indptr, self.indices = view
+
+    def __getitem__(self, i: int):
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def tolist(self) -> List[List[int]]:
+        """Every row as a list of Python ints."""
+        flat = self.indices.tolist()
+        bounds = self.indptr.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]

@@ -2,7 +2,7 @@
 
 A :class:`RelGraph` is one immutable view of a relationship-labeled AS
 graph: a :class:`~repro.graph.index.DenseIndex`, per-id sorted
-adjacency lists split by relationship type, a lazily built
+adjacency rows split by relationship type, a
 :class:`~repro.graph.csr.Csr`, a :class:`~repro.graph.bitset.BitsetFamily`
 over the id space, and the lazily computed p2c transitive closure.
 
@@ -14,9 +14,15 @@ It is built **once** per world and then shared:
   the result's own corpus index, adopted without copying;
 * :meth:`from_as_graph` compiles a topology-model
   :class:`~repro.topology.model.ASGraph` for route propagation (this
-  is what :class:`~repro.bgp.propagation.GraphIndex` wraps);
+  is what :class:`~repro.bgp.propagation.GraphIndex` wraps) straight
+  into CSR arrays, its rows served as
+  :class:`~repro.graph.csr.CsrRows` views over them;
 * :meth:`from_links` compiles bare relationship rows (CAIDA as-rel
   files) for file-built snapshots.
+
+The inference and :meth:`from_links` graphs keep per-id sorted lists
+as rows, built lazily into CSR on first :meth:`csr`: the closure and
+the what-if scenarios iterate and copy those rows element by element.
 
 Immutability is the point: the dense-id space of a RelGraph can never
 shift, so bitsets and CSR arrays built against it stay valid for the
@@ -25,11 +31,17 @@ object's whole life.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as _np
+
 from repro.graph.bitset import BitsetFamily, closure_bits
-from repro.graph.csr import Csr
+from repro.graph.csr import Csr, CsrRows, csr_from_pairs
 from repro.graph.index import DenseIndex
+
+#: one relationship's rows: per-id sorted lists, or views over a CSR
+Rows = Sequence[Sequence[int]]
 
 
 class RelGraph:
@@ -41,7 +53,6 @@ class RelGraph:
         "providers",
         "customers",
         "peers",
-        "siblings",
         "result",
         "_csr",
         "_closure",
@@ -50,10 +61,9 @@ class RelGraph:
     def __init__(
         self,
         index: DenseIndex,
-        providers: List[List[int]],
-        customers: List[List[int]],
-        peers: List[List[int]],
-        siblings: Optional[List[List[int]]] = None,
+        providers: Rows,
+        customers: Rows,
+        peers: Rows,
         result=None,
     ):
         self.index = index
@@ -61,7 +71,6 @@ class RelGraph:
         self.providers = providers
         self.customers = customers
         self.peers = peers
-        self.siblings = siblings or [[] for _ in range(len(index))]
         # the InferenceResult this graph was compiled from, when any:
         # the observed-cone computations need its path/link-state index
         self.result = result
@@ -104,7 +113,6 @@ class RelGraph:
             providers=_id_adjacency(index, result.providers),
             customers=_id_adjacency(index, result.customers),
             peers=_id_adjacency(index, result.peers),
-            siblings=_id_adjacency(index, result.siblings),
             result=result,
         )
         result._rel_graph = graph
@@ -119,31 +127,40 @@ class RelGraph:
         ``restrict`` limits the id space further (the IPv6 plane).
         Sibling links behave as peering links for propagation, so they
         merge into the peer adjacency here.
+
+        Each relationship's neighbor sets are read into one
+        ``(owner ASN, neighbor ASN)`` column pair, mapped to ids by a
+        binary search over the sorted index (pairs with an endpoint
+        outside it drop out) and sorted into CSR by
+        :func:`~repro.graph.csr.csr_from_pairs`: the same arrays as
+        sorting every row into a list and flattening those, without a
+        Python container per AS.
         """
         from repro.topology.model import ASType
 
+        ixp_rs = ASType.IXP_RS
         index = DenseIndex(
             asys.asn
             for asys in graph.ases()
-            if asys.type is not ASType.IXP_RS
+            if asys.type is not ixp_rs
             and (restrict is None or asys.asn in restrict)
         )
-        ids = index.ids
         n = len(index)
-        providers: List[List[int]] = [[] for _ in range(n)]
-        customers: List[List[int]] = [[] for _ in range(n)]
-        peers: List[List[int]] = [[] for _ in range(n)]
-        for asn in index.asns:
-            i = ids[asn]
-            providers[i] = sorted(
-                ids[p] for p in graph.providers[asn] if p in ids
-            )
-            customers[i] = sorted(
-                ids[c] for c in graph.customers[asn] if c in ids
-            )
-            peerish = graph.peers[asn] | graph.siblings[asn]
-            peers[i] = sorted(ids[p] for p in peerish if p in ids)
-        return cls(index, providers, customers, peers)
+        asns = _np.array(index.asns, dtype=_np.int64)
+
+        csr = Csr.from_arrays(
+            csr_from_pairs(*_id_pairs(asns, graph.providers), n),
+            csr_from_pairs(*_id_pairs(asns, graph.customers), n),
+            csr_from_pairs(*_id_pairs(asns, graph.peers, graph.siblings), n),
+        )
+        rel = cls(
+            index,
+            CsrRows(csr.providers),
+            CsrRows(csr.customers),
+            CsrRows(csr.peers),
+        )
+        rel._csr = csr
+        return rel
 
     @classmethod
     def from_links(
@@ -191,11 +208,41 @@ class RelGraph:
         definition, and the system's only closure computation.
         """
         if self._closure is None:
+            rows = self.customers
+            if isinstance(rows, CsrRows):
+                rows = rows.tolist()
             self._closure = closure_bits(
                 len(self.index),
-                {i: row for i, row in enumerate(self.customers) if row},
+                {i: row for i, row in enumerate(rows) if row},
             )
         return self._closure
+
+
+def _id_pairs(asns, *relations: Dict[int, Set[int]]):
+    """``(owner id, neighbor id)`` int64 columns of ASN-keyed neighbor
+    sets, over the sorted ASN array ``asns``; a pair with either
+    endpoint outside ``asns`` is dropped."""
+    owners = []
+    neighbors = []
+    for rel in relations:
+        sizes = _np.fromiter(map(len, rel.values()), dtype=_np.int64,
+                             count=len(rel))
+        owners.append(_np.repeat(
+            _np.fromiter(rel, dtype=_np.int64, count=len(rel)), sizes
+        ))
+        neighbors.append(_np.fromiter(
+            chain.from_iterable(rel.values()), dtype=_np.int64,
+            count=int(sizes.sum()),
+        ))
+    owners = _np.concatenate(owners)
+    neighbors = _np.concatenate(neighbors)
+    both = _np.concatenate((owners, neighbors))
+    ids = _np.searchsorted(asns, both)
+    found = _np.zeros(both.size, dtype=bool)
+    if asns.size:
+        found = asns[_np.minimum(ids, asns.size - 1)] == both
+    keep = found[:owners.size] & found[owners.size:]
+    return ids[:owners.size][keep], ids[owners.size:][keep]
 
 
 def _id_adjacency(

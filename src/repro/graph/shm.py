@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
-from repro.graph.csr import Csr
+from repro.graph.csr import Csr, CsrRows
 
 from multiprocessing import resource_tracker as _resource_tracker
 from multiprocessing import shared_memory as _shm
@@ -307,26 +307,6 @@ class SharedRelGraph:
         self.close()
 
 
-class _CsrRows:
-    """List-of-lists façade over one CSR view.
-
-    ``rows[i]`` is the (sorted) neighbor slice of dense id ``i`` — what
-    the reference sweeps and the leak pass iterate — served straight
-    from the mapped arrays.
-    """
-
-    __slots__ = ("indptr", "indices")
-
-    def __init__(self, view):
-        self.indptr, self.indices = view
-
-    def __getitem__(self, i):
-        return self.indices[self.indptr[i]: self.indptr[i + 1]]
-
-    def __len__(self) -> int:
-        return len(self.indptr) - 1
-
-
 class SharedGraphIndex:
     """A :class:`~repro.bgp.propagation.GraphIndex`-shaped view of a
     packed segment: ``asns``/``index`` lookup tables plus the typed
@@ -348,9 +328,9 @@ class SharedGraphIndex:
         self.index: Dict[int, int] = {
             asn: i for i, asn in enumerate(self.asns)
         }
-        self.providers = _CsrRows(self._csr.providers)
-        self.customers = _CsrRows(self._csr.customers)
-        self.peers = _CsrRows(self._csr.peers)
+        self.providers = CsrRows(self._csr.providers)
+        self.customers = CsrRows(self._csr.customers)
+        self.peers = CsrRows(self._csr.peers)
         self.via_ixp = shared.via_ixp()
 
     def __len__(self) -> int:

@@ -80,6 +80,7 @@ from repro.core.inference import (
 )
 from repro.core.paths import PathSet, SanitizeStats, is_reserved_asn
 from repro.core.rank import ASRankEntry
+from repro.graph.csr import CsrRows
 from repro.net.prefix import Prefix
 from repro.relationships import Relationship
 from repro.topology.model import ASGraph
@@ -661,6 +662,7 @@ def _sweep_up(
     customers reached at the previous level, the one with the lowest
     ASN — the deterministic tie-break.
     """
+    providers = CsrRows(index.csr().providers).tolist()
     cls[origin] = CLS_ORIGIN
     frontier = [origin]
     depth = 0
@@ -669,7 +671,7 @@ def _sweep_up(
         candidates: Dict[int, int] = {}  # provider index -> best customer index
         for node in frontier:
             node_asn = index.asns[node]
-            for provider in index.providers[node]:
+            for provider in providers[node]:
                 if cls[provider] != NO_ROUTE:
                     continue
                 best = candidates.get(provider)
@@ -694,12 +696,13 @@ def _sweep_peers(
     shortest path, then the lowest peer ASN.
     """
     n = len(index)
+    peers = CsrRows(index.csr().peers).tolist()
     best: Dict[int, Tuple[int, int]] = {}  # node -> (pathlen, peer index)
     for node in range(n):
         if cls[node] not in (CLS_ORIGIN, CLS_CUSTOMER):
             continue
         offer = (pathlen[node] + 1, node)
-        for peer in index.peers[node]:
+        for peer in peers[node]:
             if cls[peer] in (CLS_ORIGIN, CLS_CUSTOMER):
                 continue  # peer prefers its customer route
             current = best.get(peer)
@@ -731,6 +734,7 @@ def _sweep_down(
     shortest provider route, ties broken by lowest provider ASN.
     """
     n = len(index)
+    customers = CsrRows(index.csr().customers).tolist()
     buckets: List[List[int]] = []
 
     def put(length: int, node: int) -> None:
@@ -749,7 +753,7 @@ def _sweep_down(
             if pathlen[node] != depth:
                 continue  # stale entry
             node_asn = index.asns[node]
-            for customer in index.customers[node]:
+            for customer in customers[node]:
                 if cls[customer] != NO_ROUTE:
                     continue
                 best = candidates.get(customer)

@@ -1,6 +1,10 @@
 """Unit tests for vantage-point collection."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp.collector import (
     CODE_REL,
@@ -51,6 +55,103 @@ class TestVantagePoints:
         config = CollectorConfig(n_vps=20, seed=5, partial_feed_fraction=1.0)
         collector = Collector(graph, config)
         assert all(not vp.full_feed for vp in collector.vps)
+
+
+def loop_choose_vps(collector, count, exclude):
+    """The per-draw accumulate loop ``Collector._choose_vps`` replaced:
+    the reference its array draws must match, RNG calls included."""
+    candidates = sorted(
+        asys.asn
+        for asys in collector.graph.ases()
+        if asys.type
+        in (ASType.CLIQUE, ASType.LARGE_TRANSIT, ASType.SMALL_TRANSIT,
+            ASType.ACCESS)
+        and asys.asn not in exclude
+        and asys.asn in collector.index.index
+    )
+    weights = [len(collector.graph.customers[asn]) + 1 for asn in candidates]
+    chosen = []
+    pool = list(zip(candidates, weights))
+    for _ in range(min(count, len(pool))):
+        total = sum(w for _, w in pool)
+        pick = collector._rng.uniform(0, total)
+        acc = 0.0
+        for i, (asn, w) in enumerate(pool):
+            acc += w
+            if pick <= acc:
+                chosen.append(asn)
+                pool.pop(i)
+                break
+    vps = []
+    for asn in sorted(chosen):
+        partial = collector._rng.random() < (
+            collector.config.partial_feed_fraction
+        )
+        vps.append(VantagePoint(asn=asn, full_feed=not partial))
+    return vps
+
+
+class TestChooseVps:
+    """The array draws pick the same VPs, in the same RNG sequence, as
+    the accumulate loop."""
+
+    @pytest.fixture(scope="class")
+    def worlds(self):
+        return [
+            generate_topology(GeneratorConfig(n_ases=n, seed=seed))
+            for n, seed in ((60, 1), (200, 12), (400, 3))
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        world=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(0, 500),
+        exclude_share=st.floats(0.0, 1.0),
+    )
+    def test_matches_accumulate_loop(self, worlds, world, seed, count,
+                                     exclude_share):
+        graph = worlds[world]
+        collector = Collector(graph, CollectorConfig(n_vps=0, seed=seed))
+        draw = random.Random(seed)
+        exclude = {
+            a.asn for a in graph.ases() if draw.random() < exclude_share
+        }
+        collector._rng.seed(seed)
+        got = collector._choose_vps(count, exclude)
+        state = collector._rng.getstate()
+        collector._rng.seed(seed)
+        want = loop_choose_vps(collector, count, exclude)
+        assert got == want
+        assert state == collector._rng.getstate()
+
+    def test_count_beyond_pool_takes_every_candidate(self, worlds):
+        collector = Collector(worlds[0], CollectorConfig(n_vps=0, seed=2))
+        pool = loop_choose_vps(collector, 10**6, set())
+        collector._rng.seed(2)
+        got = collector._choose_vps(10**6, set())
+        assert len(got) == len(pool) > 0
+        collector._rng.seed(2)
+        assert got == loop_choose_vps(collector, 10**6, set())
+
+    def test_empty_pool(self):
+        graph = ASGraph()
+        for asn in (1, 2):
+            graph.add_as(AS(asn=asn, type=ASType.STUB))
+        graph.add_p2p(1, 2)
+        collector = Collector(graph, CollectorConfig(n_vps=5, seed=1))
+        assert collector.vps == []
+        assert collector._choose_vps(5, set()) == []
+
+    def test_preset_vps_are_excluded_from_the_draw(self, worlds):
+        graph = worlds[1]
+        config = CollectorConfig(n_vps=12, seed=7)
+        preset = Collector(graph, config).vps[:5]
+        collector = Collector(graph, config, preset_vps=preset)
+        reference = Collector(graph, CollectorConfig(n_vps=0, seed=7))
+        reference._rng.seed(7)
+        drawn = loop_choose_vps(reference, 7, {vp.asn for vp in preset})
+        assert collector.vps == sorted(preset + drawn, key=lambda v: v.asn)
 
 
 class TestPaths:

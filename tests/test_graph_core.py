@@ -21,6 +21,7 @@ from repro.graph import (
     BitsetFamily,
     ClosureBitsets,
     Csr,
+    CsrRows,
     DenseIndex,
     RelGraph,
     closure_bits,
@@ -169,9 +170,9 @@ class TestCsr:
 
     def test_neighbors_helper(self):
         csr = Csr(providers=[[1], []], customers=[[], [0]], peers=[[], []])
-        assert list(csr.neighbors(csr.providers, 0)) == [1]
-        assert list(csr.neighbors(csr.customers, 1)) == [0]
-        assert list(csr.neighbors(csr.peers, 0)) == []
+        assert list(CsrRows(csr.providers)[0]) == [1]
+        assert list(CsrRows(csr.customers)[1]) == [0]
+        assert list(CsrRows(csr.peers)[0]) == []
 
 
 # ---------------------------------------------------------------------------

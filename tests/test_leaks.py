@@ -4,12 +4,13 @@ import pytest
 
 from repro.bgp.collector import Collector, CollectorConfig
 from repro.bgp.noise import NoiseConfig
-from repro.bgp.propagation import CLS_CUSTOMER, GraphIndex
+from repro.bgp.propagation import CLS_CUSTOMER, GraphIndex, propagate_batch
 from repro.core.inference import infer_relationships
 from repro.core.paths import PathSet
 from repro.relationships import Relationship
 from repro.topology.generator import GeneratorConfig, generate_topology
 from repro.topology.model import AS, ASGraph, ASType
+from repro.qa.oracles import propagate_origin
 from repro.validation.validator import validate_against_truth
 from tests.engines import propagate
 
@@ -83,6 +84,29 @@ class TestLeakPass:
                 path = state.path_from(index, i)
                 if path:
                     assert len(path) == len(set(path)), (origin, path)
+
+    def test_list_state_holds_python_ints_after_a_leak(self):
+        # the world's rows are CSR views; the leak pass must still
+        # write plain ints into list-form state
+        graph = generate_topology(GeneratorConfig(n_ases=150, seed=8))
+        index = GraphIndex(graph)
+        multihomed = {
+            a.asn for a in graph.ases() if len(graph.providers[a.asn]) >= 2
+        }
+        origins = [a.asn for a in graph.ases() if a.prefixes][:40]
+        leaked = 0
+        for origin in origins:
+            state = propagate_batch(index, [origin], {origin: multihomed})[0]
+            oracle = propagate_origin(index, origin, leakers=multihomed)
+            for column in (state.cls, state.nexthop, state.pathlen):
+                assert type(column) is list
+                assert all(type(v) is int for v in column)
+            assert (state.cls, state.nexthop, state.pathlen) == (
+                oracle.cls, oracle.nexthop, oracle.pathlen
+            )
+            baseline = propagate_batch(index, [origin])[0]
+            leaked += baseline.nexthop != state.nexthop
+        assert leaked  # the leak pass really rewrote some routes
 
     def test_deterministic(self):
         graph = make_graph(p2c=[(1, 3), (2, 3), (2, 9), (1, 5)])

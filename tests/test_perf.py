@@ -181,6 +181,19 @@ class TestPipelineWiring:
         for stage in ("generate", "collect", "sanitize", "infer"):
             assert stage in flat, flat
 
+    def test_collector_setup_reports_compile(self):
+        from repro.scenarios import get_scenario
+
+        rec = perf.PerfRecorder()
+        with perf.use_recorder(rec):
+            get_scenario("tiny").run()
+        flat = rec.flat()
+        assert "collect-setup" in flat, flat
+        assert "collect-setup/compile" in flat, flat
+        assert flat["collect-setup"] >= flat["collect-setup/compile"]
+        # set-up is its own stage, not a part of collection
+        assert not any(key.startswith("collect/compile") for key in flat)
+
     def test_from_mrt_reports_ingest_stages(self, tmp_path):
         from repro.asrank import ASRank
         from repro.mrt.writer import write_rib_dump

@@ -196,6 +196,15 @@ class TestBatchedRefactorIdentity:
         direct = rel_graph_from_inference(m)
         via_asgraph = RelGraph.from_as_graph(graph_from_inference(m))
         assert direct.index.asns == via_asgraph.index.asns
-        assert direct.providers == via_asgraph.providers
-        assert direct.customers == via_asgraph.customers
-        assert direct.peers == via_asgraph.peers
+        assert direct.providers == via_asgraph.providers.tolist()
+        assert direct.customers == via_asgraph.customers.tolist()
+        assert direct.peers == via_asgraph.peers.tolist()
+        for mine, theirs in zip(
+            (direct.csr().providers, direct.csr().customers,
+             direct.csr().peers),
+            (via_asgraph.csr().providers, via_asgraph.csr().customers,
+             via_asgraph.csr().peers),
+        ):
+            for a, b in zip(mine, theirs):
+                assert a.dtype == b.dtype
+                assert a.tolist() == b.tolist()

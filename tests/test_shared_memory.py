@@ -49,10 +49,13 @@ class TestSharedRelGraphCodec:
             view = SharedGraphIndex(attached)
             assert view.asns == index.asns
             assert view.index == index.index
-            for i in range(len(index)):
-                assert list(view.providers[i]) == index.providers[i]
-                assert list(view.customers[i]) == index.customers[i]
-                assert list(view.peers[i]) == index.peers[i]
+            for rows, packed_rows in (
+                (index.providers, view.providers),
+                (index.customers, view.customers),
+                (index.peers, view.peers),
+            ):
+                assert len(packed_rows) == len(rows) == len(index)
+                assert packed_rows.tolist() == rows.tolist()
             assert view.via_ixp == graph.via_ixp
             attached.close()
         finally:
