@@ -7,6 +7,9 @@ gate for the three internet-scale pieces working together:
 * the linear-time power-law generator produces a valid world;
 * the world's column-built CSR compile equals the per-AS sorted-list
   compile, arrays and dtypes alike;
+* collection reading only the vantage points' provider closure
+  (``propagate_batch(observers=...)``) yields the corpus of full-table
+  propagation, with the route leaks of at least one origin in play;
 * the zero-copy shared-memory transport yields a corpus bit-identical
   to serial collection;
 * every shared segment is unlinked afterwards — no ``/dev/shm`` leaks.
@@ -26,8 +29,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.bgp.collector import Collector, CollectorConfig, shutdown_pool
-from repro.bgp.propagation import PropagationConfig
+from repro.bgp.collector import (
+    CollectionKernel,
+    Collector,
+    CollectorConfig,
+    shutdown_pool,
+)
+from repro.bgp.propagation import PropagationConfig, propagate_batch
 from repro.graph import RelGraph, csr_arrays
 from repro.topology.generator import (
     InternetScaleConfig,
@@ -74,6 +82,40 @@ def _list_compile_mismatch(graph):
     return None
 
 
+class _FullTableKernel(CollectionKernel):
+    """The production kernel over full route tables (no ``observers``),
+    counting the origins whose leak pass changed their table."""
+
+    leaky_origins = 0
+
+    def _propagate(self, block, leakers):
+        config = self.config.propagation
+        states = propagate_batch(self.index, block, leakers, config)
+        if leakers:
+            plain = propagate_batch(self.index, block, None, config)
+            for origin, leaky, clean in zip(block, states, plain):
+                if origin in leakers and any(
+                    not np.array_equal(a, b)
+                    for a, b in zip(
+                        (leaky.cls, leaky.nexthop, leaky.pathlen),
+                        (clean.cls, clean.nexthop, clean.pathlen),
+                    )
+                ):
+                    self.leaky_origins += 1
+        return states
+
+
+def _full_table_corpus(graph, config, origins):
+    """``(corpus, leaky origins)`` collected over full route tables."""
+    collector = Collector(graph, config)
+    kernel = collector.kernel
+    collector.kernel = _FullTableKernel(
+        kernel.config, kernel.index, kernel.vps, kernel.tagger_nodes,
+        kernel.sibling_nodes, kernel.leakers, kernel.clique, kernel.via_ixp,
+    )
+    return collector.run(origins=origins), collector.kernel.leaky_origins
+
+
 def _shm_entries():
     if not os.path.isdir("/dev/shm"):
         return set()
@@ -117,6 +159,16 @@ def main() -> int:
         f"serial collection: {len(serial.paths)} paths "
         f"from {N_ORIGINS} origins"
     )
+
+    full, leaky = _full_table_corpus(graph, config, origins)
+    print(f"full-table collection: {leaky} origins changed by a leak pass")
+    if leaky == 0:
+        print("FAIL: no origin ran an effective leak pass")
+        return 1
+    if _corpus_key(full) != _corpus_key(serial):
+        print("FAIL: the VP-closure corpus differs from full-table propagation")
+        return 1
+    print("ok: VP-closure corpus bit-identical to full-table propagation")
 
     parallel_config = replace(config, workers=WORKERS)
     collector = Collector(graph, parallel_config)

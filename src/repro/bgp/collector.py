@@ -211,6 +211,11 @@ class CollectionKernel:
         self.leakers = list(leakers)
         self.clique = clique
         self.via_ixp = via_ixp
+        # every route collection reads lies on a VP's next-hop chain
+        index_of = index.index
+        self.observers = [
+            index_of[vp.asn] for vp in self.vps if vp.asn in index_of
+        ]
         # shared across per-origin noisers: all deterministic in
         # (graph, noise seed), so sharing never changes an emitted path
         self._noise_prepends: Dict[Tuple[int, int], int] = {}
@@ -274,7 +279,7 @@ class CollectionKernel:
                 for asn in block
                 if (active := self._leakers_for_origin(asn))
             }
-            states = propagate_batch(self.index, block, leakers, pcfg)
+            states = self._propagate(block, leakers)
             perf.add_seconds("propagate", clock() - t0)
             t_paths = t_noise = t_rib = 0.0
             for origin_asn, state in zip(block, states):
@@ -302,6 +307,19 @@ class CollectionKernel:
             perf.add_seconds("noise", t_noise)
             perf.add_seconds("rib", t_rib)
         return results
+
+    def _propagate(
+        self, block: List[int], leakers: Dict[int, Set[int]]
+    ) -> List[RouteState]:
+        """One block's route state, exact wherever a VP's path can go.
+
+        The VPs are the propagation's ``observers`` (the block's
+        active leakers join them inside :func:`propagate_batch`).
+        """
+        return propagate_batch(
+            self.index, block, leakers, self.config.propagation,
+            observers=self.observers,
+        )
 
     def _exported_paths(
         self, state: RouteState
@@ -541,20 +559,21 @@ class Collector:
         way, so every worker count yields exactly the serial corpus.
         """
         with perf.stage("collect"):
-            prefix_origins = (
-                self.graph.prefix6_origins()
-                if self.plane == "v6"
-                else self.graph.prefix_origins()
-            )
-            # prefix lists only for the ASes asked to announce
-            announcing = (
-                self.index.index if origins is None
-                else set(origins).intersection(self.index.index)
-            )
-            by_origin: Dict[int, List[Prefix]] = {}
-            for prefix, asn in prefix_origins.items():
-                if asn in announcing:
-                    by_origin.setdefault(asn, []).append(prefix)
+            with perf.stage("prefixes"):
+                prefix_origins = (
+                    self.graph.prefix6_origins()
+                    if self.plane == "v6"
+                    else self.graph.prefix_origins()
+                )
+                # prefix lists only for the ASes asked to announce
+                announcing = (
+                    self.index.index if origins is None
+                    else set(origins).intersection(self.index.index)
+                )
+                by_origin: Dict[int, List[Prefix]] = {}
+                for prefix, asn in prefix_origins.items():
+                    if asn in announcing:
+                        by_origin.setdefault(asn, []).append(prefix)
             if origins is None:
                 origin_list = sorted(by_origin)
             else:

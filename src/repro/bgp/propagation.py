@@ -21,7 +21,12 @@ The implementation is three deterministic sweeps:
 3. selected routes descend customer edges (bucketed by path length).
 
 Results are flat arrays indexed by a dense AS index, so a full
-propagation is O(V + E) per origin with small constants.
+propagation is O(V + E) per origin with small constants.  A caller
+that reads only some rows (a collector reads its vantage points'
+next-hop chains) names them as ``observers``: the first two sweeps stay
+whole, and the third descends only the customer edges into the
+observers' upward provider closure, so its cost follows that closure
+instead of the world.
 
 :func:`propagate_batch` implements those sweeps for K origins at
 once, over ``(K, n)`` numpy route-class / path-length / next-hop
@@ -44,7 +49,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as _np
 
-from repro.graph.csr import MAX_INT32, Csr, CsrOverflowError, CsrRows
+from repro import perf
+from repro.graph.csr import (
+    MAX_INT32,
+    Csr,
+    CsrOverflowError,
+    CsrRows,
+    gather_rows,
+)
 from repro.graph.relgraph import RelGraph, Rows
 from repro.relationships import RelClass
 from repro.topology.model import ASGraph
@@ -147,6 +159,11 @@ class RouteState:
     ``cls[i]`` is one of the ``CLS_*``/``NO_ROUTE`` constants,
     ``nexthop[i]`` the index of the neighbor the route was learned from
     (-1 for the origin), ``pathlen[i]`` the AS-path length in edges.
+
+    A state computed with ``observers`` (:func:`propagate_batch`) is
+    exact on the observers' upward provider closure, and so is every
+    cell :meth:`path_from` walks from there; the values of any other
+    cell are unspecified.
     """
 
     origin: int  # dense index of the origin
@@ -179,6 +196,8 @@ def propagate_batch(
     origin_asns: Sequence[int],
     leakers_by_origin: Optional[Mapping[int, Set[int]]] = None,
     config: Optional[PropagationConfig] = None,
+    *,
+    observers: Optional[Sequence[int]] = None,
 ) -> List[RouteState]:
     """Route state for a block of origins, one :class:`RouteState` each.
 
@@ -198,11 +217,39 @@ def propagate_batch(
     after the shared sweeps — the leak perturbation is rare and
     inherently sequential, and running it per row keeps it
     bit-identical to the single-origin oracle.
+
+    ``observers`` are the dense ids whose routes the caller will read.
+    When given, the down sweep and the leak pass's descent expand only
+    customer edges into the upward provider closure of the observers
+    and of the call's leakers (which join them: the leak pass starts
+    at a leaker's own route).  A provider route depends only on the
+    node's providers, so every closure cell equals the full sweep's,
+    and next-hop chains from the closure stay on closure cells or on
+    customer and peer routes, which the whole first two sweeps compute.
+    Cells outside the closure are unspecified.  The closure and its
+    edge set are built once per call and reported as the ``closure``
+    and ``kept-edges`` counters of the open stage.  ``None`` computes
+    full tables.
     """
     config = config or PropagationConfig()
     leakers_by_origin = leakers_by_origin or {}
     if not origin_asns:
         return []
+
+    csr = index.csr()
+    customers = csr.customers
+    if observers is not None:
+        ids = index.index
+        seeds = list(observers)
+        seeds.extend(
+            ids[leaker]
+            for asn in origin_asns
+            for leaker in leakers_by_origin.get(asn, ())
+            if leaker in ids
+        )
+        customers, closure = _observer_customers(csr, len(index), seeds)
+        perf.counter("closure", closure)
+        perf.counter("kept-edges", customers[1].size)
 
     # cap the per-block cell footprint: a 100k-AS world at the default
     # batch size would allocate origins × stride ≈ 1.7e7 cells per
@@ -214,19 +261,50 @@ def propagate_batch(
         block = origin_asns[start: start + step]
         states.extend(
             _propagate_block(
-                index, block, leakers_by_origin, config.array_state
+                index, block, leakers_by_origin, customers,
+                config.array_state,
             )
         )
     return states
+
+
+def _observer_customers(
+    csr: Csr, n: int, observers: Sequence[int]
+) -> Tuple[Tuple["_np.ndarray", "_np.ndarray"], int]:
+    """``csr.customers`` cut to the edges into the observers' closure.
+
+    The closure is every observer plus, transitively, its providers:
+    one level-synchronous walk over ``csr.providers``.  Returns the cut
+    ``(indptr, indices)`` pair (every row keeps its kept customers in
+    order) and the closure's size.
+    """
+    indptr, indices = csr.providers
+    inside = _np.zeros(n, dtype=bool)
+    frontier = _np.unique(_np.asarray(observers, dtype=_np.int64))
+    inside[frontier] = True
+    while frontier.size:
+        starts = indptr[frontier]
+        above, _ = gather_rows(indices, starts, indptr[frontier + 1] - starts)
+        frontier = _np.unique(above[~inside[above]])
+        inside[frontier] = True
+    indptr, indices = csr.customers
+    keep = inside[indices]
+    before = _np.zeros(keep.size + 1, dtype=indptr.dtype)
+    _np.cumsum(keep, out=before[1:])
+    return (before[indptr], indices[keep]), int(inside.sum())
 
 
 def _propagate_block(
     index: GraphIndex,
     origin_asns: Sequence[int],
     leakers_by_origin: Mapping[int, Set[int]],
+    customers: Tuple["_np.ndarray", "_np.ndarray"],
     array_state: bool = False,
 ) -> List[RouteState]:
     """One block of the batched engine: K origins over flat cell arrays.
+
+    ``customers`` is the adjacency the down sweep and the leak pass's
+    descent expand: ``csr.customers`` itself, or its observer cut.
 
     A cell ``(k, node)`` lives at key ``k * stride + node`` where
     ``stride`` is n rounded up to a power of two, so splitting a cell
@@ -265,7 +343,7 @@ def _propagate_block(
     geom = _Geometry(stride, shift, stride - 1, cell_dtype, comp_dtype)
     _batch_sweep_up(csr, geom, origin_cells, cls, nexthop, pathlen)
     _batch_sweep_peers(csr, geom, cls, nexthop, pathlen)
-    _batch_sweep_down(csr, geom, cls, nexthop, pathlen)
+    _batch_sweep_down(customers, geom, cls, nexthop, pathlen)
 
     states: List[RouteState] = []
     cls2 = cls.reshape(K, stride)
@@ -295,7 +373,8 @@ def _propagate_block(
                 index.index[a] for a in leakers if a in index.index
             }
             _leak_pass(
-                index, leak_indexes, state.cls, state.nexthop, state.pathlen
+                index, leak_indexes, state.cls, state.nexthop, state.pathlen,
+                customers,
             )
         states.append(state)
     return states
@@ -455,15 +534,23 @@ def _batch_sweep_peers(
 
 
 def _batch_sweep_down(
-    csr: Csr,
+    customers: Tuple["_np.ndarray", "_np.ndarray"],
     geom: _Geometry,
     cls: "_np.ndarray",
     nexthop: "_np.ndarray",
     pathlen: "_np.ndarray",
 ) -> None:
-    """Phase 3, batched: routed cells descend customer edges by depth."""
+    """Phase 3, batched: routed cells descend customer edges by depth.
+
+    Only cells whose node has a customer edge in ``customers`` can
+    offer anything, so the first frontier is gathered from those
+    nodes' cells rather than from every routed cell.
+    """
     cell_dtype = geom.cell_dtype or cls.dtype
-    routed = _np.nonzero(cls != NO_ROUTE)[0].astype(cell_dtype)
+    parents = _np.nonzero(_np.diff(customers[0]))[0].astype(cell_dtype)
+    rows = _np.arange(cls.size // geom.stride, dtype=cell_dtype)
+    routed = (rows[:, None] * geom.stride + parents).ravel()
+    routed = routed[cls[routed] != NO_ROUTE]
     order = _np.argsort(pathlen[routed])
     routed = routed[order]
     depths = pathlen[routed]
@@ -479,7 +566,7 @@ def _batch_sweep_down(
         carry = _np.empty(0, dtype=cell_dtype)
         if frontier.size == 0:
             continue
-        src, targets = _expand(csr.customers, frontier, geom)
+        src, targets = _expand(customers, frontier, geom)
         if targets.size == 0:
             continue
         src_node = src & geom.mask
@@ -524,6 +611,7 @@ def _leak_pass(
     cls: List[int],
     nexthop: List[int],
     pathlen: List[int],
+    customers: Optional[Tuple["_np.ndarray", "_np.ndarray"]] = None,
 ) -> None:
     """One round of route-leak convergence.
 
@@ -535,7 +623,9 @@ def _leak_pass(
 
     Neighbors are read from the index's CSR one row at a time as
     Python ints, so list-form state never stores a numpy scalar
-    whatever shape the index serves its rows in.
+    whatever shape the index serves its rows in.  ``customers``
+    replaces ``csr.customers`` for the descent (an observer cut; see
+    :func:`propagate_batch`).
     """
     seeds = sorted(
         node
@@ -548,7 +638,7 @@ def _leak_pass(
     csr = index.csr()
     providers = CsrRows(csr.providers)
     peers = CsrRows(csr.peers)
-    customers = CsrRows(csr.customers)
+    customers = CsrRows(csr.customers if customers is None else customers)
 
     def on_chain(node: int, via: int) -> bool:
         """Is ``node`` already on the route ``via`` would hand it?

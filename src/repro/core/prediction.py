@@ -11,7 +11,8 @@ straight into the shared columnar :class:`~repro.graph.relgraph.RelGraph`
 (:func:`rel_graph_from_inference`) and re-derives every observed
 (vantage point, origin) pair through the batched Gao–Rexford engine —
 all origins of one report propagate in :func:`propagate_batch` blocks
-over flat arrays instead of one serial sweep per origin.  The batched
+over flat arrays instead of one serial sweep per origin, and only as
+far down as the observed vantage points can see.  The batched
 engine is bit-identical to the reference sweeps, so reports are
 unchanged from the serial implementation; only the wall clock moves.
 
@@ -159,7 +160,9 @@ def predict_paths(
     graph and the predicted path is compared with the observed one.
     Each (VP, origin) pair is judged once (the first observation wins),
     and ``max_origins`` bounds the propagation work.  All origins
-    propagate through the batched engine in one pass.
+    propagate through the batched engine in one pass, with the
+    observations' vantage points as its ``observers``: only their
+    rows are read.
     """
     index = GraphIndex(rel=rel_graph_from_inference(inference))
 
@@ -176,7 +179,11 @@ def predict_paths(
     origins = sorted(by_origin)
     if max_origins is not None:
         origins = origins[:max_origins]
-    for origin, state in zip(origins, propagate_batch(index, origins)):
+    observers = sorted({
+        index.index[vp] for origin in origins for vp in by_origin[origin]
+    })
+    states = propagate_batch(index, origins, observers=observers)
+    for origin, state in zip(origins, states):
         for vp, observed in sorted(by_origin[origin].items()):
             predicted = state.path_from(index, index.index[vp])
             report.compared += 1

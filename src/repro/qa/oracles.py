@@ -617,10 +617,33 @@ def reference_rank_ases(
 # ---------------------------------------------------------------------------
 
 
+class ListRows(NamedTuple):
+    """An index's three adjacencies as per-id lists of Python ints."""
+
+    providers: List[List[int]]
+    customers: List[List[int]]
+    peers: List[List[int]]
+
+
+def list_rows(index: GraphIndex) -> ListRows:
+    """Convert ``index``'s CSR views for the sweeps (one pass each).
+
+    A caller sweeping many origins over one index converts once and
+    passes the result to every :func:`propagate_origin` call.
+    """
+    csr = index.csr()
+    return ListRows(
+        CsrRows(csr.providers).tolist(),
+        CsrRows(csr.customers).tolist(),
+        CsrRows(csr.peers).tolist(),
+    )
+
+
 def propagate_origin(
     index: GraphIndex,
     origin_asn: int,
     leakers: Optional[Set[int]] = None,
+    rows: Optional[ListRows] = None,
 ) -> RouteState:
     """Compute every AS's selected route toward ``origin_asn``.
 
@@ -631,16 +654,20 @@ def propagate_origin(
     highly preferred and can hijack selection far beyond the leaker;
     the resulting observed paths contain valleys, which is exactly the
     artifact the inference pipeline must survive.
+
+    ``rows`` is :func:`list_rows` of ``index``, converted here when
+    absent.
     """
     n = len(index)
     origin = index.index[origin_asn]
     cls = [NO_ROUTE] * n
     nexthop = [-1] * n
     pathlen = [0] * n
+    rows = rows or list_rows(index)
 
-    _sweep_up(index, origin, cls, nexthop, pathlen)
-    _sweep_peers(index, cls, nexthop, pathlen)
-    _sweep_down(index, cls, nexthop, pathlen)
+    _sweep_up(index, rows.providers, origin, cls, nexthop, pathlen)
+    _sweep_peers(index, rows.peers, cls, nexthop, pathlen)
+    _sweep_down(index, rows.customers, cls, nexthop, pathlen)
     if leakers:
         leak_indexes = {
             index.index[asn] for asn in leakers if asn in index.index
@@ -651,6 +678,7 @@ def propagate_origin(
 
 def _sweep_up(
     index: GraphIndex,
+    providers: List[List[int]],
     origin: int,
     cls: List[int],
     nexthop: List[int],
@@ -662,7 +690,6 @@ def _sweep_up(
     customers reached at the previous level, the one with the lowest
     ASN — the deterministic tie-break.
     """
-    providers = CsrRows(index.csr().providers).tolist()
     cls[origin] = CLS_ORIGIN
     frontier = [origin]
     depth = 0
@@ -687,7 +714,11 @@ def _sweep_up(
 
 
 def _sweep_peers(
-    index: GraphIndex, cls: List[int], nexthop: List[int], pathlen: List[int]
+    index: GraphIndex,
+    peers: List[List[int]],
+    cls: List[int],
+    nexthop: List[int],
+    pathlen: List[int],
 ) -> None:
     """Phase 2: one peering hop off every AS holding a customer route.
 
@@ -696,7 +727,6 @@ def _sweep_peers(
     shortest path, then the lowest peer ASN.
     """
     n = len(index)
-    peers = CsrRows(index.csr().peers).tolist()
     best: Dict[int, Tuple[int, int]] = {}  # node -> (pathlen, peer index)
     for node in range(n):
         if cls[node] not in (CLS_ORIGIN, CLS_CUSTOMER):
@@ -723,7 +753,11 @@ def _offer_beats(
 
 
 def _sweep_down(
-    index: GraphIndex, cls: List[int], nexthop: List[int], pathlen: List[int]
+    index: GraphIndex,
+    customers: List[List[int]],
+    cls: List[int],
+    nexthop: List[int],
+    pathlen: List[int],
 ) -> None:
     """Phase 3: selected routes descend customer edges.
 
@@ -734,7 +768,6 @@ def _sweep_down(
     shortest provider route, ties broken by lowest provider ASN.
     """
     n = len(index)
-    customers = CsrRows(index.csr().customers).tolist()
     buckets: List[List[int]] = []
 
     def put(length: int, node: int) -> None:
@@ -774,7 +807,12 @@ def _sweep_down(
 
 class ReferenceCollectionKernel(CollectionKernel):
     """A collection kernel that propagates one origin at a time
-    through :func:`propagate_origin`."""
+    through :func:`propagate_origin`, computing full tables over list
+    rows converted once per kernel."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rows = list_rows(self.index)
 
     def collect_block(
         self,
@@ -802,6 +840,7 @@ class ReferenceCollectionKernel(CollectionKernel):
         state = propagate_origin(
             self.index, origin_asn,
             leakers=self._leakers_for_origin(origin_asn),
+            rows=self.rows,
         )
         observed = [
             (vp_asn, vp_idx, noiser.apply(path))

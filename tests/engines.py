@@ -17,3 +17,15 @@ def propagate(index, origin_asn, leakers=None):
     assert state.nexthop == oracle.nexthop
     assert state.pathlen == oracle.pathlen
     return state
+
+
+def provider_closure(index, seeds):
+    """The dense ids ``seeds`` plus, transitively, all their providers:
+    the cells an ``observers`` propagation must compute exactly."""
+    closure, stack = set(seeds), list(seeds)
+    while stack:
+        for provider in index.providers[stack.pop()]:
+            if int(provider) not in closure:
+                closure.add(int(provider))
+                stack.append(int(provider))
+    return closure

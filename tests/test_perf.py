@@ -194,6 +194,35 @@ class TestPipelineWiring:
         # set-up is its own stage, not a part of collection
         assert not any(key.startswith("collect/compile") for key in flat)
 
+    def test_collection_reports_prefixes_and_observer_closure(self):
+        from repro.bgp.collector import Collector, CollectorConfig
+        from repro.topology.generator import (
+            GeneratorConfig,
+            generate_topology,
+        )
+        from tests.engines import provider_closure
+
+        graph = generate_topology(GeneratorConfig(n_ases=150, seed=3))
+        collector = Collector(graph, CollectorConfig(n_vps=6, seed=3))
+        rec = perf.PerfRecorder()
+        with perf.use_recorder(rec):
+            corpus = collector.run()
+        assert corpus.paths
+        flat, counters = rec.flat(), rec.counters()
+        assert "collect/prefixes" in flat, flat
+        assert flat["collect"] >= flat["collect/prefixes"]
+        # one closure per propagation call, i.e. per origin block
+        blocks = -(-counters["collect/origins"] // 128)
+        index = collector.index
+        closure = provider_closure(index, collector.kernel.observers)
+        kept = sum(
+            1 for p in closure for c in index.customers[p].tolist()
+            if c in closure
+        )
+        assert 0 < len(closure) < len(index)
+        assert counters["collect/closure"] == blocks * len(closure)
+        assert counters["collect/kept-edges"] == blocks * kept
+
     def test_from_mrt_reports_ingest_stages(self, tmp_path):
         from repro.asrank import ASRank
         from repro.mrt.writer import write_rib_dump

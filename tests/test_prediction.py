@@ -1,6 +1,10 @@
 """Unit tests for path prediction from inferred relationships."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import infer_degree, infer_gao
 from repro.baselines.common import RelationshipMap
@@ -208,3 +212,67 @@ class TestBatchedRefactorIdentity:
             for a, b in zip(mine, theirs):
                 assert a.dtype == b.dtype
                 assert a.tolist() == b.tolist()
+
+
+def _report_key(report):
+    return (report.compared, report.exact, report.same_length,
+            report.unreachable)
+
+
+def _full_table_report(inference, observations, max_origins=None):
+    """``predict_paths`` with the engine computing every AS's route
+    (``observers`` dropped), the reference for the VP-only reads."""
+    from repro.bgp.propagation import propagate_batch
+
+    def full_tables(index, origins, *args, observers=None, **kwargs):
+        return propagate_batch(index, origins, *args, **kwargs)
+
+    with mock.patch("repro.core.prediction.propagate_batch", full_tables):
+        return predict_paths(inference, observations, max_origins)
+
+
+@st.composite
+def inferred_worlds(draw):
+    """Random labels over a few ASes (p2c cycles included, which the
+    predictor demotes) and random observed paths over them."""
+    n = draw(st.integers(2, 14))
+    m = RelationshipMap()
+    for a, b, kind in draw(st.lists(
+        st.tuples(st.integers(1, n), st.integers(1, n),
+                  st.sampled_from(["p2c", "p2p", "s2s"])),
+        max_size=40,
+    )):
+        if a == b or m.relationship(a, b) is not None:
+            continue
+        {"p2c": m.set_p2c, "p2p": m.set_p2p, "s2s": m.set_s2s}[kind](a, b)
+    observations = draw(st.lists(
+        st.lists(st.integers(1, n), min_size=2, max_size=6).map(tuple),
+        max_size=30,
+    ))
+    return m, observations
+
+
+class TestVantagePointObservers:
+    """predict_paths reads only the VPs' rows; its report must equal
+    the one computed over full route tables."""
+
+    @pytest.mark.parametrize("run", ["tiny_run", "small_run"])
+    def test_scenario_reports_match_full_tables(self, run, request):
+        result = request.getfixturevalue(run)
+        observed = list(result.paths)
+        for inference in (result.result, infer_gao(result.paths)):
+            report = predict_paths(inference, observed)
+            assert report.compared > 0
+            assert _report_key(report) == _report_key(
+                _full_table_report(inference, observed)
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(inferred_worlds(), st.one_of(st.none(), st.integers(1, 5)))
+    def test_drawn_reports_match_full_tables(self, world, max_origins):
+        inference, observations = world
+        assert _report_key(
+            predict_paths(inference, observations, max_origins)
+        ) == _report_key(
+            _full_table_report(inference, observations, max_origins)
+        )
