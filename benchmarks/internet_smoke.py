@@ -7,6 +7,9 @@ gate for the three internet-scale pieces working together:
 * the linear-time power-law generator produces a valid world;
 * the world's column-built CSR compile equals the per-AS sorted-list
   compile, arrays and dtypes alike;
+* the collector's one-pass set-up draws the VPs, taggers, leakers and
+  tagger sibling ids of per-AS loops over the AS table, and its
+  announcing origins' prefix lists equal the whole-world walk's;
 * collection reading only the vantage points' provider closure
   (``propagate_batch(observers=...)``) yields the corpus of full-table
   propagation, with the route leaks of at least one origin in play;
@@ -33,6 +36,7 @@ from repro.bgp.collector import (
     CollectionKernel,
     Collector,
     CollectorConfig,
+    VantagePoint,
     shutdown_pool,
 )
 from repro.bgp.propagation import PropagationConfig, propagate_batch
@@ -79,6 +83,74 @@ def _list_compile_mismatch(graph):
         for got, ref in zip(getattr(csr, name), csr_arrays(rows)):
             if got.dtype != ref.dtype or not np.array_equal(got, ref):
                 return name
+    return None
+
+
+def _reference_setup(graph, config, routing):
+    """``(vps, taggers, leakers, sibling ids)`` from per-AS loops over
+    the AS table, in the collector's RNG order."""
+    rng = random.Random(config.seed)
+    pool = [
+        (a.asn, len(graph.customers[a.asn]) + 1)
+        for a in sorted(graph.ases(), key=lambda a: a.asn)
+        if a.type in (ASType.CLIQUE, ASType.LARGE_TRANSIT,
+                      ASType.SMALL_TRANSIT, ASType.ACCESS)
+        and a.asn in routing
+    ]
+    chosen = []
+    for _ in range(min(config.n_vps, len(pool))):
+        pick = rng.uniform(0, sum(w for _, w in pool))
+        acc = 0.0
+        for i, (asn, w) in enumerate(pool):
+            acc += w
+            if pick <= acc:
+                chosen.append(asn)
+                pool.pop(i)
+                break
+    vps = [
+        VantagePoint(asn, rng.random() >= config.partial_feed_fraction)
+        for asn in sorted(chosen)
+    ]
+    taggers = frozenset(
+        a.asn for a in graph.ases()
+        if a.type is not ASType.IXP_RS
+        and rng.random() < config.community_tagger_fraction
+    )
+    multihomed = sorted(
+        a.asn for a in graph.ases() if len(graph.providers[a.asn]) >= 2
+    )
+    leakers = sorted(rng.sample(
+        multihomed, min(config.n_route_leakers, len(multihomed))
+    ))
+    siblings = {}
+    for asn in taggers:
+        routed = {routing[s] for s in graph.siblings[asn] if s in routing}
+        if asn in routing and routed:
+            siblings[routing[asn]] = routed
+    return vps, taggers, leakers, siblings
+
+
+def _setup_mismatch(graph, config, origins):
+    """The first collector set-up output that differs from the per-AS
+    loops (or, for the prefix lists, the whole-world walk), or ``None``."""
+    collector = Collector(graph, config)
+    routing = collector.index.index
+    vps, taggers, leakers, siblings = _reference_setup(graph, config, routing)
+    for name, got, want in (
+        ("vps", collector.vps, vps),
+        ("taggers", collector.taggers, taggers),
+        ("leakers", collector.leakers, leakers),
+        ("sibling_nodes", collector.kernel.sibling_nodes, siblings),
+    ):
+        if got != want:
+            return name
+    announcing = set(origins).intersection(routing)
+    walked = {}
+    for prefix, asn in graph.prefix_origins().items():
+        if asn in announcing:
+            walked.setdefault(asn, []).append(prefix)
+    if collector._announced(origins) != walked:
+        return "prefix lists"
     return None
 
 
@@ -153,6 +225,13 @@ def main() -> int:
     origins = sorted(
         random.Random(7).sample(sorted(a.asn for a in graph.ases()), N_ORIGINS)
     )
+
+    mismatch = _setup_mismatch(graph, config, origins)
+    if mismatch:
+        print(f"FAIL: collector set-up differs from per-AS loops: {mismatch}")
+        return 1
+    print("ok: collector set-up equals per-AS loops (VPs, taggers, leakers, "
+          "siblings, prefix lists)")
 
     serial = Collector(graph, config).run(origins=origins)
     print(

@@ -32,6 +32,7 @@ import random
 import time
 import weakref
 from dataclasses import dataclass, field
+from itertools import compress, filterfalse, islice
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as _np
@@ -49,9 +50,11 @@ from repro.bgp.propagation import (
     propagate_batch,
 )
 from repro.graph import shm
+from repro.graph.index import DenseIndex
+from repro.graph.relgraph import RelGraph
 from repro.net.prefix import Prefix
 from repro.relationships import RelClass
-from repro.topology.model import ASGraph, ASType
+from repro.topology.model import ASGraph, ASType, TopologyError
 
 # community encoding used by tagging ASes: (tagger_asn, _REL_CODE[relclass])
 REL_CODE = {
@@ -395,6 +398,37 @@ class CollectionKernel:
         return tuple(tags)
 
 
+def _survey(
+    graph: ASGraph, v6: bool
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """One pass over the AS table: ``(non-IXP ASNs in table order,
+    sorted routing ASNs, sorted VP-typed ASNs, sorted clique ASNs)``.
+
+    Table order is the tagger draw order.  The routing ASes are the
+    non-IXP ones, on the v6 plane only those with IPv6 space.
+    """
+    ixp_rs = ASType.IXP_RS
+    clique_type = ASType.CLIQUE
+    taggable: List[int] = []
+    routing: List[int] = []
+    vp_typed: List[int] = []
+    clique: List[int] = []
+    for asys in graph.ases():
+        kind = asys.type
+        if kind is ixp_rs:
+            continue
+        asn = asys.asn
+        taggable.append(asn)
+        if v6 and asys.prefixes6:
+            routing.append(asn)
+        if kind in _VP_TYPES:
+            vp_typed.append(asn)
+            if kind is clique_type:
+                clique.append(asn)
+    routing = sorted(routing if v6 else taggable)
+    return taggable, routing, sorted(vp_typed), sorted(clique)
+
+
 @dataclass(frozen=True)
 class _ChunkSpec:
     """What a shared-memory worker needs besides the mapped segment.
@@ -437,36 +471,39 @@ class Collector:
         self.plane = plane
         self.config = config or CollectorConfig()
         with perf.stage("collect-setup"):
-            restrict = graph.v6_asns() if plane == "v6" else None
             with perf.stage("compile"):
-                self.index = GraphIndex(graph, restrict=restrict)
-            self._rng = random.Random(self.config.seed)
-            retained = [
-                vp for vp in (preset_vps or []) if vp.asn in self.index.index
-            ]
-            needed = max(0, self.config.n_vps - len(retained))
-            exclude = {vp.asn for vp in retained}
-            self.vps = sorted(
-                retained + self._choose_vps(needed, exclude),
-                key=lambda vp: vp.asn,
-            )
-            self.taggers = self._choose_taggers()
-            self.leakers = self._choose_leakers()
-            tagger_nodes = {
-                self.index.index[asn]
-                for asn in self.taggers
-                if asn in self.index.index
-            }
-            # only taggers with a routing sibling get an entry
-            sibling_nodes: Dict[int, Set[int]] = {}
-            for node in tagger_nodes:
-                siblings = {
-                    self.index.index[s]
-                    for s in graph.siblings[self.index.asns[node]]
-                    if s in self.index.index
+                # the one pass over the AS table every set-up step reads
+                self._taggable, routing, self._vp_pool, clique = _survey(
+                    graph, plane == "v6"
+                )
+                self.index = GraphIndex(graph, rel=RelGraph.from_as_graph(
+                    graph, index=DenseIndex.from_sorted(routing)
+                ))
+            with perf.stage("draws"):
+                self._rng = random.Random(self.config.seed)
+                ids = self.index.index
+                retained = [
+                    vp for vp in (preset_vps or []) if vp.asn in ids
+                ]
+                needed = max(0, self.config.n_vps - len(retained))
+                exclude = {vp.asn for vp in retained}
+                self.vps = sorted(
+                    retained + self._choose_vps(needed, exclude),
+                    key=lambda vp: vp.asn,
+                )
+                self.taggers = self._choose_taggers()
+                self.leakers = self._choose_leakers()
+                tagger_nodes = {
+                    ids[asn] for asn in self.taggers if asn in ids
                 }
-                if siblings:
-                    sibling_nodes[node] = siblings
+                # only routing taggers with a routing sibling get an
+                # entry; the filter skips the taggers without siblings
+                sibling_nodes: Dict[int, Set[int]] = {}
+                siblings = graph.siblings
+                for asn in filter(siblings.__getitem__, self.taggers):
+                    routed = {ids[s] for s in siblings[asn] if s in ids}
+                    if asn in ids and routed:
+                        sibling_nodes[ids[asn]] = routed
             self.kernel = CollectionKernel(
                 config=self.config,
                 index=self.index,
@@ -474,7 +511,7 @@ class Collector:
                 tagger_nodes=tagger_nodes,
                 sibling_nodes=sibling_nodes,
                 leakers=self.leakers,
-                clique=graph.clique_asns(),
+                clique=clique,
                 via_ixp=getattr(graph, "via_ixp", {}),
             )
         # lazily packed shared-memory segment, unlinked when this
@@ -494,18 +531,15 @@ class Collector:
         reaches ``uniform(0, total)`` (ascending ASN order) and removes
         it from the pool.
         """
-        routing = self.index.index
-        candidates = sorted(
-            asys.asn
-            for asys in self.graph.ases()
-            if asys.type in _VP_TYPES
-            and asys.asn not in exclude
-            and asys.asn in routing  # v6 plane: v6 VPs only
-        )
-        weights = _np.array(
-            [len(self.graph.customers[asn]) + 1 for asn in candidates],
-            dtype=_np.int64,
-        )
+        # the routing VP-typed ASes (v6 plane: v6 VPs only), unexcluded
+        candidates = list(filterfalse(
+            exclude.__contains__,
+            filter(self.index.index.__contains__, self._vp_pool),
+        ))
+        weights = _np.fromiter(
+            map(len, map(self.graph.customers.__getitem__, candidates)),
+            dtype=_np.int64, count=len(candidates),
+        ) + 1
         candidates = _np.array(candidates, dtype=_np.int64)
         chosen: List[int] = []
         for _ in range(min(count, candidates.size)):
@@ -522,24 +556,25 @@ class Collector:
         return vps
 
     def _choose_taggers(self) -> FrozenSet[int]:
-        """ASes that attach relationship-encoding communities at ingress."""
-        ixp_rs = ASType.IXP_RS
-        taggers = {
-            asys.asn
-            for asys in self.graph.ases()
-            if asys.type is not ixp_rs
-            and self._rng.random() < self.config.community_tagger_fraction
-        }
-        return frozenset(taggers)
+        """ASes that attach relationship-encoding communities at ingress:
+        one ``random()`` draw per non-IXP AS, in AS-table order."""
+        taggable = self._taggable
+        draws = _np.fromiter(
+            islice(iter(self._rng.random, None), len(taggable)),
+            dtype=_np.float64, count=len(taggable),
+        )
+        return frozenset(compress(
+            taggable,
+            (draws < self.config.community_tagger_fraction).tolist(),
+        ))
 
     def _choose_leakers(self) -> List[int]:
-        """Multihomed ASes that mis-export routes to their providers."""
+        """Multihomed ASes that mis-export routes to their providers
+        (``graph.providers`` holds one set per AS of the table)."""
         if self.config.n_route_leakers <= 0:
             return []
         candidates = sorted(
-            asys.asn
-            for asys in self.graph.ases()
-            if len(self.graph.providers[asys.asn]) >= 2
+            asn for asn, ups in self.graph.providers.items() if len(ups) >= 2
         )
         count = min(self.config.n_route_leakers, len(candidates))
         return sorted(self._rng.sample(candidates, count))
@@ -557,27 +592,17 @@ class Collector:
         propagations fan out across worker processes; results merge in
         origin order and noise is drawn from per-origin RNGs either
         way, so every worker count yields exactly the serial corpus.
+
+        A prefix originated twice raises
+        :class:`~repro.topology.model.TopologyError`.  The check guards
+        the prefixes this run reads: those of the given ``origins``
+        that route, or, with ``origins=None``, every prefix of the
+        world.
         """
         with perf.stage("collect"):
             with perf.stage("prefixes"):
-                prefix_origins = (
-                    self.graph.prefix6_origins()
-                    if self.plane == "v6"
-                    else self.graph.prefix_origins()
-                )
-                # prefix lists only for the ASes asked to announce
-                announcing = (
-                    self.index.index if origins is None
-                    else set(origins).intersection(self.index.index)
-                )
-                by_origin: Dict[int, List[Prefix]] = {}
-                for prefix, asn in prefix_origins.items():
-                    if asn in announcing:
-                        by_origin.setdefault(asn, []).append(prefix)
-            if origins is None:
-                origin_list = sorted(by_origin)
-            else:
-                origin_list = sorted(set(origins) & set(by_origin))
+                by_origin = self._announced(origins)
+            origin_list = sorted(by_origin)
             perf.counter("origins", len(origin_list))
             perf.counter("vps", len(self.vps))
 
@@ -597,6 +622,36 @@ class Collector:
                 corpus.rib.extend(rib_rows)
             perf.counter("paths", len(corpus))
             return corpus
+
+    def _announced(
+        self, origins: Optional[Sequence[int]]
+    ) -> Dict[int, List[Prefix]]:
+        """The prefix list of each announcing AS: each routing AS of
+        ``origins`` (of the whole AS table when ``None``) with at least
+        one prefix on this plane.  Only the listed ASes' own prefixes
+        are read."""
+        graph = self.graph
+        ids = self.index.index
+        field_name = "prefixes6" if self.plane == "v6" else "prefixes"
+        if origins is None:
+            announcing = graph.ases()
+        else:
+            announcing = map(graph.get_as,
+                             sorted(set(origins).intersection(ids)))
+        owner: Dict[Prefix, int] = {}
+        by_origin: Dict[int, List[Prefix]] = {}
+        for asys in announcing:
+            prefixes = getattr(asys, field_name)
+            for prefix in prefixes:
+                if prefix in owner:
+                    raise TopologyError(
+                        f"{prefix} originated by both AS{owner[prefix]} "
+                        f"and AS{asys.asn}"
+                    )
+                owner[prefix] = asys.asn
+            if prefixes and asys.asn in ids:
+                by_origin[asys.asn] = list(prefixes)
+        return by_origin
 
     def _chunk_spec(self) -> _ChunkSpec:
         """The worker spec, packing the graph segment on first use."""

@@ -56,6 +56,7 @@ from repro.graph.csr import (
     CsrOverflowError,
     CsrRows,
     gather_rows,
+    sort_unique,
 )
 from repro.graph.relgraph import RelGraph, Rows
 from repro.relationships import RelClass
@@ -280,12 +281,12 @@ def _observer_customers(
     """
     indptr, indices = csr.providers
     inside = _np.zeros(n, dtype=bool)
-    frontier = _np.unique(_np.asarray(observers, dtype=_np.int64))
+    frontier = sort_unique(_np.asarray(observers, dtype=_np.int64))
     inside[frontier] = True
     while frontier.size:
         starts = indptr[frontier]
         above, _ = gather_rows(indices, starts, indptr[frontier + 1] - starts)
-        frontier = _np.unique(above[~inside[above]])
+        frontier = sort_unique(above[~inside[above]])
         inside[frontier] = True
     indptr, indices = csr.customers
     keep = inside[indices]

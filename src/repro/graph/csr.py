@@ -108,6 +108,43 @@ def gather_rows(flat, starts, lengths):
     return flat[index], offsets
 
 
+def sort_unique(values, return_inverse: bool = False):
+    """The sorted distinct ``values`` (1-d integers) by one sort and an
+    adjacent-difference mask (``numpy.unique`` hashes integers, slower,
+    and its first plain call in a process imports ``numpy.ma``, ~10 ms).
+
+    With ``return_inverse``: ``(unique, inverse, order)``, where
+    ``unique[inverse]`` is ``values`` and ``order`` its stable argsort,
+    which values that fit beside their position in 64 bits get from a
+    plain sort of ``(value << bits) | position``, faster than argsort.
+    """
+    if not return_inverse:
+        ordered = _np.sort(values)
+    else:
+        n = len(values)
+        bits = max(n - 1, 0).bit_length()
+        if n and values.min() >= 0 and (
+            int(values.max()).bit_length() + bits <= 64
+        ):
+            packed = values.astype(_np.uint64)
+            packed <<= _np.uint64(bits)
+            packed |= _np.arange(n, dtype=_np.uint64)
+            packed.sort()
+            order = (packed & _np.uint64((1 << bits) - 1)).view(_np.int64)
+            packed >>= _np.uint64(bits)
+            ordered = packed.astype(values.dtype, copy=False)
+        else:
+            order = _np.argsort(values, kind="stable")
+            ordered = values[order]
+    first = _np.ones(len(ordered), dtype=bool)
+    _np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if not return_inverse:
+        return ordered[first]
+    inverse = _np.empty(len(values), dtype=_np.int64)
+    inverse[order] = _np.cumsum(first) - 1
+    return ordered[first], inverse, order
+
+
 class Csr:
     """The three relationship-typed CSR views of one graph."""
 

@@ -41,7 +41,7 @@ class DenseIndex:
     ``DenseIndex(asns)`` sorts and dedupes; :meth:`from_sorted` adopts
     an already-sorted unique list without copying or checking (for the
     hot paths that got it from a sort-based unique pass, such as
-    :func:`repro.core.paths.sort_unique`).
+    :func:`repro.graph.csr.sort_unique`).
     """
 
     __slots__ = ("ids", "asns")

@@ -119,38 +119,50 @@ class RelGraph:
         return graph
 
     @classmethod
-    def from_as_graph(cls, graph, restrict: Optional[Set[int]] = None
-                      ) -> "RelGraph":
+    def from_as_graph(
+        cls,
+        graph,
+        restrict: Optional[Set[int]] = None,
+        *,
+        index: Optional[DenseIndex] = None,
+    ) -> "RelGraph":
         """Compile a topology-model graph for route propagation.
 
         IXP route-server ASes do not route and are excluded;
         ``restrict`` limits the id space further (the IPv6 plane).
-        Sibling links behave as peering links for propagation, so they
-        merge into the peer adjacency here.
+        ``index`` adopts the routing ASes' index instead, for a caller
+        that has already walked the AS table (the collector's set-up
+        pass).  Sibling links behave as peering links for propagation,
+        so they merge into the peer adjacency here.
 
-        Each relationship's neighbor sets are read into one
-        ``(owner ASN, neighbor ASN)`` column pair, mapped to ids by a
-        binary search over the sorted index (pairs with an endpoint
-        outside it drop out) and sorted into CSR by
-        :func:`~repro.graph.csr.csr_from_pairs`: the same arrays as
-        sorting every row into a list and flattening those, without a
-        Python container per AS.
+        Each relationship's neighbor sets are read once into an
+        ``(owner id, neighbor ASN)`` column pair (:func:`_id_pairs`);
+        the neighbor column maps to ids by one sort, pairs with an
+        endpoint outside the index drop out, and
+        :func:`~repro.graph.csr.csr_from_pairs` sorts each view.  The
+        customers view is the providers pairs with the columns swapped,
+        since :class:`~repro.topology.model.ASGraph` keeps the two
+        relations mirror images.  The arrays equal sorting every row
+        into a list and flattening those, without a Python container
+        per AS.
         """
-        from repro.topology.model import ASType
+        if index is None:
+            from repro.topology.model import ASType
 
-        ixp_rs = ASType.IXP_RS
-        index = DenseIndex(
-            asys.asn
-            for asys in graph.ases()
-            if asys.type is not ixp_rs
-            and (restrict is None or asys.asn in restrict)
-        )
+            ixp_rs = ASType.IXP_RS
+            index = DenseIndex.from_sorted(sorted(
+                asys.asn
+                for asys in graph.ases()
+                if asys.type is not ixp_rs
+                and (restrict is None or asys.asn in restrict)
+            ))
         n = len(index)
         asns = _np.array(index.asns, dtype=_np.int64)
 
+        customers, providers = _id_pairs(asns, graph.providers)
         csr = Csr.from_arrays(
-            csr_from_pairs(*_id_pairs(asns, graph.providers), n),
-            csr_from_pairs(*_id_pairs(asns, graph.customers), n),
+            csr_from_pairs(customers, providers, n),
+            csr_from_pairs(providers, customers, n),
             csr_from_pairs(*_id_pairs(asns, graph.peers, graph.siblings), n),
         )
         rel = cls(
@@ -221,14 +233,21 @@ class RelGraph:
 def _id_pairs(asns, *relations: Dict[int, Set[int]]):
     """``(owner id, neighbor id)`` int64 columns of ASN-keyed neighbor
     sets, over the sorted ASN array ``asns``; a pair with either
-    endpoint outside ``asns`` is dropped."""
+    endpoint outside ``asns`` is dropped.
+
+    Each relation's keys map once and repeat by row size; the neighbor
+    column maps with one argsort, a binary search of the sorted
+    needles and a scatter back (sorted needles keep the search
+    cache-friendly, where random ones miss on every probe)."""
     owners = []
     neighbors = []
     for rel in relations:
         sizes = _np.fromiter(map(len, rel.values()), dtype=_np.int64,
                              count=len(rel))
         owners.append(_np.repeat(
-            _np.fromiter(rel, dtype=_np.int64, count=len(rel)), sizes
+            _lookup(asns, _np.fromiter(rel, dtype=_np.int64,
+                                       count=len(rel))),
+            sizes,
         ))
         neighbors.append(_np.fromiter(
             chain.from_iterable(rel.values()), dtype=_np.int64,
@@ -236,13 +255,21 @@ def _id_pairs(asns, *relations: Dict[int, Set[int]]):
         ))
     owners = _np.concatenate(owners)
     neighbors = _np.concatenate(neighbors)
-    both = _np.concatenate((owners, neighbors))
-    ids = _np.searchsorted(asns, both)
-    found = _np.zeros(both.size, dtype=bool)
-    if asns.size:
-        found = asns[_np.minimum(ids, asns.size - 1)] == both
-    keep = found[:owners.size] & found[owners.size:]
-    return ids[:owners.size][keep], ids[owners.size:][keep]
+    order = _np.argsort(neighbors)
+    ids = _np.empty_like(neighbors)
+    ids[order] = _lookup(asns, neighbors[order])
+    keep = (owners >= 0) & (ids >= 0)
+    return owners[keep], ids[keep]
+
+
+def _lookup(asns, needles):
+    """Position of each needle in the sorted array ``asns``, -1 for a
+    needle it does not hold."""
+    if not asns.size:
+        return _np.full(needles.size, -1, dtype=_np.int64)
+    ids = _np.searchsorted(asns, needles)
+    found = asns[_np.minimum(ids, asns.size - 1)] == needles
+    return _np.where(found, ids, -1)
 
 
 def _id_adjacency(

@@ -16,7 +16,7 @@ from repro.bgp.collector import (
 from repro.bgp.noise import NoiseConfig
 from repro.relationships import RelClass, Relationship
 from repro.topology.generator import GeneratorConfig, generate_topology
-from repro.topology.model import AS, ASGraph, ASType
+from repro.topology.model import AS, ASGraph, ASType, TopologyError
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +152,195 @@ class TestChooseVps:
         reference._rng.seed(7)
         drawn = loop_choose_vps(reference, 7, {vp.asn for vp in preset})
         assert collector.vps == sorted(preset + drawn, key=lambda v: v.asn)
+
+
+def loop_choose_taggers(collector):
+    """``Collector._choose_taggers`` as a per-AS loop over the AS table:
+    one ``random()`` per non-IXP AS, in table order."""
+    return frozenset(
+        asys.asn
+        for asys in collector.graph.ases()
+        if asys.type is not ASType.IXP_RS
+        and collector._rng.random()
+        < collector.config.community_tagger_fraction
+    )
+
+
+def loop_choose_leakers(collector):
+    """``Collector._choose_leakers`` as a per-AS loop over the AS table."""
+    if collector.config.n_route_leakers <= 0:
+        return []
+    graph = collector.graph
+    candidates = sorted(
+        asys.asn for asys in graph.ases()
+        if len(graph.providers[asys.asn]) >= 2
+    )
+    count = min(collector.config.n_route_leakers, len(candidates))
+    return sorted(collector._rng.sample(candidates, count))
+
+
+def loop_tagger_nodes(collector, taggers):
+    """``(tagger ids, sibling ids per tagger id)`` by a loop over every
+    routing tagger."""
+    ids = collector.index.index
+    nodes = {ids[asn] for asn in taggers if asn in ids}
+    sibling_nodes = {}
+    for node in nodes:
+        asn = collector.index.asns[node]
+        siblings = {ids[s] for s in collector.graph.siblings[asn] if s in ids}
+        if siblings:
+            sibling_nodes[node] = siblings
+    return nodes, sibling_nodes
+
+
+def walk_prefix_lists(collector, origins):
+    """The announcing ASes' prefix lists from the whole-world
+    ``prefix_origins`` walk."""
+    graph = collector.graph
+    prefix_origins = (
+        graph.prefix6_origins() if collector.plane == "v6"
+        else graph.prefix_origins()
+    )
+    announcing = (
+        collector.index.index if origins is None
+        else set(origins).intersection(collector.index.index)
+    )
+    by_origin = {}
+    for prefix, asn in prefix_origins.items():
+        if asn in announcing:
+            by_origin.setdefault(asn, []).append(prefix)
+    return by_origin
+
+
+def reshuffled(graph, seed):
+    """A copy of ``graph`` whose AS table is in a shuffled order (fresh
+    ``AS`` objects, so a test may edit their prefixes)."""
+    order = list(graph.ases())
+    random.Random(seed).shuffle(order)
+    copy = ASGraph()
+    for asys in order:
+        copy.add_as(AS(
+            asn=asys.asn, type=asys.type, region=asys.region,
+            prefixes=list(asys.prefixes), prefixes6=list(asys.prefixes6),
+        ))
+    for a, b, rel in graph.links():
+        if rel is Relationship.P2C:
+            copy.add_p2c_unchecked(a, b)
+        elif rel is Relationship.P2P:
+            copy.add_p2p(a, b)
+        else:
+            copy.add_s2s(a, b)
+    return copy
+
+
+class TestSetupDraws:
+    """One pass over the AS table draws what the per-AS loops drew: the
+    same VPs, taggers, leakers and tagger sibling ids, RNG sequence
+    included, and the announcing origins' prefix lists equal the
+    whole-world walk's."""
+
+    @pytest.fixture(scope="class")
+    def worlds(self):
+        return [
+            generate_topology(GeneratorConfig(
+                n_ases=n, seed=seed, sibling_pairs=siblings,
+            ))
+            for n, seed, siblings in ((60, 1, 4), (150, 5, 10), (300, 8, 0))
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        world=st.integers(0, 2),
+        shuffle=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        plane=st.sampled_from(["v4", "v6"]),
+        n_vps=st.integers(0, 30),
+        leakers=st.integers(0, 6),
+        tagger_fraction=st.floats(0.0, 1.0),
+    )
+    def test_matches_per_as_loops(self, worlds, world, shuffle, seed, plane,
+                                  n_vps, leakers, tagger_fraction):
+        graph = reshuffled(worlds[world], shuffle)
+        config = CollectorConfig(
+            n_vps=n_vps, seed=seed, n_route_leakers=leakers,
+            community_tagger_fraction=tagger_fraction,
+        )
+        collector = Collector(graph, config, plane=plane)
+        routing = sorted(
+            a.asn for a in graph.ases()
+            if a.type is not ASType.IXP_RS
+            and (plane == "v4" or a.v6_enabled)
+        )
+        assert collector.index.asns == routing
+        assert collector.kernel.clique == graph.clique_asns()
+
+        collector._rng.seed(seed)
+        assert collector.vps == loop_choose_vps(collector, n_vps, set())
+        taggers = loop_choose_taggers(collector)
+        assert collector.taggers == taggers
+        assert collector.leakers == loop_choose_leakers(collector)
+        nodes, sibling_nodes = loop_tagger_nodes(collector, taggers)
+        assert collector.kernel.tagger_nodes == nodes
+        assert collector.kernel.sibling_nodes == sibling_nodes
+
+        draw = random.Random(shuffle)
+        origins = [a.asn for a in graph.ases() if draw.random() < 0.3]
+        for asked in (origins, None):
+            assert collector._announced(asked) == walk_prefix_lists(
+                collector, asked
+            )
+
+    def test_siblings_reach_the_kernel(self, worlds):
+        collector = Collector(
+            worlds[1], CollectorConfig(community_tagger_fraction=1.0)
+        )
+        assert collector.kernel.sibling_nodes
+        assert collector.kernel.sibling_nodes == loop_tagger_nodes(
+            collector, collector.taggers
+        )[1]
+
+
+class TestPrefixOwnership:
+    """A prefix originated twice raises for the prefixes a run reads."""
+
+    @pytest.fixture
+    def clash(self):
+        graph = reshuffled(
+            generate_topology(GeneratorConfig(n_ases=80, seed=4)), 1
+        )
+        a, b, bystander = sorted(
+            asys.asn for asys in graph.ases()
+            if asys.prefixes and asys.type is not ASType.IXP_RS
+        )[:3]
+        graph.get_as(b).prefixes.append(graph.get_as(a).prefixes[0])
+        return graph, a, b, bystander
+
+    def test_two_announcing_origins_sharing_a_prefix(self, clash):
+        graph, a, b, _ = clash
+        collector = Collector(graph, CollectorConfig(n_vps=3, seed=1))
+        with pytest.raises(TopologyError, match="originated by both"):
+            collector.run(origins=[a, b])
+
+    def test_whole_world_run_guards_every_prefix(self, clash):
+        graph, *_ = clash
+        collector = Collector(graph, CollectorConfig(n_vps=3, seed=1))
+        with pytest.raises(TopologyError, match="originated by both"):
+            collector.run()
+
+    def test_unread_duplicates_are_out_of_scope(self, clash):
+        graph, a, b, bystander = clash
+        collector = Collector(graph, CollectorConfig(n_vps=3, seed=1))
+        for origins in ([a, bystander], [b, bystander]):
+            corpus = collector.run(origins=origins)
+            assert {p[-1] for p in corpus.paths} <= set(origins)
+
+    def test_one_as_listing_a_prefix_twice(self, clash):
+        graph, _, _, bystander = clash
+        asys = graph.get_as(bystander)
+        asys.prefixes.append(asys.prefixes[0])
+        collector = Collector(graph, CollectorConfig(n_vps=3, seed=1))
+        with pytest.raises(TopologyError, match="originated by both"):
+            collector.run(origins=[bystander])
 
 
 class TestPaths:

@@ -190,7 +190,10 @@ class TestPipelineWiring:
         flat = rec.flat()
         assert "collect-setup" in flat, flat
         assert "collect-setup/compile" in flat, flat
-        assert flat["collect-setup"] >= flat["collect-setup/compile"]
+        assert "collect-setup/draws" in flat, flat
+        assert flat["collect-setup"] >= (
+            flat["collect-setup/compile"] + flat["collect-setup/draws"]
+        )
         # set-up is its own stage, not a part of collection
         assert not any(key.startswith("collect/compile") for key in flat)
 

@@ -11,6 +11,9 @@ do so on the observers' upward provider closure.
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -274,6 +277,29 @@ class TestObservers:
             for k, asn in enumerate(index.asns[::5])
         }
         assert_closure_exact(index, index.asns, observers, leakers, 16)
+
+
+    def test_fresh_process_leaves_numpy_ma_unimported(self):
+        """The closure walk's distinct-id passes are sort-based: a plain
+        ``numpy.unique`` imports ``numpy.ma`` on its first call in a
+        process, ~10 ms that a one-op run would pay every time."""
+        script = (
+            "import sys\n"
+            "from repro.bgp.collector import Collector, CollectorConfig\n"
+            "from repro.topology.generator import GeneratorConfig, "
+            "generate_topology\n"
+            "graph = generate_topology(GeneratorConfig(n_ases=60, seed=1))\n"
+            "corpus = Collector(graph, CollectorConfig(n_vps=5)).run()\n"
+            "assert corpus.paths\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        )
+        assert out.stdout.strip() == "False"
 
 
 class FullTableKernel(CollectionKernel):

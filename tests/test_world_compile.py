@@ -3,7 +3,9 @@
 :meth:`RelGraph.from_as_graph` reads the neighbour sets into pair
 columns and sorts them into CSR arrays; these tests hold it to the
 per-AS sorted-list compile it replaced (kept here as the reference),
-arrays and dtypes alike.
+arrays and dtypes alike, on worlds whose AS table is out of ASN order
+(the neighbour column's argsort mapping) and whose links were partly
+removed (the customers view is the providers pairs transposed).
 """
 
 from __future__ import annotations
@@ -81,12 +83,13 @@ _TYPES = [
 @st.composite
 def worlds(draw):
     """A small ASGraph with every link kind, IXP route servers, isolated
-    ASes and sparse ASNs, plus an optional ``restrict`` set."""
+    ASes and sparse ASNs inserted in a drawn (not ascending) order, some
+    links removed again, plus an optional ``restrict`` set."""
     asns = draw(st.lists(
         st.integers(1, 2**32 - 1), min_size=0, max_size=24, unique=True
     ))
     graph = ASGraph()
-    for asn in asns:
+    for asn in draw(st.permutations(asns)):
         graph.add_as(AS(asn=asn, type=draw(st.sampled_from(_TYPES))))
     if len(asns) >= 2:
         pairs = draw(st.lists(
@@ -108,6 +111,10 @@ def worlds(draw):
                 graph.add_p2p(a, b)
             else:
                 graph.add_s2s(a, b)
+        links = sorted((a, b) for a, b, _ in graph.links())
+        if links:
+            for a, b in draw(st.lists(st.sampled_from(links), unique=True)):
+                graph.remove_link(a, b)
     restrict = None
     if draw(st.booleans()):
         restrict = set(draw(st.lists(st.sampled_from(asns), unique=True))
@@ -121,6 +128,35 @@ class TestFromAsGraph:
     def test_matches_list_compile(self, world):
         graph, restrict = world
         assert_compiles_alike(graph, restrict)
+
+    def test_descending_insertion_and_removed_links(self):
+        graph = ASGraph()
+        for asn in (70, 50, 30, 10):
+            graph.add_as(AS(asn=asn, type=ASType.SMALL_TRANSIT))
+        graph.add_p2c(10, 30)
+        graph.add_p2c(10, 50)
+        graph.add_p2c(30, 70)
+        graph.add_p2c(50, 70)
+        graph.add_p2p(30, 50)
+        graph.remove_link(10, 50)
+        graph.remove_link(50, 30)
+        rel = assert_compiles_alike(graph)
+        assert rel.index.asns == [10, 30, 50, 70]
+        assert rel.customers.tolist() == [[1], [3], [3], []]
+        assert rel.providers.tolist() == [[], [0], [], [1, 2]]
+        assert rel.peers.tolist() == [[], [], [], []]
+
+    def test_adopts_a_given_index(self):
+        graph = ASGraph()
+        for asn in (3, 1, 2):
+            graph.add_as(AS(asn=asn, type=ASType.SMALL_TRANSIT))
+        graph.add_p2c(1, 2)
+        graph.add_p2c(2, 3)
+        index = DenseIndex.from_sorted([2, 3])
+        rel = RelGraph.from_as_graph(graph, index=index)
+        assert rel.index is index
+        assert rel.customers.tolist() == [[1], []]
+        assert rel.providers.tolist() == [[], [0]]
 
     def test_empty_graph(self):
         rel = assert_compiles_alike(ASGraph())
