@@ -14,22 +14,12 @@ hierarchy and infers it from the path data itself:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 import numpy as _np
 
-from repro.core.paths import PathSet, count_unique, in_one_path
-
-
-class Triples(NamedTuple):
-    """The corpus's distinct ``(left, mid, right)`` hops as dense-id
-    columns, with how many paths carry each."""
-
-    mid: object
-    left: object
-    right: object
-    count: object
+from repro.core.paths import PathSet
 
 
 @dataclass
@@ -85,66 +75,6 @@ def member_ids(paths: PathSet, asns: Iterable[int]):
     )
 
 
-def _index_triples(paths: PathSet, mids: Iterable[int]) -> Triples:
-    """Index the corpus's ``(left, mid, right)`` hops by middle AS.
-
-    Every evidence query below filters on ``mid in clique``, and the
-    clique only ever holds ASes from the head of the ranking, so only
-    triples whose middle AS is in ``mids`` are indexed.  Repeated
-    triples collapse to one entry carrying their multiplicity.
-    """
-    asns, ids = paths.asn_index
-    n = max(len(asns), 1)
-    wanted = _np.zeros(len(asns), dtype=bool)
-    wanted[member_ids(paths, mids)] = True
-    # window i is (flat[i], flat[i + 1], flat[i + 2]): keep the ones
-    # inside one path whose middle is wanted, as one int64 key of dense
-    # ids (the middle as its rank among the wanted; ``len(mids) * n**2``
-    # stays far below 2**63 for any corpus that fits in memory)
-    at = _np.flatnonzero(in_one_path(paths.off, 3) & wanted[ids[1:-1]])
-    keys = (_np.cumsum(wanted) - 1)[ids[at + 1]] * n + ids[at]
-    triples, counts = count_unique(keys * n + ids[at + 2])
-    middle, pair = _np.divmod(triples, n * n)
-    left, right = _np.divmod(pair, n)
-    return Triples(_np.flatnonzero(wanted)[middle], left, right, counts)
-
-
-def _customer_evidence(triples: Triples, member):
-    """Count, per dense id, path evidence that the AS is a *customer*
-    of a clique member rather than a peer (``member`` is the clique's
-    mask over dense ids).
-
-    The pattern ``[x, y, cand]`` (or its mirror) with ``x`` and ``y``
-    both clique members proves ``y`` exported cand's route to its peer
-    ``x`` — only customer routes are exported to peers, so cand buys
-    transit from ``y``.  A true clique member can never appear in this
-    pattern: it would require a route to cross two peer links in a row.
-    """
-    mid, left, right, count = triples
-    on_left = member[left]
-    hit = member[mid] & (on_left != member[right])
-    return _np.bincount(
-        _np.where(on_left[hit], right[hit], left[hit]),
-        weights=count[hit],
-        minlength=len(member),
-    )
-
-
-def _prune_customers(member, triples: Triples):
-    """Iteratively drop clique members that the path data shows buying
-    transit from other members (multihomed-to-the-whole-clique transit
-    networks survive Bron–Kerbosch but fail this test).  ``member`` is
-    the clique's mask over dense ids; returns the pruned mask."""
-    member = member.copy()
-    while member.sum() > 2:
-        guilty = _customer_evidence(triples, member) * member
-        if not guilty.any():
-            break
-        # the most evidence, the lowest ASN among ties
-        member[guilty.argmax()] = False
-    return member
-
-
 def infer_clique(
     paths: PathSet,
     seed_size: int = 10,
@@ -172,13 +102,8 @@ def infer_clique(
             tuple(sorted(members)),
         )
 
-    # the walk below considers at most ``max_walk`` ASes past the seeds
-    triples = _index_triples(paths, ranking[: seed_size + max_walk])
     best = max(cliques, key=clique_weight)
-    member = _np.zeros(len(paths.asn_index[0]), dtype=bool)
-    member[member_ids(paths, best)] = True
-    member = _prune_customers(member, triples)
-    clique: Set[int] = set(paths.asn_index[0][member].tolist())
+    clique: Set[int] = set(best)
 
     added: List[int] = []
     failures = 0
@@ -191,16 +116,11 @@ def infer_clique(
             clique.issubset(paths.neighbors(asn))
             and paths.transit_degree(asn) > 0  # a tier-1 transits, always
         ):
-            i = member_ids(paths, (asn,))[0]
-            trial = member.copy()
-            trial[i] = True
-            if not _customer_evidence(triples, trial)[i]:
-                clique.add(asn)
-                member = trial
-                added.append(asn)
-                failures = 0
-                continue
-        failures += 1
+            clique.add(asn)
+            added.append(asn)
+            failures = 0
+        else:
+            failures += 1
 
     return CliqueResult(
         members=sorted(clique),

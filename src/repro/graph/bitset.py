@@ -13,9 +13,8 @@ the *only* transitive-closure implementations in the repository:
 
 * :func:`closure_bits` — the batch form: full closure of a DAG given
   per-id children lists (recursive cones, file-built snapshots);
-* :class:`ClosureBitsets` — the incremental form: ancestor/descendant
-  bitsets maintained edge by edge (the inference engine's O(1) cycle
-  refusal).
+* :class:`ClosureBitsets` — the incremental form: descendant bitsets
+  maintained edge by edge (the inference engine's O(1) cycle refusal).
 """
 
 from __future__ import annotations
@@ -185,39 +184,43 @@ def closure_bits(n: int, children: Dict[int, Iterable[int]]) -> List[int]:
 class ClosureBitsets:
     """Incremental transitive closure of a growing p2c DAG.
 
-    Maintains, per dense id, the strict-ancestor and strict-descendant
-    bitsets; :meth:`add_edge` updates both sides in O(affected nodes),
-    and :meth:`descends` answers the inference engine's would-this-
-    edge-close-a-cycle question with one shift.  Sized once, for the
-    ``n`` ids of one index.
+    Maintains, per dense id, the strict-descendant bitset and the
+    bitset of direct parents (ints, so no container per id);
+    :meth:`add_edge` updates the ancestors that gain descendants, and
+    :meth:`descends` answers the inference engine's would-this-edge-
+    close-a-cycle question with one shift.  Sized once, for the ``n``
+    ids of one index.
     """
 
-    __slots__ = ("anc", "desc")
+    __slots__ = ("desc", "parents")
 
     def __init__(self, n: int) -> None:
-        self.anc: List[int] = [0] * n
         self.desc: List[int] = [0] * n
+        self.parents: List[int] = [0] * n
 
     def add_edge(self, parent_id: int, child_id: int) -> None:
         """Record ``parent -> child``; both ids must be ``< n``.
 
-        Every node at or above the parent gains the child's whole
-        subtree as descendants, and every node at or below the child
-        gains the parent's whole ancestry.
+        The parent and every ancestor of it gain the child's whole
+        subtree as descendants.  The climb stops at a node whose
+        ``desc`` already holds that subtree: a node's ``desc`` contains
+        the ``desc`` of everything below it, so its ancestors hold the
+        subtree too.
         """
-        anc, desc = self.anc, self.desc
-        above = anc[parent_id] | (1 << parent_id)
+        desc, parents = self.desc, self.parents
+        parents[child_id] |= 1 << parent_id
         below = desc[child_id] | (1 << child_id)
-        bits = above
-        while bits:
-            low = bits & -bits
-            desc[low.bit_length() - 1] |= below
-            bits ^= low
-        bits = below
-        while bits:
-            low = bits & -bits
-            anc[low.bit_length() - 1] |= above
-            bits ^= low
+        stack = [parent_id]
+        while stack:
+            node = stack.pop()
+            if desc[node] & below == below:
+                continue
+            desc[node] |= below
+            bits = parents[node]
+            while bits:
+                low = bits & -bits
+                stack.append(low.bit_length() - 1)
+                bits ^= low
 
     def descends(self, ancestor_id: int, node_id: int) -> bool:
         """Is ``node_id`` a strict descendant of ``ancestor_id``?"""

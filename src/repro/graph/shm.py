@@ -2,12 +2,11 @@
 
 :class:`SharedRelGraph` packs one frozen graph — the
 :class:`~repro.graph.index.DenseIndex` ASN table, the three
-relationship-typed CSR adjacencies, optionally the customer-cone
-closure bitsets and the IXP route-server link map — into a single
-named ``multiprocessing.shared_memory`` segment.  Worker processes
-attach the segment read-only and build numpy views straight into the
-mapping: no pickling, no copying, one physical copy of the graph no
-matter how many workers collect over it.
+relationship-typed CSR adjacencies and the IXP route-server link map
+— into a single named ``multiprocessing.shared_memory`` segment.
+Worker processes attach the segment read-only and build numpy views
+straight into the mapping: no pickling, no copying, one physical copy
+of the graph no matter how many workers collect over it.
 
 Segment layout (all little-endian, sections 8-byte aligned)::
 
@@ -20,10 +19,9 @@ Segment layout (all little-endian, sections 8-byte aligned)::
 
 Section names: ``asns``; ``<view>_indptr``/``<view>_indices`` for
 ``prov``/``cust``/``peer``; optional ``ixp_a``/``ixp_b``/``ixp_rs``
-(the ``via_ixp`` link map as parallel columns) and
-``cone_indptr``/``cone_bytes`` (closure bitsets as little-endian byte
-runs).  Dtypes follow the repo-wide int32-first policy: every column
-is int32 unless its value range forces int64.
+(the ``via_ixp`` link map as parallel columns).  Dtypes follow the
+repo-wide int32-first policy: every column is int32 unless its value
+range forces int64.
 
 Ownership rules:
 
@@ -77,12 +75,11 @@ def _next_name() -> str:
         return f"repro_rg_{os.getpid()}_{_NAME_COUNTER}"
 
 
-def _column(values: Sequence[int], force_wide: bool = False):
+def _column(values: Sequence[int]):
     """An int32 column, widened to int64 only when values demand it."""
     arr = _np.asarray(values, dtype=_np.int64)
-    if not force_wide and (
-        arr.size == 0
-        or (int(arr.min()) >= -(2**31) and int(arr.max()) < 2**31)
+    if arr.size == 0 or (
+        int(arr.min()) >= -(2**31) and int(arr.max()) < 2**31
     ):
         return arr.astype(_np.int32)
     return arr
@@ -109,17 +106,14 @@ class SharedRelGraph:
         cls,
         rel,
         via_ixp: Optional[Dict[Tuple[int, int], int]] = None,
-        include_closure: bool = False,
         name: Optional[str] = None,
     ) -> "SharedRelGraph":
         """Pack a :class:`~repro.graph.relgraph.RelGraph` into a segment.
 
         ``via_ixp`` (a ``canonical pair -> route-server ASN`` map, the
         generator's ``graph.via_ixp``) rides along as three parallel
-        columns so workers need no topology object at all;
-        ``include_closure`` additionally packs the customer-cone
-        bitsets.  Returns the owning handle, registered for ``atexit``
-        unlink.
+        columns so workers need no topology object at all.  Returns
+        the owning handle, registered for ``atexit`` unlink.
         """
         csr = rel.csr()
         arrays: List[Tuple[str, "_np.ndarray"]] = [
@@ -140,19 +134,6 @@ class SharedRelGraph:
             arrays.append(("ixp_a", _column([p[0][0] for p in pairs])))
             arrays.append(("ixp_b", _column([p[0][1] for p in pairs])))
             arrays.append(("ixp_rs", _column([p[1] for p in pairs])))
-        if include_closure:
-            blobs = [
-                bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-                for bits in rel.closure()
-            ]
-            offsets = [0]
-            for blob in blobs:
-                offsets.append(offsets[-1] + len(blob))
-            arrays.append(("cone_indptr", _column(offsets, force_wide=True)))
-            arrays.append(
-                ("cone_bytes",
-                 _np.frombuffer(b"".join(blobs), dtype=_np.uint8))
-            )
 
         sections: Dict[str, Tuple[str, int, int]] = {}
         entries = []
@@ -264,17 +245,6 @@ class SharedRelGraph:
         b = self.section("ixp_b").tolist()
         rs = self.section("ixp_rs").tolist()
         return {(x, y): z for x, y, z in zip(a, b, rs)}
-
-    def closure_bits(self) -> Optional[List[int]]:
-        """The packed cone bitsets (``None`` when not packed)."""
-        if not self.has_section("cone_indptr"):
-            return None
-        offsets = self.section("cone_indptr")
-        blob = self.section("cone_bytes").tobytes()
-        return [
-            int.from_bytes(blob[offsets[i]: offsets[i + 1]], "little")
-            for i in range(self.n)
-        ]
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -15,10 +15,8 @@ parameter or environment variable selects it.
 * :func:`reference_degrees` and :func:`reference_ranked_asns` — node
   and transit degrees and the S2 ranking as neighbour sets built one
   path at a time (QA family 1's ``differential/degrees``);
-* :func:`reference_infer_clique` — the clique with its customer
-  evidence read from a ``mid -> [(left, right, multiplicity)]`` dict
-  of path triples built one path at a time (QA family 1's
-  ``differential/clique``);
+* :func:`reference_infer_clique` — the clique over the neighbour sets
+  of :func:`reference_degrees` (QA family 1's ``differential/clique``);
 * :func:`reference_infer_relationships` — the ASRank pipeline with the
   reference clique, the per-vote BFS cycle check, the three-scan
   partial-VP step, the scalar top-down peak scan and the full-rescan
@@ -37,7 +35,7 @@ parameter or environment variable selects it.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import replace
 from typing import (
     Callable,
@@ -250,71 +248,28 @@ def reference_infer_relationships(
     return _ReferenceEngine(paths, config or InferenceConfig()).run()
 
 
-#: ``mid -> [(left, right, multiplicity), ...]`` over the corpus's hops
-TripleIndex = Dict[int, List[Tuple[int, int, int]]]
-
-
-def _reference_triples(paths: PathSet, mids: Iterable[int]) -> TripleIndex:
-    """The ``(left, mid, right)`` hops whose middle AS is in ``mids``,
-    by middle AS, each distinct triple once with its path count."""
-    wanted = set(mids)
-    counts: Counter = Counter()
-    for path in paths.paths:
-        for triple in zip(path, path[1:], path[2:]):
-            if triple[1] in wanted:
-                counts[triple] += 1
-    by_mid: TripleIndex = {}
-    for (left, mid, right), count in counts.items():
-        by_mid.setdefault(mid, []).append((left, right, count))
-    return by_mid
-
-
-def _reference_evidence(
-    by_mid: TripleIndex, clique: Set[int]
-) -> Dict[int, int]:
-    """Per AS, the path evidence that it buys transit from a clique
-    member: ``[x, y, cand]`` (or its mirror) with ``x`` and ``y`` in the
-    clique and ``cand`` outside it."""
-    evidence: Dict[int, int] = {}
-    for mid in clique:
-        for left, right, n in by_mid.get(mid, ()):
-            if left in clique and right not in clique:
-                evidence[right] = evidence.get(right, 0) + n
-            elif right in clique and left not in clique:
-                evidence[left] = evidence.get(left, 0) + n
-    return evidence
-
-
 def reference_infer_clique(
     paths: PathSet,
     seed_size: int = 10,
     stop_after: int = 10,
     max_walk: int = 50,
 ) -> CliqueResult:
-    """:func:`~repro.core.clique.infer_clique` over plain ASN sets and
-    the dict triple index."""
-    ranking = paths.ranked_asns()
+    """:func:`~repro.core.clique.infer_clique` over the neighbour sets
+    of :func:`reference_degrees`."""
+    node, transit = reference_degrees(paths)
+    ranking = _ranked(node, transit)
     if not ranking:
         return CliqueResult(members=[], seed_members=[], added_members=[])
     seeds = ranking[:seed_size]
-    cliques = bron_kerbosch(
-        seeds, {asn: set(paths.neighbors(asn)) for asn in seeds}
-    )
+    cliques = bron_kerbosch(seeds, {asn: node[asn] for asn in seeds})
     if not cliques:
         return CliqueResult(members=[], seed_members=[], added_members=[])
     best = max(cliques, key=lambda members: (
-        sum(paths.transit_degree(m) for m in members),
+        sum(len(transit.get(m, ())) for m in members),
         len(members),
         tuple(sorted(members)),
     ))
-    by_mid = _reference_triples(paths, ranking[: seed_size + max_walk])
     clique = set(best)
-    while len(clique) > 2:
-        evidence = _reference_evidence(by_mid, clique)
-        guilty = {m: n for m, n in evidence.items() if m in clique}
-        if not guilty:
-            break
-        clique.discard(max(sorted(guilty), key=lambda m: guilty[m]))
 
     added: List[int] = []
     failures = considered = 0
@@ -323,9 +278,8 @@ def reference_infer_clique(
             break
         considered += 1
         if (
-            clique.issubset(paths.neighbors(asn))
-            and paths.transit_degree(asn) > 0
-            and _reference_evidence(by_mid, clique | {asn}).get(asn, 0) == 0
+            clique <= node[asn]
+            and asn in transit
         ):
             clique.add(asn)
             added.append(asn)
@@ -363,7 +317,12 @@ def reference_degrees(
 
 def reference_ranked_asns(paths: PathSet) -> List[int]:
     """The S2 ranking: transit degree desc, node degree desc, ASN asc."""
-    node, transit = reference_degrees(paths)
+    return _ranked(*reference_degrees(paths))
+
+
+def _ranked(
+    node: Dict[int, Set[int]], transit: Dict[int, Set[int]]
+) -> List[int]:
     return sorted(
         node,
         key=lambda asn: (-len(transit.get(asn, ())), -len(node[asn]), asn),

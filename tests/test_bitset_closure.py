@@ -1,11 +1,11 @@
 """Adversarial tests for the incremental transitive closure.
 
 ``ClosureBitsets`` is the inference engine's cycle gate: after every
-``add_edge`` its strict ancestor/descendant bitsets must equal what the
-batch ``closure_bits`` computes over the edges seen so far.  These
-tests replay interleaved add sequences — chains, stars, diamonds and
-seeded random DAGs — and compare against the batch oracle after every
-single edge.
+``add_edge`` its strict descendant bitsets must equal what the batch
+``closure_bits`` computes over the edges seen so far.  These tests
+replay interleaved add sequences — chains, stars, diamonds and seeded
+random DAGs — and compare against the batch oracle after every single
+edge.
 """
 
 import random
@@ -14,19 +14,13 @@ from repro.graph.bitset import ClosureBitsets, closure_bits
 
 
 def _batch_oracle(n, edges):
-    """Strict anc/desc lists via two batch closure passes."""
+    """Strict desc lists via one batch closure pass."""
     children = {}
-    parents = {}
     for parent, child in edges:
         children.setdefault(parent, []).append(child)
-        parents.setdefault(child, []).append(parent)
-    desc = [
+    return [
         bits ^ (1 << i) for i, bits in enumerate(closure_bits(n, children))
     ]
-    anc = [
-        bits ^ (1 << i) for i, bits in enumerate(closure_bits(n, parents))
-    ]
-    return anc, desc
 
 
 def _replay_and_check(n, edges):
@@ -34,10 +28,21 @@ def _replay_and_check(n, edges):
     closure = ClosureBitsets(n)
     for count, (parent, child) in enumerate(edges, start=1):
         closure.add_edge(parent, child)
-        anc, desc = _batch_oracle(n, edges[:count])
-        assert closure.anc == anc, f"anc diverged after {count} edges"
+        desc = _batch_oracle(n, edges[:count])
         assert closure.desc == desc, f"desc diverged after {count} edges"
     return closure
+
+
+class _WriteLog(list):
+    """A ``desc`` list that records the ids written."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.ids = []
+
+    def __setitem__(self, i, value):
+        self.ids.append(i)
+        super().__setitem__(i, value)
 
 
 class TestIncrementalMatchesBatch:
@@ -65,8 +70,7 @@ class TestIncrementalMatchesBatch:
     def test_duplicate_edges_are_idempotent(self):
         edges = [(0, 1), (1, 2), (0, 1), (0, 2), (1, 2)]
         closure = _replay_and_check(3, edges)
-        anc, desc = _batch_oracle(3, [(0, 1), (1, 2), (0, 2)])
-        assert closure.anc == anc and closure.desc == desc
+        assert closure.desc == _batch_oracle(3, [(0, 1), (1, 2), (0, 2)])
 
     def test_random_dags(self):
         for seed in range(6):
@@ -87,9 +91,29 @@ class TestIncrementalMatchesBatch:
                 edges.append((parent, child))
                 if len(edges) >= 2 * n:
                     break
-            anc, desc = _batch_oracle(n, edges)
-            assert closure.anc == anc, f"seed {seed}: anc diverged"
+            desc = _batch_oracle(n, edges)
             assert closure.desc == desc, f"seed {seed}: desc diverged"
+
+    def test_climb_stops_where_the_subtree_is_held(self):
+        # a diamond 0 -> {1, 2} -> 3, then 3 -> 4 under it: 0 is reached
+        # through both 1 and 2 but updated once; then the redundant
+        # 1 -> 4 (already 1 -> 3 -> 4) writes nothing; then 5 -> 4 and
+        # 2 -> 5, where 2 and 0 already hold 4 but not 5
+        closure = ClosureBitsets(6)
+        writes = _WriteLog(closure.desc)
+        closure.desc = writes
+        expected = [
+            ((0, 1), [0]), ((0, 2), [0]), ((1, 3), [0, 1]),
+            ((2, 3), [2]), ((3, 4), [0, 1, 2, 3]), ((1, 4), []),
+            ((5, 4), [5]), ((2, 5), [0, 2]),
+        ]
+        edges = []
+        for edge, written in expected:
+            writes.ids.clear()
+            closure.add_edge(*edge)
+            edges.append(edge)
+            assert closure.desc == _batch_oracle(6, edges), edge
+            assert sorted(writes.ids) == written, edge
 
     def test_descends_is_strict(self):
         closure = ClosureBitsets(3)
@@ -123,7 +147,5 @@ class TestAgainstInference:
                 continue
             customer = b if provider == a else a
             edges.append((index.ids[provider], index.ids[customer]))
-        anc, desc = _batch_oracle(len(index.asns), edges)
-        live = result._closure
-        assert live.desc[: len(desc)] == desc
-        assert live.anc[: len(anc)] == anc
+        desc = _batch_oracle(len(index.asns), edges)
+        assert result._closure.desc[: len(desc)] == desc

@@ -1,23 +1,11 @@
 """Unit tests for tier-1 clique inference."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.core.clique import (
-    _customer_evidence,
-    _index_triples,
-    bron_kerbosch,
-    infer_clique,
-    member_ids,
-)
+from repro.core.clique import bron_kerbosch, infer_clique
 from repro.core.paths import PathSet
 from repro.qa import build_world, world_spec
-from repro.qa.oracles import (
-    _reference_evidence,
-    _reference_triples,
-    reference_infer_clique,
-)
+from repro.qa.oracles import reference_infer_clique
 
 
 class TestBronKerbosch:
@@ -113,46 +101,12 @@ class TestInferClique:
 
 
 class TestTripleColumns:
-    """The clique's evidence as array passes against the dict oracle."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        paths=st.lists(
-            st.lists(st.integers(1, 9), min_size=1, max_size=6, unique=True)
-            .map(tuple),
-            max_size=14,
-        ),
-        data=st.data(),
-    )
-    def test_evidence_equals_the_dict_oracle(self, paths, data):
-        ps = PathSet(paths)
-        asns = sorted(ps.asns())
-        mids = data.draw(st.lists(st.sampled_from(asns), unique=True)
-                         if asns else st.just([]))
-        clique = set(data.draw(st.lists(st.sampled_from(mids), unique=True)
-                               if mids else st.just([])))
-        triples = _index_triples(ps, mids)
-        member = np.zeros(len(asns), dtype=bool)
-        member[member_ids(ps, clique)] = True
-        evidence = _customer_evidence(triples, member)
-        want = _reference_evidence(_reference_triples(ps, mids), clique)
-        assert {
-            asn: int(n) for asn, n in zip(asns, evidence.tolist()) if n
-        } == want
-
-    def test_members_never_collect_evidence(self):
-        # [1, 2, 3] with all three in the clique crosses two peer
-        # links; the evidence only ever names ASes outside the clique
-        ps = PathSet([(1, 2, 3), (1, 2, 4)])
-        member = np.zeros(4, dtype=bool)
-        member[member_ids(ps, (1, 2, 3))] = True
-        evidence = _customer_evidence(_index_triples(ps, (2,)), member)
-        assert evidence.tolist() == [0, 0, 0, 1]
+    """The clique against the set-based oracle of ``repro.qa``."""
 
     @pytest.mark.parametrize("seed", [0, 8, 9, 13])
     def test_infer_clique_equals_the_oracle(self, seed):
-        # worlds 8, 9 and 13 carry paths over three clique members, so
-        # evidence that counted members would prune them
+        # worlds 8, 9 and 13 carry paths over three clique members, the
+        # paths a customer-witness rule would hold against a member
         paths = build_world(world_spec(seed)).paths
         got = infer_clique(paths)
         want = reference_infer_clique(paths)

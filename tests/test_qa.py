@@ -147,28 +147,36 @@ class TestMutationSmoke:
         assert "propagation/v6-plane" in invariants
 
     @pytest.fixture
-    def broken_clique_evidence(self, monkeypatch):
-        import numpy as np
+    def broken_clique_walk(self, monkeypatch):
+        import repro.core.inference as inference
 
-        import repro.core.clique as clique
+        infer_clique = inference.infer_clique
 
-        def evidence(triples, member):
-            # counts a member on the far side too
-            mid, left, right, count = triples
-            hit = member[mid] & (member[left] | member[right])
-            who = np.where(member[left][hit], right[hit], left[hit])
-            return np.bincount(who, weights=count[hit],
-                               minlength=len(member))
+        class EveryASTransits:
+            """The corpus as a walk without its ``transit_degree > 0``
+            test sees it."""
 
-        monkeypatch.setattr(clique, "_customer_evidence", evidence)
+            def __init__(self, paths):
+                self.paths = paths
 
-    def test_broken_clique_evidence_is_caught(
-        self, tmp_path, broken_clique_evidence
+            def __getattr__(self, name):
+                return getattr(self.paths, name)
+
+            def transit_degree(self, asn):
+                return max(self.paths.transit_degree(asn), 1)
+
+        monkeypatch.setattr(
+            inference, "infer_clique",
+            lambda paths, **kw: infer_clique(EveryASTransits(paths), **kw),
+        )
+
+    def test_broken_clique_walk_is_caught(
+        self, tmp_path, broken_clique_walk
     ):
-        # world 8 has paths over three clique members, which the broken
-        # evidence holds against the clique's own members
+        # in world 26 an AS adjacent to every clique member never sits
+        # between two others, so only the transit test keeps it out
         config = QaConfig(
-            seeds=1, base_seed=8, repro_dir=str(tmp_path),
+            seeds=1, base_seed=26, repro_dir=str(tmp_path),
             collection_every=0, shrink=False,
         )
         report = run_qa(config)

@@ -61,19 +61,9 @@ class TestSharedRelGraphCodec:
         finally:
             packed.unlink()
 
-    def test_round_trip_closure_bitsets(self, index):
-        packed = SharedRelGraph.pack(index.rel, include_closure=True)
-        try:
-            attached = SharedRelGraph.attach(packed.name)
-            assert attached.closure_bits() == list(index.rel.closure())
-            attached.close()
-        finally:
-            packed.unlink()
-
     def test_closure_not_packed_by_default(self, index):
         packed = SharedRelGraph.pack(index.rel)
         try:
-            assert packed.closure_bits() is None
             assert packed.via_ixp() == {}
         finally:
             packed.unlink()
