@@ -15,6 +15,9 @@ gate for the three internet-scale pieces working together:
   propagation, with the route leaks of at least one origin in play;
 * the zero-copy shared-memory transport yields a corpus bit-identical
   to serial collection;
+* both column corpora (serial and shared-memory) equal the reference
+  kernel's per-path walks, noise and tags over ``propagate_batch``'s
+  per-origin states;
 * every shared segment is unlinked afterwards — no ``/dev/shm`` leaks.
 
 Usage (what CI runs)::
@@ -39,8 +42,13 @@ from repro.bgp.collector import (
     VantagePoint,
     shutdown_pool,
 )
-from repro.bgp.propagation import PropagationConfig, propagate_batch
+from repro.bgp.propagation import (
+    PropagationConfig,
+    propagate_batch,
+    propagate_blocks,
+)
 from repro.graph import RelGraph, csr_arrays
+from repro.qa.oracles import ReferenceCollectionKernel
 from repro.topology.generator import (
     InternetScaleConfig,
     generate_internet_topology,
@@ -162,30 +170,63 @@ class _FullTableKernel(CollectionKernel):
 
     def _propagate(self, block, leakers):
         config = self.config.propagation
-        states = propagate_batch(self.index, block, leakers, config)
+        states = list(propagate_blocks(self.index, block, leakers, config))
         if leakers:
-            plain = propagate_batch(self.index, block, None, config)
-            for origin, leaky, clean in zip(block, states, plain):
+            plain = propagate_blocks(self.index, block, None, config)
+            rows = [
+                (leaky, clean, k)
+                for leaky, clean in zip(states, plain)
+                for k in range(len(leaky.origins))
+            ]
+            for origin, (leaky, clean, k) in zip(block, rows):
                 if origin in leakers and any(
-                    not np.array_equal(a, b)
-                    for a, b in zip(
-                        (leaky.cls, leaky.nexthop, leaky.pathlen),
-                        (clean.cls, clean.nexthop, clean.pathlen),
-                    )
+                    not np.array_equal(a[k], b[k])
+                    for a, b in zip(leaky[1:], clean[1:])
                 ):
                     self.leaky_origins += 1
         return states
 
 
-def _full_table_corpus(graph, config, origins):
-    """``(corpus, leaky origins)`` collected over full route tables."""
+class _StateWalkKernel(ReferenceCollectionKernel):
+    """The reference kernel's per-path walks, noise and tags over the
+    :class:`RouteState` rows of ``propagate_batch`` (VP closure cut),
+    block by block as the production kernel propagates."""
+
+    def states(self, origin_list):
+        config = self.config.propagation
+        for start in range(0, len(origin_list), config.batch_size):
+            block = origin_list[start: start + config.batch_size]
+            leakers = {
+                asn: active for asn in block
+                if (active := self._leakers_for_origin(asn))
+            }
+            yield from propagate_batch(
+                self.index, block, leakers, config, observers=self.observers
+            )
+
+
+def _swapped_kernel(graph, config, kernel_type):
     collector = Collector(graph, config)
     kernel = collector.kernel
-    collector.kernel = _FullTableKernel(
+    collector.kernel = kernel_type(
         kernel.config, kernel.index, kernel.vps, kernel.tagger_nodes,
         kernel.sibling_nodes, kernel.leakers, kernel.clique, kernel.via_ixp,
     )
+    return collector
+
+
+def _full_table_corpus(graph, config, origins):
+    """``(corpus, leaky origins)`` collected over full route tables."""
+    collector = _swapped_kernel(graph, config, _FullTableKernel)
     return collector.run(origins=origins), collector.kernel.leaky_origins
+
+
+def _walked_corpus(graph, config, origins):
+    """The corpus of per-path walks over ``propagate_batch`` states."""
+    collector = _swapped_kernel(
+        graph, replace(config, workers=0), _StateWalkKernel
+    )
+    return collector.run(origins=origins)
 
 
 def _shm_entries():
@@ -261,6 +302,15 @@ def main() -> int:
         print("FAIL: parallel corpus differs from serial")
         return 1
     print("ok: parallel corpus bit-identical to serial")
+
+    walked = _corpus_key(_walked_corpus(graph, config, origins))
+    for name, corpus in (("serial", serial), ("shared-memory", parallel)):
+        if _corpus_key(corpus) != walked:
+            print(f"FAIL: the {name} column corpus differs from per-path "
+                  "walks of propagate_batch states")
+            return 1
+    print("ok: serial and shared-memory column corpora equal per-path "
+          "walks of propagate_batch states")
 
     collector.release_shared()
     shutdown_pool()

@@ -7,10 +7,12 @@ peer with collectors and send only what they would send a peer — this
 is the visibility artifact behind the paper's discussion of partial
 views).
 
-Collection runs one propagation per origin AS and materializes, per
+Collection propagates the origin ASes in blocks and materializes, per
 vantage point, the observed AS path (with measurement noise applied)
 and per-prefix RIB entries carrying relationship-encoding BGP
-communities for the ASes that tag (the validation substrate).
+communities for the ASes that tag (the validation substrate).  Both
+are array passes over a block's route-state arrays, and the corpus
+keeps its paths as columns.
 
 The per-origin work all lives in :class:`CollectionKernel`, which is
 deliberately detached from the topology object: it needs only a dense
@@ -32,24 +34,42 @@ import random
 import time
 import weakref
 from dataclasses import dataclass, field
-from itertools import compress, filterfalse, islice
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from itertools import chain, compress, filterfalse, islice
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as _np
 
 from repro import perf
-from repro.bgp.noise import NoiseConfig, PathNoiser
+from repro.bgp.noise import ColumnNoiser, NoiseConfig
 from repro.bgp.propagation import (
     CLS_CUSTOMER,
-    CLS_ORIGIN,
     CLS_PEER,
     CLS_PROVIDER,
+    NO_ROUTE,
+    BlockState,
     GraphIndex,
     PropagationConfig,
-    RouteState,
-    propagate_batch,
+    propagate_blocks,
+)
+from repro.core.paths import (
+    PathColumns,
+    row_tuples,
+    split_tuples,
+    take_rows,
+    unique_rows,
 )
 from repro.graph import shm
+from repro.graph.csr import gather_rows
 from repro.graph.index import DenseIndex
 from repro.graph.relgraph import RelGraph
 from repro.net.prefix import Prefix
@@ -63,12 +83,12 @@ REL_CODE = {
     RelClass.PROVIDER: 1003,
 }
 CODE_REL = {code: rel for rel, code in REL_CODE.items()}
-# the same encoding keyed by the propagation engine's route-class ints
-_CLS_CODE = {
-    CLS_CUSTOMER: REL_CODE[RelClass.CUSTOMER],
-    CLS_PEER: REL_CODE[RelClass.PEER],
-    CLS_PROVIDER: REL_CODE[RelClass.PROVIDER],
-}
+# the same encoding indexed by the propagation engine's route-class
+# ints (0 for no route and for the origin, which tag nothing)
+_CLS_CODE = _np.zeros(CLS_PROVIDER + 1, dtype=_np.int64)
+_CLS_CODE[CLS_CUSTOMER] = REL_CODE[RelClass.CUSTOMER]
+_CLS_CODE[CLS_PEER] = REL_CODE[RelClass.PEER]
+_CLS_CODE[CLS_PROVIDER] = REL_CODE[RelClass.PROVIDER]
 # the AS types a vantage point is drawn from (bound once: an enum
 # member lookup per AS costs more than the rest of the filter)
 _VP_TYPES = (
@@ -98,56 +118,109 @@ class RibEntry:
         return self.path[-1]
 
 
-@dataclass
+def _empty(size: int):
+    return _np.zeros(size, dtype=_np.int64)
+
+
+@dataclass(eq=False)
 class PathCorpus:
     """Everything collected in one snapshot.
 
-    ``paths`` is the deduplicated multiset of observed AS paths (the
-    inference input); ``rib`` the prefix-level entries (the MRT and
-    communities substrate).
+    The deduplicated observed AS paths (the inference input) are held
+    as columns in first-seen order: path ``i`` is
+    ``flat[off[i]:off[i + 1]]`` (int64 ASNs, VP first, origin last),
+    observed ``counts[i]`` times.  ``paths`` and ``path_counts`` are
+    tuple and dict views built on first read.  ``rib`` holds the
+    prefix-level entries (the MRT and communities substrate).
     """
 
     vps: List[VantagePoint]
-    paths: List[Tuple[int, ...]] = field(default_factory=list)
-    path_counts: Dict[Tuple[int, ...], int] = field(default_factory=dict)
-    rib: List[RibEntry] = field(default_factory=list)
-    # memoized observed_asns()/observed_links(); add_path invalidates
-    _asns_cache: Optional[Set[int]] = field(
-        default=None, repr=False, compare=False
-    )
-    _links_cache: Optional[Set[Tuple[int, int]]] = field(
-        default=None, repr=False, compare=False
-    )
+    flat: "_np.ndarray"
+    off: "_np.ndarray"
+    counts: "_np.ndarray"
+    rib: List[RibEntry]
 
-    def add_path(self, path: Tuple[int, ...]) -> None:
-        self._asns_cache = None
-        self._links_cache = None
-        if path in self.path_counts:
-            self.path_counts[path] += 1
-        else:
-            self.path_counts[path] = 1
-            self.paths.append(path)
+    @cached_property
+    def paths(self) -> PathColumns:
+        """The distinct observed paths, as a sequence of tuples."""
+        return PathColumns(self.flat, self.off)
+
+    @cached_property
+    def path_counts(self) -> Dict[Tuple[int, ...], int]:
+        """How often each distinct path was observed, by tuple."""
+        return dict(zip(self.paths, self.counts.tolist()))
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.counts)
 
-    def observed_asns(self) -> Set[int]:
-        if self._asns_cache is None:
-            self._asns_cache = {
-                asn for path in self.paths for asn in path
-            }
-        return self._asns_cache
 
-    def observed_links(self) -> Set[Tuple[int, int]]:
-        """Unordered AS adjacencies present in the observed paths."""
-        if self._links_cache is None:
-            links: Set[Tuple[int, int]] = set()
-            for path in self.paths:
-                for a, b in zip(path, path[1:]):
-                    if a != b:
-                        links.add((a, b) if a < b else (b, a))
-            self._links_cache = links
-        return self._links_cache
+class Collected(NamedTuple):
+    """What collecting a run of origins yields, origin after origin and
+    each origin's paths in VP order.
+
+    ``(flat, off)`` holds every observed path (int64 ASNs);
+    ``per_origin`` counts each origin's paths, ``rib_per_origin`` its
+    rows of ``rib``.
+    """
+
+    flat: "_np.ndarray"
+    off: "_np.ndarray"
+    per_origin: "_np.ndarray"
+    rib: List[RibEntry]
+    rib_per_origin: "_np.ndarray"
+
+    @staticmethod
+    def concat(parts: Sequence["Collected"]) -> "Collected":
+        """The parts one after the other."""
+        if not parts:
+            return Collected(_empty(0), _empty(1), _empty(0), [], _empty(0))
+        if len(parts) == 1:
+            return parts[0]
+        lengths = _np.concatenate([_np.diff(part.off) for part in parts])
+        off = _empty(len(lengths) + 1)
+        _np.cumsum(lengths, out=off[1:])
+        return Collected(
+            _np.concatenate([part.flat for part in parts]),
+            off,
+            _np.concatenate([part.per_origin for part in parts]),
+            [entry for part in parts for entry in part.rib],
+            _np.concatenate([part.rib_per_origin for part in parts]),
+        )
+
+    def reordered(self, order) -> "Collected":
+        """The origins in the order ``order`` lists them."""
+        starts = _np.cumsum(self.per_origin) - self.per_origin
+        rows, _ = gather_rows(
+            _np.arange(len(self.off) - 1), starts[order],
+            self.per_origin[order],
+        )
+        flat, _, off = take_rows(self.flat, self.off, rows)
+        starts = _np.cumsum(self.rib_per_origin) - self.rib_per_origin
+        entries, _ = gather_rows(
+            _np.arange(len(self.rib)), starts[order],
+            self.rib_per_origin[order],
+        )
+        return Collected(
+            flat, off, self.per_origin[order],
+            list(map(self.rib.__getitem__, entries.tolist())),
+            self.rib_per_origin[order],
+        )
+
+
+class _Walk(NamedTuple):
+    """Every exported ``(origin, VP)`` chain of one propagated block.
+
+    Path ``p`` is origin row ``row[p]`` seen from VP ``vp[p]`` (a
+    position in the kernel's VP arrays); its hops, VP first, are the
+    dense ids ``nodes[off[p]:off[p + 1]]``.  ``per_origin`` counts each
+    row's paths.
+    """
+
+    row: "_np.ndarray"
+    vp: "_np.ndarray"
+    per_origin: "_np.ndarray"
+    nodes: "_np.ndarray"
+    off: "_np.ndarray"
 
 
 @dataclass
@@ -186,13 +259,19 @@ class CollectorConfig:
 class CollectionKernel:
     """Per-origin collection over a dense graph index.
 
-    Holds exactly what materializing one origin's observation needs —
-    the config, a :class:`GraphIndex`-shaped adjacency (real or
-    attached from shared memory), the VP set, tagger/sibling node ids,
-    the leaker list, the clique, and the IXP link map — plus the
-    process-local noise caches.  Serial runs and shared-memory workers
-    both run this same code, which is what makes the corpus
+    Holds exactly what materializing the observations needs — the
+    config, a :class:`GraphIndex`-shaped adjacency (real or attached
+    from shared memory), the VP set, tagger/sibling node ids, the
+    leaker list, the clique, and the IXP link map — plus the
+    process-local per-edge noise memo.  Serial runs and shared-memory
+    workers both run this same code, which is what makes the corpus
     worker-count-invariant.
+
+    Each propagated block is materialized by array passes over its
+    ``(K, stride)`` route-state arrays: one mask picks the exported
+    ``(origin, VP)`` pairs, the chains are followed one hop level at a
+    time for all of them at once, and communities, noise and RIB rows
+    are computed from the resulting columns.
     """
 
     def __init__(
@@ -214,19 +293,28 @@ class CollectionKernel:
         self.leakers = list(leakers)
         self.clique = clique
         self.via_ixp = via_ixp
-        # every route collection reads lies on a VP's next-hop chain
         index_of = index.index
-        self.observers = [
-            index_of[vp.asn] for vp in self.vps if vp.asn in index_of
-        ]
-        # shared across per-origin noisers: all deterministic in
-        # (graph, noise seed), so sharing never changes an emitted path
-        self._noise_prepends: Dict[Tuple[int, int], int] = {}
-        self._noise_edges: Dict[Tuple[int, int], List[int]] = {}
-
-    # ------------------------------------------------------------------
-    # per-origin machinery
-    # ------------------------------------------------------------------
+        routed = [vp for vp in self.vps if vp.asn in index_of]
+        # every route collection reads lies on a VP's next-hop chain
+        self.observers = [index_of[vp.asn] for vp in routed]
+        self._vp_nodes = _np.array(self.observers, dtype=_np.int64)
+        self._vp_asns = _np.array(
+            [vp.asn for vp in routed], dtype=_np.int64
+        )
+        self._vp_partial = _np.array(
+            [not vp.full_feed for vp in routed], dtype=bool
+        )
+        n = len(index)
+        self._asns = _np.array(index.asns, dtype=_np.int64)
+        self._is_tagger = _np.zeros(n, dtype=bool)
+        self._is_tagger[list(tagger_nodes)] = True
+        # the sibling sessions as packed ``node * n + sibling`` keys
+        self._sibling_keys = _np.sort(_np.array(
+            [node * n + sib for node, sibs in sibling_nodes.items()
+             for sib in sibs],
+            dtype=_np.int64,
+        ))
+        self.noise = ColumnNoiser(config.noise, clique, via_ixp)
 
     def _leakers_for_origin(self, origin_asn: int) -> Set[int]:
         """Which leakers mis-export this origin's routes (deterministic)."""
@@ -241,39 +329,24 @@ class CollectionKernel:
                 active.add(leaker)
         return active
 
-    def _origin_noiser(self, origin_asn: int) -> PathNoiser:
-        """A per-origin noiser: reproducible regardless of worker split."""
-        cfg = self.config.noise
-        return PathNoiser(
-            None,
-            cfg,
-            rng_seed=(cfg.seed << 20) ^ origin_asn,
-            prepend_cache=self._noise_prepends,
-            clique=self.clique,
-            edge_cache=self._noise_edges,
-            via_ixp=self.via_ixp,
-        )
-
     def collect_block(
         self,
         origin_list: Sequence[int],
         by_origin: Dict[int, List[Prefix]],
-    ) -> List[Tuple[List[Tuple[int, ...]], List[RibEntry]]]:
+    ) -> Collected:
         """Collect ``origin_list`` in engine-sized blocks, in order.
 
-        One batched propagation per block, then per-origin
-        materialization in three phases (path walk, noise, RIB) whose
-        time lands on the ``collect/propagate|paths|noise|rib``
-        substages.  Phase order per origin matches the per-VP loop of
-        the single-origin oracle (:mod:`repro.qa.oracles`), so the
-        per-origin noise RNG is consumed in the same sequence and the
-        corpus is bit-identical.
+        One batched propagation per block, then per block three array
+        phases (chain walk, noise, RIB) whose time lands on the
+        ``collect/propagate|paths|noise|rib`` substages.  The noise
+        draws each origin's paths from that origin's RNG in VP order,
+        as the one-origin oracle (:mod:`repro.qa.oracles`) does, so the
+        corpus is bit-identical to it.
         """
-        pcfg = self.config.propagation
         build_rib = self.config.build_rib
         clock = time.perf_counter
-        results: List[Tuple[List[Tuple[int, ...]], List[RibEntry]]] = []
-        block_size = max(1, pcfg.batch_size)
+        parts: List[Collected] = []
+        block_size = max(1, self.config.propagation.batch_size)
         for start in range(0, len(origin_list), block_size):
             block = list(origin_list[start: start + block_size])
             t0 = clock()
@@ -285,117 +358,147 @@ class CollectionKernel:
             states = self._propagate(block, leakers)
             perf.add_seconds("propagate", clock() - t0)
             t_paths = t_noise = t_rib = 0.0
-            for origin_asn, state in zip(block, states):
-                noiser = self._origin_noiser(origin_asn)
+            for state in states:
+                asns = self._asns[state.origins].tolist()
                 t0 = clock()
-                exported = self._exported_paths(state)
-                t_paths += clock() - t0
-                t0 = clock()
-                observed = [
-                    (vp_asn, vp_idx, noiser.apply(path))
-                    for vp_asn, vp_idx, path in exported
-                ]
-                t_noise += clock() - t0
-                rib_rows: List[RibEntry] = []
+                walk = self._walk(state)
+                true_flat = self._asns[walk.nodes]
+                t1 = clock()
+                flat, off = self.noise.apply(
+                    true_flat, walk.off, asns, walk.per_origin
+                )
+                t2 = clock()
+                rib: List[RibEntry] = []
+                rib_per_origin = _np.zeros(len(asns), dtype=_np.int64)
                 if build_rib:
-                    t0 = clock()
-                    rib_rows = self._rib_rows(
-                        state, observed, by_origin[origin_asn]
+                    rib, rib_per_origin = self._rib_rows(
+                        state, walk, flat, off, asns, by_origin
                     )
-                    t_rib += clock() - t0
-                results.append(
-                    ([path for _, _, path in observed], rib_rows)
+                t_paths += t1 - t0
+                t_noise += t2 - t1
+                t_rib += clock() - t2
+                parts.append(
+                    Collected(flat, off, walk.per_origin, rib, rib_per_origin)
                 )
             perf.add_seconds("paths", t_paths)
             perf.add_seconds("noise", t_noise)
             perf.add_seconds("rib", t_rib)
-        return results
+        return Collected.concat(parts)
 
     def _propagate(
         self, block: List[int], leakers: Dict[int, Set[int]]
-    ) -> List[RouteState]:
+    ) -> List[BlockState]:
         """One block's route state, exact wherever a VP's path can go.
 
         The VPs are the propagation's ``observers`` (the block's
-        active leakers join them inside :func:`propagate_batch`).
+        active leakers join them inside :func:`propagate_blocks`).
         """
-        return propagate_batch(
+        return list(propagate_blocks(
             self.index, block, leakers, self.config.propagation,
             observers=self.observers,
+        ))
+
+    def _walk(self, state: BlockState) -> _Walk:
+        """The exported chains of ``state``, one gather per hop level.
+
+        A VP exports a route it holds; a partial feed only a customer
+        or originated one.  A chain runs from the VP along ``nexthop``
+        to the origin, in row-major ``(origin, VP)`` order.
+        """
+        stride = state.cls.shape[1]
+        at_vps = state.cls[:, self._vp_nodes]
+        export = (at_vps != NO_ROUTE) & (
+            ~self._vp_partial | (at_vps <= CLS_CUSTOMER)
+        )
+        row, vp = _np.nonzero(export)
+        nexthop = state.nexthop.ravel()
+        base = row * stride
+        end = state.origins.astype(_np.int64)[row]
+        lengths = _np.zeros(len(row), dtype=_np.int64)
+        ids = _np.arange(len(row))
+        node = self._vp_nodes[vp]
+        levels = []
+        while ids.size:
+            if len(levels) > stride:
+                raise RuntimeError("a next-hop chain misses its origin")
+            levels.append((ids, node))
+            lengths[ids] += 1
+            walking = node != end[ids]
+            ids, node = ids[walking], node[walking]
+            node = nexthop[base[ids] + node].astype(_np.int64)
+            walking = node != -1
+            ids, node = ids[walking], node[walking]
+        off = _empty(len(row) + 1)
+        _np.cumsum(lengths, out=off[1:])
+        nodes = _empty(int(off[-1]))
+        for depth, (ids, node) in enumerate(levels):
+            nodes[off[ids] + depth] = node
+        return _Walk(
+            row, vp, _np.count_nonzero(export, axis=1), nodes, off
         )
 
-    def _exported_paths(
-        self, state: RouteState
-    ) -> List[Tuple[int, int, Tuple[int, ...]]]:
-        """``(vp_asn, vp_index, true_path)`` per VP exporting this route."""
-        out: List[Tuple[int, int, Tuple[int, ...]]] = []
-        index_of = self.index.index
-        cls = state.cls
-        for vp in self.vps:
-            vp_idx = index_of.get(vp.asn)
-            if vp_idx is None:
-                continue
-            route_cls = cls[vp_idx]
-            if route_cls == 0:
-                continue  # no route at this VP
-            if not vp.full_feed and route_cls not in (
-                CLS_ORIGIN, CLS_CUSTOMER
-            ):
-                continue  # partial feeds export only customer/originated
-            true_path = state.path_from(self.index, vp_idx)
-            assert true_path is not None
-            out.append((vp.asn, vp_idx, true_path))
-        return out
+    def _communities(
+        self, state: BlockState, walk: _Walk
+    ) -> List[Tuple[Tuple[int, int], ...]]:
+        """Relationship communities accumulated along each true path.
+
+        Each tagging AS on the path, the origin aside, marks the class
+        of the session its route entered on — exactly the convention
+        community-based validation mines — unless it learned the route
+        from a sibling (an internal session carries no external
+        relationship community).
+        """
+        nodes, off = walk.nodes, walk.off
+        paths = len(off) - 1
+        path = _np.repeat(_np.arange(paths), _np.diff(off))
+        # the origin's own class has code 0, so it tags nothing
+        code = _CLS_CODE[
+            state.cls.ravel()[walk.row[path] * state.cls.shape[1] + nodes]
+        ]
+        hop = _np.flatnonzero(self._is_tagger[nodes] & (code > 0))
+        if self._sibling_keys.size:
+            # a hop's next hop is the next node of its chain
+            inner = hop + 1 < off[path[hop] + 1]
+            after = nodes[_np.minimum(hop + 1, len(nodes) - 1)]
+            session = nodes[hop] * len(self._asns) + after
+            hop = hop[~(inner & _np.isin(session, self._sibling_keys))]
+        bounds = _empty(paths + 1)
+        _np.cumsum(_np.bincount(path[hop], minlength=paths), out=bounds[1:])
+        tags = list(zip(self._asns[nodes[hop]].tolist(), code[hop].tolist()))
+        return split_tuples(tags, bounds.tolist())
 
     def _rib_rows(
         self,
-        state: RouteState,
-        observed: List[Tuple[int, int, Tuple[int, ...]]],
-        prefixes: List[Prefix],
-    ) -> List[RibEntry]:
-        """Per-prefix RIB entries for every exported (noised) path."""
-        rib_rows: List[RibEntry] = []
-        for vp_asn, vp_idx, path in observed:
-            communities = self._communities_for(state, vp_idx)
-            for prefix in prefixes:
-                rib_rows.append(
-                    RibEntry(
-                        vp=vp_asn,
-                        prefix=prefix,
-                        path=path,
-                        communities=communities,
-                    )
-                )
-        return rib_rows
-
-    def _communities_for(
-        self, state: RouteState, vp_idx: int
-    ) -> Tuple[Tuple[int, int], ...]:
-        """Relationship communities accumulated along the selected path.
-
-        Each tagging AS on the path marks the class of the session the
-        route entered on — exactly the convention community-based
-        validation mines.
-        """
-        tags: List[Tuple[int, int]] = []
-        node = vp_idx
-        origin = state.origin
-        cls = state.cls
-        nexthop = state.nexthop
-        tagger_nodes = self.tagger_nodes
-        asns = self.index.asns
-        while node != -1 and node != origin:
-            nh = nexthop[node]
-            if node in tagger_nodes:
-                code = _CLS_CODE.get(cls[node])
-                # internal (sibling) sessions carry no external
-                # relationship communities
-                if code is not None and (
-                    nh == -1 or nh not in self.sibling_nodes.get(node, ())
-                ):
-                    tags.append((asns[node], code))
-            node = nh
-        return tuple(tags)
+        state: BlockState,
+        walk: _Walk,
+        flat,
+        off,
+        asns: List[int],
+        by_origin: Dict[int, List[Prefix]],
+    ) -> Tuple[List[RibEntry], "_np.ndarray"]:
+        """Per-prefix RIB entries for every observed path ``(flat,
+        off)`` of ``walk``, and how many each origin row gets."""
+        communities = self._communities(state, walk)
+        paths = row_tuples(flat, off)
+        prefixes = [by_origin[asn] for asn in asns]
+        count = _np.fromiter(map(len, prefixes), _np.int64, len(prefixes))
+        first = _np.cumsum(count) - count
+        per_path = count[walk.row]
+        path = _np.repeat(_np.arange(len(paths)), per_path)
+        within = _np.arange(len(path)) - _np.repeat(
+            _np.cumsum(per_path) - per_path, per_path
+        )
+        flat_prefixes = list(chain.from_iterable(prefixes))
+        path_list = path.tolist()
+        rib = list(map(
+            RibEntry,
+            self._vp_asns[walk.vp][path].tolist(),
+            map(flat_prefixes.__getitem__,
+                (first[walk.row][path] + within).tolist()),
+            map(paths.__getitem__, path_list),
+            map(communities.__getitem__, path_list),
+        ))
+        return rib, walk.per_origin * count
 
 
 def _survey(
@@ -606,20 +709,22 @@ class Collector:
             perf.counter("origins", len(origin_list))
             perf.counter("vps", len(self.vps))
 
-            corpus = PathCorpus(vps=list(self.vps))
             workers = self.config.workers
             if workers and workers > 1 and origin_list:
-                per_origin = self._run_parallel(
-                    workers, origin_list, by_origin
-                )
+                got = self._run_parallel(workers, origin_list, by_origin)
             else:
-                per_origin = self.kernel.collect_block(
-                    origin_list, by_origin
-                )
-            for observed_paths, rib_rows in per_origin:
-                for path in observed_paths:
-                    corpus.add_path(path)
-                corpus.rib.extend(rib_rows)
+                got = self.kernel.collect_block(origin_list, by_origin)
+            flat, off = got.flat, got.off
+            counts = _np.ones(len(off) - 1, dtype=_np.int64)
+            if len({vp.asn for vp in self.vps}) < len(self.vps):
+                # a path starts at its VP and ends at its origin, so
+                # only a VP listed twice can observe a path twice
+                rows, counts = unique_rows(flat, off)
+                flat, _, off = take_rows(flat, off, rows)
+            corpus = PathCorpus(
+                vps=list(self.vps), flat=flat, off=off, counts=counts,
+                rib=got.rib,
+            )
             perf.counter("paths", len(corpus))
             return corpus
 
@@ -678,7 +783,7 @@ class Collector:
         workers: int,
         origin_list: List[int],
         by_origin: Dict[int, List[Prefix]],
-    ) -> List[Tuple[List[Tuple[int, ...]], List["RibEntry"]]]:
+    ) -> Collected:
         """Fan origin blocks across the persistent pool, preserving order.
 
         Each worker gets one strided chunk ``origin_list[w::workers]``
@@ -698,13 +803,13 @@ class Collector:
             (spec, [(o, by_origin[o]) for o in origin_list[w::workers]])
             for w in range(workers)
         ]
-        chunk_results = pool.map(_pool_collect_shared, payloads)
-        results: List[Tuple[List[Tuple[int, ...]], List[RibEntry]]] = (
-            [None] * len(origin_list)  # type: ignore[list-item]
+        chunks = pool.map(_pool_collect_shared, payloads)
+        # origin i sits at position i // workers of chunk i % workers
+        first = _np.cumsum([0] + [len(c.per_origin) for c in chunks])
+        i = _np.arange(len(origin_list))
+        return Collected.concat(chunks).reordered(
+            first[i % workers] + i // workers
         )
-        for w, chunk in enumerate(chunk_results):
-            results[w:: workers] = chunk
-        return results
 
     def release_shared(self) -> None:
         """Unlink this collector's graph segment now (idempotent)."""
@@ -765,7 +870,7 @@ atexit.register(shutdown_worker_pool)
 
 def _pool_collect_shared(
     payload: Tuple[_ChunkSpec, List[Tuple[int, List[Prefix]]]],
-) -> List[Tuple[List[Tuple[int, ...]], List[RibEntry]]]:
+) -> Collected:
     """Collect one strided chunk over the mapped graph segment.
 
     The attachment is cached per worker process per segment name, so a

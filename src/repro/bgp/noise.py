@@ -11,16 +11,25 @@ the scenario seed, so corpora are reproducible.  (Prepending in the
 real world also influences path *selection*; we apply it after
 selection, a simplification that preserves what matters here — the
 pattern the sanitizer must remove.)
+
+:class:`ColumnNoiser` noises whole blocks of paths held as columns
+(int64 ``flat`` hops plus row offsets ``off``).  The route-server insert
+and the prepend count depend only on the directed edge, so they are
+computed once per distinct edge and expanded with ``numpy.repeat``;
+only the per-path poison, loop and reserved-ASN draws run one path at
+a time, from one ``random.Random`` per origin.  The one-path-at-a-time
+noiser it replaced is the QA oracle in :mod:`repro.qa.oracles`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.relationships import canonical_pair
-from repro.topology.model import ASGraph
+import numpy as _np
+
+from repro.graph.csr import sort_unique
 
 
 @dataclass
@@ -53,126 +62,151 @@ class NoiseConfig:
 RESERVED_ASN = 64512
 
 
-class PathNoiser:
-    """Applies IXP insertion, prepending, poisoning and loop artifacts.
+def prepend_count(config: NoiseConfig, asn: int, toward: int) -> int:
+    """How many extra copies ``asn`` inserts when exporting to ``toward``:
+    a deterministic per-adjacency hash into a local RNG, so a session
+    prepends identically whichever origin's route it exports."""
+    local = random.Random((config.seed << 32) ^ (asn << 16) ^ toward)
+    if local.random() < config.prepend_prob:
+        return local.randint(1, max(1, config.max_prepend))
+    return 0
 
-    Prepend behaviour is a deterministic function of the (AS, next-hop)
-    pair, mirroring per-session prepend policy; the per-path artifacts
-    (poison/loop/reserved) are drawn from the corpus RNG.
+
+class ColumnNoiser:
+    """Applies IXP insertion, prepending, poisoning and loop artifacts
+    to paths held as columns (collector order: VP first, origin last).
+
+    ``clique`` is the pool poisoned paths draw from; ``via_ixp`` maps a
+    canonical link to the route server it crosses.  The per-edge
+    artifacts are memoized per directed edge for the noiser's life:
+    they depend on the graph and ``config.seed`` only.
     """
 
     def __init__(
         self,
-        graph: Optional[ASGraph],
         config: NoiseConfig,
-        rng_seed: Optional[int] = None,
-        prepend_cache: Optional[Dict[Tuple[int, int], int]] = None,
-        clique: Optional[Sequence[int]] = None,
-        edge_cache: Optional[Dict[Tuple[int, int], List[int]]] = None,
-        via_ixp: Optional[Dict[Tuple[int, int], int]] = None,
+        clique: Sequence[int],
+        via_ixp: Mapping[Tuple[int, int], int],
     ):
-        """``rng_seed`` overrides the seed of the per-path artifact RNG
-        only (parallel collection derives one per origin); the
-        per-adjacency prepend policy always hashes ``config.seed`` so a
-        session prepends identically regardless of which origin's route
-        it exports.
-
-        ``prepend_cache``, ``clique`` and ``edge_cache`` let a caller
-        constructing one noiser per origin (the collector) share the
-        memoized prepend policy, the precomputed clique, and the
-        per-edge expansion segments across all of them.  All three are
-        deterministic functions of the graph and ``config.seed``, never
-        of the per-origin RNG, so sharing cannot change any emitted
-        path.
-
-        ``via_ixp`` supplies the IXP link map directly; with both it
-        and ``clique`` given, ``graph`` may be ``None`` — how
-        shared-memory collection workers noise paths without ever
-        holding a topology object.
-        """
         self._config = config
-        self._rng = random.Random(
-            config.seed if rng_seed is None else rng_seed
-        )
-        if via_ixp is None:
-            via_ixp = getattr(graph, "via_ixp", {}) if graph is not None else {}
-        self._via_ixp: Dict[Tuple[int, int], int] = (
-            via_ixp if config.ixp_insertion else {}
-        )
-        if clique is None:
-            clique = graph.clique_asns() if graph is not None else []
         self._clique = clique
-        self._prepend_cache: Dict[Tuple[int, int], int] = (
-            {} if prepend_cache is None else prepend_cache
-        )
-        # (prev hop, hop) -> the observed segment that hop contributes
-        self._edge_cache: Dict[Tuple[int, int], List[int]] = (
-            {} if edge_cache is None else edge_cache
-        )
+        self._via_ixp = via_ixp if config.ixp_insertion else {}
+        #: packed ``(prev << 32) | asn`` -> (route server or -1, prepends)
+        self._edges: Dict[int, Tuple[int, int]] = {}
 
-    def _prepend_count(self, asn: int, toward: int) -> int:
-        """How many extra copies ``asn`` inserts when exporting to ``toward``."""
-        key = (asn, toward)
-        count = self._prepend_cache.get(key)
-        if count is None:
-            # deterministic per adjacency: hash into a local RNG
-            local = random.Random((self._config.seed << 32) ^ (asn << 16) ^ toward)
-            if local.random() < self._config.prepend_prob:
-                count = local.randint(1, max(1, self._config.max_prepend))
-            else:
-                count = 0
-            self._prepend_cache[key] = count
-        return count
+    def apply(self, flat, off, origins: Sequence[int], per_origin):
+        """The observed form of the true paths ``(flat, off)``, whose
+        rows are ``per_origin[i]`` paths of ``origins[i]`` in turn;
+        returns the observed ``(flat, off)``."""
+        flat, off = self._edge_artifacts(flat, off)
+        return self._drawn_artifacts(flat, off, origins, per_origin)
 
-    def _edge_segment(self, prev: int, asn: int) -> List[int]:
-        """What ``asn`` contributes to a path observed after ``prev``.
+    def _edge_table(self, edges) -> Tuple["_np.ndarray", "_np.ndarray"]:
+        """``(route server or -1, prepend count)`` per packed edge."""
+        table = self._edges
+        config = self._config
+        via_ixp = self._via_ixp
+        prepends = config.prepend_prob > 0
+        rows: List[Tuple[int, int]] = []
+        for key in edges.tolist():
+            row = table.get(key)
+            if row is None:
+                prev, asn = key >> 32, key & 0xFFFFFFFF
+                rs = via_ixp.get((prev, asn) if prev <= asn else (asn, prev))
+                row = table[key] = (
+                    -1 if rs is None else rs,
+                    prepend_count(config, asn, prev) if prepends else 0,
+                )
+            rows.append(row)
+        both = _np.array(rows, dtype=_np.int64).reshape(-1, 2)
+        return both[:, 0], both[:, 1]
 
-        The deterministic artifacts — the route-server ASN sitting on
-        the ``prev``–``asn`` edge, then ``asn`` itself, then ``asn``'s
-        prepends toward ``prev`` — depend only on the directed edge,
-        never on which origin's route crosses it, so segments memoize
-        per ``(prev, asn)`` pair.
+    def _edge_artifacts(self, flat, off):
+        """Each hop after the first becomes its edge's segment: the
+        route server on the ``prev``–``asn`` link, ``asn`` itself, then
+        ``asn``'s prepends toward ``prev``."""
+        config = self._config
+        if not self._via_ixp and config.prepend_prob <= 0:
+            return flat, off
+        hops = _np.ones(len(flat), dtype=bool)
+        hops[off[:-1]] = False  # a path's first hop has no edge
+        hops = _np.flatnonzero(hops)
+        keys = flat[hops - 1].astype(_np.uint64) << _np.uint64(32)
+        keys |= flat[hops].astype(_np.uint64)
+        edges, inverse, _ = sort_unique(keys, return_inverse=True)
+        rs, prepends = self._edge_table(edges)
+        rs, prepends = rs[inverse], prepends[inverse]
+        has_rs = rs >= 0
+        width = _np.ones(len(flat), dtype=_np.int64)
+        width[hops] += has_rs + prepends
+        out = _np.repeat(flat, width)
+        ends = _np.zeros(len(flat) + 1, dtype=_np.int64)
+        _np.cumsum(width, out=ends[1:])
+        out[ends[hops[has_rs]]] = rs[has_rs]
+        return out, ends[off]
+
+    def _drawn_artifacts(self, flat, off, origins, per_origin):
+        """The per-path poison, loop and reserved-ASN draws.
+
+        Each origin's paths draw, in row order, from one RNG seeded by
+        the origin, so the draws never depend on how origins are split
+        into blocks or across workers.
         """
-        segment: List[int] = []
-        rs = self._via_ixp.get(canonical_pair(prev, asn))
-        if rs is not None:
-            segment.append(rs)
-        segment.append(asn)
-        if self._config.prepend_prob > 0:
-            # prepends show up after the first occurrence in collector
-            # order
-            segment.extend([asn] * self._prepend_count(asn, prev))
-        return segment
+        config = self._config
+        clique = self._clique
+        poison = config.poison_prob > 0 and len(clique) > 0
+        loop = config.loop_prob > 0
+        reserved = config.reserved_asn_prob > 0
+        if not (poison or loop or reserved):
+            return flat, off
+        lengths = _np.diff(off).tolist()
+        bounds = off.tolist()
+        edited: Dict[int, List[int]] = {}
+        row = 0
+        for origin, count in zip(origins, per_origin.tolist()):
+            rng = random.Random((config.seed << 20) ^ origin)
+            draw = rng.random
+            for i in range(row, row + count):
+                size = lengths[i]
+                path = None
+                if poison and size >= 3 and draw() < config.poison_prob:
+                    spot = rng.randrange(1, size - 1)
+                    asn = rng.choice(clique)
+                    path = flat[bounds[i]:bounds[i + 1]].tolist()
+                    if asn not in path:
+                        path.insert(spot, asn)
+                        size += 1
+                if loop and size >= 3 and draw() < config.loop_prob:
+                    # the origin re-appears earlier in the path
+                    if path is None:
+                        path = flat[bounds[i]:bounds[i + 1]].tolist()
+                    path.insert(rng.randrange(1, size - 1), path[-1])
+                    size += 1
+                if reserved and size >= 2 and (
+                    draw() < config.reserved_asn_prob
+                ):
+                    if path is None:
+                        path = flat[bounds[i]:bounds[i + 1]].tolist()
+                    path.insert(rng.randrange(1, size), RESERVED_ASN)
+                if path is not None:
+                    edited[i] = path
+            row += count
+        return _splice(flat, off, edited) if edited else (flat, off)
 
-    def apply(self, path: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Return the observed form of a true AS path."""
-        if not path:
-            return ()
-        cfg = self._config
-        edges = self._edge_cache
-        observed: List[int] = [path[0]]
-        prev = path[0]
-        for asn in path[1:]:
-            segment = edges.get((prev, asn))
-            if segment is None:
-                segment = self._edge_segment(prev, asn)
-                edges[(prev, asn)] = segment
-            observed.extend(segment)
-            prev = asn
 
-        if cfg.poison_prob > 0 and len(observed) >= 3 and self._clique:
-            if self._rng.random() < cfg.poison_prob:
-                spot = self._rng.randrange(1, len(observed) - 1)
-                poison = self._rng.choice(self._clique)
-                if poison not in observed:
-                    observed.insert(spot, poison)
-        if cfg.loop_prob > 0 and len(observed) >= 3:
-            if self._rng.random() < cfg.loop_prob:
-                # origin ASN re-appears earlier in the path (loop artifact)
-                observed.insert(self._rng.randrange(1, len(observed) - 1),
-                                observed[-1])
-        if cfg.reserved_asn_prob > 0 and len(observed) >= 2:
-            if self._rng.random() < cfg.reserved_asn_prob:
-                observed.insert(self._rng.randrange(1, len(observed)),
-                                RESERVED_ASN)
-        return tuple(observed)
+def _splice(flat, off, edited: Dict[int, List[int]]):
+    """``(flat, off)`` with the rows ``edited`` names replaced (keys in
+    ascending order)."""
+    rows = _np.fromiter(edited, dtype=_np.int64, count=len(edited))
+    lengths = _np.diff(off)
+    kept = _np.ones(len(lengths), dtype=bool)
+    kept[rows] = False
+    new_lengths = lengths.copy()
+    new_lengths[rows] = [len(path) for path in edited.values()]
+    new_off = _np.zeros(len(off), dtype=_np.int64)
+    _np.cumsum(new_lengths, out=new_off[1:])
+    out = _np.empty(int(new_off[-1]), dtype=flat.dtype)
+    at_kept = _np.repeat(kept, new_lengths)
+    out[at_kept] = flat[_np.repeat(kept, lengths)]
+    out[~at_kept] = [asn for path in edited.values() for asn in path]
+    return out, new_off

@@ -28,12 +28,16 @@ whole, and the third descends only the customer edges into the
 observers' upward provider closure, so its cost follows that closure
 instead of the world.
 
-:func:`propagate_batch` implements those sweeps for K origins at
+:func:`propagate_blocks` implements those sweeps for K origins at
 once, over ``(K, n)`` numpy route-class / path-length / next-hop
 matrices and a CSR adjacency built once per :class:`GraphIndex`.  Each
 sweep level processes every origin's frontier in one set of vectorized
 scatter/gather passes, and AS paths are reconstructed lazily (only at
 the rows a caller walks, e.g. vantage points) instead of for every AS.
+
+It yields each block's arrays as they are (the collector walks them in
+place); :func:`propagate_batch` copies them out as one
+:class:`RouteState` per origin.
 
 The engine is bit-for-bit equivalent to the one-origin-at-a-time
 pure-Python sweeps kept as an oracle in :mod:`repro.qa.oracles` — same
@@ -45,7 +49,17 @@ invariant family assert on every generated world shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as _np
 
@@ -89,10 +103,11 @@ class PropagationConfig:
     block would allocate gigabytes, so the engine shrinks the block
     instead — block size never changes results, only memory.
 
-    ``array_state=True`` returns :class:`RouteState` rows as int32
-    numpy slices instead of Python lists — the internet-scale path,
-    where materializing millions of Python ints per block dominates
-    the profile.  Both row forms hold identical values.
+    ``array_state`` only shapes the :class:`RouteState` rows
+    :func:`propagate_batch` returns: ``True`` copies them out as int32
+    arrays, ``False`` as Python lists; both hold identical values.  The
+    collector no longer reads it: it walks the block arrays of
+    :func:`propagate_blocks` directly.
     """
 
     batch_size: int = 128
@@ -202,9 +217,60 @@ def propagate_batch(
 ) -> List[RouteState]:
     """Route state for a block of origins, one :class:`RouteState` each.
 
-    All origins propagate simultaneously over ``(K, n)`` arrays; the
-    returned states are row views into those arrays, so paths are
-    materialized only where a caller walks them.
+    The rows of :func:`propagate_blocks`, copied out per origin (as
+    lists, or as int32 arrays with ``config.array_state``), so paths
+    are materialized only where a caller walks them.
+    """
+    config = config or PropagationConfig()
+    n = len(index)
+    states: List[RouteState] = []
+    for block in propagate_blocks(
+        index, origin_asns, leakers_by_origin, config, observers=observers
+    ):
+        for origin, *rows in zip(
+            block.origins.tolist(), block.cls[:, :n], block.nexthop[:, :n],
+            block.pathlen[:, :n],
+        ):
+            # detached int32 rows skip the per-cell Python ints (the
+            # internet-scale path); list rows walk at list speed
+            rows = [
+                row.copy() if config.array_state else row.tolist()
+                for row in rows
+            ]
+            states.append(RouteState(origin, *rows))
+    return states
+
+
+class BlockState(NamedTuple):
+    """One engine block's route state: row ``k`` is origin ``k``'s.
+
+    ``origins`` holds each row's origin (dense id); ``cls``,
+    ``nexthop`` and ``pathlen`` are ``(K, stride)`` int32 arrays laid
+    out like :class:`RouteState` rows, ``stride`` being the index size
+    rounded up to a power of two (columns past ``len(index)`` are
+    padding).
+    """
+
+    origins: "_np.ndarray"
+    cls: "_np.ndarray"
+    nexthop: "_np.ndarray"
+    pathlen: "_np.ndarray"
+
+
+def propagate_blocks(
+    index: GraphIndex,
+    origin_asns: Sequence[int],
+    leakers_by_origin: Optional[Mapping[int, Set[int]]] = None,
+    config: Optional[PropagationConfig] = None,
+    *,
+    observers: Optional[Sequence[int]] = None,
+) -> Iterator[BlockState]:
+    """Route state for ``origin_asns``, one :class:`BlockState` per
+    engine block, in origin order.
+
+    All origins of a block propagate simultaneously over ``(K, n)``
+    arrays.  The collector reads these arrays directly;
+    :func:`propagate_batch` copies them out per origin.
 
     ``leakers_by_origin`` maps an origin to the ASNs that leak its
     routes: they violate export policy by re-announcing their selected
@@ -235,7 +301,7 @@ def propagate_batch(
     config = config or PropagationConfig()
     leakers_by_origin = leakers_by_origin or {}
     if not origin_asns:
-        return []
+        return
 
     csr = index.csr()
     customers = csr.customers
@@ -257,16 +323,11 @@ def propagate_batch(
     # array; shrinking the block trades nothing but wall-clock shape
     stride = 1 << max(1, (len(index) - 1).bit_length())
     step = max(1, min(config.batch_size, config.max_block_cells // stride))
-    states: List[RouteState] = []
     for start in range(0, len(origin_asns), step):
-        block = origin_asns[start: start + step]
-        states.extend(
-            _propagate_block(
-                index, block, leakers_by_origin, customers,
-                config.array_state,
-            )
+        yield _propagate_block(
+            index, origin_asns[start: start + step], leakers_by_origin,
+            customers,
         )
-    return states
 
 
 def _observer_customers(
@@ -300,8 +361,7 @@ def _propagate_block(
     origin_asns: Sequence[int],
     leakers_by_origin: Mapping[int, Set[int]],
     customers: Tuple["_np.ndarray", "_np.ndarray"],
-    array_state: bool = False,
-) -> List[RouteState]:
+) -> BlockState:
     """One block of the batched engine: K origins over flat cell arrays.
 
     ``customers`` is the adjacency the down sweep and the leak pass's
@@ -346,39 +406,21 @@ def _propagate_block(
     _batch_sweep_peers(csr, geom, cls, nexthop, pathlen)
     _batch_sweep_down(customers, geom, cls, nexthop, pathlen)
 
-    states: List[RouteState] = []
-    cls2 = cls.reshape(K, stride)
-    nexthop2 = nexthop.reshape(K, stride)
-    pathlen2 = pathlen.reshape(K, stride)
+    cls = cls.reshape(K, stride)
+    nexthop = nexthop.reshape(K, stride)
+    pathlen = pathlen.reshape(K, stride)
     for k, asn in enumerate(origin_asns):
-        if array_state:
-            # detached int32 rows: same values, no per-cell Python-int
-            # materialization (the internet-scale hot path)
-            state = RouteState(
-                origin=int(origins[k]),
-                cls=cls2[k, :n].copy(),
-                nexthop=nexthop2[k, :n].copy(),
-                pathlen=pathlen2[k, :n].copy(),
-            )
-        else:
-            # plain-list rows: the lazy path walks run at list speed
-            state = RouteState(
-                origin=int(origins[k]),
-                cls=cls2[k, :n].tolist(),
-                nexthop=nexthop2[k, :n].tolist(),
-                pathlen=pathlen2[k, :n].tolist(),
-            )
         leakers = leakers_by_origin.get(asn)
         if leakers:
+            # the sequential pass runs over list rows (numpy scalar
+            # access is ~2.5x slower), written back into the block
             leak_indexes = {
                 index.index[a] for a in leakers if a in index.index
             }
-            _leak_pass(
-                index, leak_indexes, state.cls, state.nexthop, state.pathlen,
-                customers,
-            )
-        states.append(state)
-    return states
+            rows = [a[k, :n].tolist() for a in (cls, nexthop, pathlen)]
+            _leak_pass(index, leak_indexes, *rows, customers)
+            cls[k, :n], nexthop[k, :n], pathlen[k, :n] = rows
+    return BlockState(origins, cls, nexthop, pathlen)
 
 
 @dataclass(frozen=True)

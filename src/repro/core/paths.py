@@ -8,7 +8,8 @@ sanitization table (experiment E11) can be regenerated.
 Stage 1 has one implementation, a numpy kernel over raw paths given as
 columns (int64 ``flat`` hops plus row ``offsets``):
 :meth:`PathSet.sanitize_columns`; :meth:`PathSet.sanitize` flattens
-tuples into it.  Rows may carry a weight, the number of input paths
+tuples into it, and takes a :class:`PathColumns` (the collector's
+corpus) as it is.  Rows may carry a weight, the number of input paths
 they stand for, so a caller holding rows per distinct raw path cleans
 each raw path once.  The scalar ``clean_path`` it replaced is the QA
 oracle in :mod:`repro.qa.oracles`.
@@ -31,6 +32,7 @@ ASes by:
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -183,6 +185,72 @@ def _run_starts(flat, rows):
     _np.not_equal(flat[1:], flat[:-1], out=keep[1:])
     keep[1:] |= rows[1:] != rows[:-1]
     return keep
+
+
+def split_tuples(items: list, bounds: list) -> List[tuple]:
+    """``items`` cut into tuples at ``bounds`` (ascending, from 0 to
+    ``len(items)``)."""
+    return list(map(
+        tuple, map(items.__getitem__, map(slice, bounds, bounds[1:]))
+    ))
+
+
+def row_tuples(flat, off) -> List[Tuple[int, ...]]:
+    """The rows of the ragged array ``(flat, off)`` as tuples of ints."""
+    return split_tuples(flat.tolist(), off.tolist())
+
+
+class PathColumns(SequenceABC):
+    """Raw AS paths held as columns, read as a sequence of tuples.
+
+    Row ``i`` is ``flat[off[i]:off[i + 1]]`` (int64 ASNs).  The tuples
+    are built on first read; :meth:`PathSet.sanitize` reads the columns
+    instead, so a corpus that is only sanitized never builds them.
+    """
+
+    __slots__ = ("flat", "off", "_rows")
+
+    def __init__(self, flat, off):
+        self.flat, self.off = flat, off
+        self._rows: Optional[List[Tuple[int, ...]]] = None
+
+    def _tuples(self) -> List[Tuple[int, ...]]:
+        if self._rows is None:
+            self._rows = row_tuples(self.flat, self.off)
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.off) - 1
+
+    def __getitem__(self, i):
+        return self._tuples()[i]
+
+    def __iter__(self) -> Iterator[Tuple[int, ...]]:
+        return iter(self._tuples())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PathColumns):
+            return _np.array_equal(self.off, other.off) and _np.array_equal(
+                self.flat, other.flat
+            )
+        if isinstance(other, list):
+            return self._tuples() == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PathColumns({len(self)} paths)"
+
+
+def unique_rows(flat, off):
+    """``(rows, counts)``: the first row carrying each distinct path of
+    ``(flat, off)``, in first-seen order, and how many rows carry it."""
+    n = len(off) - 1
+    rows, counts = _sorted_unique(
+        flat, off, _np.arange(n, dtype=_np.int64),
+        _np.ones(n, dtype=_np.int64),
+    )
+    order = _np.argsort(rows, kind="stable")
+    return rows[order], counts[order]
 
 
 class _Stage1(NamedTuple):
@@ -417,7 +485,12 @@ class PathSet:
         weights=None,
     ) -> "PathSet":
         """Apply the paper's stage-1 cleaning to raw observed paths
-        (``weights`` as in :meth:`sanitize_columns`)."""
+        (``weights`` as in :meth:`sanitize_columns`); a
+        :class:`PathColumns` goes to the kernel as it is held."""
+        if isinstance(raw_paths, PathColumns):
+            return cls.sanitize_columns(
+                raw_paths.flat, raw_paths.off, ixp_asns, weights
+            )
         return cls.sanitize_columns(*_flatten(raw_paths), ixp_asns, weights)
 
     @classmethod
@@ -487,9 +560,7 @@ class PathSet:
     @cached_property
     def paths(self) -> List[Tuple[int, ...]]:
         """The paths as tuples, in tuple order."""
-        hops = self.flat.tolist()
-        bounds = self.off.tolist()
-        return [tuple(hops[s:e]) for s, e in zip(bounds, bounds[1:])]
+        return row_tuples(self.flat, self.off)
 
     @cached_property
     def counts(self) -> Dict[Tuple[int, ...], int]:

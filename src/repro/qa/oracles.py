@@ -29,12 +29,15 @@ parameter or environment variable selects it.
   ``differential/rank``);
 * :func:`propagate_origin` — the one-origin-at-a-time Gao–Rexford
   sweeps;
+* :class:`PathNoiser` — the measurement noise one path at a time;
 * :class:`ReferenceCollector` — serial collection that propagates
-  every origin through :func:`propagate_origin`.
+  every origin through :func:`propagate_origin` and materializes,
+  noises and tags one path at a time.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import replace
 from typing import (
@@ -50,14 +53,18 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.bgp.collector import (
+    REL_CODE,
     CollectionKernel,
+    Collected,
     Collector,
     CollectorConfig,
     RibEntry,
     VantagePoint,
 )
-from repro.bgp.noise import PathNoiser
+from repro.bgp.noise import RESERVED_ASN, NoiseConfig, prepend_count
 from repro.bgp.propagation import (
     CLS_CUSTOMER,
     CLS_ORIGIN,
@@ -80,8 +87,15 @@ from repro.core.paths import PathSet, SanitizeStats, is_reserved_asn
 from repro.core.rank import ASRankEntry
 from repro.graph.csr import CsrRows
 from repro.net.prefix import Prefix
-from repro.relationships import Relationship
+from repro.relationships import RelClass, Relationship, canonical_pair
 from repro.topology.model import ASGraph
+
+#: the community code of each route class an AS can tag
+_REFERENCE_CLS_CODE = {
+    CLS_CUSTOMER: REL_CODE[RelClass.CUSTOMER],
+    CLS_PEER: REL_CODE[RelClass.PEER],
+    CLS_PROVIDER: REL_CODE[RelClass.PROVIDER],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -764,42 +778,133 @@ def _sweep_down(
 # ---------------------------------------------------------------------------
 
 
+class PathNoiser:
+    """Applies IXP insertion, prepending, poisoning and loop artifacts
+    to one path at a time (the oracle of
+    :class:`~repro.bgp.noise.ColumnNoiser`).
+
+    Prepend behaviour is a deterministic function of the (AS, next-hop)
+    pair, mirroring per-session prepend policy; the per-path artifacts
+    (poison/loop/reserved) are drawn from the noiser's RNG.
+    """
+
+    def __init__(
+        self,
+        graph: Optional[ASGraph],
+        config: NoiseConfig,
+        rng_seed: Optional[int] = None,
+        clique: Optional[Sequence[int]] = None,
+        via_ixp: Optional[Dict[Tuple[int, int], int]] = None,
+    ):
+        """``rng_seed`` overrides the seed of the per-path artifact RNG
+        only (collection derives one per origin); the per-adjacency
+        prepend policy always hashes ``config.seed``.  ``clique`` and
+        ``via_ixp`` default to the graph's, which may then be ``None``.
+        """
+        self._config = config
+        self._rng = random.Random(
+            config.seed if rng_seed is None else rng_seed
+        )
+        if via_ixp is None:
+            via_ixp = getattr(graph, "via_ixp", {}) if graph is not None else {}
+        self._via_ixp = via_ixp if config.ixp_insertion else {}
+        if clique is None:
+            clique = graph.clique_asns() if graph is not None else []
+        self._clique = clique
+
+    def apply(self, path: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Return the observed form of a true AS path."""
+        if not path:
+            return ()
+        cfg = self._config
+        observed: List[int] = [path[0]]
+        for prev, asn in zip(path, path[1:]):
+            rs = self._via_ixp.get(canonical_pair(prev, asn))
+            if rs is not None:
+                observed.append(rs)
+            observed.append(asn)
+            if cfg.prepend_prob > 0:
+                # prepends show up after the first occurrence in
+                # collector order
+                observed.extend([asn] * prepend_count(cfg, asn, prev))
+
+        if cfg.poison_prob > 0 and len(observed) >= 3 and self._clique:
+            if self._rng.random() < cfg.poison_prob:
+                spot = self._rng.randrange(1, len(observed) - 1)
+                poison = self._rng.choice(self._clique)
+                if poison not in observed:
+                    observed.insert(spot, poison)
+        if cfg.loop_prob > 0 and len(observed) >= 3:
+            if self._rng.random() < cfg.loop_prob:
+                # origin ASN re-appears earlier in the path (loop artifact)
+                observed.insert(self._rng.randrange(1, len(observed) - 1),
+                                observed[-1])
+        if cfg.reserved_asn_prob > 0 and len(observed) >= 2:
+            if self._rng.random() < cfg.reserved_asn_prob:
+                observed.insert(self._rng.randrange(1, len(observed)),
+                                RESERVED_ASN)
+        return tuple(observed)
+
+
 class ReferenceCollectionKernel(CollectionKernel):
-    """A collection kernel that propagates one origin at a time
-    through :func:`propagate_origin`, computing full tables over list
-    rows converted once per kernel."""
+    """A collection kernel that materializes one origin and one path at
+    a time: each origin's route state comes from :meth:`states`
+    (:func:`propagate_origin` over list rows converted once per
+    kernel), each VP's path from :meth:`RouteState.path_from`, its
+    noise from :class:`PathNoiser` and its communities from a walk of
+    the chain."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.rows = list_rows(self.index)
 
+    def states(self, origin_list: Sequence[int]) -> Iterable[RouteState]:
+        """One full route table per origin, in order."""
+        for asn in origin_list:
+            yield propagate_origin(
+                self.index, asn,
+                leakers=self._leakers_for_origin(asn), rows=self.rows,
+            )
+
     def collect_block(
         self,
         origin_list: Sequence[int],
         by_origin: Dict[int, List[Prefix]],
-    ) -> List[Tuple[List[Tuple[int, ...]], List[RibEntry]]]:
-        return [
-            self.collect_origin(
-                asn, by_origin[asn], self._origin_noiser(asn)
+    ) -> Collected:
+        paths: List[Tuple[int, ...]] = []
+        rib: List[RibEntry] = []
+        per_origin: List[int] = []
+        rib_per_origin: List[int] = []
+        for asn, state in zip(origin_list, self.states(origin_list)):
+            observed, rows = self.collect_origin(
+                asn, state, by_origin[asn]
             )
-            for asn in origin_list
-        ]
+            paths.extend(observed)
+            rib.extend(rows)
+            per_origin.append(len(observed))
+            rib_per_origin.append(len(rows))
+        off = np.zeros(len(paths) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, paths), np.int64, len(paths)),
+                  out=off[1:])
+        return Collected(
+            np.array([asn for path in paths for asn in path], dtype=np.int64),
+            off,
+            np.array(per_origin, dtype=np.int64),
+            rib,
+            np.array(rib_per_origin, dtype=np.int64),
+        )
 
     def collect_origin(
         self,
         origin_asn: int,
+        state: RouteState,
         prefixes: List[Prefix],
-        noiser: PathNoiser,
     ) -> Tuple[List[Tuple[int, ...]], List[RibEntry]]:
-        """Propagate one origin and materialize what every VP exports.
-
-        The one-origin composition of the phase helpers — the reference
-        path the batched :meth:`collect_block` is checked against.
-        """
-        state = propagate_origin(
-            self.index, origin_asn,
-            leakers=self._leakers_for_origin(origin_asn),
-            rows=self.rows,
+        """Materialize what every VP exports of one origin's routes."""
+        cfg = self.config.noise
+        noiser = PathNoiser(
+            None, cfg, rng_seed=(cfg.seed << 20) ^ origin_asn,
+            clique=self.clique, via_ixp=self.via_ixp,
         )
         observed = [
             (vp_asn, vp_idx, noiser.apply(path))
@@ -809,6 +914,73 @@ class ReferenceCollectionKernel(CollectionKernel):
         if self.config.build_rib:
             rib_rows = self._rib_rows(state, observed, prefixes)
         return [path for _, _, path in observed], rib_rows
+
+    def _exported_paths(
+        self, state: RouteState
+    ) -> List[Tuple[int, int, Tuple[int, ...]]]:
+        """``(vp_asn, vp_index, true_path)`` per VP exporting this route."""
+        out: List[Tuple[int, int, Tuple[int, ...]]] = []
+        index_of = self.index.index
+        cls = state.cls
+        for vp in self.vps:
+            vp_idx = index_of.get(vp.asn)
+            if vp_idx is None:
+                continue
+            route_cls = cls[vp_idx]
+            if route_cls == NO_ROUTE:
+                continue  # no route at this VP
+            if not vp.full_feed and route_cls not in (
+                CLS_ORIGIN, CLS_CUSTOMER
+            ):
+                continue  # partial feeds export only customer/originated
+            true_path = state.path_from(self.index, vp_idx)
+            assert true_path is not None
+            out.append((vp.asn, vp_idx, true_path))
+        return out
+
+    def _rib_rows(
+        self,
+        state: RouteState,
+        observed: List[Tuple[int, int, Tuple[int, ...]]],
+        prefixes: List[Prefix],
+    ) -> List[RibEntry]:
+        """Per-prefix RIB entries for every exported (noised) path."""
+        rib_rows: List[RibEntry] = []
+        for vp_asn, vp_idx, path in observed:
+            communities = self._communities_for(state, vp_idx)
+            for prefix in prefixes:
+                rib_rows.append(
+                    RibEntry(
+                        vp=vp_asn,
+                        prefix=prefix,
+                        path=path,
+                        communities=communities,
+                    )
+                )
+        return rib_rows
+
+    def _communities_for(
+        self, state: RouteState, vp_idx: int
+    ) -> Tuple[Tuple[int, int], ...]:
+        """Relationship communities accumulated along the selected path:
+        each tagging AS marks the class of the session the route entered
+        on, unless it entered over a sibling session."""
+        tags: List[Tuple[int, int]] = []
+        node = vp_idx
+        origin = state.origin
+        cls = state.cls
+        nexthop = state.nexthop
+        asns = self.index.asns
+        while node != -1 and node != origin:
+            nh = nexthop[node]
+            if node in self.tagger_nodes:
+                code = _REFERENCE_CLS_CODE.get(cls[node])
+                if code is not None and (
+                    nh == -1 or nh not in self.sibling_nodes.get(node, ())
+                ):
+                    tags.append((asns[node], code))
+            node = nh
+        return tuple(tags)
 
 
 class ReferenceCollector(Collector):

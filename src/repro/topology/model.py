@@ -268,14 +268,16 @@ class ASGraph:
 
     def clique_asns(self) -> List[int]:
         """The planted tier-1 clique, sorted."""
-        return sorted(
-            a.asn for a in self._ases.values() if a.type is ASType.CLIQUE
-        )
+        # bound once: an enum member lookup per AS costs more than the
+        # rest of the scan
+        clique = ASType.CLIQUE
+        return sorted(a.asn for a in self._ases.values() if a.type is clique)
 
     def ixp_asns(self) -> FrozenSet[int]:
         """ASNs of IXP route servers (path artifacts to be sanitized)."""
+        ixp_rs = ASType.IXP_RS
         return frozenset(
-            a.asn for a in self._ases.values() if a.type is ASType.IXP_RS
+            a.asn for a in self._ases.values() if a.type is ixp_rs
         )
 
     def transit_free(self) -> List[int]:

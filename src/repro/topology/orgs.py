@@ -92,7 +92,9 @@ def assign_organizations(
     catches and path data cannot.
     """
     rng = random.Random(seed)
-    business = [a.asn for a in graph.ases() if a.type is not ASType.IXP_RS]
+    # bound once: an enum member lookup per AS costs more than the test
+    ixp_rs = ASType.IXP_RS
+    business = [a.asn for a in graph.ases() if a.type is not ixp_rs]
     assigned: Dict[int, int] = {}  # asn -> component label
     next_label = 0
 
@@ -115,11 +117,8 @@ def assign_organizations(
         members.setdefault(label, []).append(asn)
 
     # 2. acquisitions among transit networks: merge two components
-    transit = [
-        a.asn
-        for a in graph.ases()
-        if a.type in (ASType.LARGE_TRANSIT, ASType.SMALL_TRANSIT)
-    ]
+    transit_types = (ASType.LARGE_TRANSIT, ASType.SMALL_TRANSIT)
+    transit = [a.asn for a in graph.ases() if a.type in transit_types]
     for asn in sorted(transit):
         if rng.random() >= acquisition_rate:
             continue

@@ -14,6 +14,9 @@ from repro.bgp.collector import (
     VantagePoint,
 )
 from repro.bgp.noise import NoiseConfig
+from repro.bgp.propagation import PropagationConfig
+from repro.core.paths import PathSet
+from repro.qa.oracles import ReferenceCollector
 from repro.relationships import RelClass, Relationship
 from repro.topology.generator import GeneratorConfig, generate_topology
 from repro.topology.model import AS, ASGraph, ASType, TopologyError
@@ -388,7 +391,13 @@ class TestPaths:
 
     def test_observed_links_subset_of_truth(self, graph, corpus):
         truth = {(min(a, b), max(a, b)) for a, b, _ in graph.links()}
-        assert corpus.observed_links() <= truth
+        observed = {
+            (min(a, b), max(a, b))
+            for path in corpus.paths
+            for a, b in zip(path, path[1:])
+            if a != b
+        }
+        assert observed <= truth
 
     def test_path_counts_track_duplicates(self, corpus):
         assert sum(corpus.path_counts.values()) >= len(corpus.paths)
@@ -450,23 +459,74 @@ class TestDeterminism:
         assert a.rib == b.rib
 
 
-class TestObservedMemoization:
-    def test_repeated_calls_return_cached_object(self, corpus):
-        assert corpus.observed_asns() is corpus.observed_asns()
-        assert corpus.observed_links() is corpus.observed_links()
+def corpus_key(corpus):
+    return (
+        list(corpus.paths),
+        corpus.path_counts,
+        [(r.vp, r.prefix, r.path, r.communities) for r in corpus.rib],
+    )
 
-    def test_add_path_invalidates_both_caches(self, graph, quiet_config):
-        corpus = Collector(graph, quiet_config).run()
-        asns_before = set(corpus.observed_asns())
-        links_before = set(corpus.observed_links())
-        corpus.add_path((999_901, 999_902))
-        assert corpus.observed_asns() == asns_before | {999_901, 999_902}
-        assert corpus.observed_links() == links_before | {(999_901, 999_902)}
 
-    def test_duplicate_path_still_invalidates(self, graph, quiet_config):
-        corpus = Collector(graph, quiet_config).run()
-        path = corpus.paths[0]
-        before = corpus.observed_asns()
-        corpus.add_path(path)  # increments the count, same path set
-        after = corpus.observed_asns()
-        assert after == before  # equal contents, possibly fresh set
+class TestColumnsMatchReference:
+    """The column kernel (one mask for the exported pairs, a chain walk
+    per hop level, noise per distinct edge) emits every path, count and
+    RIB row of the one-path-at-a-time reference collector, with every
+    artifact firing often."""
+
+    NOISY = NoiseConfig(
+        seed=7, ixp_insertion=True, prepend_prob=0.5, max_prepend=3,
+        poison_prob=0.3, loop_prob=0.3, reserved_asn_prob=0.3,
+    )
+
+    @pytest.fixture(scope="class")
+    def worlds(self):
+        worlds = [
+            generate_topology(GeneratorConfig(
+                n_ases=n, seed=seed, sibling_pairs=siblings,
+                ixp_link_fraction=1.0,
+            ))
+            for n, seed, siblings in ((120, 1, 8), (200, 2, 12))
+        ]
+        assert all(world.via_ixp for world in worlds)
+        return worlds
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        world=st.integers(0, 1),
+        seed=st.integers(0, 2**16),
+        plane=st.sampled_from(["v4", "v6"]),
+        workers=st.sampled_from([0, 2]),
+        build_rib=st.booleans(),
+        n_vps=st.integers(1, 14),
+        leakers=st.integers(0, 5),
+        partial=st.floats(0.0, 1.0),
+        batch_size=st.integers(1, 40),
+        repeat_vp=st.booleans(),
+    )
+    def test_matches_reference(self, worlds, world, seed, plane, workers,
+                               build_rib, n_vps, leakers, partial,
+                               batch_size, repeat_vp):
+        graph = worlds[world]
+        config = CollectorConfig(
+            n_vps=n_vps, seed=seed, partial_feed_fraction=partial,
+            community_tagger_fraction=0.8, noise=self.NOISY,
+            build_rib=build_rib, n_route_leakers=leakers,
+            leak_origin_fraction=0.5, workers=workers,
+            propagation=PropagationConfig(batch_size=batch_size),
+        )
+        preset = None
+        if repeat_vp:
+            # a VP listed twice observes each of its paths twice
+            first = Collector(graph, config, plane=plane).vps[0].asn
+            preset = [VantagePoint(first, True), VantagePoint(first, False)]
+        got = Collector(graph, config, preset_vps=preset, plane=plane).run()
+        want = ReferenceCollector(
+            graph, config, preset_vps=preset, plane=plane
+        ).run()
+        assert corpus_key(got) == corpus_key(want)
+        ixp = graph.ixp_asns()
+        columns = PathSet.sanitize(got.paths, ixp_asns=ixp)
+        tuples = PathSet.sanitize(list(want.paths), ixp_asns=ixp)
+        assert columns.paths == tuples.paths
+        assert columns.path_counts.tolist() == tuples.path_counts.tolist()
+        assert columns.stats == tuples.stats

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.bgp.noise import NoiseConfig, PathNoiser, RESERVED_ASN
+from repro.bgp.noise import NoiseConfig, RESERVED_ASN
+from repro.qa.oracles import PathNoiser
 from repro.relationships import canonical_pair
 from repro.topology.model import AS, ASGraph, ASType
 

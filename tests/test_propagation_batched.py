@@ -25,6 +25,7 @@ from repro.bgp.propagation import (
     GraphIndex,
     PropagationConfig,
     propagate_batch,
+    propagate_blocks,
 )
 from repro.qa.oracles import list_rows, propagate_origin
 from repro.topology.generator import GeneratorConfig, generate_topology
@@ -306,9 +307,9 @@ class FullTableKernel(CollectionKernel):
     """Collects like the production kernel over full route tables."""
 
     def _propagate(self, block, leakers):
-        return propagate_batch(
+        return list(propagate_blocks(
             self.index, block, leakers, self.config.propagation
-        )
+        ))
 
 
 def full_table_collector(graph, config, plane="v4"):
