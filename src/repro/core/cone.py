@@ -17,15 +17,16 @@ paper contrasts three ways of computing it:
   a customer route, so the whole observed suffix is in A's cone.
 
 All cones include the AS itself, matching CAIDA's convention.  Cones
-can be sized in ASes, announced prefixes, or IPv4 addresses.
+are sized in ASes here, and in announced prefixes and IPv4 addresses
+by the rank table (:func:`repro.core.rank.cone_prefix_sizes`).
 
 Cones are bitsets over the shared columnar core
 (:mod:`repro.graph`): :meth:`CustomerCones.compute` takes a
 :class:`~repro.graph.relgraph.RelGraph` (or an
 :class:`~repro.core.inference.InferenceResult`, which compiles to its
 cached RelGraph) and keeps the per-dense-id bitsets; ASN-set views
-materialize lazily at the API boundary, so the snapshot store can
-adopt the bitsets without ever expanding them.  The two observed
+are decoded at the API boundary, so the snapshot store and the rank
+table adopt the bitsets without ever expanding them.  The two observed
 definitions are numpy passes that emit ``(upper, member)`` dense-id
 pairs and pack them into one bitset per AS
 (:func:`~repro.graph.bitset.pack_bits`).
@@ -43,7 +44,7 @@ from repro.core.inference import InferenceResult
 from repro.graph.bitset import decode_bits, pack_bits
 from repro.graph.csr import gather_rows
 from repro.graph.relgraph import RelGraph
-from repro.net.prefix import Prefix, summarize_address_space
+from repro.net.prefix import Prefix
 
 
 class ConeDefinition(enum.Enum):
@@ -120,54 +121,35 @@ def _cone_bits(
     return _ppdc_bits(result)
 
 
-def _bits_to_cones(bits: List[int], id_asns: List[int]) -> Dict[int, Set[int]]:
-    return {
-        id_asns[i]: decode_bits(mask, id_asns)
-        for i, mask in enumerate(bits)
-    }
-
-
 def compute_cones(
     result: InferenceResult, definition: ConeDefinition
 ) -> Dict[int, Set[int]]:
     """Customer cone (including self) for every AS, under ``definition``."""
-    if not isinstance(definition, ConeDefinition):
-        raise ValueError(f"unknown cone definition {definition!r}")
-    with perf.stage("cones"):
-        with perf.stage(definition.value):
-            bits = _cone_bits(result, definition)
-            return _bits_to_cones(bits, result.index.asns)
+    return CustomerCones.compute(result, definition).cones
 
 
 class CustomerCones:
-    """Cones under one definition, sizable in ASes/prefixes/addresses.
+    """Cones under one definition: one bitset per dense id of
+    ``graph.index`` (what :meth:`compute` builds and the snapshot store
+    adopts zero-copy), with ASN-set views decoded on demand.
 
-    Backed either by per-dense-id bitsets over a shared
-    :class:`~repro.graph.relgraph.RelGraph` (what :meth:`compute`
-    builds and the snapshot store adopts zero-copy) or by plain ASN-set
-    mappings (the hand-construction path used in tests).  Whichever
-    representation is absent materializes lazily from the other, so
-    both views answer identically.
+    ``prefixes_by_asn`` rides along for the rank table
+    (:func:`~repro.core.rank.rank_table`), which sizes the cones in
+    prefixes and addresses.
     """
 
     def __init__(
         self,
         definition: ConeDefinition,
-        cones: Optional[Dict[int, Set[int]]] = None,
+        graph: RelGraph,
+        bits: List[int],
         prefixes_by_asn: Optional[Mapping[int, Sequence[Prefix]]] = None,
-        graph: Optional[RelGraph] = None,
-        bits: Optional[List[int]] = None,
     ):
-        if cones is None and (bits is None or graph is None):
-            raise ValueError(
-                "CustomerCones needs either a cone mapping or "
-                "graph-indexed bitsets"
-            )
         self.definition = definition
-        self.prefixes_by_asn = prefixes_by_asn
         self.graph = graph
-        self._cones = cones
-        self._bits = bits
+        self.bits = bits
+        self.prefixes_by_asn = prefixes_by_asn
+        self._cones: Optional[Dict[int, Set[int]]] = None
 
     @classmethod
     def compute(
@@ -181,45 +163,25 @@ class CustomerCones:
         if not isinstance(definition, ConeDefinition):
             raise ValueError(f"unknown cone definition {definition!r}")
         graph = RelGraph.of(source)
-        result = graph.result
-        if result is None:
+        if graph.result is None:
             raise ValueError(
                 "this RelGraph carries no inference result; cones need "
                 "the path corpus"
             )
         with perf.stage("cones"):
             with perf.stage(definition.value):
-                bits = _cone_bits(result, definition)
-        return cls(
-            definition,
-            prefixes_by_asn=prefixes_by_asn,
-            graph=graph,
-            bits=bits,
-        )
-
-    # ------------------------------------------------------------------
-    # representations
-    # ------------------------------------------------------------------
-
-    @property
-    def bits(self) -> Optional[List[int]]:
-        """Per-dense-id cone bitsets over ``graph.index`` (None when no
-        graph is attached to convert against)."""
-        if self._bits is None and self.graph is not None:
-            assert self._cones is not None
-            encode = self.graph.family.encode
-            self._bits = [
-                encode(self._cones.get(asn, (asn,)))
-                for asn in self.graph.index.asns
-            ]
-        return self._bits
+                bits = _cone_bits(graph.result, definition)
+        return cls(definition, graph, bits, prefixes_by_asn)
 
     @property
     def cones(self) -> Dict[int, Set[int]]:
-        """ASN -> cone member set (materialized lazily from bitsets)."""
+        """ASN -> cone member set (decoded once, on first use)."""
         if self._cones is None:
-            assert self._bits is not None and self.graph is not None
-            self._cones = _bits_to_cones(self._bits, self.graph.index.asns)
+            id_asns = self.graph.index.asns
+            self._cones = {
+                id_asns[i]: decode_bits(mask, id_asns)
+                for i, mask in enumerate(self.bits)
+            }
         return self._cones
 
     # ------------------------------------------------------------------
@@ -227,47 +189,23 @@ class CustomerCones:
     # ------------------------------------------------------------------
 
     def cone(self, asn: int) -> Set[int]:
-        if self._cones is None:
-            assert self._bits is not None and self.graph is not None
-            dense_id = self.graph.index.get(asn)
-            if dense_id is None:
-                return {asn}
-            return self.graph.family.decode(self._bits[dense_id])
-        return set(self._cones.get(asn, {asn}))
+        dense_id = self.graph.index.get(asn)
+        if dense_id is None:
+            return {asn}
+        return self.graph.family.decode(self.bits[dense_id])
 
     def size_ases(self, asn: int) -> int:
-        if self._cones is None:
-            assert self._bits is not None and self.graph is not None
-            dense_id = self.graph.index.get(asn)
-            if dense_id is None:
-                return 1
-            return self._bits[dense_id].bit_count()
-        return len(self._cones.get(asn, {asn}))
-
-    def _cone_prefixes(self, asn: int) -> List[Prefix]:
-        if self.prefixes_by_asn is None:
-            raise ValueError("prefix data not attached to these cones")
-        prefixes: List[Prefix] = []
-        for member in self.cone(asn):
-            prefixes.extend(self.prefixes_by_asn.get(member, ()))
-        return prefixes
-
-    def size_prefixes(self, asn: int) -> int:
-        return len(set(self._cone_prefixes(asn)))
-
-    def size_addresses(self, asn: int) -> int:
-        return summarize_address_space(self._cone_prefixes(asn))
+        dense_id = self.graph.index.get(asn)
+        if dense_id is None:
+            return 1
+        return self.bits[dense_id].bit_count()
 
     def sizes(self) -> Dict[int, int]:
         """AS-count cone size for every AS."""
-        if self._cones is None:
-            assert self._bits is not None and self.graph is not None
-            id_asns = self.graph.index.asns
-            return {
-                id_asns[i]: mask.bit_count()
-                for i, mask in enumerate(self._bits)
-            }
-        return {asn: len(cone) for asn, cone in self._cones.items()}
+        id_asns = self.graph.index.asns
+        return {
+            id_asns[i]: mask.bit_count() for i, mask in enumerate(self.bits)
+        }
 
     def top(self, k: int = 15) -> List[Tuple[int, int]]:
         """The ``k`` largest cones as ``(asn, size_in_ases)`` rows."""

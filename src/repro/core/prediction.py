@@ -15,10 +15,8 @@ over flat arrays instead of one serial sweep per origin, and only as
 far down as the observed vantage points can see.  The batched
 engine is bit-identical to the reference sweeps, so reports are
 unchanged from the serial implementation; only the wall clock moves.
-
-:func:`graph_from_inference` (the original :class:`ASGraph`
-materializer) is kept for callers that want a mutable topology-model
-view of an inference; the predictor itself no longer builds one.
+The :class:`~repro.topology.model.ASGraph` materializer the tests
+compare against is :func:`repro.qa.oracles.graph_from_inference`.
 """
 
 from __future__ import annotations
@@ -31,50 +29,18 @@ from repro.bgp.propagation import GraphIndex, propagate_batch
 from repro.graph.index import DenseIndex
 from repro.graph.relgraph import RelGraph
 from repro.relationships import Relationship
-from repro.topology.model import AS, ASGraph, ASType, TopologyError
-
-
-def graph_from_inference(inference) -> ASGraph:
-    """Materialize an :class:`ASGraph` from inferred relationships.
-
-    ``inference`` is anything with ``links()`` / ``relationship()`` /
-    ``provider_of()``.  Inferred p2c edges that would close a provider
-    cycle (possible for baseline algorithms, which lack a cycle guard)
-    are demoted to p2p rather than dropped, so the predicted topology
-    keeps every adjacency.
-    """
-    graph = ASGraph()
-    asns: Set[int] = set()
-    for a, b in inference.links():
-        asns.add(a)
-        asns.add(b)
-    for asn in sorted(asns):
-        graph.add_as(AS(asn=asn, type=ASType.SMALL_TRANSIT))
-    for a, b in sorted(inference.links()):
-        rel = inference.relationship(a, b)
-        if rel is Relationship.P2C:
-            provider = inference.provider_of(a, b)
-            customer = b if provider == a else a
-            try:
-                graph.add_p2c(provider, customer)
-            except TopologyError:
-                graph.add_p2p(a, b)  # cycle: keep the adjacency as peering
-        elif rel is Relationship.S2S:
-            graph.add_s2s(a, b)
-        else:
-            graph.add_p2p(a, b)
-    return graph
 
 
 def rel_graph_from_inference(inference) -> RelGraph:
     """Compile inferred relationships straight into a :class:`RelGraph`.
 
-    Same semantics as routing over :func:`graph_from_inference` — the
-    id space is exactly the link endpoints, links are applied in sorted
-    order, a p2c edge that would close a provider cycle is demoted to
-    p2p, and sibling links merge into the peer adjacency (siblings
-    route as peers) — without materializing per-AS objects or a
-    mutable graph in between.
+    Same semantics as routing over
+    :func:`repro.qa.oracles.graph_from_inference` — the id space is
+    exactly the link endpoints, links are applied in sorted order, a
+    p2c edge that would close a provider cycle is demoted to p2p, and
+    sibling links merge into the peer adjacency (siblings route as
+    peers) — without materializing per-AS objects or a mutable graph
+    in between.
     """
     asns: Set[int] = set()
     for a, b in inference.links():

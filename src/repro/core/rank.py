@@ -25,7 +25,7 @@ from repro import perf
 from repro.core.cone import CustomerCones
 from repro.core.inference import InferenceResult
 from repro.core.paths import sort_unique
-from repro.graph.bitset import BitsetFamily, unpack_bits
+from repro.graph.bitset import unpack_bits
 from repro.graph.csr import gather_rows
 from repro.graph.index import DenseIndex
 from repro.net.prefix import Prefix
@@ -66,7 +66,12 @@ def rank_table(
     with perf.stage("rank"):
         paths = result.paths
         asns = paths.asn_index[0]
-        bits = _index_bits(result, cones)
+        if cones.graph.index is not result.index:
+            raise ValueError(
+                "cones were computed over another inference result's "
+                "index; compute them from this result"
+            )
+        bits = cones.bits
         size = _np.fromiter(
             (mask.bit_count() for mask in bits),
             dtype=_np.int64,
@@ -95,18 +100,6 @@ def rank_table(
             peers[order].tolist(),
             providers[order].tolist(),
         ))
-
-
-def _index_bits(result: InferenceResult, cones: CustomerCones) -> List[int]:
-    """``cones`` as one bitset per id of ``result.index``: the computed
-    bitsets as they are, hand-built cone sets encoded."""
-    graph = cones.graph
-    if graph is not None and (
-        graph.index is result.index or graph.index.asns == result.index.asns
-    ):
-        return cones.bits
-    encode = BitsetFamily(result.index).encode
-    return [encode(cones.cone(asn)) for asn in result.index.asns]
 
 
 def _neighbor_counts(result: InferenceResult):

@@ -290,11 +290,7 @@ def check_differential(
     got = rank_ases(
         fast, CustomerCones.compute(fast, ppdc, prefixes_by_asn)
     )
-    want = reference_rank_ases(
-        ref,
-        CustomerCones(ppdc, cones=ref_cones[ppdc.value],
-                      prefixes_by_asn=prefixes_by_asn),
-    )
+    want = reference_rank_ases(ref, ref_cones[ppdc.value], prefixes_by_asn)
     if got != want:
         at = next(
             (i for i, (a, b) in enumerate(zip(got, want)) if a != b),

@@ -23,10 +23,15 @@ parameter or environment variable selects it.
   fold, none of which reads the result's corpus link index;
 * ``reference_*_cones`` — the three cone definitions over plain ASN
   sets;
-* :func:`reference_rank_ases` — the rank table one AS at a time, each
-  cone's prefixes gathered into a set and its addresses summed by
-  :func:`~repro.net.prefix.summarize_address_space` (QA family 1's
-  ``differential/rank``);
+* :func:`reference_rank_ases` — the rank table one AS at a time over
+  plain ASN-set cones, each cone's prefixes gathered into a set and its
+  addresses summed by :func:`~repro.net.prefix.summarize_address_space`
+  (QA family 1's ``differential/rank``);
+* :func:`graph_from_inference` — inferred labels materialized as a
+  mutable :class:`~repro.topology.model.ASGraph`, cycle-closing p2c
+  edges demoted to p2p (the path-prediction tests compare
+  :func:`~repro.core.prediction.rel_graph_from_inference` and the
+  batched predictor against routing over it);
 * :func:`propagate_origin` — the one-origin-at-a-time Gao–Rexford
   sweeps;
 * :class:`PathNoiser` — the measurement noise one path at a time;
@@ -46,6 +51,7 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -76,7 +82,7 @@ from repro.bgp.propagation import (
     _leak_pass,
 )
 from repro.core.clique import CliqueResult, bron_kerbosch
-from repro.core.cone import ConeDefinition, CustomerCones
+from repro.core.cone import ConeDefinition
 from repro.core.inference import (
     InferenceConfig,
     InferenceResult,
@@ -86,9 +92,9 @@ from repro.core.inference import (
 from repro.core.paths import PathSet, SanitizeStats, is_reserved_asn
 from repro.core.rank import ASRankEntry
 from repro.graph.csr import CsrRows
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, summarize_address_space
 from repro.relationships import RelClass, Relationship, canonical_pair
-from repro.topology.model import ASGraph
+from repro.topology.model import AS, ASGraph, ASType, TopologyError
 
 #: the community code of each route class an AS can tag
 _REFERENCE_CLS_CODE = {
@@ -545,36 +551,44 @@ REFERENCE_CONES: Dict[
 
 def reference_rank_ases(
     result: InferenceResult,
-    cones: CustomerCones,
+    cones: Dict[int, Set[int]],
+    prefixes_by_asn: Optional[Mapping[int, Sequence[object]]] = None,
     limit: Optional[int] = None,
 ) -> List[ASRankEntry]:
     """Rank every observed AS by cone size (desc), transit degree, ASN,
-    one AS at a time through the :class:`CustomerCones` queries."""
+    one AS at a time over plain ASN-set ``cones`` (an AS missing from
+    them is its own cone): each cone's members' prefixes gathered into
+    a set and its addresses summed by
+    :func:`~repro.net.prefix.summarize_address_space`."""
     paths = result.paths
-    with_prefixes = cones.prefixes_by_asn is not None
+
+    def cone(asn: int) -> Set[int]:
+        return cones.get(asn, {asn})
+
     order = sorted(
         paths.asns(),
-        key=lambda asn: (
-            -cones.size_ases(asn),
-            -paths.transit_degree(asn),
-            asn,
-        ),
+        key=lambda asn: (-len(cone(asn)), -paths.transit_degree(asn), asn),
     )
     if limit is not None:
         order = order[:limit]
     entries: List[ASRankEntry] = []
     for position, asn in enumerate(order, start=1):
+        n_prefixes = n_addresses = None
+        if prefixes_by_asn is not None:
+            prefixes = [
+                prefix
+                for member in cone(asn)
+                for prefix in prefixes_by_asn.get(member, ())
+            ]
+            n_prefixes = len(set(prefixes))
+            n_addresses = summarize_address_space(prefixes)
         entries.append(
             ASRankEntry(
                 rank=position,
                 asn=asn,
-                cone_ases=cones.size_ases(asn),
-                cone_prefixes=(
-                    cones.size_prefixes(asn) if with_prefixes else None
-                ),
-                cone_addresses=(
-                    cones.size_addresses(asn) if with_prefixes else None
-                ),
+                cone_ases=len(cone(asn)),
+                cone_prefixes=n_prefixes,
+                cone_addresses=n_addresses,
                 transit_degree=paths.transit_degree(asn),
                 node_degree=paths.node_degree(asn),
                 num_customers=len(result.customers_of_asn(asn)),
@@ -583,6 +597,43 @@ def reference_rank_ases(
             )
         )
     return entries
+
+
+# ---------------------------------------------------------------------------
+# path prediction
+# ---------------------------------------------------------------------------
+
+
+def graph_from_inference(inference) -> ASGraph:
+    """Materialize an :class:`ASGraph` from inferred relationships.
+
+    ``inference`` is anything with ``links()`` / ``relationship()`` /
+    ``provider_of()``.  Inferred p2c edges that would close a provider
+    cycle (possible for baseline algorithms, which lack a cycle guard)
+    are demoted to p2p rather than dropped, so the predicted topology
+    keeps every adjacency.
+    """
+    graph = ASGraph()
+    asns: Set[int] = set()
+    for a, b in inference.links():
+        asns.add(a)
+        asns.add(b)
+    for asn in sorted(asns):
+        graph.add_as(AS(asn=asn, type=ASType.SMALL_TRANSIT))
+    for a, b in sorted(inference.links()):
+        rel = inference.relationship(a, b)
+        if rel is Relationship.P2C:
+            provider = inference.provider_of(a, b)
+            customer = b if provider == a else a
+            try:
+                graph.add_p2c(provider, customer)
+            except TopologyError:
+                graph.add_p2p(a, b)  # cycle: keep the adjacency as peering
+        elif rel is Relationship.S2S:
+            graph.add_s2s(a, b)
+        else:
+            graph.add_p2p(a, b)
+    return graph
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ arrays over a sorted ASN index so every query is O(1) or O(answer):
 * **Links** — packed parallel arrays ``(a_id, b_id, rel_code,
   provider_flag)`` plus an ``(a_id << 32 | b_id) -> row`` dict for
   O(1) link lookup.
-* **Cones** — one Python-int bitset per AS per definition; membership
-  is one shift-and-mask, full cones decode in O(members).
+* **Cones** — one Python-int bitset per AS per definition; a size is
+  one ``bit_count``, a full cone decodes in O(members).
 * **Rank table** — the exact :func:`repro.core.rank.rank_ases` rows in
   ranking order, plus ``asn -> row`` for point lookups.
 
@@ -41,7 +41,7 @@ from repro import perf
 from repro.core.cone import ConeDefinition
 from repro.core.rank import ASRankEntry, rank_table
 from repro.datasets.serialization import DatasetFormatError
-from repro.graph import DenseIndex, closure_bits, decode_bits
+from repro.graph import BitsetFamily, DenseIndex, closure_bits, decode_bits
 from repro.relationships import Relationship
 
 
@@ -94,14 +94,12 @@ class LazyConeBits:
     bitsets, so unlike links/ranks they cannot be a fixed-stride numpy
     view — instead this parses only the framing (two small offset
     tables) and leaves the bitset bytes where they are, in the mmap'd
-    pages.  Membership probes touch a single byte of the mapping;
-    full bitsets materialize as ints on first use and are cached, so
-    an idle worker's private memory stays at the offset tables while
-    the payload pages remain shared.
+    pages.  A bitset materializes as an int on first use and is
+    cached, so an idle worker's private memory stays at the offset
+    tables while the payload pages remain shared.
 
     Indexing (``bits[i]``) matches the eager ``List[int]`` contract, so
-    every snapshot query works unchanged; ``test`` is the zero-copy
-    membership fast path.
+    every snapshot query works unchanged.
     """
 
     def __init__(self, blob, n: int):
@@ -142,18 +140,6 @@ class LazyConeBits:
     def __iter__(self):
         for i in range(len(self._starts)):
             yield self[i]
-
-    def test(self, i: int, member_id: int) -> bool:
-        """One-byte membership probe; never materializes the bitset."""
-        mask = self._cache[i]
-        if mask is not None:
-            return bool(mask >> member_id & 1)
-        byte = member_id >> 3
-        if byte >= self._lengths[i]:
-            return False
-        return bool(
-            self._blob[self._starts[i] + byte] >> (member_id & 7) & 1
-        )
 
 
 def resolve_definition(name: str) -> ConeDefinition:
@@ -273,16 +259,8 @@ class Snapshot:
             )))
 
             for definition, defined in cones.items():
-                if defined.graph is graph and defined.bits is not None:
-                    # same id space: adopt the bitsets without expanding
-                    bits = defined.bits
-                else:
-                    encode = graph.family.encode
-                    bits = [
-                        encode(defined.cones.get(asn, (asn,)))
-                        for asn in graph.index.asns
-                    ]
-                snapshot._cones[definition.value] = bits
+                # the graph's own id space: adopt the bitsets as they are
+                snapshot._cones[definition.value] = defined.bits
 
             if ppdc.prefixes_by_asn is None:
                 # no prefix data: the packed table's -1
@@ -361,15 +339,11 @@ class Snapshot:
             },
         )
         if ppdc is not None:
-            bits = []
-            for asn in asns:
-                mask = 1 << ids[asn]
-                for member in ppdc.get(asn, ()):
-                    mask |= 1 << ids[member]
-                bits.append(mask)
-            snapshot._cones[
-                ConeDefinition.PROVIDER_PEER_OBSERVED.value
-            ] = bits
+            encode = BitsetFamily(index).encode
+            snapshot._cones[ConeDefinition.PROVIDER_PEER_OBSERVED.value] = [
+                encode(ppdc.get(asn, ())) | 1 << i
+                for i, asn in enumerate(asns)
+            ]
 
         cone_bits = snapshot._cones[
             definitions[-1] if ppdc is not None else definitions[0]
@@ -563,20 +537,6 @@ class Snapshot:
         if asn_id is None:
             return {asn}
         return decode_bits(self._cone_bits(definition)[asn_id], self.asns)
-
-    def in_cone(
-        self,
-        asn: int,
-        member: int,
-        definition: ConeDefinition = ConeDefinition.PROVIDER_PEER_OBSERVED,
-    ) -> bool:
-        asn_id, member_id = self._ids.get(asn), self._ids.get(member)
-        if asn_id is None or member_id is None:
-            return asn == member
-        bits = self._cone_bits(definition)
-        if isinstance(bits, LazyConeBits):
-            return bits.test(asn_id, member_id)
-        return bool(bits[asn_id] >> member_id & 1)
 
     def cone_size(
         self,

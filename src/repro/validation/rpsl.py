@@ -48,10 +48,6 @@ class RpslObject:
         return "\n".join(lines) + "\n"
 
 
-def _self_set(asn: int) -> str:
-    return f"AS{asn}"
-
-
 def _customer_set(asn: int) -> str:
     return f"AS{asn}:AS-CUSTOMERS"
 

@@ -10,18 +10,23 @@ from repro.analysis.metrics import (
 )
 from repro.core.cone import ConeDefinition, CustomerCones
 from repro.core.paths import PathSet
+from repro.graph import RelGraph
 
 
 class TestConeOverlap:
     @pytest.fixture
     def cones(self):
+        members = {1: {1, 10, 11, 12}, 2: {2, 11, 12, 13}, 3: {3}}
+        graph = RelGraph.from_links(
+            [1, 2, 3, 10, 11, 12, 13],
+            p2c=[(asn, member) for asn, cone in members.items()
+                 for member in cone - {asn}],
+        )
         return CustomerCones(
-            definition=ConeDefinition.RECURSIVE,
-            cones={
-                1: {1, 10, 11, 12},
-                2: {2, 11, 12, 13},
-                3: {3},
-            },
+            ConeDefinition.RECURSIVE,
+            graph,
+            [graph.family.encode(members.get(asn, {asn}))
+             for asn in graph.index.asns],
         )
 
     def test_jaccard(self, cones):

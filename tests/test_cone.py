@@ -5,6 +5,7 @@ import pytest
 from repro.core.cone import ConeDefinition, CustomerCones, compute_cones
 from repro.core.inference import InferenceConfig, infer_relationships
 from repro.core.paths import PathSet
+from repro.core.rank import rank_ases
 from repro.net.prefix import Prefix
 
 
@@ -122,11 +123,16 @@ class TestCustomerCones:
     def test_size_ases(self, cones):
         assert cones.size_ases(1) == 3  # self + 10 + 100
 
+    @staticmethod
+    def _row(cones, asn):
+        rows = rank_ases(cones.graph.result, cones)
+        return next(row for row in rows if row.asn == asn)
+
     def test_size_prefixes(self, cones):
-        assert cones.size_prefixes(1) == 4
+        assert self._row(cones, 1).cone_prefixes == 4
 
     def test_size_addresses(self, cones):
-        assert cones.size_addresses(1) == 4 * (1 << 16)
+        assert self._row(cones, 1).cone_addresses == 4 * (1 << 16)
 
     def test_sizes_mapping(self, cones):
         sizes = cones.sizes()
@@ -144,8 +150,8 @@ class TestCustomerCones:
 
     def test_prefix_queries_need_prefix_data(self, hierarchy_result):
         bare = CustomerCones.compute(hierarchy_result)
-        with pytest.raises(ValueError):
-            bare.size_prefixes(1)
+        row = self._row(bare, 1)
+        assert row.cone_prefixes is None and row.cone_addresses is None
 
     def test_unknown_asn_cone_is_self(self, cones):
         assert cones.cone(4242) == {4242}

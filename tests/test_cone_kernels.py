@@ -19,7 +19,7 @@ from repro.core.inference import (
     infer_relationships,
 )
 from repro.core.paths import PathSet
-from repro.core.rank import cone_prefix_sizes, rank_ases
+from repro.core.rank import cone_prefix_sizes, rank_ases, rank_table
 from repro.graph.bitset import pack_bits, unpack_bits
 from repro.graph.index import DenseIndex
 from repro.net.prefix import Prefix, summarize_address_space
@@ -253,6 +253,9 @@ class TestIpv6Prefixes:
         assert rows[20].cone_addresses == 0
 
 
+PPDC = ConeDefinition.PROVIDER_PEER_OBSERVED
+
+
 class TestRankAgainstOracle:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -262,28 +265,44 @@ class TestRankAgainstOracle:
         prefixes = data.draw(_prefix_maps(asns + [999]))
         definition = data.draw(st.sampled_from(list(ConeDefinition)))
         cones = CustomerCones.compute(result, definition, prefixes)
+        sets = REFERENCE_CONES[definition](result)
         for limit in (None, 3):
             assert rank_ases(result, cones, limit) == reference_rank_ases(
-                result, cones, limit
+                result, sets, prefixes, limit
             )
-        # hand-built cone sets rank like the bitsets they encode
-        by_sets = CustomerCones(definition, cones=cones.cones,
-                                prefixes_by_asn=prefixes)
-        assert rank_ases(result, by_sets) == rank_ases(result, cones)
 
-    def test_engine_result_with_scenario_prefixes(self, small_run):
-        prefixes = {a.asn: a.prefixes + a.prefixes6
-                    for a in small_run.graph.ases()}
-        cones = CustomerCones.compute(
-            small_run.result, ConeDefinition.PROVIDER_PEER_OBSERVED,
-            prefixes_by_asn=prefixes,
-        )
-        got = rank_ases(small_run.result, cones)
-        assert got == reference_rank_ases(small_run.result, cones)
-        assert got[0].cone_addresses > 0
+    def test_engine_result_with_scenario_prefixes(self, tiny_run, small_run):
+        for run in (tiny_run, small_run):
+            result = run.result
+            ases = list(run.graph.ases())
+            assert any(a.prefixes6 for a in ases)
+            prefixes = {a.asn: a.prefixes + a.prefixes6 for a in ases}
+            cones = CustomerCones.compute(result, PPDC, prefixes)
+            sets = REFERENCE_CONES[PPDC](result)
+            for limit in (None, 10):
+                got = rank_ases(result, cones, limit)
+                assert got == reference_rank_ases(
+                    result, sets, prefixes, limit
+                )
+                assert got[0].cone_addresses > 0
 
     def test_without_prefixes(self, small_run):
         cones = CustomerCones.compute(small_run.result)
         assert rank_ases(small_run.result, cones) == reference_rank_ases(
-            small_run.result, cones
+            small_run.result, REFERENCE_CONES[PPDC](small_run.result)
         )
+
+
+class TestRankIdSpace:
+    def test_cones_of_another_result_are_refused(self, tiny_run, small_run):
+        cones = CustomerCones.compute(tiny_run.result)
+        with pytest.raises(ValueError):
+            rank_table(small_run.result, cones)
+        with pytest.raises(ValueError):
+            rank_ases(small_run.result, cones)
+        # a re-run on the same corpus indexes the same ASes, but its
+        # cones are not this result's either
+        rerun = infer_relationships(tiny_run.result.paths)
+        assert rerun.index.asns == tiny_run.result.index.asns
+        with pytest.raises(ValueError):
+            rank_table(rerun, cones)

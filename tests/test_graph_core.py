@@ -281,14 +281,3 @@ def test_customer_cones_accepts_relgraph_and_result():
     from_result = CustomerCones.compute(result)
     assert from_graph.graph is from_result.graph
     assert from_graph.bits == from_result.bits
-
-
-def test_hand_built_cones_still_work_without_graph():
-    cones = CustomerCones(
-        ConeDefinition.RECURSIVE, cones={1: {1, 2}, 2: {2}}
-    )
-    assert cones.cone(1) == {1, 2}
-    assert cones.size_ases(2) == 1
-    assert cones.bits is None  # no graph to index against
-    with pytest.raises(ValueError):
-        CustomerCones(ConeDefinition.RECURSIVE)  # neither representation

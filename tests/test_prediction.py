@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 
 from repro.baselines import infer_degree, infer_gao
 from repro.baselines.common import RelationshipMap
-from repro.core.prediction import (
-    PredictionReport,
-    graph_from_inference,
-    predict_paths,
-)
+from repro.core.prediction import PredictionReport, predict_paths
+from repro.qa.oracles import graph_from_inference
 from repro.relationships import Relationship
 
 
