@@ -262,8 +262,8 @@ class CollectionKernel:
     Holds exactly what materializing the observations needs — the
     config, a :class:`GraphIndex`-shaped adjacency (real or attached
     from shared memory), the VP set, tagger/sibling node ids, the
-    leaker list, the clique, and the IXP link map — plus the
-    process-local per-edge noise memo.  Serial runs and shared-memory
+    leaker list, the clique, and the IXP link map — plus its column
+    noiser.  Serial runs and shared-memory
     workers both run this same code, which is what makes the corpus
     worker-count-invariant.
 
@@ -358,6 +358,7 @@ class CollectionKernel:
             states = self._propagate(block, leakers)
             perf.add_seconds("propagate", clock() - t0)
             t_paths = t_noise = t_rib = 0.0
+            misses = self.noise.misses
             for state in states:
                 asns = self._asns[state.origins].tolist()
                 t0 = clock()
@@ -381,7 +382,9 @@ class CollectionKernel:
                     Collected(flat, off, walk.per_origin, rib, rib_per_origin)
                 )
             perf.add_seconds("paths", t_paths)
-            perf.add_seconds("noise", t_noise)
+            perf.add_seconds(
+                "noise", t_noise, misses=self.noise.misses - misses
+            )
             perf.add_seconds("rib", t_rib)
         return Collected.concat(parts)
 
@@ -579,9 +582,11 @@ class Collector:
                 self._taggable, routing, self._vp_pool, clique = _survey(
                     graph, plane == "v6"
                 )
-                self.index = GraphIndex(graph, rel=RelGraph.from_as_graph(
-                    graph, index=DenseIndex.from_sorted(routing)
-                ))
+                index = DenseIndex.from_sorted(routing)
+                rel = RelGraph.from_as_graph(graph, index=index)
+                # a kept compile comes back over its own, equal index
+                perf.counter("reused", int(rel.index is not index))
+                self.index = GraphIndex(graph, rel=rel)
             with perf.stage("draws"):
                 self._rng = random.Random(self.config.seed)
                 ids = self.index.index

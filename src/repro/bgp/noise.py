@@ -16,15 +16,21 @@ pattern the sanitizer must remove.)
 (int64 ``flat`` hops plus row offsets ``off``).  The route-server insert
 and the prepend count depend only on the directed edge, so they are
 computed once per distinct edge and expanded with ``numpy.repeat``;
-only the per-path poison, loop and reserved-ASN draws run one path at
-a time, from one ``random.Random`` per origin.  The one-path-at-a-time
-noiser it replaced is the QA oracle in :mod:`repro.qa.oracles`.
+the prepend count is hashed once per session and noise configuration
+for the process's life (a bounded LRU memo), since collecting one
+world again asks for the same sessions.  Only the per-path poison, loop
+and reserved-ASN draws run one path at a time, from one
+``random.Random`` per origin.  The one-path-at-a-time noiser it
+replaced is the QA oracle in :mod:`repro.qa.oracles`; it calls the
+uncached :func:`prepend_count`, so it checks the memo too.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as _np
@@ -62,14 +68,33 @@ class NoiseConfig:
 RESERVED_ASN = 64512
 
 
+#: prepend counts the process keeps (:func:`_prepend_memo`): a
+#: simulate-internet op reads ~1,600 sessions; full, the memo holds
+#: ~16 MiB (CPython 3.11, 64-bit)
+_PREPEND_MEMO_SIZE = 1 << 16
+
+
 def prepend_count(config: NoiseConfig, asn: int, toward: int) -> int:
     """How many extra copies ``asn`` inserts when exporting to ``toward``:
     a deterministic per-adjacency hash into a local RNG, so a session
     prepends identically whichever origin's route it exports."""
-    local = random.Random((config.seed << 32) ^ (asn << 16) ^ toward)
-    if local.random() < config.prepend_prob:
-        return local.randint(1, max(1, config.max_prepend))
+    return _prepend_draw(
+        config.seed, config.prepend_prob, config.max_prepend, asn, toward
+    )
+
+
+def _prepend_draw(
+    seed: int, prepend_prob: float, max_prepend: int, asn: int, toward: int
+) -> int:
+    local = random.Random((seed << 32) ^ (asn << 16) ^ toward)
+    if local.random() < prepend_prob:
+        return local.randint(1, max(1, max_prepend))
     return 0
+
+
+#: :func:`prepend_count` by its arguments, for the column noiser:
+#: seeding a ``random.Random`` is most of a session's cost
+_prepend_memo = functools.lru_cache(maxsize=_PREPEND_MEMO_SIZE)(_prepend_draw)
 
 
 class ColumnNoiser:
@@ -77,9 +102,9 @@ class ColumnNoiser:
     to paths held as columns (collector order: VP first, origin last).
 
     ``clique`` is the pool poisoned paths draw from; ``via_ixp`` maps a
-    canonical link to the route server it crosses.  The per-edge
-    artifacts are memoized per directed edge for the noiser's life:
-    they depend on the graph and ``config.seed`` only.
+    canonical link to the route server it crosses.  ``misses`` counts
+    the prepend counts this noiser had to hash (the process-wide memo
+    held none).
     """
 
     def __init__(
@@ -91,8 +116,7 @@ class ColumnNoiser:
         self._config = config
         self._clique = clique
         self._via_ixp = via_ixp if config.ixp_insertion else {}
-        #: packed ``(prev << 32) | asn`` -> (route server or -1, prepends)
-        self._edges: Dict[int, Tuple[int, int]] = {}
+        self.misses = 0
 
     def apply(self, flat, off, origins: Sequence[int], per_origin):
         """The observed form of the true paths ``(flat, off)``, whose
@@ -102,24 +126,30 @@ class ColumnNoiser:
         return self._drawn_artifacts(flat, off, origins, per_origin)
 
     def _edge_table(self, edges) -> Tuple["_np.ndarray", "_np.ndarray"]:
-        """``(route server or -1, prepend count)`` per packed edge."""
-        table = self._edges
+        """``(route server or -1, prepend count)`` per packed
+        ``(prev << 32) | asn`` edge."""
         config = self._config
-        via_ixp = self._via_ixp
-        prepends = config.prepend_prob > 0
-        rows: List[Tuple[int, int]] = []
-        for key in edges.tolist():
-            row = table.get(key)
-            if row is None:
-                prev, asn = key >> 32, key & 0xFFFFFFFF
-                rs = via_ixp.get((prev, asn) if prev <= asn else (asn, prev))
-                row = table[key] = (
-                    -1 if rs is None else rs,
-                    prepend_count(config, asn, prev) if prepends else 0,
-                )
-            rows.append(row)
-        both = _np.array(rows, dtype=_np.int64).reshape(-1, 2)
-        return both[:, 0], both[:, 1]
+        n = len(edges)
+        prev = (edges >> _np.uint64(32)).astype(_np.int64)
+        asn = (edges & _np.uint64(0xFFFFFFFF)).astype(_np.int64)
+        rs = _np.full(n, -1, dtype=_np.int64)
+        if self._via_ixp:
+            found = list(map(self._via_ixp.get, zip(
+                _np.minimum(prev, asn).tolist(),
+                _np.maximum(prev, asn).tolist(),
+            )))
+            at = [i for i, server in enumerate(found) if server is not None]
+            rs[at] = [found[i] for i in at]
+        if config.prepend_prob <= 0:
+            return rs, _np.zeros(n, dtype=_np.int64)
+        missed = _prepend_memo.cache_info().misses
+        prepends = _np.fromiter(map(
+            _prepend_memo, repeat(config.seed, n),
+            repeat(config.prepend_prob, n), repeat(config.max_prepend, n),
+            asn.tolist(), prev.tolist(),
+        ), dtype=_np.int64, count=n)
+        self.misses += _prepend_memo.cache_info().misses - missed
+        return rs, prepends
 
     def _edge_artifacts(self, flat, off):
         """Each hop after the first becomes its edge's segment: the

@@ -174,7 +174,8 @@ class RouteState:
 
     ``cls[i]`` is one of the ``CLS_*``/``NO_ROUTE`` constants,
     ``nexthop[i]`` the index of the neighbor the route was learned from
-    (-1 for the origin), ``pathlen[i]`` the AS-path length in edges.
+    (-1 for the origin and for every AS without a route),
+    ``pathlen[i]`` the AS-path length in edges.
 
     A state computed with ``observers`` (:func:`propagate_batch`) is
     exact on the observers' upward provider closure, and so is every
@@ -227,9 +228,10 @@ def propagate_batch(
     for block in propagate_blocks(
         index, origin_asns, leakers_by_origin, config, observers=observers
     ):
+        cls = block.cls[:, :n]
         for origin, *rows in zip(
-            block.origins.tolist(), block.cls[:, :n], block.nexthop[:, :n],
-            block.pathlen[:, :n],
+            block.origins.tolist(), cls,
+            _routed_nexthop(cls, block.nexthop[:, :n]), block.pathlen[:, :n],
         ):
             # detached int32 rows skip the per-cell Python ints (the
             # internet-scale path); list rows walk at list speed
@@ -248,7 +250,9 @@ class BlockState(NamedTuple):
     ``nexthop`` and ``pathlen`` are ``(K, stride)`` int32 arrays laid
     out like :class:`RouteState` rows, ``stride`` being the index size
     rounded up to a power of two (columns past ``len(index)`` are
-    padding).
+    padding).  Unlike a :class:`RouteState`, ``nexthop`` is unspecified
+    on cells without a route: a reader follows it only from routed
+    cells, whose chains end at the origin's -1.
     """
 
     origins: "_np.ndarray"
@@ -396,14 +400,16 @@ def _propagate_block(
         [index.index[asn] for asn in origin_asns], dtype=cell_dtype
     )
     cls = _np.zeros(cells, dtype=_np.int32)
-    nexthop = _np.full(cells, -1, dtype=_np.int32)
+    # a claim writes each routed cell's next hop; the rest stay unset
+    nexthop = _np.empty(cells, dtype=_np.int32)
     pathlen = _np.zeros(cells, dtype=_np.int32)
 
     origin_cells = _np.arange(K, dtype=cell_dtype) * stride + origins
     cls[origin_cells] = CLS_ORIGIN
+    nexthop[origin_cells] = -1
     geom = _Geometry(stride, shift, stride - 1, cell_dtype, comp_dtype)
-    _batch_sweep_up(csr, geom, origin_cells, cls, nexthop, pathlen)
-    _batch_sweep_peers(csr, geom, cls, nexthop, pathlen)
+    holders = _batch_sweep_up(csr, geom, origin_cells, cls, nexthop, pathlen)
+    _batch_sweep_peers(csr, geom, holders, cls, nexthop, pathlen)
     _batch_sweep_down(customers, geom, cls, nexthop, pathlen)
 
     cls = cls.reshape(K, stride)
@@ -413,14 +419,25 @@ def _propagate_block(
         leakers = leakers_by_origin.get(asn)
         if leakers:
             # the sequential pass runs over list rows (numpy scalar
-            # access is ~2.5x slower), written back into the block
+            # access is ~2.5x slower), written back into the block;
+            # its next hops read -1 on unrouted cells
             leak_indexes = {
                 index.index[a] for a in leakers if a in index.index
             }
-            rows = [a[k, :n].tolist() for a in (cls, nexthop, pathlen)]
+            rows = [
+                cls[k, :n].tolist(),
+                _routed_nexthop(cls[k, :n], nexthop[k, :n]).tolist(),
+                pathlen[k, :n].tolist(),
+            ]
             _leak_pass(index, leak_indexes, *rows, customers)
             cls[k, :n], nexthop[k, :n], pathlen[k, :n] = rows
     return BlockState(origins, cls, nexthop, pathlen)
+
+
+def _routed_nexthop(cls: "_np.ndarray", nexthop: "_np.ndarray"):
+    """A copy of block ``nexthop`` cells reading -1 wherever ``cls``
+    holds no route, as :class:`RouteState` rows do."""
+    return _np.where(cls == NO_ROUTE, _np.int32(-1), nexthop)
 
 
 @dataclass(frozen=True)
@@ -513,37 +530,46 @@ def _batch_sweep_up(
     cls: "_np.ndarray",
     nexthop: "_np.ndarray",
     pathlen: "_np.ndarray",
-) -> None:
-    """Phase 1, batched: all K frontiers climb provider edges per level."""
+) -> "_np.ndarray":
+    """Phase 1, batched: all K frontiers climb provider edges per level.
+
+    Returns every cell holding an origin or customer route: the
+    origin cells and each level's claims.
+    """
+    claimed = [frontier]
     depth = 0
     while frontier.size:
         depth += 1
         src, targets = _expand(csr.providers, frontier, geom)
         if targets.size == 0:
-            return
+            break
         src_node = src & geom.mask
         comp = geom.compose(src - src_node + targets, src_node)
         frontier = _claim(
             comp, geom, cls, nexthop, pathlen, CLS_CUSTOMER, depth
         )
+        claimed.append(frontier)
+    return _np.concatenate(claimed)
 
 
 def _batch_sweep_peers(
     csr: Csr,
     geom: _Geometry,
+    holders: "_np.ndarray",
     cls: "_np.ndarray",
     nexthop: "_np.ndarray",
     pathlen: "_np.ndarray",
 ) -> None:
     """Phase 2, batched: one peering hop off every customer-route cell.
 
-    The composite here also packs the *offered length* between cell and
-    source node — the peer preference order is (shortest path, lowest
-    peer ASN).  Lengths vary per offer, so this one sweep carries them
-    in the sort key; it runs once per block, so the int64 composites
-    cost nothing measurable.
+    ``holders`` are the cells holding an origin or customer route, as
+    the up sweep claimed them; their order does not matter, since the
+    offers are sorted.  The composite here also packs the *offered
+    length* between cell and source node — the peer preference order
+    is (shortest path, lowest peer ASN).  Lengths vary per offer, so
+    this one sweep carries them in the sort key; it runs once per
+    block, so the int64 composites cost nothing measurable.
     """
-    holders = _np.nonzero((cls == CLS_ORIGIN) | (cls == CLS_CUSTOMER))[0]
     src, targets = _expand(csr.peers, holders, geom)
     if targets.size == 0:
         return

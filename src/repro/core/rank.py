@@ -179,8 +179,8 @@ def cone_prefix_sizes(
     """Distinct prefixes and distinct addresses originated inside each
     cone of ``masks`` (bitsets over ``index``), as two lists.
 
-    Equal to ``len(set(...))`` and
-    :func:`~repro.net.prefix.summarize_address_space` over each cone's
+    Equal to ``len(set(...))`` and the QA oracle's
+    :func:`~repro.qa.oracles.summarize_address_space` over each cone's
     members' prefixes: MOAS and duplicate prefixes count once, and a
     prefix covered by another prefix in the same cone adds no
     addresses.

@@ -15,8 +15,9 @@ It is built **once** per world and then shared:
 * :meth:`from_as_graph` compiles a topology-model
   :class:`~repro.topology.model.ASGraph` for route propagation (this
   is what :class:`~repro.bgp.propagation.GraphIndex` wraps) straight
-  into CSR arrays, its rows served as
-  :class:`~repro.graph.csr.CsrRows` views over them;
+  into read-only CSR arrays, its rows served as
+  :class:`~repro.graph.csr.CsrRows` views over them, and keeps the
+  compile until the graph's edit count moves;
 * :meth:`from_links` compiles bare relationship rows (CAIDA as-rel
   files) for file-built snapshots.
 
@@ -31,6 +32,7 @@ object's whole life.
 
 from __future__ import annotations
 
+import weakref
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -42,6 +44,11 @@ from repro.graph.index import DenseIndex
 
 #: one relationship's rows: per-id sorted lists, or views over a CSR
 Rows = Sequence[Sequence[int]]
+
+#: each live ASGraph's last compile, as ``(graph.edits, RelGraph)``.
+#: Weak keys: the memo never keeps a graph alive, and a copy or a
+#: pickle of a graph carries none of it.
+_COMPILED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 class RelGraph:
@@ -130,10 +137,18 @@ class RelGraph:
 
         IXP route-server ASes do not route and are excluded;
         ``restrict`` limits the id space further (the IPv6 plane).
-        ``index`` adopts the routing ASes' index instead, for a caller
-        that has already walked the AS table (the collector's set-up
-        pass).  Sibling links behave as peering links for propagation,
-        so they merge into the peer adjacency here.
+        ``index`` names the routing ASes instead, for a caller that has
+        already walked the AS table (the collector's set-up pass).
+        Sibling links behave as peering links for propagation, so they
+        merge into the peer adjacency here.
+
+        The compile is kept per graph: while ``graph.edits`` is
+        unchanged and the routing ASNs equal the kept graph's, the kept
+        graph is returned, over its own (equal) index.  The routing
+        list catches the in-place edits the count does not see: an AS
+        whose type or IPv6 space changed joins or leaves it.  The CSR
+        arrays are read-only, since every later compile of the graph
+        shares them.
 
         Each relationship's neighbor sets are read once into an
         ``(owner id, neighbor ASN)`` column pair (:func:`_id_pairs`);
@@ -156,15 +171,24 @@ class RelGraph:
                 if asys.type is not ixp_rs
                 and (restrict is None or asys.asn in restrict)
             ))
+        edits = graph.edits
+        kept = _COMPILED.get(graph)
+        if kept is not None and kept[0] == edits and (
+            kept[1].index.asns == index.asns
+        ):
+            return kept[1]
+
         n = len(index)
         asns = _np.array(index.asns, dtype=_np.int64)
-
         customers, providers = _id_pairs(asns, graph.providers)
         csr = Csr.from_arrays(
             csr_from_pairs(customers, providers, n),
             csr_from_pairs(providers, customers, n),
             csr_from_pairs(*_id_pairs(asns, graph.peers, graph.siblings), n),
         )
+        for view in (csr.providers, csr.customers, csr.peers):
+            for array in view:
+                array.flags.writeable = False
         rel = cls(
             index,
             CsrRows(csr.providers),
@@ -172,6 +196,7 @@ class RelGraph:
             CsrRows(csr.peers),
         )
         rel._csr = csr
+        _COMPILED[graph] = (edits, rel)
         return rel
 
     @classmethod

@@ -2,11 +2,12 @@
 
 The paper measures customer cones in three units: ASes, announced
 prefixes, and IPv4 addresses.  This package provides the prefix type,
-prefix allocation to ASes, and a longest-prefix-match trie used when
-counting addresses without double-counting overlapping announcements.
+prefix allocation to ASes, and a longest-prefix-match trie; cones are
+sized in prefixes and addresses by
+:func:`repro.core.rank.cone_prefix_sizes`.
 """
 
-from repro.net.prefix import Prefix, PrefixError, summarize_address_space
+from repro.net.prefix import Prefix, PrefixError
 from repro.net.allocation import PrefixAllocator
 from repro.net.trie import PrefixTrie
 
@@ -15,5 +16,4 @@ __all__ = [
     "PrefixError",
     "PrefixAllocator",
     "PrefixTrie",
-    "summarize_address_space",
 ]

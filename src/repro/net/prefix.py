@@ -10,7 +10,7 @@ order of magnitude heavier.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterator
 
 _MAX32 = 0xFFFFFFFF
 
@@ -178,28 +178,3 @@ class Prefix:
 
     def __str__(self) -> str:
         return f"{_dotted(self.network)}/{self.length}"
-
-
-def summarize_address_space(prefixes: Iterable[Prefix]) -> int:
-    """Count distinct IPv4 addresses covered by ``prefixes``.
-
-    Overlapping and duplicate announcements are merged first so each
-    address counts once — the unit the paper uses when sizing cones by
-    address space.  Prefixes of other families add nothing.
-    """
-    spans: List[Tuple[int, int]] = sorted(
-        (p.network, p.broadcast) for p in set(prefixes)
-        if isinstance(p, Prefix)
-    )
-    total = 0
-    current_start = current_end = -1
-    for start, end in spans:
-        if start > current_end + 1 or current_end < 0:
-            if current_end >= 0:
-                total += current_end - current_start + 1
-            current_start, current_end = start, end
-        elif end > current_end:
-            current_end = end
-    if current_end >= 0:
-        total += current_end - current_start + 1
-    return total

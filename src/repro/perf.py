@@ -145,18 +145,21 @@ class PerfRecorder:
         with self._lock:
             node.counters[name] = node.counters.get(name, 0) + value
 
-    def add_seconds(self, name: str, seconds: float) -> None:
+    def add_seconds(self, name: str, seconds: float, **counters: float) -> None:
         """Accumulate externally measured time under the open stage.
 
         For substages whose phases interleave inside a loop (e.g. the
         collector's propagate/paths/noise/rib phases within one origin
         block): the caller measures each slice itself and deposits the
         total here, avoiding a context-manager entry per slice.
+        ``counters`` accumulate on that substage.
         """
         with self._lock:
             node = self._stack[-1].child(name)
             node.calls += 1
             node.seconds += seconds
+            for cname, value in counters.items():
+                node.counters[cname] = node.counters.get(cname, 0) + value
 
     def reset(self) -> None:
         with self._lock:
@@ -320,8 +323,8 @@ def counter(name: str, value: float = 1) -> None:
     _recorder.counter(name, value)
 
 
-def add_seconds(name: str, seconds: float) -> None:
-    _recorder.add_seconds(name, seconds)
+def add_seconds(name: str, seconds: float, **counters: float) -> None:
+    _recorder.add_seconds(name, seconds, **counters)
 
 
 def reset() -> None:

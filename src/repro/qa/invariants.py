@@ -15,6 +15,7 @@ its reference oracle, which is strictly stronger.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, replace
 from typing import (
@@ -29,7 +30,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.cone import ConeDefinition, CustomerCones, compute_cones
+from repro.core.cone import ConeDefinition, CustomerCones
 from repro.core.inference import (
     InferenceConfig,
     InferenceResult,
@@ -81,9 +82,31 @@ def _label_map(
     }
 
 
+@functools.lru_cache(maxsize=2)
+def _facade(result: InferenceResult):
+    """The :class:`~repro.asrank.ASRank` facade over ``result`` itself
+    (no prefix map), shared by every checker of the world, so each
+    ``(result, definition)`` cone is computed once.  A world has two
+    results (family 1's and the one families 4–8 ride on); the memo
+    holds those two, since a facade refers to its result and a weak
+    memo could never let go of it."""
+    from repro.asrank import ASRank
+
+    facade = ASRank(result.paths, config=result.config)
+    facade._result = result
+    return facade
+
+
+def _cones(
+    result: InferenceResult, definition: ConeDefinition
+) -> Dict[int, Set[int]]:
+    """``compute_cones(result, definition)``, computed once per result."""
+    return _facade(result).cones(definition).cones
+
+
 def _cone_sets(result: InferenceResult) -> Dict[str, Dict[int, Set[int]]]:
     return {
-        definition.value: compute_cones(result, definition)
+        definition.value: _cones(result, definition)
         for definition in ConeDefinition
     }
 
@@ -287,9 +310,10 @@ def check_differential(
                 )
             )
     ppdc = ConeDefinition.PROVIDER_PEER_OBSERVED
-    got = rank_ases(
-        fast, CustomerCones.compute(fast, ppdc, prefixes_by_asn)
-    )
+    fast_ppdc = _facade(fast).cones(ppdc)
+    got = rank_ases(fast, CustomerCones(
+        ppdc, fast_ppdc.graph, fast_ppdc.bits, prefixes_by_asn
+    ))
     want = reference_rank_ases(ref, ref_cones[ppdc.value], prefixes_by_asn)
     if got != want:
         at = next(
@@ -378,15 +402,8 @@ def check_hierarchy(result: InferenceResult, world: str) -> List[Violation]:
 def check_cones(result: InferenceResult, world: str) -> List[Violation]:
     violations: List[Violation] = []
     cones = {
-        ConeDefinition.RECURSIVE: compute_cones(
-            result, ConeDefinition.RECURSIVE
-        ),
-        ConeDefinition.BGP_OBSERVED: compute_cones(
-            result, ConeDefinition.BGP_OBSERVED
-        ),
-        ConeDefinition.PROVIDER_PEER_OBSERVED: compute_cones(
-            result, ConeDefinition.PROVIDER_PEER_OBSERVED
-        ),
+        definition: _cones(result, definition)
+        for definition in ConeDefinition
     }
     oracles = {
         definition: oracle(result)
@@ -500,7 +517,7 @@ def check_round_trips(
 
     # ppdc-ases
     ppdc_file = os.path.join(directory, "qa.ppdc-ases.txt")
-    cones = compute_cones(result, ConeDefinition.PROVIDER_PEER_OBSERVED)
+    cones = _cones(result, ConeDefinition.PROVIDER_PEER_OBSERVED)
     save_ppdc_ases(ppdc_file, cones)
     loaded_cones = load_ppdc_ases(ppdc_file)
     if loaded_cones != cones:
@@ -752,14 +769,12 @@ def check_serving(
     pairs), cone membership under all three definitions, and the full
     rank table.
     """
-    from repro.asrank import ASRank
     from repro.serve.handlers import Api
     from repro.serve.snapshot import Snapshot
     from repro.serve.store import SnapshotStore, load_snapshot, save_snapshot
 
     violations: List[Violation] = []
-    facade = ASRank(result.paths, config=result.config)
-    facade._result = result
+    facade = _facade(result)
 
     os.makedirs(directory, exist_ok=True)
     snapshot_file = os.path.join(directory, "qa.snapshot")
@@ -895,7 +910,6 @@ def check_path_serving(
       rebuilt into a fresh RelGraph and propagated with the *reference*
       single-origin engine.
     """
-    from repro.asrank import ASRank
     from repro.bgp.propagation import GraphIndex, propagate_batch
     from repro.graph.relgraph import RelGraph
     from repro.serve.handlers import Api
@@ -905,9 +919,7 @@ def check_path_serving(
     import json
 
     violations: List[Violation] = []
-    facade = ASRank(result.paths, config=result.config)
-    facade._result = result
-    snapshot = Snapshot.build(facade)
+    snapshot = Snapshot.build(_facade(result))
     api = Api(SnapshotStore(snapshot=snapshot))
     asns = snapshot.asns
     n = len(asns)

@@ -25,8 +25,8 @@ parameter or environment variable selects it.
   sets;
 * :func:`reference_rank_ases` — the rank table one AS at a time over
   plain ASN-set cones, each cone's prefixes gathered into a set and its
-  addresses summed by :func:`~repro.net.prefix.summarize_address_space`
-  (QA family 1's ``differential/rank``);
+  addresses summed by :func:`summarize_address_space` (QA family 1's
+  ``differential/rank``);
 * :func:`graph_from_inference` — inferred labels materialized as a
   mutable :class:`~repro.topology.model.ASGraph`, cycle-closing p2c
   edges demoted to p2p (the path-prediction tests compare
@@ -92,7 +92,7 @@ from repro.core.inference import (
 from repro.core.paths import PathSet, SanitizeStats, is_reserved_asn
 from repro.core.rank import ASRankEntry
 from repro.graph.csr import CsrRows
-from repro.net.prefix import Prefix, summarize_address_space
+from repro.net.prefix import Prefix
 from repro.relationships import RelClass, Relationship, canonical_pair
 from repro.topology.model import AS, ASGraph, ASType, TopologyError
 
@@ -549,6 +549,32 @@ REFERENCE_CONES: Dict[
 # ---------------------------------------------------------------------------
 
 
+def summarize_address_space(prefixes: Iterable[Prefix]) -> int:
+    """Count distinct IPv4 addresses covered by ``prefixes``.
+
+    Overlapping and duplicate announcements are merged first so each
+    address counts once — the unit the paper uses when sizing cones by
+    address space.  Prefixes of other families add nothing.  The
+    oracle of production's :func:`~repro.core.rank.cone_prefix_sizes`.
+    """
+    spans: List[Tuple[int, int]] = sorted(
+        (p.network, p.broadcast) for p in set(prefixes)
+        if isinstance(p, Prefix)
+    )
+    total = 0
+    current_start = current_end = -1
+    for start, end in spans:
+        if start > current_end + 1 or current_end < 0:
+            if current_end >= 0:
+                total += current_end - current_start + 1
+            current_start, current_end = start, end
+        elif end > current_end:
+            current_end = end
+    if current_end >= 0:
+        total += current_end - current_start + 1
+    return total
+
+
 def reference_rank_ases(
     result: InferenceResult,
     cones: Dict[int, Set[int]],
@@ -558,8 +584,7 @@ def reference_rank_ases(
     """Rank every observed AS by cone size (desc), transit degree, ASN,
     one AS at a time over plain ASN-set ``cones`` (an AS missing from
     them is its own cone): each cone's members' prefixes gathered into
-    a set and its addresses summed by
-    :func:`~repro.net.prefix.summarize_address_space`."""
+    a set and its addresses summed by :func:`summarize_address_space`."""
     paths = result.paths
 
     def cone(asn: int) -> Set[int]:

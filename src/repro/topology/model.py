@@ -75,9 +75,18 @@ class AS:
 
 
 class ASGraph:
-    """Mutable AS graph with labeled relationships and invariant checks."""
+    """Mutable AS graph with labeled relationships and invariant checks.
+
+    The AS table and the adjacency change only through the methods
+    below (``add_as``, the ``add_*`` link methods, ``remove_link``);
+    each change bumps :attr:`edits`, which is what lets a compiled view
+    of the graph (:meth:`repro.graph.relgraph.RelGraph.from_as_graph`)
+    know it is still current.  The neighbour-set dicts are public for
+    reading; writing into them directly bypasses that count.
+    """
 
     def __init__(self) -> None:
+        self._edits = 0
         self._ases: Dict[int, AS] = {}
         self.providers: Dict[int, Set[int]] = {}
         self.customers: Dict[int, Set[int]] = {}
@@ -100,6 +109,13 @@ class ASGraph:
         self.customers[asys.asn] = set()
         self.peers[asys.asn] = set()
         self.siblings[asys.asn] = set()
+        self._edits += 1
+
+    @property
+    def edits(self) -> int:
+        """Changes made through the methods so far: ASes added, links
+        added or removed."""
+        return self._edits
 
     def get_as(self, asn: int) -> AS:
         try:
@@ -135,6 +151,7 @@ class ASGraph:
         self._link_provider[key] = provider
         self.customers[provider].add(customer)
         self.providers[customer].add(provider)
+        self._edits += 1
 
     def add_p2c_unchecked(self, provider: int, customer: int) -> None:
         """Add a provider→customer link without the per-link cycle scan.
@@ -153,6 +170,7 @@ class ASGraph:
         self._link_provider[key] = provider
         self.customers[provider].add(customer)
         self.providers[customer].add(provider)
+        self._edits += 1
 
     def add_p2p(self, a: int, b: int) -> None:
         """Add a settlement-free peering link."""
@@ -160,6 +178,7 @@ class ASGraph:
         self._links[canonical_pair(a, b)] = Relationship.P2P
         self.peers[a].add(b)
         self.peers[b].add(a)
+        self._edits += 1
 
     def add_p2p_if_absent(self, a: int, b: int) -> bool:
         """One-lookup peering insert for bulk wiring.
@@ -175,6 +194,7 @@ class ASGraph:
         self._links[key] = Relationship.P2P
         self.peers[a].add(b)
         self.peers[b].add(a)
+        self._edits += 1
         return True
 
     def add_s2s(self, a: int, b: int) -> None:
@@ -183,6 +203,7 @@ class ASGraph:
         self._links[canonical_pair(a, b)] = Relationship.S2S
         self.siblings[a].add(b)
         self.siblings[b].add(a)
+        self._edits += 1
 
     def _check_new_link(self, a: int, b: int) -> None:
         if a == b:
@@ -214,6 +235,7 @@ class ASGraph:
         rel = self._links.pop(key, None)
         if rel is None:
             raise TopologyError(f"no link {a}-{b}")
+        self._edits += 1
         if rel is Relationship.P2C:
             provider = self._link_provider.pop(key)
             customer = b if provider == a else a

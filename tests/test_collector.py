@@ -1,11 +1,13 @@
 """Unit tests for vantage-point collection."""
 
+import copy
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import perf
 from repro.bgp.collector import (
     CODE_REL,
     Collector,
@@ -465,6 +467,88 @@ def corpus_key(corpus):
         corpus.path_counts,
         [(r.vp, r.prefix, r.path, r.communities) for r in corpus.rib],
     )
+
+
+def collect_traced(graph, config, plane="v4"):
+    """One collection with its own recorder: ``(corpus, counters)``."""
+    rec = perf.PerfRecorder()
+    with perf.use_recorder(rec):
+        corpus = Collector(graph, config, plane=plane).run()
+    return corpus, rec.counters()
+
+
+def assert_same_corpus(got, want):
+    assert got.vps == want.vps
+    for column in ("flat", "off", "counts"):
+        assert getattr(got, column).tolist() == getattr(want, column).tolist()
+    assert got.rib == want.rib
+
+
+class TestRepeatedCollection:
+    """A Collector reuses the graph compile an earlier one made while
+    the graph is unedited, and recompiles after an edit."""
+
+    @pytest.fixture
+    def config(self):
+        return CollectorConfig(n_vps=12, seed=4, n_route_leakers=3,
+                               leak_origin_fraction=0.3)
+
+    @pytest.mark.parametrize("plane", ["v4", "v6"])
+    def test_unchanged_graph_collects_the_same_corpus(self, config, plane):
+        graph = generate_topology(GeneratorConfig(n_ases=150, seed=21))
+        first, _ = collect_traced(graph, config, plane)
+        second, counters = collect_traced(graph, config, plane)
+        assert counters["collect-setup/compile/reused"] == 1
+        assert counters["collect/noise/misses"] == 0
+        assert_same_corpus(second, first)
+
+    def test_evolution_era_between_collectors(self, config):
+        from repro.net.allocation import PrefixAllocator
+        from repro.topology.evolution import (
+            Era,
+            _densify_peering,
+            _grow,
+            _promote_clique_entrants,
+        )
+
+        allocator = PrefixAllocator()
+        graph = generate_topology(
+            GeneratorConfig(n_ases=150, seed=21, ixps_enabled=True),
+            allocator=allocator,
+        )
+        _, counters = collect_traced(graph, config)
+        assert counters["collect-setup/compile/reused"] == 0
+        clique = graph.clique_asns()
+        era = Era("next", new_ases=15, peering_boost=0.05,
+                  clique_entrants=1, regional_bias=0.3)
+        rng = random.Random(3)
+        _grow(graph, era, rng, allocator, max(graph.asns()) + 1)
+        _densify_peering(graph, era, rng)
+        _promote_clique_entrants(graph, era, rng)
+        assert graph.clique_asns() != clique  # an AS.type edited in place
+        got, counters = collect_traced(graph, config)
+        assert counters["collect-setup/compile/reused"] == 0
+        want, _ = collect_traced(copy.deepcopy(graph), config)
+        assert_same_corpus(got, want)
+
+    def test_in_place_type_edit_alone(self):
+        # promoting an AS to the clique changes no link, so the compile
+        # is kept; the per-collector survey still sees the new clique,
+        # which poisoned paths draw from
+        config = CollectorConfig(n_vps=12, seed=4,
+                                 noise=NoiseConfig(poison_prob=0.3))
+        graph = generate_topology(GeneratorConfig(n_ases=150, seed=21))
+        before, _ = collect_traced(graph, config)
+        entrant = max(
+            (a for a in graph.ases() if a.type is ASType.LARGE_TRANSIT),
+            key=lambda a: len(graph.customers[a.asn]),
+        )
+        entrant.type = ASType.CLIQUE
+        got, counters = collect_traced(graph, config)
+        assert counters["collect-setup/compile/reused"] == 1
+        assert got.flat.tolist() != before.flat.tolist()
+        want, _ = collect_traced(copy.deepcopy(graph), config)
+        assert_same_corpus(got, want)
 
 
 class TestColumnsMatchReference:

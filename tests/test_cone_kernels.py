@@ -22,9 +22,13 @@ from repro.core.paths import PathSet
 from repro.core.rank import cone_prefix_sizes, rank_ases, rank_table
 from repro.graph.bitset import pack_bits, unpack_bits
 from repro.graph.index import DenseIndex
-from repro.net.prefix import Prefix, summarize_address_space
+from repro.net.prefix import Prefix
 from repro.net.prefix6 import Prefix6
-from repro.qa.oracles import REFERENCE_CONES, reference_rank_ases
+from repro.qa.oracles import (
+    REFERENCE_CONES,
+    reference_rank_ases,
+    summarize_address_space,
+)
 
 OBSERVED = (ConeDefinition.BGP_OBSERVED, ConeDefinition.PROVIDER_PEER_OBSERVED)
 

@@ -1,8 +1,17 @@
 """Unit tests for the measurement-noise model."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.bgp.noise import NoiseConfig, RESERVED_ASN
+from repro.bgp.noise import (
+    ColumnNoiser,
+    NoiseConfig,
+    RESERVED_ASN,
+    _prepend_memo,
+    prepend_count,
+)
 from repro.qa.oracles import PathNoiser
 from repro.relationships import canonical_pair
 from repro.topology.model import AS, ASGraph, ASType
@@ -114,3 +123,48 @@ class TestInjections:
                              ixp_insertion=False)
         noiser = PathNoiser(bare_graph(), config)
         assert noiser.apply((10, 11)) == (10, 11)
+
+
+class TestPrependMemo:
+    """The column noiser reads prepend counts through a process-wide
+    memo; the pure :func:`prepend_count` the oracle calls stays
+    uncached, so they must agree draw for draw."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        prepend_prob=st.sampled_from([0.0, 0.03, 0.5, 1.0]),
+        max_prepend=st.integers(0, 4),
+        asn=st.integers(1, 2**32 - 1),
+        toward=st.integers(1, 2**32 - 1),
+    )
+    def test_memo_equals_fresh_draw(self, seed, prepend_prob, max_prepend,
+                                    asn, toward):
+        config = NoiseConfig(seed=seed, prepend_prob=prepend_prob,
+                             max_prepend=max_prepend)
+        want = prepend_count(config, asn, toward)
+        for _ in range(2):  # a miss, then a hit
+            assert _prepend_memo(
+                seed, prepend_prob, max_prepend, asn, toward
+            ) == want
+
+    def test_second_noiser_misses_nothing(self):
+        config = NoiseConfig(seed=918_273_645, prepend_prob=0.5,
+                             poison_prob=0, loop_prob=0,
+                             reserved_asn_prob=0, ixp_insertion=False)
+        flat = np.array([10, 11, 12, 10, 13], dtype=np.int64)
+        off = np.array([0, 3, 5], dtype=np.int64)
+        outs = []
+        misses = []
+        for _ in range(2):
+            noiser = ColumnNoiser(config, [], {})
+            outs.append(noiser.apply(flat, off, [12, 13],
+                                     np.array([1, 1], dtype=np.int64)))
+            misses.append(noiser.misses)
+        assert misses == [3, 0]  # 11->10, 12->11 and 13->10
+        for got, want in zip(outs[1], outs[0]):
+            assert np.array_equal(got, want)
+        oracle = PathNoiser(None, config)
+        for i, path in enumerate(((10, 11, 12), (10, 13))):
+            row = outs[0][0][outs[0][1][i]:outs[0][1][i + 1]]
+            assert tuple(row.tolist()) == oracle.apply(path)

@@ -373,6 +373,17 @@ class TestAddSeconds:
                 perf.add_seconds("paths", 0.05)
         assert rec.flat()["collect/paths"] == 0.05
 
+    def test_counters_land_on_the_substage(self):
+        rec = perf.PerfRecorder()
+        with perf.use_recorder(rec):
+            with perf.stage("collect"):
+                perf.add_seconds("noise", 0.1, misses=3)
+                perf.add_seconds("noise", 0.1, misses=0)
+        assert rec.counters() == {"collect/noise/misses": 3}
+        assert "noise" in rec.report_lines()[1] and "misses=3" in (
+            rec.report_lines()[1]
+        )
+
     def test_collector_reports_substages(self):
         from repro.bgp.collector import Collector, CollectorConfig
         from repro.topology.generator import (
@@ -387,6 +398,9 @@ class TestAddSeconds:
         flat = rec.flat()
         for substage in ("propagate", "paths", "noise", "rib"):
             assert f"collect/{substage}" in flat, flat
+        counters = rec.counters()
+        assert counters["collect-setup/compile/reused"] in (0, 1)
+        assert "collect/noise/misses" in counters
         substage_sum = sum(
             v for k, v in flat.items() if k.startswith("collect/")
         )

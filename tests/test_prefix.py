@@ -1,9 +1,11 @@
-"""Unit tests for the IPv4 prefix value type."""
+"""Unit tests for the IPv4 prefix value type, and for the QA oracle's
+address-space summation over it."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net.prefix import Prefix, PrefixError, summarize_address_space
+from repro.net.prefix import Prefix, PrefixError
+from repro.qa.oracles import summarize_address_space
 
 
 class TestParse:

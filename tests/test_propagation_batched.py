@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.bgp.collector import CollectionKernel, Collector, CollectorConfig
 from repro.bgp.propagation import (
     CLS_PROVIDER,
+    NO_ROUTE,
     GraphIndex,
     PropagationConfig,
     propagate_batch,
@@ -143,6 +144,57 @@ class TestEdgeShapes:
     def test_empty_origin_list(self):
         index = GraphIndex(random_graph(6, n=10))
         assert propagate_batch(index, []) == []
+
+
+class TestUnroutedNexthop:
+    """The engine leaves a block's unrouted next-hop cells unset;
+    :func:`propagate_batch`'s rows must still read -1 on every one."""
+
+    @staticmethod
+    def world():
+        graph = random_graph(11, n=40)
+        for asn in (900, 901, 902):
+            graph.add_as(AS(asn=asn, type=ASType.STUB))
+        graph.add_p2c(900, 901)  # a second component; 902 is isolated
+        return graph
+
+    @pytest.mark.parametrize("array_state", [False, True])
+    @pytest.mark.parametrize("with_leakers", [False, True])
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_unrouted_cells_read_minus_one(self, array_state, with_leakers,
+                                           observed):
+        graph = self.world()
+        index = GraphIndex(graph)
+        leakers_by_origin = {}
+        if with_leakers:
+            multihomed = [
+                asn for asn in index.asns if len(graph.providers[asn]) >= 2
+            ]
+            leakers_by_origin = {asn: set(multihomed[:3])
+                                 for asn in index.asns[::2]}
+        observers = [index.index[asn] for asn in index.asns[-8::3]]
+        config = PropagationConfig(batch_size=16, array_state=array_state)
+        states = propagate_batch(
+            index, index.asns, leakers_by_origin, config,
+            observers=observers if observed else None,
+        )
+        unrouted = 0
+        for state in states:
+            assert state.nexthop[state.origin] == -1
+            for i in range(len(index)):
+                if state.cls[i] == NO_ROUTE:
+                    assert state.nexthop[i] == -1, (state.origin, i)
+                    unrouted += 1
+        assert unrouted > 0
+        if with_leakers:
+            plain = propagate_batch(
+                index, index.asns, None, config,
+                observers=observers if observed else None,
+            )
+            assert any(
+                list(a.nexthop) != list(b.nexthop)
+                for a, b in zip(states, plain)
+            ), "no leak pass changed a table"
 
 
 class TestFallback:

@@ -5,10 +5,17 @@ columns and sorts them into CSR arrays; these tests hold it to the
 per-AS sorted-list compile it replaced (kept here as the reference),
 arrays and dtypes alike, on worlds whose AS table is out of ASN order
 (the neighbour column's argsort mapping) and whose links were partly
-removed (the customers view is the providers pairs transposed).
+removed (the customers view is the providers pairs transposed).  The
+compile is kept per graph until an edit: after every mutator it must
+equal a fresh compile of a deep copy.
 """
 
 from __future__ import annotations
+
+import copy
+import gc
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +30,7 @@ from repro.graph.csr import (
     csr_from_pairs,
 )
 from repro.graph.index import DenseIndex
+from repro.graph import relgraph
 from repro.graph.relgraph import RelGraph
 from repro.topology.model import AS, ASGraph, ASType
 
@@ -197,6 +205,115 @@ class TestFromAsGraph:
         rel = RelGraph.from_as_graph(graph)
         assert rel.closure() == [0b111, 0b110, 0b100]
         assert all(type(bits) is int for bits in rel.closure())
+
+
+def memo_world():
+    """Two transit ASes over three stubs, a peering and a sibling."""
+    graph = ASGraph()
+    for asn, kind in ((10, ASType.SMALL_TRANSIT), (20, ASType.SMALL_TRANSIT),
+                      (30, ASType.STUB), (40, ASType.STUB),
+                      (50, ASType.STUB)):
+        graph.add_as(AS(asn=asn, type=kind))
+    graph.add_p2c(10, 30)
+    graph.add_p2c(20, 40)
+    graph.add_p2p(10, 20)
+    graph.add_s2s(30, 40)
+    return graph
+
+
+def assert_same_compile(got, want):
+    assert got.index.asns == want.index.asns
+    for view in ("providers", "customers", "peers"):
+        for a, b in zip(getattr(got.csr(), view), getattr(want.csr(), view)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
+#: every ASGraph method that changes the AS table or a link
+MUTATORS = {
+    "add_as": lambda g: g.add_as(AS(asn=60, type=ASType.STUB)),
+    "add_p2c": lambda g: g.add_p2c(20, 50),
+    "add_p2c_unchecked": lambda g: g.add_p2c_unchecked(10, 50),
+    "add_p2p": lambda g: g.add_p2p(30, 50),
+    "add_p2p_if_absent": lambda g: g.add_p2p_if_absent(40, 50),
+    "add_s2s": lambda g: g.add_s2s(10, 50),
+    "remove_link": lambda g: g.remove_link(10, 20),
+}
+
+
+class TestCompileMemo:
+    def test_unchanged_graph_reuses_its_compile(self):
+        graph = memo_world()
+        rel = RelGraph.from_as_graph(graph)
+        assert RelGraph.from_as_graph(graph) is rel
+        given = DenseIndex.from_sorted(list(rel.index.asns))
+        assert RelGraph.from_as_graph(graph, index=given) is rel
+
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    def test_each_mutator_recompiles(self, mutator):
+        graph = memo_world()
+        before = RelGraph.from_as_graph(graph)
+        edits = graph.edits
+        MUTATORS[mutator](graph)
+        assert graph.edits == edits + 1
+        after = RelGraph.from_as_graph(graph)
+        assert after is not before
+        assert_same_compile(after, RelGraph.from_as_graph(copy.deepcopy(graph)))
+        assert_compiles_alike(graph)
+
+    def test_absent_peering_insert_only_counts_when_it_inserts(self):
+        graph = memo_world()
+        rel = RelGraph.from_as_graph(graph)
+        assert graph.add_p2p_if_absent(20, 10) is False
+        assert RelGraph.from_as_graph(graph) is rel
+
+    def test_in_place_route_server_changes_the_routing_list(self):
+        # AS.type is edited in place (topology.evolution promotes
+        # clique entrants that way), which the edit count does not see
+        graph = memo_world()
+        rel = RelGraph.from_as_graph(graph)
+        graph.get_as(50).type = ASType.IXP_RS
+        again = RelGraph.from_as_graph(graph)
+        assert again is not rel and 50 not in again.index.ids
+        assert_same_compile(again, RelGraph.from_as_graph(copy.deepcopy(graph)))
+
+    def test_restricted_plane_is_compiled_on_its_own(self):
+        graph = memo_world()
+        full = RelGraph.from_as_graph(graph)
+        plane = RelGraph.from_as_graph(graph, restrict={10, 20, 30})
+        assert plane.index.asns == [10, 20, 30]
+        assert RelGraph.from_as_graph(graph) is not full
+        assert_same_compile(RelGraph.from_as_graph(graph), full)
+
+    def test_copies_and_pickles_carry_no_compile(self):
+        graph = memo_world()
+        rel = RelGraph.from_as_graph(graph)
+        for clone in (copy.deepcopy(graph),
+                      pickle.loads(pickle.dumps(graph))):
+            assert clone.edits == graph.edits
+            again = RelGraph.from_as_graph(clone)
+            assert again is not rel
+            assert_same_compile(again, rel)
+
+    def test_memo_does_not_keep_a_dead_graph_alive(self):
+        graph = memo_world()
+        rel = RelGraph.from_as_graph(graph)
+        alive = weakref.ref(graph)
+        assert graph in relgraph._COMPILED
+        del graph
+        gc.collect()
+        assert alive() is None
+        assert len(rel) == 5  # the compile itself outlives its graph
+
+    def test_compiled_arrays_reject_writes(self):
+        rel = RelGraph.from_as_graph(memo_world())
+        csr = rel.csr()
+        for view in (csr.providers, csr.customers, csr.peers):
+            for array in view:
+                with pytest.raises(ValueError):
+                    array[0] = 1
+        with pytest.raises(ValueError):
+            rel.customers[0][:] = 0
 
 
 class TestCsrFromPairs:
